@@ -1,24 +1,33 @@
-"""Benchmark and correctness guard for the delta-evaluation fast path.
+"""Probe-cost table and correctness guard for the delta evaluator.
 
 Two modes:
 
-* default — time per-move evaluation on a large layered random DAG for
-  the annealing/tabu-style inner loops: the old path (full
-  :func:`repro.core.evaluate.total_time` per candidate, O(V^2) comm
-  matrix per call) against the new :class:`repro.core.DeltaEvaluator`
-  probe path, plus the genetic-style full-evaluation fast path.  Results
-  are printed and recorded under ``benchmarks/results/bench_delta.txt``.
-* ``--smoke`` — the CI guard: randomized move sequences on small
-  instances across several topologies; every delta-accumulated aggregate
-  must match a full re-evaluation bit-for-bit.  Exits 1 on any mismatch.
-  With ``--json-out FILE`` it also emits a machine-readable report
-  (bench name, elapsed seconds, case list, failure count) that
-  ``benchmarks/check_budgets.py`` compares against the stored budgets in
-  ``benchmarks/budgets.json`` — the CI perf-regression gate.
+* default — the per-call cost of :class:`repro.core.DeltaEvaluator` on
+  layered random DAGs of 1k-100k tasks on ``hypercube:4``:
+  ``probe_swap`` µs, ``evaluate`` µs and construction ms (medians of
+  individually timed calls).  A probe is itself a full re-evaluation —
+  one vectorized level sweep of the swapped placement — so the two
+  columns measure the same code path.  ``--before FILE`` adds the
+  columns of an earlier run (its ``--json-out``; e.g. the same script
+  run with ``PYTHONPATH`` pointing at another checkout) and the
+  before/after ratio.  The table is recorded under
+  ``benchmarks/results/bench_delta.txt``.
+* ``--smoke`` — the CI guard: randomized walks over the full operation
+  mix (``probe_swap``, ``probe_move``, ``swap``, ``apply_swap``,
+  ``revert``, ``evaluate``) on small instances across several
+  topologies.  Every result is checked against
+  :func:`repro.core.evaluate.total_time` on a shadow assignment (a stack
+  that ``apply_swap`` pushes and ``revert`` pops), and the evaluator's
+  aggregates against the scalar oracle (:meth:`DeltaEvaluator.verify`)
+  after every step.  Exits 1 on any mismatch.  ``--json-out FILE``
+  writes the report that ``benchmarks/check_budgets.py`` compares
+  against ``benchmarks/budgets.json``.
 
 Run from the repo root::
 
-    python benchmarks/bench_delta.py            # timings
+    python benchmarks/bench_delta.py                  # timings
+    python benchmarks/bench_delta.py --json-out now.json --no-record
+    python benchmarks/bench_delta.py --before before.json
     python benchmarks/bench_delta.py --smoke --json-out BENCH_delta.json
 """
 
@@ -39,6 +48,11 @@ from repro.workloads import layered_random_dag
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_delta.txt"
 
+#: Per-measurement time budget; every measurement takes at least
+#: MIN_CALLS calls regardless.
+BUDGET_SECONDS = 1.0
+MIN_CALLS = 5
+
 
 def build_instance(num_tasks: int, system, seed: int):
     graph = layered_random_dag(num_tasks=num_tasks, rng=seed)
@@ -46,8 +60,53 @@ def build_instance(num_tasks: int, system, seed: int):
     return ClusteredGraph(graph, clustering), system
 
 
+# -- smoke ----------------------------------------------------------------
+
+OPS = ("probe_swap", "probe_move", "swap", "apply_swap", "revert", "evaluate")
+
+
+def walk(ev: DeltaEvaluator, clustered, system, gen, steps: int) -> str | None:
+    """One randomized walk over :data:`OPS`; the first mismatch, or None."""
+    n = system.num_nodes
+    shadow = [ev.assignment]  # shadow[-1] is the evaluator's assignment
+    for step in range(steps):
+        a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+        op = OPS[int(gen.integers(len(OPS)))]
+        current = probed = shadow[-1]
+        if op == "probe_swap":
+            got, probed = ev.probe_swap(a, b), current.swapped(a, b)
+        elif op == "probe_move":
+            other = current.cluster_on(b)
+            got = ev.probe_move(a, b)
+            probed = current if other == a else current.swapped(a, other)
+        elif op == "swap":
+            shadow = [current.swapped(a, b)]  # a plain commit drops the undo stack
+            got = ev.swap(a, b)
+        elif op == "apply_swap":
+            shadow.append(current.swapped(a, b))
+            got = ev.apply_swap(a, b)
+        elif op == "revert":
+            if len(shadow) == 1:
+                continue
+            shadow.pop()
+            got = ev.revert()
+        else:
+            shadow = [Assignment.random(n, rng=int(gen.integers(2**31)))]
+            got = ev.evaluate(shadow[-1])
+        want = total_time(clustered, system, probed if op.startswith("probe") else shadow[-1])
+        if got != want:
+            return f"step {step}: {op} gave {got}, total_time says {want}"
+        if ev.assignment != shadow[-1] or not ev.verify():
+            return f"step {step}: state diverged from the oracle after {op}"
+    while len(shadow) > 1:  # unwind what is still speculative
+        shadow.pop()
+        if ev.revert() != total_time(clustered, system, shadow[-1]) or not ev.verify():
+            return "final unwind diverged from the oracle"
+    return None
+
+
 def smoke(seed: int, json_out: str | None = None) -> int:
-    """Cross-check delta vs full evaluation; returns the exit code."""
+    """Cross-check every operation against the oracle; returns the exit code."""
     started = time.perf_counter()
     cases = [
         ("hypercube-8", hypercube(3)),
@@ -55,30 +114,17 @@ def smoke(seed: int, json_out: str | None = None) -> int:
         ("torus-3x3", torus2d(3, 3)),
         ("ring-6", ring(6)),
     ]
+    steps = 90
     failures = 0
     for name, system in cases:
         clustered, system = build_instance(8 * system.num_nodes, system, seed)
-        n = system.num_nodes
-        gen = np.random.default_rng(seed)
-        shadow = Assignment.random(n, rng=seed)
-        ev = DeltaEvaluator(clustered, system, shadow)
-        for step in range(60):
-            a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
-            probed = ev.probe_swap(a, b)
-            oracle = total_time(clustered, system, shadow.swapped(a, b))
-            if probed != oracle:
-                print(f"FAIL {name} step {step}: probe {probed} != full {oracle}")
-                failures += 1
-                break
-            if step % 2 == 0:
-                ev.swap(a, b)
-                shadow = shadow.swapped(a, b)
-            if not ev.verify():
-                print(f"FAIL {name} step {step}: aggregates diverged from oracle")
-                failures += 1
-                break
+        ev = DeltaEvaluator(clustered, system, Assignment.random(system.num_nodes, rng=seed))
+        error = walk(ev, clustered, system, np.random.default_rng(seed), steps)
+        if error is None:
+            print(f"ok   {name}: {steps} operations match the oracle")
         else:
-            print(f"ok   {name}: 60 moves, delta == full re-evaluation")
+            print(f"FAIL {name}: {error}")
+            failures += 1
     if json_out is not None:
         report = {
             "bench": "delta",
@@ -86,6 +132,7 @@ def smoke(seed: int, json_out: str | None = None) -> int:
             "seed": seed,
             "elapsed_seconds": time.perf_counter() - started,
             "cases": [name for name, _ in cases],
+            "operations": list(OPS),
             "failures": failures,
         }
         Path(json_out).write_text(json.dumps(report, indent=2) + "\n")
@@ -93,79 +140,101 @@ def smoke(seed: int, json_out: str | None = None) -> int:
     if failures:
         print(f"SMOKE FAILED: {failures} case(s) diverged")
         return 1
-    print("SMOKE PASSED: delta evaluation matches full re-evaluation bit-for-bit")
+    print("SMOKE PASSED: every operation matches the oracle bit-for-bit")
     return 0
 
 
-def timings(num_tasks: int, moves: int, seed: int, record: bool) -> int:
-    system = hypercube(4)
-    clustered, system = build_instance(num_tasks, system, seed)
+# -- probe-cost table -------------------------------------------------------
+
+
+def per_call(call, args: list) -> float:
+    """Median seconds of ``call(*args[i])``, cycling through ``args``."""
+    samples: list[float] = []
+    spent = 0.0
+    while len(samples) < MIN_CALLS or spent < BUDGET_SECONDS:
+        arg = args[len(samples) % len(args)]
+        t0 = time.perf_counter()
+        call(*arg)
+        dt = time.perf_counter() - t0
+        samples.append(dt)
+        spent += dt
+    return float(np.median(samples))
+
+
+def measure(num_tasks: int, seed: int) -> dict:
+    clustered, system = build_instance(num_tasks, hypercube(4), seed)
     n = system.num_nodes
     gen = np.random.default_rng(seed)
-    stream = [
-        tuple(int(x) for x in gen.choice(n, size=2, replace=False))
-        for _ in range(moves)
-    ]
-    start_assignment = Assignment.random(n, rng=seed)
+    start = Assignment.random(n, rng=seed)
+    construct = per_call(DeltaEvaluator, [(clustered, system, start)])
+    ev = DeltaEvaluator(clustered, system, start)
+    pairs = [tuple(int(x) for x in gen.choice(n, size=2, replace=False)) for _ in range(64)]
+    probe = per_call(ev.probe_swap, pairs)
+    others = [(Assignment.random(n, rng=int(s)),) for s in gen.integers(0, 2**31, 16)]
+    evaluate = per_call(ev.evaluate, others)
+    # The probes must agree with the stateless evaluation of the same moves.
+    ev.evaluate(start)
+    for a, b in pairs[:8]:
+        if ev.probe_swap(a, b) != total_time(clustered, system, start.swapped(a, b)):
+            raise SystemExit(f"FAIL: probe_swap disagrees with total_time at {num_tasks} tasks")
+    return {
+        "tasks": num_tasks,
+        "edges": int(clustered.graph.num_edges),
+        "construct_ms": 1e3 * construct,
+        "probe_swap_us": 1e6 * probe,
+        "evaluate_us": 1e6 * evaluate,
+    }
 
-    # Old inner loop: full re-evaluation per candidate, hill-climbing.
-    current = start_assignment
-    current_time = total_time(clustered, system, current)
-    t0 = time.perf_counter()
-    full_trace = []
-    for a, b in stream:
-        candidate = current.swapped(a, b)
-        t = total_time(clustered, system, candidate)
-        full_trace.append(t)
-        if t < current_time:
-            current, current_time = candidate, t
-    full_elapsed = time.perf_counter() - t0
 
-    # New inner loop: delta probe per candidate, commit improvements.
-    ev = DeltaEvaluator(clustered, system, start_assignment)
-    current_time = ev.total_time
-    t0 = time.perf_counter()
-    delta_trace = []
-    for a, b in stream:
-        t = ev.probe_swap(a, b)
-        delta_trace.append(t)
-        if t < current_time:
-            current_time = ev.swap(a, b)
-    delta_elapsed = time.perf_counter() - t0
+COLUMNS = (("construct_ms", "ms"), ("probe_swap_us", "us"), ("evaluate_us", "us"))
 
-    if full_trace != delta_trace:
-        print("FAIL: delta and full evaluation visited different makespans")
-        return 1
 
-    # Genetic-style full evaluations: comm-matrix path vs the evaluator's
-    # O(V+E) rebase fast path.
-    candidates = [Assignment.random(n, rng=int(s)) for s in gen.integers(0, 2**31, 20)]
-    t0 = time.perf_counter()
-    matrix_times = [total_time(clustered, system, a) for a in candidates]
-    matrix_elapsed = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rebase_times = [ev.evaluate(a) for a in candidates]
-    rebase_elapsed = time.perf_counter() - t0
-    if matrix_times != rebase_times:
-        print("FAIL: rebase fast path disagrees with the comm-matrix path")
-        return 1
+def format_table(rows: list[dict], before: list[dict] | None) -> list[str]:
+    by_tasks = {row["tasks"]: row for row in before or []}
+    head = f"{'tasks':>7} {'edges':>7}"
+    for key, _ in COLUMNS:
+        head += f" | {key:>14}" if before is None else f" | {key + ' before/after':>28}"
+    lines = [head]
+    for row in rows:
+        line = f"{row['tasks']:>7} {row['edges']:>7}"
+        old = by_tasks.get(row["tasks"])
+        for key, _ in COLUMNS:
+            if before is None:
+                line += f" | {row[key]:>14.1f}"
+            elif old is None:
+                line += f" | {'-':>10} {row[key]:>9.1f} {'':>7}"
+            else:
+                ratio = old[key] / row[key] if row[key] else float("inf")
+                line += f" | {old[key]:>10.1f} {row[key]:>9.1f} {ratio:>6.1f}x"
+        lines.append(line)
+    return lines
 
-    speedup = full_elapsed / delta_elapsed if delta_elapsed else float("inf")
-    rebase_speedup = matrix_elapsed / rebase_elapsed if rebase_elapsed else float("inf")
+
+def timings(
+    sizes: list[int],
+    seed: int,
+    record: bool,
+    json_out: str | None,
+    before_path: str | None,
+) -> int:
+    before = json.loads(Path(before_path).read_text())["rows"] if before_path else None
+    rows = []
+    for size in sizes:
+        rows.append(measure(size, seed))
+        print(f"  measured {size} tasks", flush=True)
     lines = [
-        "Delta-evaluation fast path (benchmarks/bench_delta.py)",
-        f"instance: {clustered.graph!r} on {system!r}",
-        f"swap moves timed: {moves} (annealing/tabu-style hill climb)",
-        f"full re-evaluation : {1e6 * full_elapsed / moves:9.1f} us/move",
-        f"delta probe        : {1e6 * delta_elapsed / moves:9.1f} us/move",
-        f"per-move speedup   : {speedup:9.1f}x",
-        f"full evals (comm matrix)   : {1e6 * matrix_elapsed / 20:9.1f} us/eval",
-        f"full evals (rebase path)   : {1e6 * rebase_elapsed / 20:9.1f} us/eval",
-        f"rebase speedup             : {rebase_speedup:9.1f}x",
-        "traces identical: True",
+        "DeltaEvaluator per-call cost (benchmarks/bench_delta.py)",
+        f"instance: layered_random DAG, random clusterer, hypercube:4, seed {seed}",
+        "medians of individually timed calls; construct in ms, probe/evaluate in us",
     ]
+    if before is not None:
+        lines.append("before = the --before run, after = this run, ratio = before / after")
+    lines += format_table(rows, before)
     report = "\n".join(lines)
     print(report)
+    if json_out is not None:
+        Path(json_out).write_text(json.dumps({"seed": seed, "rows": rows}, indent=2) + "\n")
+        print(f"[json rows -> {json_out}]")
     if record:
         RESULTS_PATH.parent.mkdir(exist_ok=True)
         RESULTS_PATH.write_text(report + "\n")
@@ -175,8 +244,11 @@ def timings(num_tasks: int, moves: int, seed: int, record: bool) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tasks", type=int, default=1000, help="DAG size")
-    parser.add_argument("--moves", type=int, default=300, help="swap moves to time")
+    parser.add_argument(
+        "--sizes",
+        default="1000,5000,20000,100000",
+        help="comma-separated task counts for the timing table",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--smoke",
@@ -190,14 +262,26 @@ def main(argv: list[str] | None = None) -> int:
         "--json-out",
         default=None,
         metavar="FILE",
-        help="write a machine-readable smoke report for the CI budget gate",
+        help="write the smoke report (CI budget gate input) or the timing rows",
+    )
+    parser.add_argument(
+        "--before",
+        default=None,
+        metavar="FILE",
+        help="timing rows (--json-out) of an earlier run to compare against",
     )
     args = parser.parse_args(argv)
     if args.smoke:
         return smoke(args.seed, json_out=args.json_out)
-    if args.json_out is not None:
-        parser.error("--json-out is a --smoke option (the CI gate input)")
-    return timings(args.tasks, args.moves, args.seed, record=not args.no_record)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        parser.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if not sizes:
+        parser.error(f"--sizes needs at least one task count, got {args.sizes!r}")
+    return timings(
+        sizes, args.seed, not args.no_record, args.json_out, args.before
+    )
 
 
 if __name__ == "__main__":

@@ -85,8 +85,8 @@ def anneal_mapping(
     n = system.num_nodes
     current = initial if initial is not None else Assignment.random(n, rng=gen)
     # The inner loop runs on the delta evaluator: probe the candidate swap
-    # in O(affected region) and commit only on acceptance, instead of a
-    # full O(V^2) re-evaluation per proposal.
+    # with one vectorized level sweep and commit only on acceptance — no
+    # O(V^2) communication matrix per proposal.
     evaluator = DeltaEvaluator(clustered, system, current)
     current_time = evaluator.total_time
     best, best_time = current, current_time

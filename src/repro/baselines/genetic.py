@@ -89,8 +89,8 @@ def genetic_mapping(
     gen = as_rng(rng)
     n = system.num_nodes
 
-    # Individuals change too much per generation for local repair, but the
-    # delta evaluator's full-evaluation fast path still skips the O(V^2)
+    # Individuals change too much per generation to be reached by swaps;
+    # the delta evaluator's full-evaluation path skips the O(V^2)
     # communication matrix on every fitness call.
     evaluator = DeltaEvaluator(clustered, system, Assignment.identity(n))
     pop = [gen.permutation(n) for _ in range(population)]

@@ -58,8 +58,8 @@ def tabu_mapping(
     n = system.num_nodes
     current = initial if initial is not None else Assignment.random(n, rng=gen)
     # Best-improvement scans probe every pair swap; the delta evaluator
-    # answers each probe from the repaired region instead of a full
-    # re-evaluation, and only the chosen move is committed.
+    # answers each probe with one vectorized level sweep (no O(V^2)
+    # communication matrix), and only the chosen move is committed.
     evaluator = DeltaEvaluator(clustered, system, current)
     current_time = evaluator.total_time
     best, best_time = current, current_time

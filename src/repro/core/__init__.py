@@ -12,12 +12,7 @@ from .clustered import ClusteredGraph, Clustering
 from .critical import CriticalityAnalysis, analyze_criticality
 from .evaluate import Schedule, evaluate_assignment, total_time
 from .ideal import IdealSchedule, ideal_schedule, lower_bound
-from .incremental import (
-    CardinalityDelta,
-    CommVolumeDelta,
-    DeltaEvaluator,
-    IncrementalEvaluator,
-)
+from .incremental import CardinalityDelta, CommVolumeDelta, DeltaEvaluator
 from .listsched import ListSchedule, bottom_levels, list_schedule
 from .initial import initial_assignment
 from .mapper import CriticalEdgeMapper, MappingResult, map_graph
@@ -52,7 +47,6 @@ __all__ = [
     "DeltaEvaluator",
     "Edge",
     "IdealSchedule",
-    "IncrementalEvaluator",
     "ListSchedule",
     "MappingResult",
     "MultilevelHierarchy",

@@ -2,36 +2,33 @@
 
 The metaheuristic baselines and the refinement loop evaluate thousands of
 assignments that each differ from the previous one by a single cluster
-move.  A full evaluation costs O(V + E) *plus* an O(V^2) communication
-matrix rebuild; after a move only the tasks of the affected clusters and
-their downstream region can change, and the aggregate objectives
-(communication volume, processor load) change by amounts computable from
-the moved clusters' abstract adjacency alone.
+swap.  :class:`DeltaEvaluator` is the evaluator their inner loops run on:
 
-:class:`DeltaEvaluator` is the subsystem the search inner loops run on:
-
-* a cached topology-distance matrix (``system.shortest``, captured once);
-* per-task schedule state (end times) repaired locally per move — exact,
-  bit-for-bit equal to :func:`~repro.core.evaluate.total_time`;
+* a cached topology-distance matrix (``system.shortest``, captured once)
+  and the graph's cached :class:`~repro.core.taskgraph.SchedulePlan`;
+* the current schedule's end times, computed by one vectorized level
+  sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) per probe or
+  commit — the paper's total-time recurrence of Sec. 4.3.4, exact and
+  bit-for-bit equal to :func:`~repro.core.evaluate.evaluate_assignment`;
 * per-processor load aggregates and per-cluster-pair communication
-  aggregates, answering "cost change if cluster ``c`` moves to processor
-  ``p``" (:meth:`probe_move`) and the swap variants in O(deg) for the
-  additive aggregates and O(affected region) for the makespan;
-* ``probe_*`` (evaluate without committing), :meth:`swap` (commit),
-  :meth:`apply_swap`/:meth:`revert` (commit with an undo stack), and
-  :meth:`evaluate` — a full re-evaluation fast path that skips the
-  O(V^2) communication matrix entirely (used by population methods).
+  aggregates, answering the communication-volume change of a swap in
+  O(deg) (:meth:`~DeltaEvaluator.delta_comm_volume`);
+* ``probe_*`` (evaluate without committing), :meth:`~DeltaEvaluator.swap`
+  (commit), :meth:`~DeltaEvaluator.apply_swap` /
+  :meth:`~DeltaEvaluator.revert` (commit with an undo stack), and
+  :meth:`~DeltaEvaluator.evaluate` — rebase onto any assignment without
+  the O(V^2) communication matrix (used by population methods).
 
-:class:`IncrementalEvaluator` keeps the historical swap-only interface as
-a thin subclass.  :class:`CardinalityDelta` applies the same treatment to
-Bokhari's cardinality objective.  Correctness of all three is locked down
-by equivalence tests against the plain evaluators on random move
-sequences (``tests/test_delta.py``, ``benchmarks/bench_delta.py --smoke``).
+:class:`CommVolumeDelta` keeps only the communication-volume aggregate
+(plus a gain table for batched swap deltas), and :class:`CardinalityDelta`
+applies the same O(deg) treatment to Bokhari's cardinality objective.
+All three are checked against the scalar oracles in
+:mod:`repro.core.evaluate` and :mod:`repro.core.validate` on random move
+sequences (``tests/test_delta.py``, ``tests/test_csr.py``,
+``benchmarks/bench_delta.py --smoke``).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -40,14 +37,12 @@ from ..utils import MappingError
 from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph
-from .evaluate import total_time
 from .taskgraph import sweep_finish_times
 
 __all__ = [
     "CardinalityDelta",
     "CommVolumeDelta",
     "DeltaEvaluator",
-    "IncrementalEvaluator",
 ]
 
 
@@ -96,139 +91,42 @@ class DeltaEvaluator:
         clustered: ClusteredGraph,
         system: SystemGraph,
         assignment: Assignment,
-        backend: str = "array",
     ) -> None:
-        if backend not in ("python", "array"):
-            raise MappingError(
-                f"backend must be 'python' or 'array', got {backend!r}"
-            )
         if clustered.num_clusters != system.num_nodes:
             raise MappingError(
                 f"{clustered.num_clusters} clusters cannot map onto "
                 f"{system.num_nodes} system nodes (na must equal ns)"
             )
-        self._backend = backend
         self._clustered = clustered
         self._system = system
         graph = clustered.graph
-        self._graph = graph
-        n = graph.num_tasks
         na = clustered.num_clusters
-        self._labels = clustered.clustering.labels
+        labels = clustered.clustering.labels
         self._sizes = np.asarray(graph.task_sizes, dtype=np.int64)
-        # Cached topology-distance matrix: one contiguous copy, reused by
-        # every schedule repair and aggregate delta.
         self._dist = np.ascontiguousarray(system.shortest)
-        self._topo = graph.topological_order
-        self._topo_pos = np.empty(n, dtype=np.int64)
-        self._topo_pos[self._topo] = np.arange(n)
-        # The per-move schedule repair runs on scalar Python structures in
-        # both backends: tasks have 2-3 predecessors on typical DAGs, where
-        # plain int arithmetic beats numpy's per-call overhead on tiny
-        # arrays by an order of magnitude — and the repair loop is the
-        # hottest path in the repo.  The backends differ in how that state
-        # (and the aggregates) is *built*: the python oracle walks the
-        # dense Fig. 19-a matrix, the array backend slices the CSR arrays
-        # and never materializes anything O(n^2).
-        self._dist_rows: list[list[int]] = self._dist.tolist()
-        self._sizes_l: list[int] = self._sizes.tolist()
-        self._members_l: list[list[int]] = [
-            clustered.clustering.members(c).tolist() for c in range(na)
-        ]
-        self._topo_l: list[int] = self._topo.tolist()
-        self._topo_pos_l: list[int] = self._topo_pos.tolist()
-        if backend == "python":
-            self._build_python(clustered, n, na)
-        else:
-            self._build_array(clustered, n, na)
-        w = self._w_pairs
+        # The level sweep's inputs: the cached plan, its per-edge clustered
+        # weights, and the cluster at each end of every plan edge (so a
+        # placement turns into edge costs with two gathers).
+        self._plan = graph.schedule_plan()
+        self._plan_w = clustered.plan_weights()
+        self._plan_src = labels[self._plan.src]
+        self._plan_dst = labels[self._plan.dst]
+        # Per-cluster-pair communication aggregates (both edge orientations
+        # summed, as in AbstractGraph.weights) for O(deg) volume deltas.
+        srcs, dsts, _ = graph.edge_arrays()
+        cout = clustered.cross_out_weights
+        cross = cout > 0
+        w = np.zeros((na, na), dtype=np.int64)
+        np.add.at(w, (labels[srcs[cross]], labels[dsts[cross]]), cout[cross])
+        w = w + w.T
         self._abs_nbrs = [np.flatnonzero(w[c]) for c in range(na)]
         self._abs_nbr_w = [w[c, self._abs_nbrs[c]] for c in range(na)]
         self._iu = np.triu_indices(na, 1)
         self._w_iu = w[self._iu]
         # Per-processor load aggregate source: total task work per cluster.
         self._cluster_work = clustered.clustering.load(graph)
-        self._end: list[int] = [0] * n
-        self._undo: list[tuple[int, int, list[tuple[int, int]], int, int]] = []
+        self._undo: list[tuple[int, int, np.ndarray, int, int]] = []
         self._rebase(assignment)
-
-    def _build_python(self, clustered: ClusteredGraph, n: int, na: int) -> None:
-        """Oracle construction: dense clus_edge scans, exactly as before
-        the array backend existed."""
-        graph = self._graph
-        clus = clustered.clus_edge
-        preds = [graph.predecessors(t) for t in range(n)]
-        succs = [graph.successors(t) for t in range(n)]
-        self._pred_l = [p.tolist() for p in preds]
-        self._pred_wl = [clus[preds[t], t].tolist() for t in range(n)]
-        self._succ_l = [s.tolist() for s in succs]
-        # Repair seeds per cluster: the cluster's members (their incoming
-        # distances change when the cluster moves) plus the members'
-        # successors (their incoming distances change too) — restricted to
-        # tasks actually receiving inter-cluster communication, because a
-        # zero-weight (intra-cluster) edge is distance-insensitive.
-        self._touch = []
-        for c in range(na):
-            seen: set[int] = set()
-            for t in self._members_l[c]:
-                if t not in seen and any(self._pred_wl[t]):
-                    seen.add(t)
-                for s, w in zip(self._succ_l[t], clus[t, succs[t]].tolist()):
-                    if w and s not in seen:
-                        seen.add(s)
-            self._touch.append(sorted(seen, key=self._topo_pos_l.__getitem__))
-        # Per-cluster-pair communication aggregates (both edge orientations
-        # summed, as in AbstractGraph.weights) for O(deg) volume deltas.
-        w_pairs = np.zeros((na, na), dtype=np.int64)
-        srcs, dsts = np.nonzero(clus)
-        np.add.at(w_pairs, (self._labels[srcs], self._labels[dsts]), clus[srcs, dsts])
-        self._w_pairs = w_pairs + w_pairs.T
-        self._plan_w: np.ndarray | None = None
-
-    def _build_array(self, clustered: ClusteredGraph, n: int, na: int) -> None:
-        """Array construction: the same scalar repair structures and pair
-        aggregates, built from CSR slices — no dense matrix is touched,
-        and the results are bit-identical to :meth:`_build_python`."""
-        graph = self._graph
-        labels = self._labels
-        in_ptr_l = graph.in_indptr.tolist()
-        in_src_l = graph.in_indices.tolist()
-        cin = clustered.cross_in_weights
-        cin_l = cin.tolist()
-        self._pred_l = [in_src_l[in_ptr_l[t] : in_ptr_l[t + 1]] for t in range(n)]
-        self._pred_wl = [cin_l[in_ptr_l[t] : in_ptr_l[t + 1]] for t in range(n)]
-        out_ptr_l = graph.out_indptr.tolist()
-        out_dst_l = graph.out_indices.tolist()
-        self._succ_l = [out_dst_l[out_ptr_l[t] : out_ptr_l[t + 1]] for t in range(n)]
-        # Repair seeds (see _build_python for the rationale): receivers of
-        # inter-cluster communication inside the cluster, plus cross-edge
-        # successors of members — assembled as (cluster, task) pairs,
-        # deduplicated, and ordered by topological position per cluster.
-        srcs, dsts, _ = graph.edge_arrays()
-        cout = clustered.cross_out_weights
-        cross = cout > 0
-        _, in_dst, _ = graph.in_edge_arrays()
-        recv_mask = np.zeros(n, dtype=bool)
-        recv_mask[in_dst[cin > 0]] = True
-        recv = np.flatnonzero(recv_mask)
-        cand_c = np.concatenate((labels[srcs[cross]], labels[recv]))
-        cand_t = np.concatenate((dsts[cross], recv))
-        if cand_t.size:
-            pair = np.unique(cand_c * np.int64(n) + cand_t)
-            uc, ut = pair // n, pair % n
-            order = np.lexsort((self._topo_pos[ut], uc))
-            uc, ut = uc[order], ut[order]
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(uc, minlength=na)))
-            ).tolist()
-            ut_l = ut.tolist()
-            self._touch = [ut_l[bounds[c] : bounds[c + 1]] for c in range(na)]
-        else:
-            self._touch = [[] for _ in range(na)]
-        w_pairs = np.zeros((na, na), dtype=np.int64)
-        np.add.at(w_pairs, (labels[srcs[cross]], labels[dsts[cross]]), cout[cross])
-        self._w_pairs = w_pairs + w_pairs.T
-        self._plan_w = clustered.plan_weights()
 
     # ------------------------------------------------------------------
     # State properties
@@ -250,27 +148,30 @@ class DeltaEvaluator:
 
     def end_times(self) -> np.ndarray:
         """Current end times (copy)."""
-        return np.asarray(self._end, dtype=np.int64)
+        return self._end.copy()
 
     def loads(self) -> np.ndarray:
         """Per-processor load aggregate: total task work hosted on each
         system node (copy; equals ``Schedule.processor_busy_time()``)."""
         return self._load.copy()
 
-    def task_hosts(self) -> np.ndarray:
-        """Host processor per task under the current assignment (copy)."""
-        return np.asarray(self._hosts, dtype=np.int64)
+    # ------------------------------------------------------------------
+    # Schedule sweep and full (re-)evaluation
+    # ------------------------------------------------------------------
+    def _finish_times(self, placement: np.ndarray) -> np.ndarray:
+        """End time per task under ``placement``: one level sweep."""
+        cost = self._plan_w * self._dist[
+            placement[self._plan_src], placement[self._plan_dst]
+        ]
+        return sweep_finish_times(self._plan, self._sizes, cost)
 
-    # ------------------------------------------------------------------
-    # Full (re-)evaluation fast path
-    # ------------------------------------------------------------------
     def evaluate(self, assignment: Assignment) -> int:
         """Rebase onto ``assignment`` and return its makespan.
 
-        One O(V + E) pass over the precomputed adjacency — no O(V^2)
-        communication matrix.  This is the fast path for moves too large
-        to repair locally (population methods, random re-placement).
-        Clears the undo stack.
+        One level sweep plus an O(na^2) volume sum — no O(V^2)
+        communication matrix.  This is the fast path for moves that
+        change many clusters at once (population methods, random
+        re-placement).  Clears the undo stack.
         """
         self._rebase(assignment)
         return self._makespan
@@ -283,112 +184,27 @@ class DeltaEvaluator:
             )
         self._placement = assignment.placement.copy()
         self._assi = assignment.assi.copy()
-        hosts_arr = self._placement[self._labels]
-        self._hosts: list[int] = hosts_arr.tolist()
         self._load = np.zeros(self._system.num_nodes, dtype=np.int64)
         self._load[self._placement] = self._cluster_work
-        if self._backend == "array":
-            # Level sweep over the cached schedule plan: one gather plus a
-            # segmented max per level, bit-identical to the scalar pass.
-            plan = self._graph.schedule_plan()
-            cost = self._plan_w * self._dist[
-                hosts_arr[plan.src], hosts_arr[plan.dst]
-            ]
-            end = sweep_finish_times(plan, self._sizes, cost)
-            self._end = end.tolist()
-            self._makespan = int(end.max())
-        else:
-            self._recompute_schedule()
-            self._makespan = max(self._end)
+        self._end = self._finish_times(self._placement)
+        self._makespan = int(self._end.max())
         p = self._placement
         self._comm_volume = int(
             (self._w_iu * self._dist[p[self._iu[0]], p[self._iu[1]]]).sum()
         )
         self._undo.clear()
 
-    def _recompute_schedule(self) -> None:
-        end = self._end
-        hosts = self._hosts
-        dist = self._dist_rows
-        sizes = self._sizes_l
-        for t in self._topo_l:
-            s = 0
-            row = dist[hosts[t]]
-            for u, w in zip(self._pred_l[t], self._pred_wl[t]):
-                arrival = end[u] + w * row[hosts[u]] if w else end[u]
-                if arrival > s:
-                    s = arrival
-            end[t] = s + sizes[t]
-
     # ------------------------------------------------------------------
     # Moves
     # ------------------------------------------------------------------
-    def _shift(self, cluster_a: int, cluster_b: int) -> None:
-        """Exchange the two clusters' processors in all aggregate state
-        (its own inverse, so calling it twice restores everything)."""
+    def _exchange(self, cluster_a: int, cluster_b: int) -> None:
+        """Exchange the two clusters' processors in the placement and
+        load state (its own inverse)."""
         p = self._placement
         pa, pb = int(p[cluster_a]), int(p[cluster_b])
         p[cluster_a], p[cluster_b] = pb, pa
         self._assi[pa], self._assi[pb] = self._assi[pb], self._assi[pa]
-        hosts = self._hosts
-        for t in self._members_l[cluster_a]:
-            hosts[t] = pb
-        for t in self._members_l[cluster_b]:
-            hosts[t] = pa
         self._load[pa], self._load[pb] = self._load[pb], self._load[pa]
-
-    def _repair(self, cluster_a: int, cluster_b: int, touched: list[tuple[int, int]]) -> int:
-        """Recompute end times of the affected region, in topological order
-        via a priority worklist; ``touched`` records (task, old_end).
-
-        Returns the resulting makespan without scanning all tasks: the
-        untouched region's maximum is unchanged, so a full rescan is only
-        needed when a task *at* the old makespan shrank and nothing
-        touched reached it again.
-        """
-        end = self._end
-        hosts = self._hosts
-        dist = self._dist_rows
-        topo_pos = self._topo_pos_l
-        sizes = self._sizes_l
-        old_makespan = self._makespan
-        touched_max = -1
-        left_the_max = False
-        heap: list[tuple[int, int]] = []
-        queued: set[int] = set()
-        for seeds in (self._touch[cluster_a], self._touch[cluster_b]):
-            for t in seeds:
-                if t not in queued:
-                    queued.add(t)
-                    heap.append((topo_pos[t], t))
-        heapq.heapify(heap)
-        while heap:
-            _, t = heapq.heappop(heap)
-            queued.discard(t)
-            s = 0
-            row = dist[hosts[t]]
-            for u, w in zip(self._pred_l[t], self._pred_wl[t]):
-                arrival = end[u] + w * row[hosts[u]] if w else end[u]
-                if arrival > s:
-                    s = arrival
-            new_end = s + sizes[t]
-            if new_end == end[t]:
-                continue
-            touched.append((t, end[t]))
-            if end[t] == old_makespan:
-                left_the_max = True
-            if new_end > touched_max:
-                touched_max = new_end
-            end[t] = new_end
-            for succ in self._succ_l[t]:
-                if succ not in queued:
-                    heapq.heappush(heap, (topo_pos[succ], succ))
-                    queued.add(succ)
-        if touched_max >= old_makespan:
-            return touched_max
-        if not left_the_max:
-            return old_makespan
-        return max(end)
 
     def delta_comm_volume(self, cluster_a: int, cluster_b: int) -> int:
         """Communication-volume change if the two clusters swapped
@@ -408,13 +224,9 @@ class DeltaEvaluator:
         """Makespan after a hypothetical swap; state is left unchanged."""
         if cluster_a == cluster_b:
             return self._makespan
-        touched: list[tuple[int, int]] = []
-        self._shift(cluster_a, cluster_b)
-        result = self._repair(cluster_a, cluster_b, touched)
-        self._shift(cluster_a, cluster_b)
-        for t, old in reversed(touched):
-            self._end[t] = old
-        return result
+        p = self._placement.copy()
+        p[cluster_a], p[cluster_b] = p[cluster_b], p[cluster_a]
+        return int(self._finish_times(p).max())
 
     def delta_total_time(self, cluster_a: int, cluster_b: int) -> int:
         """Makespan change of the hypothetical swap (probe convenience)."""
@@ -440,25 +252,23 @@ class DeltaEvaluator:
 
     def _commit(
         self, cluster_a: int, cluster_b: int
-    ) -> tuple[int, int, list[tuple[int, int]], int, int]:
-        old_mk, old_cv = self._makespan, self._comm_volume
-        touched: list[tuple[int, int]] = []
+    ) -> tuple[int, int, np.ndarray, int, int]:
+        frame = (cluster_a, cluster_b, self._end, self._makespan, self._comm_volume)
         if cluster_a != cluster_b:
             self._comm_volume += self.delta_comm_volume(cluster_a, cluster_b)
-            self._shift(cluster_a, cluster_b)
-            self._makespan = self._repair(cluster_a, cluster_b, touched)
-        return (cluster_a, cluster_b, touched, old_mk, old_cv)
+            self._exchange(cluster_a, cluster_b)
+            self._end = self._finish_times(self._placement)
+            self._makespan = int(self._end.max())
+        return frame
 
     def revert(self) -> int:
         """Undo the most recent :meth:`apply_swap`; returns the makespan."""
         if not self._undo:
             raise MappingError("revert() without a matching apply_swap()")
-        cluster_a, cluster_b, touched, old_mk, old_cv = self._undo.pop()
+        cluster_a, cluster_b, end, makespan, volume = self._undo.pop()
         if cluster_a != cluster_b:
-            self._shift(cluster_a, cluster_b)
-            for t, old in reversed(touched):
-                self._end[t] = old
-        self._makespan, self._comm_volume = old_mk, old_cv
+            self._exchange(cluster_a, cluster_b)
+        self._end, self._makespan, self._comm_volume = end, makespan, volume
         return self._makespan
 
     # Move variants: "cluster c onto processor p" under the bijection means
@@ -491,21 +301,6 @@ class DeltaEvaluator:
         )
 
 
-class IncrementalEvaluator(DeltaEvaluator):
-    """Backward-compatible swap-only facade over :class:`DeltaEvaluator`.
-
-    Kept because the original incremental evaluator predates the delta
-    subsystem; ``swap`` commits without growing an undo stack and the
-    historical ``verify`` contract (makespan only) is widened to the full
-    aggregate cross-check inherited from the base class.
-    """
-
-    def verify(self) -> bool:
-        return self.total_time == total_time(
-            self._clustered, self._system, self.assignment
-        ) and super().verify()
-
-
 class CommVolumeDelta:
     """Incremental hop-weighted communication volume under cluster swaps.
 
@@ -515,14 +310,15 @@ class CommVolumeDelta:
     :class:`DeltaEvaluator` tracks as ``comm_volume``, without any of
     its schedule state.  This is the evaluator for search loops that
     optimize communication volume alone (the multilevel refinement),
-    where paying for exact makespan repair on every commit would be
-    pure overhead.
+    where sweeping the schedule on every commit would be pure overhead.
 
     ``metric`` generalizes the pairwise matrix: by default it is the
     topology's hop-distance matrix (the paper's objective), but any
-    symmetric ``ns x ns`` matrix works — the hook that lets registered
-    analytic metrics with a ``pair_matrix`` drive the same O(deg)
-    refinement loop.
+    symmetric integer ``ns x ns`` matrix works — the hook that lets
+    registered analytic metrics with a ``pair_matrix`` drive the same
+    O(deg) refinement loop.  It must be integer because the gain table
+    behind :meth:`delta_swaps` regroups sums, which is exact only in
+    integer arithmetic.
     """
 
     def __init__(
@@ -531,12 +327,7 @@ class CommVolumeDelta:
         system: SystemGraph,
         assignment: Assignment,
         metric: np.ndarray | None = None,
-        backend: str = "array",
     ) -> None:
-        if backend not in ("python", "array"):
-            raise MappingError(
-                f"backend must be 'python' or 'array', got {backend!r}"
-            )
         weights = np.asarray(weights, dtype=np.int64)
         na = weights.shape[0]
         if weights.ndim != 2 or weights.shape[1] != na:
@@ -561,19 +352,17 @@ class CommVolumeDelta:
                 )
             if not np.array_equal(mat, mat.T):
                 raise MappingError("pair metric matrix must be symmetric")
+            if not np.issubdtype(mat.dtype, np.integer):
+                raise MappingError(
+                    f"pair metric matrix must be integer, got dtype {mat.dtype}"
+                )
             self._dist = np.ascontiguousarray(mat)
-        if backend == "python":
-            # Oracle path: one flatnonzero scan per cluster row.
-            self._nbrs = [np.flatnonzero(weights[c]) for c in range(na)]
-            self._nbr_w = [weights[c, self._nbrs[c]] for c in range(na)]
-        else:
-            # Array path: a single nonzero pass split into per-row views —
-            # identical contents (nonzero is row-major, ascending per row).
-            srcs, dsts = np.nonzero(weights)
-            bounds = np.cumsum(np.bincount(srcs, minlength=na))[:-1]
-            self._nbrs = np.split(dsts, bounds)
-            self._nbr_w = np.split(weights[srcs, dsts], bounds)
-        self._backend = backend
+        # One nonzero pass split into per-row views (nonzero is row-major,
+        # ascending per row).
+        srcs, dsts = np.nonzero(weights)
+        bounds = np.cumsum(np.bincount(srcs, minlength=na))[:-1]
+        self._nbrs = np.split(dsts, bounds)
+        self._nbr_w = np.split(weights[srcs, dsts], bounds)
         self._weights = weights
         self._gain: np.ndarray | None = None  # lazy gain table, see delta_swaps
         self._gain_w: np.ndarray | None = None  # zero-diagonal weights for updates
@@ -591,14 +380,6 @@ class CommVolumeDelta:
     def assignment(self) -> Assignment:
         return Assignment.from_placement(self._placement)
 
-    def occupant(self, processor: int) -> int:
-        """Cluster currently hosted on ``processor``."""
-        return int(self._assi[processor])
-
-    def host(self, cluster: int) -> int:
-        """Processor currently hosting ``cluster``."""
-        return int(self._placement[cluster])
-
     @property
     def placement_view(self) -> np.ndarray:
         """Live cluster -> processor array (mutated in place by swaps)."""
@@ -608,14 +389,6 @@ class CommVolumeDelta:
     def occupant_view(self) -> np.ndarray:
         """Live processor -> cluster array (mutated in place by swaps)."""
         return self._assi
-
-    @property
-    def supports_bulk(self) -> bool:
-        """Whether :meth:`delta_swaps` is available (array backend and an
-        integer metric, where the gain-table regrouping is exact)."""
-        return self._backend == "array" and bool(
-            np.issubdtype(self._dist.dtype, np.integer)
-        )
 
     def delta_swap(self, cluster_a: int, cluster_b: int) -> int:
         """Volume change if the two clusters swapped processors."""
@@ -629,11 +402,10 @@ class CommVolumeDelta:
         """Vector of :meth:`delta_swap` values for swapping ``cluster``
         with the occupant of each processor in ``procs``.
 
-        Bit-identical to the scalar probe (integer arithmetic, so the
+        Bit-identical to :meth:`delta_swap` (integer arithmetic, so the
         gain-table regrouping below is exact) at O(1) per candidate after
-        a one-off O(na * ns) gain-table build; only valid when
-        :attr:`supports_bulk` is true and no entry of ``procs`` hosts
-        ``cluster`` itself.
+        a one-off O(na * ns) gain-table build; only valid when no entry
+        of ``procs`` hosts ``cluster`` itself.
 
         The gain table is ``G[x, r] = sum_y w[x, y] * metric[p[y], r]``
         (diagonal of ``w`` zeroed): the total metric cost of ``x``'s

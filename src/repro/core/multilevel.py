@@ -403,7 +403,7 @@ def refine_comm_volume(
     graph neighbors ``d`` (heaviest first), proposes swapping ``c``
     with the occupants of the processors adjacent to ``d``'s host —
     i.e. tries to pull ``c`` next to the nodes it talks to most.  Each
-    proposal is an O(deg) probe on the
+    node's proposals are scored as one gain-table batch on the
     :class:`~repro.core.incremental.CommVolumeDelta` aggregate (the
     comm-volume half of the delta-evaluation machinery, without the
     schedule state this loop never reads); only strictly improving
@@ -444,6 +444,15 @@ def _pairwise_sweep(
     :class:`CommVolumeDelta` aggregate (default distances or a metric's
     pair matrix).
 
+    Each node ``c`` proposes, in order, a swap with the occupant of
+    every processor adjacent to each graph neighbor's host (neighbors
+    heaviest-first, each host's processor neighborhood in order), and
+    the *first* improving proposal commits.  The placement is fixed
+    while ``c``'s proposals are scored, so the whole sequence is built
+    in one gather and scored with one :meth:`CommVolumeDelta.delta_swaps`
+    call; the first negative entry is the committed swap, and its
+    one-based position is the probe count.
+
     ``reporter`` (an optional
     :class:`~repro.core.anytime.AnytimeReporter`) gets one checkpoint
     per completed pass and may stop the sweep between passes."""
@@ -451,59 +460,7 @@ def _pairwise_sweep(
     if passes <= 0 or n < 2:
         return evaluator.assignment, evaluator.volume, 0, 0
 
-    neighbor_lists = _neighbor_lists(sym)
-    if getattr(evaluator, "supports_bulk", False):
-        return _pairwise_sweep_bulk(
-            system, evaluator, neighbor_lists, passes, reporter
-        )
-    probes = swaps = 0
-    for _ in range(passes):
-        improved = False
-        for c in range(n):
-            for d in neighbor_lists[c]:
-                target_procs = system.neighbors(evaluator.host(d))
-                committed = False
-                for q in target_procs.tolist():
-                    occupant = evaluator.occupant(q)
-                    if occupant == c:
-                        continue
-                    probes += 1
-                    if evaluator.delta_swap(c, occupant) < 0:
-                        evaluator.swap(c, occupant)
-                        swaps += 1
-                        improved = committed = True
-                        break
-                if committed:
-                    break  # c moved; revisit its other neighbors next pass
-        if reporter is not None:
-            reporter.report(probes, evaluator.volume, evaluator.assignment)
-            if reporter.should_stop():
-                break
-        if not improved:
-            break
-    return evaluator.assignment, evaluator.volume, probes, swaps
-
-
-def _pairwise_sweep_bulk(
-    system: SystemGraph,
-    evaluator: CommVolumeDelta,
-    neighbor_lists: list[list[int]],
-    passes: int,
-    reporter=None,
-) -> tuple[Assignment, int, int, int]:
-    """Bit-identical bulk form of the scalar sweep above.
-
-    The scalar loop commits the *first* improving swap for each node
-    ``c`` and then moves on — so the placement is fixed while ``c``'s
-    whole candidate sequence (graph neighbors heaviest-first, each
-    host's processor neighborhood in order) is probed.  That makes the
-    sequence independent of the probe results: build it in one gather,
-    score every candidate with one :meth:`CommVolumeDelta.delta_swaps`
-    call, and the first negative entry is exactly the swap the scalar
-    loop would have committed (and its index recovers the probe count).
-    """
-    n = len(neighbor_lists)
-    nbr_arrs = [np.asarray(nbrs, dtype=np.int64) for nbrs in neighbor_lists]
+    nbr_arrs = [np.asarray(nbrs, dtype=np.int64) for nbrs in _neighbor_lists(sym)]
     rows = [system.neighbors(p) for p in range(system.num_nodes)]
     adj_ptr = np.concatenate(
         ([0], np.cumsum([row.size for row in rows]))

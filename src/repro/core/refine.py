@@ -156,7 +156,7 @@ def refine_pairwise(
     trials_allowed = system.num_nodes if max_trials is None else max_trials
 
     # Each trial swaps a pair within the current best assignment, so the
-    # delta evaluator probes in O(affected region) and commits only
+    # delta evaluator probes it with one level sweep and commits only
     # improvements — its state always mirrors ``best``.
     evaluator = DeltaEvaluator(clustered, system, initial)
     best = initial

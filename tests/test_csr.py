@@ -1,11 +1,13 @@
-"""CSR edge cases and python/array backend equivalence.
+"""CSR edge cases and array-vs-scalar equivalence.
 
-The CSR :class:`~repro.core.TaskGraph` and the ``backend="array"``
-evaluators are only allowed to be *faster* than the scalar originals,
-never different.  This module pins the degenerate shapes (no edges,
-one task, disconnected components, duplicate edges) and formalizes the
-randomized backend-equivalence walks — including deep
-``apply_swap``/``revert`` undo stacks — as tier-1 tests.
+The CSR :class:`~repro.core.TaskGraph` and the array-native evaluators
+are only allowed to be *faster* than the scalar recurrence of
+:func:`~repro.core.evaluate.evaluate_assignment`, never different.  This
+module pins the degenerate shapes (no edges, one task, disconnected
+components, duplicate edges) and walks :class:`~repro.core.DeltaEvaluator`
+against that oracle over randomized move sequences — including deep
+``apply_swap``/``revert`` undo stacks mirrored by a stack of shadow
+assignments.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from repro.core import (
     DeltaEvaluator,
     TaskGraph,
     evaluate_assignment,
+    total_time,
+    verify_schedule,
 )
 from repro.core.incremental import CommVolumeDelta
 from repro.topology import chain, hypercube, mesh2d, ring
@@ -77,16 +81,21 @@ class TestCsrEdgeCases:
             )
 
     def test_disconnected_graph_evaluates_on_both_backends(self):
+        # Both the array sweep (DeltaEvaluator, total_time) and the scalar
+        # recurrence (evaluate_assignment, checked by verify_schedule)
+        # must see both components.
         g = TaskGraph([2, 3, 1, 4], [(0, 1, 2), (2, 3, 4)])
         clustering = RandomClusterer(num_clusters=2).cluster(g, rng=3)
         clustered = ClusteredGraph(g, clustering)
         system = chain(2)
         assignment = Assignment.random(2, rng=0)
         schedule = evaluate_assignment(clustered, system, assignment)
-        for backend in ("python", "array"):
-            ev = DeltaEvaluator(clustered, system, assignment, backend=backend)
-            assert ev.total_time == schedule.total_time
-            assert ev.verify()
+        verify_schedule(schedule)
+        ev = DeltaEvaluator(clustered, system, assignment)
+        assert ev.total_time == schedule.total_time
+        assert total_time(clustered, system, assignment) == schedule.total_time
+        assert np.array_equal(ev.end_times(), schedule.end)
+        assert ev.verify()
 
 
 def _instance(system, seed):
@@ -102,14 +111,26 @@ SYSTEMS = [
 ]
 
 
+def _assert_matches_oracle(ev, clustered, system, shadow):
+    """Every observable aggregate equals the scalar oracle's schedule."""
+    schedule = evaluate_assignment(clustered, system, shadow)
+    assert ev.assignment == shadow
+    assert ev.total_time == schedule.total_time
+    assert ev.comm_volume == schedule.communication_volume()
+    assert np.array_equal(ev.end_times(), schedule.end)
+    assert np.array_equal(ev.loads(), schedule.processor_busy_time())
+
+
 class TestBackendEquivalenceUnderRevert:
-    """Lockstep python-vs-array walks with deep apply/revert chains.
+    """Oracle walks with deep apply/revert chains.
 
     The walk interleaves probes and commits with speculative
-    ``apply_swap`` chains that are then fully unwound by ``revert()``,
-    so the undo stack itself is exercised on both backends at every
-    depth; after every operation all observable aggregates must agree
-    bit for bit.
+    ``apply_swap`` chains that are then fully unwound by ``revert()``.
+    A stack of shadow assignments mirrors the evaluator's undo stack
+    (``apply_swap`` pushes, ``revert`` pops, a plain commit or rebase
+    resets it), so the undo stack is exercised at every depth; after
+    every operation all observable aggregates must equal the scalar
+    oracle's schedule of the shadow's top, bit for bit.
     """
 
     @pytest.mark.parametrize("name,factory", SYSTEMS, ids=[n for n, _ in SYSTEMS])
@@ -118,61 +139,53 @@ class TestBackendEquivalenceUnderRevert:
         system = factory()
         clustered = _instance(system, seed)
         n = system.num_nodes
-        start = Assignment.random(n, rng=seed)
-        py = DeltaEvaluator(clustered, system, start, backend="python")
-        ar = DeltaEvaluator(clustered, system, start, backend="array")
+        shadow = [Assignment.random(n, rng=seed)]
+        ev = DeltaEvaluator(clustered, system, shadow[-1])
         gen = np.random.default_rng(900 + seed)
-        depth = 0
         for step in range(60):
             a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
             op = int(gen.integers(0, 5))
             if op == 0:
-                assert py.probe_swap(a, b) == ar.probe_swap(a, b)
+                probed = evaluate_assignment(clustered, system, shadow[-1].swapped(a, b))
+                assert ev.probe_swap(a, b) == probed.total_time
             elif op == 1:
                 # A plain commit invalidates (clears) the undo stack.
-                assert py.swap(a, b) == ar.swap(a, b)
-                depth = 0
+                shadow = [shadow[-1].swapped(a, b)]
+                ev.swap(a, b)
             elif op == 2:
-                assert py.apply_swap(a, b) == ar.apply_swap(a, b)
-                depth += 1
-            elif op == 3 and depth:
-                assert py.revert() == ar.revert()
-                depth -= 1
+                shadow.append(shadow[-1].swapped(a, b))
+                ev.apply_swap(a, b)
+            elif op == 3 and len(shadow) > 1:
+                shadow.pop()
+                ev.revert()
             else:
-                fresh = Assignment.random(n, rng=int(gen.integers(0, 2**31)))
-                assert py.evaluate(fresh) == ar.evaluate(fresh)
-                depth = 0
-            assert py.total_time == ar.total_time, f"{name} step {step}"
-            assert py.comm_volume == ar.comm_volume
-            assert np.array_equal(py.assignment.assi, ar.assignment.assi)
-        # Unwind whatever speculation is still open: both stacks must
-        # pop identically all the way down.
-        while depth:
-            assert py.revert() == ar.revert()
-            depth -= 1
-        assert py.verify() and ar.verify()
-        assert np.array_equal(py.end_times(), ar.end_times())
-        assert np.array_equal(py.loads(), ar.loads())
+                shadow = [Assignment.random(n, rng=int(gen.integers(0, 2**31)))]
+                ev.evaluate(shadow[-1])
+            _assert_matches_oracle(ev, clustered, system, shadow[-1])
+        # Unwind whatever speculation is still open: every pop must land
+        # on the shadow below it, all the way down.
+        while len(shadow) > 1:
+            shadow.pop()
+            ev.revert()
+            _assert_matches_oracle(ev, clustered, system, shadow[-1])
 
     def test_revert_restores_across_full_stack(self):
         system = hypercube(3)
         clustered = _instance(system, seed=5)
         n = system.num_nodes
         start = Assignment.random(n, rng=5)
-        for backend in ("python", "array"):
-            ev = DeltaEvaluator(clustered, system, start, backend=backend)
-            before = (ev.total_time, ev.comm_volume, ev.assignment.assi.copy())
-            gen = np.random.default_rng(42)
-            pushes = 8
-            for _ in range(pushes):
-                a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
-                ev.apply_swap(a, b)
-            for _ in range(pushes):
-                ev.revert()
-            assert ev.total_time == before[0]
-            assert ev.comm_volume == before[1]
-            assert np.array_equal(ev.assignment.assi, before[2])
-            assert ev.verify()
+        ev = DeltaEvaluator(clustered, system, start)
+        before = (ev.total_time, ev.comm_volume, ev.end_times())
+        gen = np.random.default_rng(42)
+        pushes = 8
+        for _ in range(pushes):
+            a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+            ev.apply_swap(a, b)
+        for _ in range(pushes):
+            ev.revert()
+        assert (ev.total_time, ev.comm_volume) == before[:2]
+        assert np.array_equal(ev.end_times(), before[2])
+        _assert_matches_oracle(ev, clustered, system, start)
 
 
 class TestCommVolumeDeltaBulk:

@@ -16,7 +16,6 @@ from repro.core import (
     Clustering,
     CriticalEdgeMapper,
     DeltaEvaluator,
-    IncrementalEvaluator,
     TaskGraph,
     analyze_criticality,
     evaluate_assignment,
@@ -54,8 +53,8 @@ class TestDegenerateInstances:
         assert total_time(cg, system, a) == 3
         assert simulate(cg, system, a).makespan == 3
         assert list_schedule(cg, system, a).makespan == 3
-        inc = IncrementalEvaluator(cg, system, a)
-        assert inc.total_time == 3
+        ev = DeltaEvaluator(cg, system, a)
+        assert ev.total_time == 3
 
     def test_edgeless_graph_bound_is_max_task(self):
         g = TaskGraph([2, 9, 4, 1])
@@ -133,11 +132,11 @@ class TestDegenerateGraphValidation:
         assert ev.verify()
 
     def test_mismatched_assignment_raises_mapping_error(self):
-        # Regression: IncrementalEvaluator used to crash with IndexError.
+        # Regression: the incremental evaluator used to crash with IndexError.
         g = TaskGraph([1, 1, 1], [(0, 1, 2), (1, 2, 2)])
         cg = ClusteredGraph(g, Clustering([0, 1, 2]))
         with pytest.raises(MappingError, match="assignment covers"):
-            IncrementalEvaluator(cg, chain(3), Assignment.identity(2))
+            DeltaEvaluator(cg, chain(3), Assignment.identity(2))
 
     def test_cluster_count_must_match_system(self):
         g = TaskGraph([1, 1, 1], [(0, 1, 2), (1, 2, 2)])

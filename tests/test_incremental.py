@@ -1,15 +1,18 @@
-"""Equivalence tests for the incremental evaluator."""
+"""Swap-sequence equivalence of the incremental evaluator.
+
+:class:`~repro.core.DeltaEvaluator` against the scalar oracle
+(:func:`~repro.core.evaluate.evaluate_assignment`) on committed swaps.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    Assignment,
-    IncrementalEvaluator,
-    evaluate_assignment,
-    total_time,
-)
+from repro.core import Assignment, DeltaEvaluator, evaluate_assignment
 from tests.conftest import random_instance
+
+
+def _oracle_time(clustered, system, assignment) -> int:
+    return evaluate_assignment(clustered, system, assignment).total_time
 
 
 class TestIncrementalEvaluator:
@@ -17,9 +20,9 @@ class TestIncrementalEvaluator:
         for seed in range(5):
             clustered, system = random_instance(seed)
             a = Assignment.random(system.num_nodes, rng=seed)
-            inc = IncrementalEvaluator(clustered, system, a)
-            assert inc.total_time == total_time(clustered, system, a)
+            inc = DeltaEvaluator(clustered, system, a)
             full = evaluate_assignment(clustered, system, a)
+            assert inc.total_time == full.total_time
             assert np.array_equal(inc.end_times(), full.end)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -27,16 +30,17 @@ class TestIncrementalEvaluator:
         """The core guarantee: any swap sequence stays exact."""
         clustered, system = random_instance(seed)
         gen = np.random.default_rng(seed)
-        a = Assignment.random(system.num_nodes, rng=seed)
-        inc = IncrementalEvaluator(clustered, system, a)
+        shadow = Assignment.random(system.num_nodes, rng=seed)
+        inc = DeltaEvaluator(clustered, system, shadow)
         for _ in range(25):
-            x, y = gen.choice(system.num_nodes, size=2, replace=False)
-            inc.swap(int(x), int(y))
+            x, y = (int(v) for v in gen.choice(system.num_nodes, size=2, replace=False))
+            shadow = shadow.swapped(x, y)
+            assert inc.swap(x, y) == _oracle_time(clustered, system, shadow)
             assert inc.verify(), "incremental end times diverged"
 
     def test_swap_self_noop(self):
         clustered, system = random_instance(0)
-        inc = IncrementalEvaluator(
+        inc = DeltaEvaluator(
             clustered, system, Assignment.random(system.num_nodes, rng=0)
         )
         before = inc.total_time
@@ -44,7 +48,7 @@ class TestIncrementalEvaluator:
 
     def test_swap_is_involution(self):
         clustered, system = random_instance(1)
-        inc = IncrementalEvaluator(
+        inc = DeltaEvaluator(
             clustered, system, Assignment.random(system.num_nodes, rng=1)
         )
         before = inc.total_time
@@ -57,11 +61,11 @@ class TestIncrementalEvaluator:
     def test_probe_does_not_commit(self):
         clustered, system = random_instance(2)
         a = Assignment.random(system.num_nodes, rng=2)
-        inc = IncrementalEvaluator(clustered, system, a)
+        inc = DeltaEvaluator(clustered, system, a)
         before = inc.total_time
         ends = inc.end_times()
         probed = inc.probe_swap(1, 4)
-        assert probed == total_time(clustered, system, a.swapped(1, 4))
+        assert probed == _oracle_time(clustered, system, a.swapped(1, 4))
         assert inc.total_time == before
         assert np.array_equal(inc.end_times(), ends)
         assert inc.assignment == a
@@ -69,6 +73,6 @@ class TestIncrementalEvaluator:
     def test_assignment_property_tracks_swaps(self):
         clustered, system = random_instance(3)
         a = Assignment.random(system.num_nodes, rng=3)
-        inc = IncrementalEvaluator(clustered, system, a)
+        inc = DeltaEvaluator(clustered, system, a)
         inc.swap(2, 6)
         assert inc.assignment == a.swapped(2, 6)

@@ -590,13 +590,23 @@ class TestDeltaMetricMatrix:
         ns = system.num_nodes
         weights = np.zeros((ns, ns), dtype=np.int64)
         a = Assignment.identity(ns)
-        with pytest.raises(MappingError):
+        with pytest.raises(MappingError, match="got shape"):
             CommVolumeDelta(
-                weights, system, a, metric=np.zeros((ns - 1, ns - 1))
+                weights, system, a, metric=np.zeros((ns - 1, ns - 1), dtype=np.int64)
             )
-        skew = np.triu(np.ones((ns, ns)))
-        with pytest.raises(MappingError):
+        skew = np.triu(np.ones((ns, ns), dtype=np.int64))
+        with pytest.raises(MappingError, match="symmetric"):
             CommVolumeDelta(weights, system, a, metric=skew)
+
+    def test_metric_matrix_must_be_integer(self):
+        from repro.core.incremental import CommVolumeDelta
+
+        _, system = random_instance(0)
+        ns = system.num_nodes
+        weights = np.zeros((ns, ns), dtype=np.int64)
+        halved = system.shortest / 2.0  # symmetric and square, but float
+        with pytest.raises(MappingError, match="integer"):
+            CommVolumeDelta(weights, system, Assignment.identity(ns), metric=halved)
 
     def test_default_matrix_matches_shortest_paths(self):
         from repro.core.incremental import CommVolumeDelta

@@ -274,21 +274,23 @@ def test_layered_dag_generator_valid(n, seed):
 @SETTINGS
 @given(clustered_instances(), st.lists(st.integers(0, 10**6), max_size=12))
 def test_incremental_evaluator_equivalence(instance, swap_seeds):
-    from repro.core import IncrementalEvaluator
+    from repro.core import DeltaEvaluator, evaluate_assignment
 
     clustered, system, seed = instance
     n = system.num_nodes
     if n < 2:
         return
     a = Assignment.random(n, rng=seed)
-    inc = IncrementalEvaluator(clustered, system, a)
+    inc = DeltaEvaluator(clustered, system, a)
     current = a
     for s in swap_seeds:
         x, y = s % n, (s // n) % n
         if x == y:
             continue
         current = current.swapped(x, y)
-        assert inc.swap(x, y) == total_time(clustered, system, current)
+        oracle = evaluate_assignment(clustered, system, current)
+        assert inc.swap(x, y) == oracle.total_time
+        assert np.array_equal(inc.end_times(), oracle.end)
 
 
 @SETTINGS
