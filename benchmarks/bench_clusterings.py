@@ -1,4 +1,4 @@
-"""Clustering-impact study (extension; DESIGN.md Sec. 5, supporting A-series).
+"""Clustering-impact study (an extension supporting the A-series ablations).
 
 The paper treats clustering as an external preprocessing step; this
 bench quantifies how much the choice matters on the same machine with

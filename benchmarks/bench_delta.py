@@ -3,11 +3,13 @@
 Two modes:
 
 * default — the per-call cost of :class:`repro.core.DeltaEvaluator` on
-  layered random DAGs of 1k-100k tasks on ``hypercube:4``:
-  ``probe_swap`` µs, ``evaluate`` µs and construction ms (medians of
-  individually timed calls).  A probe is itself a full re-evaluation —
-  one vectorized level sweep of the swapped placement — so the two
-  columns measure the same code path.  ``--before FILE`` adds the
+  layered random DAGs of 300-100k tasks on ``hypercube:4``:
+  ``probe_swap`` µs, ``evaluate`` µs and construction ms, plus the ms
+  that :func:`repro.workloads.layered_random_dag` takes to generate the
+  instance (medians of individually timed calls).  A probe is itself a
+  full re-evaluation — one vectorized level sweep of the swapped
+  placement — so the probe and evaluate columns measure the same code
+  path.  ``--before FILE`` adds the
   columns of an earlier run (its ``--json-out``; e.g. the same script
   run with ``PYTHONPATH`` pointing at another checkout) and the
   before/after ratio.  The table is recorded under
@@ -166,6 +168,7 @@ def measure(num_tasks: int, seed: int) -> dict:
     n = system.num_nodes
     gen = np.random.default_rng(seed)
     start = Assignment.random(n, rng=seed)
+    generate = per_call(lambda: layered_random_dag(num_tasks=num_tasks, rng=seed), [()])
     construct = per_call(DeltaEvaluator, [(clustered, system, start)])
     ev = DeltaEvaluator(clustered, system, start)
     pairs = [tuple(int(x) for x in gen.choice(n, size=2, replace=False)) for _ in range(64)]
@@ -180,13 +183,19 @@ def measure(num_tasks: int, seed: int) -> dict:
     return {
         "tasks": num_tasks,
         "edges": int(clustered.graph.num_edges),
+        "generate_ms": 1e3 * generate,
         "construct_ms": 1e3 * construct,
         "probe_swap_us": 1e6 * probe,
         "evaluate_us": 1e6 * evaluate,
     }
 
 
-COLUMNS = (("construct_ms", "ms"), ("probe_swap_us", "us"), ("evaluate_us", "us"))
+COLUMNS = (
+    ("generate_ms", "ms"),
+    ("construct_ms", "ms"),
+    ("probe_swap_us", "us"),
+    ("evaluate_us", "us"),
+)
 
 
 def format_table(rows: list[dict], before: list[dict] | None) -> list[str]:
@@ -223,9 +232,9 @@ def timings(
         rows.append(measure(size, seed))
         print(f"  measured {size} tasks", flush=True)
     lines = [
-        "DeltaEvaluator per-call cost (benchmarks/bench_delta.py)",
+        "Instance generation and DeltaEvaluator per-call cost (benchmarks/bench_delta.py)",
         f"instance: layered_random DAG, random clusterer, hypercube:4, seed {seed}",
-        "medians of individually timed calls; construct in ms, probe/evaluate in us",
+        "medians of individually timed calls; generate/construct in ms, probe/evaluate in us",
     ]
     if before is not None:
         lines.append("before = the --before run, after = this run, ratio = before / after")
@@ -246,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sizes",
-        default="1000,5000,20000,100000",
+        default="300,1000,5000,20000,100000",
         help="comma-separated task counts for the timing table",
     )
     parser.add_argument("--seed", type=int, default=0)

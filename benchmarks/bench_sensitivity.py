@@ -1,4 +1,4 @@
-"""Calibration sensitivity study (supports EXPERIMENTS.md Sec. 'knobs').
+"""Calibration sensitivity study: how the hidden workload knobs move results.
 
 The paper leaves the workload generator's parameters unpublished; these
 sweeps document how each hidden knob moves the Table 1-3 style numbers,

@@ -67,7 +67,7 @@ def test_a4_ranking_survives_fidelity(benchmark, record_artifact):
 
     The mapping was optimized for the paper's contention-free model, so
     some inversions under full contention are expected — the artifact
-    records the exact win ratio; EXPERIMENTS.md discusses it.
+    records the exact win ratio.
     """
     wins, total, lines = benchmark.pedantic(_ranking_trials, rounds=1, iterations=1)
     record_artifact("a4_ranking", "\n".join(lines + [f"wins: {wins}/{total}"]))

@@ -916,8 +916,13 @@ def _run_recommend(args: argparse.Namespace) -> None:
         )
 
 
-class _DrainRequested(Exception):
-    """SIGTERM arrived: stop accepting, finish in-flight work, exit 0."""
+class _DrainRequested(BaseException):
+    """SIGTERM arrived: stop accepting, finish in-flight work, exit 0.
+
+    A ``BaseException``, as ``KeyboardInterrupt`` is: the signal can land
+    while the main thread is inside ``process_request``, whose caller in
+    ``socketserver`` logs and swallows any ``Exception`` and keeps serving.
+    """
 
 
 def _install_sigterm_drain() -> None:

@@ -1,8 +1,8 @@
 """Core of the reproduction: graphs, criticality, and the mapping strategy.
 
-Everything in this package follows the paper's Sec. 2-4 exactly; see each
-module's docstring for the section it implements and DESIGN.md for the
-interpretation choices.
+Everything in this package follows the paper's Sec. 2-4 exactly; each
+module's docstring names the section it implements and the
+interpretation choices it makes where the text leaves them open.
 """
 
 from .abstract import AbstractGraph

@@ -11,9 +11,9 @@ computation:
   (``i_edge[j][i] == clus_edge[j][i]``, i.e. zero slack),
 * the tail of a critical edge becomes marked, and the search recurses.
 
-Interpretation note (documented in DESIGN.md Sec. 2): the paper's
-algorithm step 2(a) finds predecessors "in the matrix clus_edge", which
-read literally skips intra-cluster edges (their ``clus_edge`` entry is 0).
+Interpretation note: the paper's algorithm step 2(a) finds predecessors
+"in the matrix clus_edge", which read literally skips intra-cluster
+edges (their ``clus_edge`` entry is 0).
 But a tight intra-cluster edge transfers delay exactly like a tight
 inter-cluster one (Lemma 1 applies with ``clus_edge == i_edge == 0``), so
 skipping them would fail to mark upstream inter-cluster edges whose delay

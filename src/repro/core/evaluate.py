@@ -9,7 +9,7 @@ from the assignment-dependent ``comm`` matrix instead of ``clus_edge``:
 
 The model is the paper's: store-and-forward shortest-path communication,
 no link contention, and no serialization of independent tasks sharing a
-processor (see DESIGN.md Sec. 2; the discrete-event simulator offers
+processor (the discrete-event simulator in :mod:`repro.sim` offers
 higher-fidelity variants).
 
 The returned :class:`Schedule` carries everything downstream consumers

@@ -14,8 +14,7 @@ placed:
    ranked by communication intensity ``mca`` and anchored through plain
    abstract adjacency.
 
-Documented interpretation choices (the 1991 text leaves them open; see
-DESIGN.md Sec. 2):
+Interpretation choices (the 1991 text leaves them open):
 
 * **Ties** — the paper says "select any qualifying node arbitrarily" at
   every choice point.  On the regular topologies the paper evaluates

@@ -11,7 +11,8 @@ any assignment's total time equals the ideal lower bound, because Theorem
 
 The paper reports that this random re-placement beats pairwise exchange
 [2]; :func:`refine_pairwise` implements the pairwise-exchange alternative
-so the claim can be tested (ablation A3 in DESIGN.md).
+so the claim can be tested (ablation A3 in
+:mod:`repro.experiments.ablations`).
 """
 
 from __future__ import annotations

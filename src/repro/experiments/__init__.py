@@ -1,5 +1,5 @@
 """Experiment harness: everything needed to regenerate the paper's
-tables and figures plus the ablations DESIGN.md calls out."""
+tables and figures plus the ablations A1-A5 (see :mod:`.ablations`)."""
 
 from .ablations import (
     BASELINE_LABELS,

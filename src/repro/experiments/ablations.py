@@ -1,4 +1,4 @@
-"""Ablation experiments A1-A5 and the complexity check E8 (DESIGN.md).
+"""Ablation experiments A1-A5 and the complexity check E8.
 
 * A1 — initial assignment alone vs. with refinement.
 * A2 — critical-edge guidance on vs. off (degree/intensity-only greedy).

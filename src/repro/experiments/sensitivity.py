@@ -1,10 +1,9 @@
 """Sensitivity study: how the unpublished workload knobs move the results.
 
 The paper publishes only ranges for its random workloads (``np`` in
-[30, 300], ``ns`` in [4, 40], "weights produced randomly").  DESIGN.md's
-substitution policy requires us to show *which* of the hidden knobs the
-headline numbers are sensitive to, so EXPERIMENTS.md can justify the
-calibrated defaults.  Three sweeps:
+[30, 300], ``ns`` in [4, 40], "weights produced randomly").  Every
+knob it leaves open gets a calibrated default, and these sweeps show
+*which* of them the headline numbers are sensitive to.  Three sweeps:
 
 * **communication weight ratio** — comm range vs. task-size range moves
   both columns up together and widens the random-vs-ours gap;

@@ -51,7 +51,7 @@ def table2_systems(rows: int = TABLE2_ROWS) -> list[SystemGraph]:
     The paper's global ``ns`` range is 4-40 but its mesh results (7 of 11
     runs hitting the lower bound exactly) are only reachable when the
     critical cluster subgraph embeds into the mesh, which confines the
-    mesh family to the small end of the range — see EXPERIMENTS.md.
+    mesh family to the small end of the range.
     """
     shapes = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (4, 6)]
     return [mesh2d(*shapes[i % len(shapes)]) for i in range(rows)]

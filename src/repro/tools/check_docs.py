@@ -1,6 +1,6 @@
-"""Documentation gate: link resolution + registry name coverage.
+"""Documentation gate: link resolution, registry coverage, source citations.
 
-Two checks, both against the working tree (run from the repo root, as
+Three checks, all against the working tree (run from the repo root, as
 the CI ``docs`` job does):
 
 1. every intra-repo markdown link in ``README.md`` and ``docs/**/*.md``
@@ -8,7 +8,9 @@ the CI ``docs`` job does):
    heading anchor of the target (GitHub's slug rules);
 2. every registered mapper, metric, and lint-rule name is mentioned
    somewhere under ``docs/`` — reference pages cannot silently rot as
-   the registries grow.
+   the registries grow;
+3. every ``*.md`` path cited in ``src/**/*.py`` (a docstring's "see
+   docs/performance.md") exists, relative to the repo root.
 
 Exit codes follow ``mimdmap lint``: 0 clean, 1 findings, 2 usage error.
 No dependencies beyond the package itself.
@@ -29,6 +31,9 @@ __all__ = ["check_docs", "main"]
 _LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _FENCE_RE = re.compile(r"^(```|~~~)")
+# A markdown path cited in source text: ``README.md``, ``docs/serving.md``.
+# Glob patterns (``docs/**/*.md``) and URL tails are not citations.
+_CITED_MD_RE = re.compile(r"(?<![\w./*:-])((?:[\w.-]+/)*[\w-]+\.md)(?![\w/])")
 
 
 def _slugify(heading: str) -> str:
@@ -127,6 +132,16 @@ def _check_names(root: Path, problems: list[str]) -> None:
         problems.append(f"docs/: registered {kind} {name!r} is never mentioned")
 
 
+def _check_citations(root: Path, problems: list[str]) -> None:
+    for source in sorted((root / "src").rglob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for cited in _CITED_MD_RE.findall(line):
+                if not (root / cited).is_file():
+                    rel_source = source.relative_to(root)
+                    problems.append(f"{rel_source}:{lineno}: cites missing {cited}")
+
+
 def check_docs(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     problems: list[str] = []
@@ -136,6 +151,7 @@ def check_docs(root: Path) -> list[str]:
         )
     _check_links(root, problems)
     _check_names(root, problems)
+    _check_citations(root, problems)
     return problems
 
 
@@ -157,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         print(f"{len(problems)} documentation problem(s)")
         return 1
-    print("docs clean: links resolve, registry names covered")
+    print("docs clean: links resolve, registry names covered, citations exist")
     return 0
 
 

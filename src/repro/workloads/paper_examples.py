@@ -2,8 +2,8 @@
 
 The scanned source garbles several figure matrices, so these are
 *reconstructions*: instances engineered to satisfy every fact the paper's
-prose and legible figure fragments state (DESIGN.md Sec. 4 lists the
-policy).  The running example reproduces, exactly:
+prose and legible figure fragments state.  The running example
+reproduces, exactly:
 
 * task weights ``(1,1,2,3,3,1,3,2,2,3,1)`` and the full ideal start/end
   time vectors of Fig. 22-b (``i_start = 0,2,3,1,6,7,7,7,12,10,13``,

@@ -24,9 +24,14 @@ from ..utils import GraphError, as_rng
 __all__ = ["layered_random_dag", "gnp_dag", "series_parallel_dag"]
 
 #: Task count at which :func:`layered_random_dag` switches from the
-#: per-pair reference sampler to the vectorized pair-index sampler.  Below
-#: the threshold the historical RNG stream is preserved bit for bit.
+#: per-pair Bernoulli stream to the binomial pair-index sampler.  Both
+#: streams are pinned: ``tests/test_workloads_random.py`` holds the
+#: per-pair loop as the oracle of the first and CSR digests of both.
 _VECTOR_THRESHOLD = 10_000
+
+#: Bounds on the look-ahead chunk of the per-pair Bernoulli stream.
+_MIN_CHUNK = 64
+_MAX_CHUNK = 1 << 16
 
 
 def layered_random_dag(
@@ -49,15 +54,15 @@ def layered_random_dag(
         Number of precedence layers; defaults to ``round(sqrt(num_tasks))``
         which keeps width and depth balanced.
     extra_edge_prob:
-        Probability of each additional forward (layer-skipping allowed)
-        edge beyond the spanning edges that tie every non-entry task to an
-        earlier layer.  Default ``None`` derives it from
+        Probability in [0, 1] of each additional forward (layer-skipping
+        allowed) edge beyond the spanning edges that tie every non-entry
+        task to an earlier layer.  Default ``None`` derives it from
         ``extra_edges_per_task`` so the *mean degree stays constant* as
         graphs grow — a fixed probability over the O(n^2) forward pairs
         would make 300-task graphs an order of magnitude denser than
         30-task ones, which is neither realistic for compiler-generated
-        task graphs nor consistent with the paper's reported mapping
-        quality (see DESIGN.md Sec. 4).
+        task graphs nor consistent with the mapping quality the paper
+        reports.
     extra_edges_per_task:
         Expected number of extra edges per task when ``extra_edge_prob``
         is derived; the default 1.5 plus one spanning edge per non-entry
@@ -69,84 +74,72 @@ def layered_random_dag(
         raise GraphError("num_tasks must be >= 1")
     if extra_edges_per_task < 0:
         raise GraphError("extra_edges_per_task must be >= 0")
-    gen = as_rng(rng)
-    layers = _partition_layers(num_tasks, num_layers, gen)
-    if extra_edge_prob is None:
-        layer_of_tmp = np.empty(num_tasks, dtype=np.int64)
-        for li, layer in enumerate(layers):
-            layer_of_tmp[layer] = li
-        widths = np.asarray([layer.size for layer in layers], dtype=np.int64)
-        later = np.concatenate(([0], np.cumsum(widths[::-1])[:-1]))[::-1]
-        forward_pairs = int((widths * (later)).sum())
-        extra_edge_prob = (
-            min(1.0, extra_edges_per_task * num_tasks / forward_pairs)
-            if forward_pairs
-            else 0.0
-        )
+    if extra_edge_prob is not None and not 0.0 <= extra_edge_prob <= 1.0:
+        raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     lo_w, hi_w = task_size_range
     lo_c, hi_c = comm_range
     if lo_w < 1 or hi_w < lo_w or lo_c < 1 or hi_c < lo_c:
         raise GraphError("weight ranges must satisfy 1 <= lo <= hi")
+    gen = as_rng(rng)
+    bounds = _layer_bounds(num_tasks, num_layers, gen)
+    layer_of = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    # Layers are consecutive id ranges, so the forward pairs (u, v) with
+    # layer(u) < layer(v), in row-major order, give source u the pair
+    # indices starts[u]:ends[u], for v = first_later[u] .. num_tasks - 1.
+    first_later = bounds[layer_of + 1]
+    cnt = num_tasks - first_later
+    ends = np.cumsum(cnt)
+    starts = ends - cnt
+    total_pairs = int(ends[-1])
+    if extra_edge_prob is None:
+        extra_edge_prob = (
+            min(1.0, extra_edges_per_task * num_tasks / total_pairs)
+            if total_pairs
+            else 0.0
+        )
 
     sizes = gen.integers(lo_w, hi_w + 1, size=num_tasks)
-    edges: dict[tuple[int, int], int] = {}
-
-    layer_of = np.empty(num_tasks, dtype=np.int64)
-    for li, layer in enumerate(layers):
-        layer_of[layer] = li
 
     # Spanning edges: every non-entry task depends on someone earlier.
-    for li in range(1, len(layers)):
-        earlier = np.concatenate(layers[:li])
-        for t in layers[li].tolist():
-            src = int(earlier[gen.integers(0, earlier.size)])
-            edges[(src, t)] = int(gen.integers(lo_c, hi_c + 1))
+    # One draw interleaves the per-task (source, weight) pairs; a task's
+    # earlier layers are ids 0 .. bounds[layer] - 1, so the index drawn
+    # over them is the source id.
+    span_dst = np.arange(bounds[1], num_tasks)
+    highs = np.empty(2 * span_dst.size, dtype=np.int64)
+    highs[0::2] = bounds[layer_of[span_dst]]
+    highs[1::2] = hi_c + 1
+    lows = np.zeros_like(highs)
+    lows[1::2] = lo_c
+    drawn = gen.integers(lows, highs)
+    span_src, span_w = drawn[0::2], drawn[1::2]
+    span_f = np.sort(starts[span_src] + (span_dst - first_later[span_src]))  # pair ids
 
     # Extra forward edges between any pair in strictly increasing layers.
     if num_tasks < _VECTOR_THRESHOLD:
-        # Reference sampler: one Bernoulli draw per forward pair.  Kept
-        # verbatim below the threshold so every recorded small-instance
-        # RNG stream (pinned test values, benchmark baselines) is
-        # reproduced bit for bit.
-        for u in range(num_tasks):
-            for v in range(num_tasks):
-                if layer_of[u] < layer_of[v] and (u, v) not in edges:
-                    if gen.random() < extra_edge_prob:
-                        edges[(u, v)] = int(gen.integers(lo_c, hi_c + 1))
-        triples = [(u, v, w) for (u, v), w in sorted(edges.items())]
-        return TaskGraph(sizes, triples, name=name or f"layered-{num_tasks}")
-
-    # Scale sampler: iterating the O(n^2) forward-pair space is infeasible
-    # at 100k tasks (5e9 pairs), so draw the *number* of extra edges from
-    # the matching binomial and sample pair indices directly.  Layers are
-    # consecutive id ranges, so pair index -> (u, v) is a searchsorted over
-    # per-source counts.  Collisions are removed rather than re-drawn
-    # (expected collisions ~k^2/2P, i.e. a handful out of ~1.5 per task);
-    # the RNG stream differs from the reference sampler, which only
-    # matters below the threshold where results are pinned.
-    bounds = np.concatenate(
-        ([0], np.cumsum([layer.size for layer in layers]))
-    ).astype(np.int64)
-    first_later = bounds[layer_of + 1]  # per task: first id in a later layer
-    cnt = num_tasks - first_later  # forward-pair count per source task
-    cum = np.cumsum(cnt)
-    total_pairs = int(cum[-1]) if cnt.size else 0
-    span_src = np.fromiter((u for (u, _) in edges), dtype=np.int64, count=len(edges))
-    span_dst = np.fromiter((v for (_, v) in edges), dtype=np.int64, count=len(edges))
-    span_w = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
-    extra_src = np.empty(0, dtype=np.int64)
-    extra_dst = np.empty(0, dtype=np.int64)
-    if total_pairs and extra_edge_prob > 0.0:
-        k = int(gen.binomial(total_pairs, min(1.0, extra_edge_prob)))
-        if k:
-            draws = np.unique(gen.integers(0, total_pairs, size=k))
-            u = np.searchsorted(cum, draws, side="right")
-            v = first_later[u] + (draws - (cum[u] - cnt[u]))
-            keys = u * np.int64(num_tasks) + v
-            span_keys = span_src * np.int64(num_tasks) + span_dst
-            fresh = ~np.isin(keys, span_keys)
-            extra_src, extra_dst = u[fresh], v[fresh]
-    extra_w = gen.integers(lo_c, hi_c + 1, size=extra_src.size)
+        hits, extra_w = _bernoulli_hits(
+            gen, total_pairs - span_f.size, extra_edge_prob, lo_c, hi_c
+        )
+        # Stream position -> pair index: skip the spanning pairs before it.
+        extra_f = hits + np.searchsorted(
+            span_f - np.arange(span_f.size), hits, side="right"
+        )
+    else:
+        # Iterating the O(n^2) forward-pair space is infeasible at 100k
+        # tasks (5e9 pairs), so draw the *number* of extra edges from the
+        # matching binomial and sample pair indices directly.  Collisions
+        # and spanning pairs are removed rather than re-drawn (expected
+        # collisions ~k^2/2P, a handful out of ~1.5 per task).
+        extra_f = np.empty(0, dtype=np.int64)
+        if total_pairs and extra_edge_prob > 0.0:
+            k = int(gen.binomial(total_pairs, extra_edge_prob))
+            if k:
+                draws = np.sort(gen.integers(0, total_pairs, size=k))
+                draws = draws[np.concatenate(([True], draws[1:] != draws[:-1]))]
+                known = np.append(span_f, total_pairs)  # sentinel above any draw
+                extra_f = draws[known[np.searchsorted(known, draws)] != draws]
+        extra_w = gen.integers(lo_c, hi_c + 1, size=extra_f.size)
+    extra_src = np.searchsorted(ends, extra_f, side="right")
+    extra_dst = first_later[extra_src] + (extra_f - starts[extra_src])
     return TaskGraph.from_edge_arrays(
         sizes,
         np.concatenate((span_src, extra_src)),
@@ -154,6 +147,49 @@ def layered_random_dag(
         np.concatenate((span_w, extra_w)),
         name=name or f"layered-{num_tasks}",
     )
+
+
+def _bernoulli_hits(
+    gen: np.random.Generator, length: int, prob: float, lo_c: int, hi_c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hits of ``length`` Bernoulli(``prob``) draws, each followed by its weight.
+
+    Consumes ``gen`` exactly as this per-pair loop does::
+
+        for i in range(length):
+            if gen.random() < prob:
+                hits.append(i)
+                weights.append(int(gen.integers(lo_c, hi_c + 1)))
+
+    The doubles are drawn in look-ahead chunks of ``gen.random(c)``.  A
+    chunk without a hit leaves the generator where ``c`` scalar draws
+    would.  At the first hit, offset ``j``, the state snapshot taken
+    before the chunk is restored and exactly ``j + 1`` doubles are
+    redrawn before the weight, so the stream never sees the discarded
+    look-ahead.  Only the public ``Generator`` API is used, so this is
+    exact for any bit generator.
+    """
+    bitgen = gen.bit_generator
+    # About two expected gaps: most chunks hold a hit, and the redraw
+    # after one stays short.
+    chunk = _MAX_CHUNK if prob <= 0.0 else int(min(max(2.0 / prob, _MIN_CHUNK), _MAX_CHUNK))
+    hits: list[int] = []
+    weights: list[int] = []
+    pos = 0
+    while pos < length:
+        c = min(chunk, length - pos)
+        state = bitgen.state
+        below = gen.random(c) < prob
+        j = int(below.argmax())
+        if not below[j]:
+            pos += c
+            continue
+        bitgen.state = state
+        gen.random(j + 1)
+        hits.append(pos + j)
+        weights.append(int(gen.integers(lo_c, hi_c + 1)))
+        pos += j + 1
+    return np.asarray(hits, dtype=np.int64), np.asarray(weights, dtype=np.int64)
 
 
 def gnp_dag(
@@ -235,10 +271,10 @@ def series_parallel_dag(
     return TaskGraph(sizes, edges, name=name or f"sp-{depth}x{branching}")
 
 
-def _partition_layers(
+def _layer_bounds(
     num_tasks: int, num_layers: int | None, gen: np.random.Generator
-) -> list[np.ndarray]:
-    """Split ``0..num_tasks-1`` into non-empty consecutive layers."""
+) -> np.ndarray:
+    """Boundaries of non-empty consecutive layers: layer i is ``b[i]:b[i+1]``."""
     if num_layers is None:
         num_layers = max(1, int(round(num_tasks**0.5)))
     num_layers = min(num_layers, num_tasks)
@@ -246,6 +282,4 @@ def _partition_layers(
         raise GraphError("num_layers must be >= 1")
     # Random cut points give variable layer widths, min width 1.
     cuts = np.sort(gen.choice(np.arange(1, num_tasks), size=num_layers - 1, replace=False))
-    bounds = np.concatenate(([0], cuts, [num_tasks]))
-    ids = np.arange(num_tasks)
-    return [ids[bounds[i] : bounds[i + 1]] for i in range(num_layers)]
+    return np.concatenate(([0], cuts, [num_tasks])).astype(np.int64)

@@ -13,7 +13,7 @@ from repro.experiments import (
 class TestSweeps:
     def test_comm_ratio_monotone_random_column(self):
         """Heavier communication pushes random mapping further from the
-        bound — the core calibration fact recorded in EXPERIMENTS.md."""
+        bound — the core calibration fact behind the workload defaults."""
         points = sweep_comm_ratio(rng=5, comm_highs=(2, 10), instances=2)
         assert points[0].random_pct_mean < points[1].random_pct_mean
 

@@ -9,6 +9,7 @@ and restarted shard re-serves its cached fingerprints bit-identically.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -493,6 +494,50 @@ class TestGracefulDrain:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.communicate()
+
+    @pytest.mark.parametrize("kind", ["shard", "gateway"])
+    def test_drain_request_escapes_request_dispatch(self, kind):
+        """A SIGTERM that lands inside ``process_request`` still stops the server.
+
+        ``socketserver`` logs and swallows any ``Exception`` raised while it
+        dispatches a request, so the drain signal must not be one.
+        """
+        from repro.cli import _DrainRequested
+
+        service = None
+        if kind == "shard":
+            service = MappingService(max_workers=1)
+            server = make_server(service)
+        else:
+            server = make_gateway(["127.0.0.1:9"])
+
+        def process_request(request, client_address):
+            raise _DrainRequested
+
+        server.process_request = process_request
+        raised = []
+
+        def run():
+            try:
+                server.serve_forever(poll_interval=0.05)
+            except BaseException as exc:  # recorded for the assert below
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10):
+                thread.join(timeout=10)
+            stopped = not thread.is_alive()
+        finally:
+            if thread.is_alive():
+                server.shutdown()
+                thread.join(timeout=10)
+            server.server_close()
+            if service is not None:
+                service.close()
+        assert stopped, "serve_forever swallowed the drain request and kept serving"
+        assert [type(exc) for exc in raised] == [_DrainRequested]
 
     def test_sigterm_exits_zero_with_no_traffic(self, tmp_path):
         proc, _, _ = self.start_server(self.serve_args(tmp_path / "idle.jsonl"))
