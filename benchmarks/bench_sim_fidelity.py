@@ -1,43 +1,22 @@
 """Ablation A4: the 1991 analytic model vs. higher-fidelity machines.
 
 The paper evaluates every mapping with a contention-free, infinitely-
-wide-processor model.  This benchmark re-executes mapped programs on the
-discrete-event simulator with serialized processors and link contention
-and records (a) the absolute drift and (b) that the *comparison* the
-paper cares about (critical-edge mapping vs. random mapping) survives.
+wide-processor model.  The absolute drift under serialized processors
+and link contention is the sweep spec ``specs/a4_fidelity.json``; this
+benchmark records that the *comparison* the paper cares about
+(critical-edge mapping vs. random mapping) survives the harshest model.
 """
 
 import numpy as np
 
-from repro.analysis import render_table
 from repro.baselines import random_mapping
 from repro.clustering import RandomClusterer
 from repro.core import ClusteredGraph, CriticalEdgeMapper
-from repro.experiments import run_fidelity_ablation
 from repro.sim import SimConfig, simulate
 from repro.topology import hypercube
 from repro.workloads import layered_random_dag
 
 SEED = 7
-
-
-def test_a4_fidelity(benchmark, record_artifact):
-    rows = benchmark.pedantic(
-        run_fidelity_ablation, kwargs={"rng": SEED}, rounds=1, iterations=1
-    )
-    variants = list(rows[0].values)
-    body = [
-        [r.instance] + [f"{r.values[v]:.0f}" for v in variants] for r in rows
-    ]
-    record_artifact(
-        "a4_fidelity",
-        render_table(["instance"] + variants, body, title="A4 — model fidelity"),
-    )
-    for row in rows:
-        base = row.values["analytic_model"]
-        assert row.values["serialized_cpus"] >= base
-        assert row.values["link_contention"] >= base
-        assert row.values["both"] >= base
 
 
 def _ranking_trials() -> tuple[int, int, list[str]]:

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""The paper's baseline-comparison table as one declarative scenario grid.
+"""The paper's baseline-comparison study (ablation A5) as a sweep spec.
 
 ``examples/compare_mappers.py`` builds its instances with a hand-written
-loop; this example declares the same study as a single
-:meth:`repro.api.Scenario.grid` spec — one machine per topology family
-(paper Sec. 5), every registered mapper, two replicas — and lets
+loop; this example runs the checked-in spec ``specs/a5_baselines.json``
+— one machine per topology family (paper Sec. 5), every registered
+mapper, three replicas: 90 runs — and lets
 :func:`repro.api.run_scenarios` run it on a process pool, stream JSONL,
-and aggregate the paper-style comparison tables.
+and aggregate the paper-style comparison tables.  The same spec runs
+from the command line as ``mimdmap sweep specs/a5_baselines.json``.
 
 Run:  python examples/sweep_paper_grid.py [results.jsonl]
 
@@ -15,31 +16,20 @@ only missing ones execute.
 """
 
 import sys
+from pathlib import Path
 
-from repro.api import Scenario, available_mappers, format_sweep, run_scenarios
+from repro.api import format_sweep, load_spec, run_scenarios
 
-SEED = 1991
-
-
-def build_grid() -> list[Scenario]:
-    """3 topologies x 8 mappers x 2 replicas = 48 runs, one spec."""
-    return Scenario.grid(
-        workload={"name": "layered_random", "params": {"num_tasks": 120}},
-        clustering="random",
-        topology=["hypercube:3", "mesh2d:3x3", "random:8"],
-        mapper=available_mappers(),
-        seed=SEED,
-        replicas=2,
-    )
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "a5_baselines.json"
 
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else None
-    scenarios = build_grid()
+    scenarios = load_spec(SPEC)
     total = sum(s.replicas for s in scenarios)
     print(f"{len(scenarios)} scenarios, {total} runs, streaming to {out or '<memory>'}")
 
-    result = run_scenarios(scenarios, out=out, max_workers=4)
+    result = run_scenarios(scenarios, out=out, max_workers=2)
     print(f"executed {result.executed}, reused {result.reused}\n")
     print(format_sweep(result.records))
 

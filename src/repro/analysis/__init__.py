@@ -1,25 +1,17 @@
-"""Analysis and visualization: Gantt charts, tables, histograms, stats."""
+"""Analysis and visualization: Gantt charts, tables, schedule metrics."""
 
 from .gantt import render_gantt, render_ideal_gantt, render_sim_gantt
-from .histogram import render_histogram
 from .metrics import ScheduleMetrics, compute_metrics, format_metrics
 from .report import mapping_report
-from .stats import ExperimentRow, TableSummary, percent_over_bound, summarize_rows
-from .tables import render_experiment_table, render_table
+from .tables import render_table
 
 __all__ = [
-    "ExperimentRow",
     "ScheduleMetrics",
-    "TableSummary",
     "compute_metrics",
     "format_metrics",
     "mapping_report",
-    "percent_over_bound",
-    "render_experiment_table",
     "render_gantt",
-    "render_histogram",
     "render_ideal_gantt",
     "render_sim_gantt",
     "render_table",
-    "summarize_rows",
 ]

@@ -1,12 +1,10 @@
-"""Paper-style text tables (Tables 1-3) and generic table rendering."""
+"""Monospace text tables (the sweep and mapper-comparison reports)."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .stats import ExperimentRow, summarize_rows
-
-__all__ = ["render_table", "render_experiment_table"]
+__all__ = ["render_table"]
 
 
 def render_table(
@@ -39,33 +37,6 @@ def render_table(
     for row in cells:
         out.append(line(row))
     return "\n".join(out)
-
-
-def render_experiment_table(rows: list[ExperimentRow], title: str) -> str:
-    """One of the paper's Tables 1-3, with its summary line appended.
-
-    Columns match the paper: experiment number, ours and random as
-    percentages over the lower bound (lower bound = 100), improvement in
-    percentage points.  An asterisk marks runs where the termination
-    condition fired (the mapping provably hit the lower bound).
-    """
-    body = [
-        (
-            r.index,
-            f"{r.ours_pct:.0f}{'*' if r.reached_lower_bound else ''}",
-            f"{r.random_pct:.0f}",
-            f"{r.improvement:.0f}",
-            r.num_tasks,
-            r.num_processors,
-        )
-        for r in rows
-    ]
-    table = render_table(
-        ["exp", "ours %", "random %", "improvement", "np", "ns"],
-        body,
-        title=title,
-    )
-    return table + "\n" + str(summarize_rows(rows))
 
 
 def _fmt(value: object) -> str:

@@ -17,6 +17,8 @@ sweep specs describe whole paper tables in a few lines; see
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -38,6 +40,14 @@ _AXIS_REGISTRIES = {
     "workload": WORKLOADS,
     "clustering": CLUSTERERS,
     "mapper": MAPPERS,
+}
+
+#: Params axis -> (the axis it parameterizes, the factory keywords the
+#: engine passes itself and a spec therefore may not set).
+_PARAM_AXES = {
+    "workload_params": ("workload", frozenset({"rng"})),
+    "clustering_params": ("clustering", frozenset({"num_clusters"})),
+    "mapper_params": ("mapper", frozenset()),
 }
 
 
@@ -112,7 +122,7 @@ class Scenario:
             parse_topology_spec(self.topology)
         except RegistryError as exc:
             raise ScenarioError(f"scenario axis 'topology': {exc}") from None
-        for axis in ("workload_params", "clustering_params", "mapper_params"):
+        for axis, (owner, engine_keys) in _PARAM_AXES.items():
             params = getattr(self, axis)
             if not isinstance(params, Mapping) or not all(
                 isinstance(k, str) for k in params
@@ -121,6 +131,21 @@ class Scenario:
                     f"scenario axis {axis!r}: expected a mapping with string "
                     f"keys, got {params!r}"
                 )
+            name = getattr(self, owner)
+            registry = _AXIS_REGISTRIES[owner]
+            accepted = _keyword_names(registry.factory(name))
+            for key in params:
+                if key in engine_keys:
+                    raise ScenarioError(
+                        f"scenario axis {axis!r}: {key!r} is supplied by the "
+                        "engine and cannot be set in a scenario"
+                    )
+                if accepted is not None and key not in accepted:
+                    raise ScenarioError(
+                        f"scenario axis {axis!r}: unknown parameter {key!r} for "
+                        f"{registry.kind} {name!r}; accepted: "
+                        f"{', '.join(sorted(accepted - engine_keys)) or '(none)'}"
+                    )
             object.__setattr__(self, axis, dict(params))
         if self.mapper == "portfolio" and (
             self.mapper_params.get("arms", "auto") == "auto"
@@ -174,20 +199,7 @@ class Scenario:
         requested, so metric-less scenarios keep their historical keys
         (resume checkpoints and service fingerprints stay valid).
         """
-        parts = [
-            _axis_key("workload", self.workload, self.workload_params),
-            _axis_key("clustering", self.clustering, self.clustering_params),
-            f"topology={self.topology}",
-            _axis_key("mapper", self.mapper, self.mapper_params),
-        ]
-        if self.metrics:
-            from ..metrics import metric_label
-
-            parts.append(
-                "metrics=" + ",".join(metric_label(n, p) for n, p in self.metrics)
-            )
-        parts.append(f"seed={self.seed}")
-        return "/".join(parts)
+        return "/".join(self._key_parts(with_mapper=True))
 
     def label(self) -> str:
         """Human-facing name: the explicit ``name`` or a derived one."""
@@ -196,19 +208,33 @@ class Scenario:
         return f"{self.workload}|{self.clustering}|{self.topology}|{self.mapper}"
 
     def group_key(self) -> str:
-        """Identity of the scenario *group*: every axis except the mapper.
+        """Identity of the scenario *group*: :meth:`key` minus the mapper.
 
-        Scenarios sharing a group are the rows of one paper-style
-        head-to-head comparison table (same instance, different mappers).
+        Scenarios sharing a group are the rows of one comparison table:
+        same workload, clustering, topology, metrics and seed, different
+        mappers.  Each mapper still draws its *own* instance, because
+        :func:`~repro.api.sweep.derive_run_seeds` mixes the whole key,
+        mapper included, into the run's seeds; a group's rows compare
+        means over replicas, not one shared instance.
         """
-        return "/".join(
-            [
-                _axis_key("workload", self.workload, self.workload_params),
-                _axis_key("clustering", self.clustering, self.clustering_params),
-                f"topology={self.topology}",
-                f"seed={self.seed}",
-            ]
-        )
+        return "/".join(self._key_parts(with_mapper=False))
+
+    def _key_parts(self, *, with_mapper: bool) -> list[str]:
+        parts = [
+            _axis_key("workload", self.workload, self.workload_params),
+            _axis_key("clustering", self.clustering, self.clustering_params),
+            f"topology={self.topology}",
+        ]
+        if with_mapper:
+            parts.append(_axis_key("mapper", self.mapper, self.mapper_params))
+        if self.metrics:
+            from ..metrics import metric_label
+
+            parts.append(
+                "metrics=" + ",".join(metric_label(n, p) for n, p in self.metrics)
+            )
+        parts.append(f"seed={self.seed}")
+        return parts
 
     # -- dict / JSON round trip ----------------------------------------
 
@@ -394,6 +420,22 @@ def expand_spec(spec: Mapping[str, Any]) -> list[Scenario]:
 def load_spec(path: str | Path) -> list[Scenario]:
     """Read a sweep-spec JSON file and expand it (see :func:`expand_spec`)."""
     return expand_spec(json.loads(Path(path).read_text()))
+
+
+@functools.cache
+def _keyword_names(factory: Any) -> frozenset[str] | None:
+    """The keyword names ``factory`` accepts; ``None`` if it takes ``**kwargs``.
+
+    Cached per factory: scenarios are parsed on every service request,
+    and ``inspect.signature`` costs several times a whole parse.
+    """
+    names: set[str] = set()
+    for param in inspect.signature(factory).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            return None
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY):
+            names.add(param.name)
+    return frozenset(names)
 
 
 def _axis_key(axis: str, name: str, params: Mapping[str, Any]) -> str:

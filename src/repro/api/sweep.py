@@ -16,6 +16,9 @@
 * :func:`format_sweep` aggregates the records into the paper-style
   per-group mapper-comparison tables.
 
+The paper's own tables, ablations and studies are checked-in specs under
+``specs/`` (``mimdmap sweep specs/table1_hypercube.json``).
+
 Records deliberately exclude wall-clock time — everything in the file is
 a pure function of the spec, which is what makes resume + parallelism
 safe to verify byte-for-byte.
@@ -283,12 +286,16 @@ def summarize_sweep(
 ) -> list[tuple[str, list[dict[str, Any]]]]:
     """Group records into paper-style comparison blocks.
 
-    A block is one scenario *group* — same workload/clustering/topology/
-    seed, different mappers — aggregated over replicas.  Each row dict
-    carries the mapper label, replica count, mean total time, mean
-    percent-of-bound, and how many replicas hit the bound; when records
-    carry requested metrics, the row gains a ``"metrics"`` dict of
-    per-key means over the replicas that reported them.
+    A block is one scenario *group* (same workload, clustering, topology,
+    metrics and seed; different mappers) aggregated over replicas.  Each
+    mapper draws its own instance (see :meth:`Scenario.group_key`), so
+    raw totals of two rows come from different graphs; rows are ranked
+    by mean percent-of-bound, which normalizes each run by its own lower
+    bound.  Each row dict carries the mapper label, replica count, mean
+    total time, mean percent-of-bound, and how many replicas hit the
+    bound; when records carry requested metrics, the row gains a
+    ``"metrics"`` dict of per-key means over the replicas that reported
+    them.
     """
     groups: dict[str, dict[str, list[dict[str, Any]]]] = {}
     order: list[str] = []
@@ -324,7 +331,7 @@ def summarize_sweep(
                     k: float(np.mean(vs)) for k, vs in sorted(metric_values.items())
                 }
             rows.append(row)
-        rows.sort(key=lambda row: row["mean_total_time"])
+        rows.sort(key=lambda row: row["mean_percent_of_bound"])
         summaries.append((group, rows))
     return summaries
 

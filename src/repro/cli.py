@@ -1,15 +1,10 @@
-"""Command-line interface: regenerate every table and figure of the paper.
+"""Command-line interface: map instances, run sweeps, serve mappings.
 
 ::
 
-    mimdmap table1 [--seed N] [--rows K]     # Table 1 + Fig. 25 (hypercubes)
-    mimdmap table2 [--seed N] [--rows K]     # Table 2 + Fig. 26 (meshes)
-    mimdmap table3 [--seed N] [--rows K]     # Table 3 + Fig. 27 (random)
     mimdmap example                          # worked example, Figs. 2-6/18-24
     mimdmap counterexamples                  # Sec. 2.2, Figs. 7-17 (exhaustive)
-    mimdmap ablations [--seed N]             # A1-A3, A5 summaries
     mimdmap matrices                         # Sec. 3 matrix dump for the example
-    mimdmap sensitivity [--seed N]           # workload-knob sensitivity sweeps
     mimdmap map --tasks N --topology F --size K [--mapper M] [--metrics a,b]
     mimdmap compare [--mappers a,b,...]      # all registered mappers, one instance
     mimdmap sweep SPEC.json [--workers N] [--out results.jsonl]  # scenario grid
@@ -20,6 +15,8 @@
     mimdmap gateway --shards host:port,host:port [--port P]  # fingerprint router
     mimdmap --version
 
+The paper's Tables 1-3, ablations and studies are sweep specs:
+``mimdmap sweep specs/table1_hypercube.json`` (see docs/architecture.md).
 Also runnable as ``python -m repro ...``.
 """
 
@@ -61,25 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for num in (1, 2, 3):
-        p = sub.add_parser(f"table{num}", help=f"regenerate Table {num} and its figure")
-        p.add_argument("--seed", type=int, default=1991, help="experiment RNG seed")
-        p.add_argument("--rows", type=int, default=None, help="number of experiments")
-        p.add_argument(
-            "--no-figure", action="store_true", help="omit the histogram figure"
-        )
-
     sub.add_parser("example", help="run the worked example (Figs. 2-6, 18-24)")
     sub.add_parser(
         "counterexamples",
         help="prove the Sec. 2.2 counterexamples by exhaustive search",
     )
-    p = sub.add_parser("ablations", help="run ablations A1-A3 and A5")
-    p.add_argument("--seed", type=int, default=7)
     sub.add_parser("matrices", help="print the Sec. 3 matrices of the worked example")
-
-    p = sub.add_parser("sensitivity", help="workload-knob sensitivity sweeps")
-    p.add_argument("--seed", type=int, default=5)
 
     from .api import available_clusterers, available_mappers
 
@@ -158,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a scenario grid from a JSON spec, streaming JSONL results",
     )
-    p.add_argument("spec", help="sweep spec file (see README 'Sweeps')")
+    p.add_argument("spec", help="sweep spec file (see docs/architecture.md 'Sweeps')")
     p.add_argument(
         "--out",
         default=None,
@@ -419,18 +403,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command: str = args.command
 
-    if command in ("table1", "table2", "table3"):
-        _run_table(int(command[-1]), args)
-    elif command == "example":
+    if command == "example":
         _run_example()
     elif command == "counterexamples":
         _run_counterexamples()
-    elif command == "ablations":
-        _run_ablations(args.seed)
     elif command == "matrices":
         _run_matrices()
-    elif command == "sensitivity":
-        _run_sensitivity(args.seed)
     elif command == "map":
         _run_map(args)
     elif command == "compare":
@@ -452,24 +430,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def _run_table(number: int, args: argparse.Namespace) -> None:
-    from .experiments import (
-        format_figure,
-        format_table,
-        run_table1,
-        run_table2,
-        run_table3,
-    )
-
-    runner = {1: run_table1, 2: run_table2, 3: run_table3}[number]
-    kwargs = {} if args.rows is None else {"rows": args.rows}
-    rows = runner(rng=args.seed, **kwargs)
-    print(format_table(rows, number))
-    if not args.no_figure:
-        print()
-        print(format_figure(rows, 24 + number))
-
-
 def _run_example() -> None:
     from .experiments import format_worked_example, run_worked_example
 
@@ -488,33 +448,6 @@ def _run_counterexamples() -> None:
     print(format_counterexample(run_lee_counterexample()))
 
 
-def _run_ablations(seed: int) -> None:
-    from .analysis import render_table
-    from .experiments import (
-        run_baseline_comparison,
-        run_exchange_ablation,
-        run_guidance_ablation,
-        run_refinement_ablation,
-    )
-
-    studies = [
-        ("A1 — initial assignment vs + refinement", run_refinement_ablation),
-        ("A2 — critical guidance on/off", run_guidance_ablation),
-        ("A3 — random replacement vs pairwise exchange", run_exchange_ablation),
-        ("A5 — all mappers, total time (% of lower bound)", run_baseline_comparison),
-    ]
-    for title, runner in studies:
-        rows = runner(rng=seed)
-        variants = list(rows[0].values)
-        body = [
-            [row.instance]
-            + [f"{100 * row.values[v] / row.lower_bound:.0f}%" for v in variants]
-            for row in rows
-        ]
-        print(render_table(["instance"] + variants, body, title=title))
-        print()
-
-
 def _run_matrices() -> None:
     from .core import Assignment, collect_matrices
     from .io import format_paper_matrices
@@ -528,21 +461,6 @@ def _run_matrices() -> None:
     system = running_example_system()
     assignment = Assignment(running_example_assignment_vector())
     print(format_paper_matrices(collect_matrices(clustered, system, assignment)))
-
-
-def _run_sensitivity(seed: int) -> None:
-    from .experiments import (
-        format_sweep,
-        sweep_comm_ratio,
-        sweep_edge_density,
-        sweep_problem_size,
-    )
-
-    print(format_sweep(sweep_comm_ratio(rng=seed), "Communication weight ceiling"))
-    print()
-    print(format_sweep(sweep_edge_density(rng=seed), "DAG density (extra edges/task)"))
-    print()
-    print(format_sweep(sweep_problem_size(rng=seed), "Problem size np"))
 
 
 def _cli_error(command: str, message: str) -> "SystemExit":

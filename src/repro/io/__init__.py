@@ -1,7 +1,6 @@
 """I/O: JSON round-tripping, JSONL streaming, DOT export, matrix printing."""
 
 from .dot import clustered_graph_to_dot, system_graph_to_dot, task_graph_to_dot
-from .export import rows_to_csv, rows_to_json, save_rows
 from .jsonl import dumps_record, read_jsonl, write_record
 from .matrixfmt import format_matrix, format_paper_matrices, format_vector
 from .serialize import (
@@ -29,10 +28,7 @@ __all__ = [
     "format_vector",
     "load_instance",
     "read_jsonl",
-    "rows_to_csv",
-    "rows_to_json",
     "save_instance",
-    "save_rows",
     "write_record",
     "system_graph_from_dict",
     "system_graph_to_dict",

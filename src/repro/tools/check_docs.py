@@ -1,6 +1,6 @@
-"""Documentation gate: link resolution, registry coverage, source citations.
+"""Documentation gate: links, registry coverage, citations, commands.
 
-Three checks, all against the working tree (run from the repo root, as
+Four checks, all against the working tree (run from the repo root, as
 the CI ``docs`` job does):
 
 1. every intra-repo markdown link in ``README.md`` and ``docs/**/*.md``
@@ -10,7 +10,11 @@ the CI ``docs`` job does):
    somewhere under ``docs/`` — reference pages cannot silently rot as
    the registries grow;
 3. every ``*.md`` path cited in ``src/**/*.py`` (a docstring's "see
-   docs/performance.md") exists, relative to the repo root.
+   docs/performance.md") exists, relative to the repo root;
+4. every ``mimdmap <cmd>`` / ``python -m repro <cmd>`` in ``README.md``,
+   ``docs/**/*.md`` and ``.claude/skills/verify/SKILL.md`` names a
+   subcommand the CLI defines, and every ``specs/*.json`` path they
+   cite exists — a removed command or spec cannot linger in the docs.
 
 Exit codes follow ``mimdmap lint``: 0 clean, 1 findings, 2 usage error.
 No dependencies beyond the package itself.
@@ -34,6 +38,13 @@ _FENCE_RE = re.compile(r"^(```|~~~)")
 # A markdown path cited in source text: ``README.md``, ``docs/serving.md``.
 # Glob patterns (``docs/**/*.md``) and URL tails are not citations.
 _CITED_MD_RE = re.compile(r"(?<![\w./*:-])((?:[\w.-]+/)*[\w-]+\.md)(?![\w/])")
+# A CLI invocation in prose or a shell block: ``mimdmap sweep``,
+# ``python -m repro map``.  Flags (``mimdmap --version``) and
+# placeholders (``python -m repro <subcommand>``) do not match, and
+# shell comments (`` # generates the mimdmap script``) are prose.
+_COMMAND_RE = re.compile(r"(?:\bmimdmap|python -m repro)[ \t]+([a-z][a-z0-9_-]*)")
+_SHELL_COMMENT_RE = re.compile(r"\s#\s.*$")
+_SPEC_PATH_RE = re.compile(r"(?<![\w/])(specs/[\w./-]+\.json)")
 
 
 def _slugify(heading: str) -> str:
@@ -142,6 +153,34 @@ def _check_citations(root: Path, problems: list[str]) -> None:
                     problems.append(f"{rel_source}:{lineno}: cites missing {cited}")
 
 
+def _check_commands(root: Path, problems: list[str]) -> None:
+    from ..cli import build_parser
+
+    parser = build_parser()
+    commands = {
+        name
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    }
+    sources = _markdown_files(root)
+    skill = root / ".claude/skills/verify/SKILL.md"
+    if skill.is_file():
+        sources.append(skill)
+    for source in sources:
+        rel_source = source.relative_to(root)
+        text = source.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for command in _COMMAND_RE.findall(_SHELL_COMMENT_RE.sub("", line)):
+                if command not in commands:
+                    problems.append(
+                        f"{rel_source}:{lineno}: unknown CLI command {command!r}"
+                    )
+            for spec in _SPEC_PATH_RE.findall(line):
+                if not (root / spec).is_file():
+                    problems.append(f"{rel_source}:{lineno}: cites missing {spec}")
+
+
 def check_docs(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     problems: list[str] = []
@@ -152,6 +191,7 @@ def check_docs(root: Path) -> list[str]:
     _check_links(root, problems)
     _check_names(root, problems)
     _check_citations(root, problems)
+    _check_commands(root, problems)
     return problems
 
 
@@ -173,7 +213,10 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         print(f"{len(problems)} documentation problem(s)")
         return 1
-    print("docs clean: links resolve, registry names covered, citations exist")
+    print(
+        "docs clean: links resolve, registry names covered, citations exist, "
+        "commands and specs are current"
+    )
     return 0
 
 

@@ -1,16 +1,9 @@
-"""Unit tests for the repro.analysis package (gantt, tables, histogram, stats)."""
-
-import pytest
+"""Unit tests for the repro.analysis package (gantt charts, tables)."""
 
 from repro.analysis import (
-    ExperimentRow,
-    percent_over_bound,
-    render_experiment_table,
     render_gantt,
-    render_histogram,
     render_ideal_gantt,
     render_table,
-    summarize_rows,
 )
 from repro.core import Assignment, evaluate_assignment, ideal_schedule
 from repro.topology import chain
@@ -21,48 +14,6 @@ from repro.workloads import (
 )
 
 
-def _rows():
-    return [
-        ExperimentRow(
-            index=1, num_tasks=100, num_processors=8, topology="hypercube-8",
-            lower_bound=100, our_total_time=104, random_mean_total_time=148.0,
-            reached_lower_bound=False,
-        ),
-        ExperimentRow(
-            index=2, num_tasks=50, num_processors=8, topology="hypercube-8",
-            lower_bound=50, our_total_time=50, random_mean_total_time=89.0,
-            reached_lower_bound=True,
-        ),
-    ]
-
-
-class TestStats:
-    def test_percent_over_bound(self):
-        assert percent_over_bound(148, 100) == pytest.approx(148.0)
-        assert percent_over_bound(50, 50) == pytest.approx(100.0)
-        with pytest.raises(ValueError):
-            percent_over_bound(10, 0)
-
-    def test_row_metrics(self):
-        row = _rows()[0]
-        assert row.ours_pct == pytest.approx(104.0)
-        assert row.random_pct == pytest.approx(148.0)
-        assert row.improvement == pytest.approx(44.0)
-
-    def test_summary(self):
-        summary = summarize_rows(_rows())
-        assert summary.rows == 2
-        assert summary.ours_pct_min == pytest.approx(100.0)
-        assert summary.ours_pct_max == pytest.approx(104.0)
-        assert summary.improvement_max == pytest.approx(78.0)
-        assert summary.lower_bound_hits == 1
-        assert "2 experiments" in str(summary)
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_rows([])
-
-
 class TestTables:
     def test_render_table_alignment(self):
         text = render_table(["name", "value"], [("a", 1), ("bb", 22)], title="T")
@@ -71,33 +22,9 @@ class TestTables:
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 5
 
-    def test_experiment_table_marks_hits(self):
-        text = render_experiment_table(_rows(), "Table X")
-        assert "Table X" in text
-        assert "100*" in text  # the lower-bound hit is starred
-        assert "44" in text    # improvement column
-
     def test_float_formatting(self):
         text = render_table(["x"], [(1.2345,)])
         assert "1.2" in text
-
-
-class TestHistogram:
-    def test_render_histogram(self):
-        text = render_histogram(_rows(), "Fig. X", step=10)
-        assert "Fig. X" in text
-        assert "*" in text  # the exact-hit marker
-        assert "100 +" in text
-        # Tallest bar must reach the random percentage band.
-        assert "150" in text or "160" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_histogram([], "nope")
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            render_histogram(_rows(), "x", step=0)
 
 
 class TestGantt:

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.tools.check_docs import _check_citations, check_docs
+from repro.tools.check_docs import _check_citations, _check_commands, check_docs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,4 +30,31 @@ def test_missing_citation_in_source_is_reported(tmp_path):
     assert problems == [
         "src/pkg/mod.py:6: cites missing DESIGN.md",
         "src/pkg/mod.py:6: cites missing docs/gone.md",
+    ]
+
+
+def test_stale_commands_and_spec_paths_are_reported(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "specs").mkdir()
+    (tmp_path / "specs" / "table1_hypercube.json").write_text("{}\n")
+    (tmp_path / "README.md").write_text(
+        "Run `mimdmap table1`, or `mimdmap sweep specs/table1_hypercube.json`.\n"
+        "`mimdmap --version` and `python -m repro <subcommand>` are fine.\n"
+    )
+    (tmp_path / "docs" / "guide.md").write_text(
+        "```bash\n"
+        "python -m repro sensitivity --seed 5\n"
+        "mimdmap sweep specs/gone.json   # the mimdmap script runs it\n"
+        "```\n"
+    )
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text("PYTHONPATH=src python -m repro ablations\n")
+    problems: list[str] = []
+    _check_commands(tmp_path, problems)
+    assert problems == [
+        "README.md:1: unknown CLI command 'table1'",
+        "docs/guide.md:2: unknown CLI command 'sensitivity'",
+        "docs/guide.md:3: cites missing specs/gone.json",
+        ".claude/skills/verify/SKILL.md:1: unknown CLI command 'ablations'",
     ]

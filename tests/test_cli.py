@@ -10,12 +10,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_table_args(self):
-        args = build_parser().parse_args(["table1", "--seed", "7", "--rows", "2"])
-        assert args.command == "table1"
-        assert args.seed == 7
-        assert args.rows == 2
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tableau"])
@@ -37,18 +31,6 @@ class TestCommands:
         assert main(["counterexamples"]) == 0
         out = capsys.readouterr().out
         assert out.count("phenomenon HOLDS") == 2
-
-    def test_table_small(self, capsys):
-        assert main(["table1", "--seed", "1", "--rows", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "Fig. 25" in out
-
-    def test_table_no_figure(self, capsys):
-        assert main(["table2", "--seed", "1", "--rows", "2", "--no-figure"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-        assert "Fig. 26" not in out
 
     def test_map_command(self, capsys):
         assert (
@@ -119,10 +101,6 @@ class TestCommands:
         assert "critical" in out
         assert "tabu" not in out
 
-    def test_sensitivity_parses(self):
-        args = build_parser().parse_args(["sensitivity", "--seed", "2"])
-        assert args.command == "sensitivity"
-        assert args.seed == 2
 
 
 class TestErrorPaths:
@@ -278,6 +256,38 @@ class TestSweepAndList:
             main(["sweep", str(spec)])
         assert excinfo.value.code == 2
         assert "'workload'" in capsys.readouterr().err
+
+    def test_sweep_unknown_param_exits_2(self, capsys, tmp_path):
+        spec = self._write_spec(
+            tmp_path,
+            {
+                "grid": {
+                    "workload": {"name": "fft", "params": {"points_log2": 2}},
+                    "topology": "hypercube:2",
+                    "mapper": {"name": "annealing", "params": {"coolng": 0.9}},
+                }
+            },
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(spec)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert "'mapper_params'" in err and "'coolng'" in err and "cooling" in err
+
+    def test_paper_table_spec_runs(self, capsys, tmp_path):
+        """Table 1 through the CLI, at one replica instead of the spec's ten."""
+        import json
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        table = json.loads((root / "specs" / "table1_hypercube.json").read_text())
+        spec = self._write_spec(tmp_path, dict(table, replicas=1))
+        assert main(["sweep", str(spec), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "24 scenarios, 24 runs" in out
+        assert "topology=hypercube:5" in out
+        assert "random[samples=1]" in out
 
     def test_sweep_bad_workers_exits_2(self, capsys, tmp_path):
         spec = self._write_spec(tmp_path)

@@ -16,7 +16,7 @@ from repro.clustering import (
 )
 from repro.core import ClusteredGraph, Clustering, TaskGraph, lower_bound
 from repro.utils import GraphError
-from repro.workloads import layered_random_dag
+from repro.workloads import layered_random_dag, wavefront_dag
 
 ALL_CLUSTERERS = [
     RandomClusterer,
@@ -138,6 +138,15 @@ class TestEdgeZero:
             ClusteredGraph(workload, ez).cut_weight()
             <= ClusteredGraph(workload, rnd).cut_weight()
         )
+
+    def test_reduces_cut_vs_random_on_wavefront(self):
+        """The clustering study's cut claim (cut weight is not in sweep records)."""
+        graph = wavefront_dag(5, 5)
+        cut = {
+            name: ClusteredGraph(graph, cls(4).cluster(graph, rng=1)).cut_weight()
+            for name, cls in (("edge_zero", EdgeZeroClusterer), ("random", RandomClusterer))
+        }
+        assert cut["edge_zero"] <= cut["random"]
 
     def test_never_worse_bound_than_singletons(self, workload):
         """Edge zeroing only merges when the estimate does not regress, so

@@ -36,7 +36,7 @@ scenario = Scenario(
     workload="broadcast_tree",
     topology="mesh",
     mapper="critical",
-    workload_params={"nodes": 15},
+    workload_params={"leaves": 15},
     seed=7,
 )
 print(json.dumps({

@@ -1,123 +1,6 @@
-"""Tests for the repro.experiments package (runner, tables, ablations)."""
+"""Tests for the worked example (experiment E6, Figs. 2-6 and 18-24)."""
 
-import numpy as np
-import pytest
-
-from repro.experiments import (
-    ExperimentConfig,
-    default_ablation_systems,
-    format_figure,
-    format_table,
-    run_baseline_comparison,
-    run_exchange_ablation,
-    run_experiment,
-    run_fidelity_ablation,
-    run_guidance_ablation,
-    run_refinement_ablation,
-    run_scaling_study,
-    run_table,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_worked_example,
-    table1_systems,
-    table2_systems,
-    table3_systems,
-)
-from repro.topology import hypercube, mesh2d, ring
-
-FAST = ExperimentConfig(min_tasks=30, max_tasks=60, random_samples=5)
-
-
-class TestRunner:
-    def test_single_experiment(self):
-        row, result = run_experiment(1, hypercube(2), FAST, rng=0)
-        assert row.num_processors == 4
-        assert row.lower_bound == result.lower_bound
-        assert row.our_total_time >= row.lower_bound
-        assert row.ours_pct >= 100.0
-        assert row.reached_lower_bound == result.is_provably_optimal
-
-    def test_explicit_task_count(self):
-        row, _ = run_experiment(1, ring(4), FAST, rng=0, num_tasks=40)
-        assert row.num_tasks == 40
-
-    def test_deterministic_by_seed(self):
-        a, _ = run_experiment(1, hypercube(2), FAST, rng=42)
-        b, _ = run_experiment(1, hypercube(2), FAST, rng=42)
-        assert a.our_total_time == b.our_total_time
-        assert a.random_mean_total_time == b.random_mean_total_time
-
-    def test_run_table(self):
-        rows = run_table([ring(4), mesh2d(2, 2)], FAST, rng=1)
-        assert [r.index for r in rows] == [1, 2]
-        assert rows[0].topology == "ring-4"
-
-    def test_runner_takes_mapper_name(self):
-        config = ExperimentConfig(
-            min_tasks=30, max_tasks=60, random_samples=5, mapper="tabu",
-            mapper_params={"iterations": 5},
-        )
-        row, outcome = run_experiment(1, hypercube(2), config, rng=0, num_tasks=30)
-        assert outcome.mapper == "tabu"
-        assert row.our_total_time == outcome.total_time
-        assert row.our_total_time >= row.lower_bound
-
-    def test_runner_unknown_mapper(self):
-        from repro.api import UnknownMapperError
-
-        config = ExperimentConfig(mapper="nope")
-        with pytest.raises(UnknownMapperError):
-            run_experiment(1, hypercube(2), config, rng=0, num_tasks=30)
-
-    def test_refinement_knobs_reach_critical_mapper(self):
-        config = ExperimentConfig(
-            min_tasks=30, max_tasks=60, random_samples=5, refinement="none"
-        )
-        _, outcome = run_experiment(1, hypercube(2), config, rng=0, num_tasks=30)
-        assert outcome.evaluations == 0  # no refinement trials ran
-
-
-class TestTableSystems:
-    def test_table1_all_hypercubes(self):
-        for s in table1_systems():
-            n = s.num_nodes
-            assert n & (n - 1) == 0  # power of two
-            assert 4 <= n <= 32
-
-    def test_table2_all_meshes(self):
-        for s in table2_systems():
-            assert s.name.startswith("mesh-")
-            assert 4 <= s.num_nodes <= 40
-
-    def test_table3_random_sizes_in_range(self):
-        for s in table3_systems(rng=0):
-            assert 4 <= s.num_nodes <= 40
-
-    def test_row_counts_match_paper(self):
-        assert len(table1_systems()) == 10
-        assert len(table2_systems()) == 11
-        assert len(table3_systems(rng=0)) == 17
-
-
-class TestTableRuns:
-    """Smoke runs with reduced sizes; the benchmarks run the full tables."""
-
-    def test_table1_small(self):
-        rows = run_table1(rng=0, rows=3, config=FAST)
-        assert len(rows) == 3
-        text = format_table(rows, 1)
-        assert "Table 1" in text
-        fig = format_figure(rows, 25)
-        assert "Fig. 25" in fig
-
-    def test_table2_small(self):
-        rows = run_table2(rng=0, rows=3, config=FAST)
-        assert all(r.ours_pct >= 100 for r in rows)
-
-    def test_table3_small(self):
-        rows = run_table3(rng=0, rows=3, config=FAST)
-        assert len(rows) == 3
+from repro.experiments import format_worked_example, run_worked_example
 
 
 class TestWorkedExample:
@@ -130,65 +13,6 @@ class TestWorkedExample:
         assert report.all_milestones_pass
 
     def test_format(self):
-        from repro.experiments import format_worked_example
-
         text = format_worked_example(run_worked_example())
         assert "ALL MILESTONES PASS             : True" in text
         assert "total time = 14" in text
-
-
-SMALL_SYSTEMS = [hypercube(2), mesh2d(2, 2)]
-
-
-class TestAblations:
-    def test_refinement_ablation(self):
-        rows = run_refinement_ablation(
-            rng=0, systems=SMALL_SYSTEMS, instances_per_system=1
-        )
-        for row in rows:
-            assert row.values["with_refinement"] <= row.values["initial_only"]
-            assert row.values["with_refinement"] >= row.lower_bound
-
-    def test_guidance_ablation(self):
-        rows = run_guidance_ablation(
-            rng=0, systems=SMALL_SYSTEMS, instances_per_system=1
-        )
-        assert {"critical_guided", "unguided"} <= set(rows[0].values)
-
-    def test_exchange_ablation(self):
-        rows = run_exchange_ablation(
-            rng=0, systems=SMALL_SYSTEMS, instances_per_system=1
-        )
-        assert {"random_replacement", "pairwise_exchange"} <= set(rows[0].values)
-
-    def test_fidelity_ablation_ordering(self):
-        rows = run_fidelity_ablation(
-            rng=0, systems=SMALL_SYSTEMS, instances_per_system=1
-        )
-        for row in rows:
-            base = row.values["analytic_model"]
-            assert row.values["serialized_cpus"] >= base
-            assert row.values["link_contention"] >= base
-            assert row.values["both"] >= base
-
-    def test_baseline_comparison_keys(self):
-        rows = run_baseline_comparison(
-            rng=0, systems=[hypercube(2)], instances_per_system=1
-        )
-        keys = set(rows[0].values)
-        assert "critical_edge (ours)" in keys
-        assert "simulated_annealing" in keys
-        assert all(v >= rows[0].lower_bound for v in rows[0].values.values())
-
-    def test_default_systems(self):
-        systems = default_ablation_systems(rng=0)
-        assert len(systems) == 3
-
-    def test_scaling_study(self):
-        records = run_scaling_study(
-            rng=0, task_counts=(30, 60), processor_dims=(2,)
-        )
-        assert len(records) == 2
-        for rec in records:
-            assert rec["seconds"] >= 0.0
-            assert rec["normalized"] > 0.0

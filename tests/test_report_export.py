@@ -1,15 +1,9 @@
-"""Tests for the consolidated report and the experiment export."""
-
-import csv
-import io
-import json
+"""Tests for the consolidated mapping report."""
 
 import pytest
 
 from repro.analysis import mapping_report
-from repro.analysis.stats import ExperimentRow
 from repro.core import CriticalEdgeMapper
-from repro.io import rows_to_csv, rows_to_json, save_rows
 from tests.conftest import random_instance
 
 
@@ -17,21 +11,6 @@ from tests.conftest import random_instance
 def result():
     clustered, system = random_instance(5)
     return CriticalEdgeMapper(rng=5).map(clustered, system)
-
-
-def _rows():
-    return [
-        ExperimentRow(
-            index=1, num_tasks=100, num_processors=8, topology="hypercube-8",
-            lower_bound=100, our_total_time=104, random_mean_total_time=148.0,
-            reached_lower_bound=False,
-        ),
-        ExperimentRow(
-            index=2, num_tasks=50, num_processors=8, topology="hypercube-8",
-            lower_bound=50, our_total_time=50, random_mean_total_time=89.0,
-            reached_lower_bound=True,
-        ),
-    ]
 
 
 class TestMappingReport:
@@ -58,29 +37,3 @@ class TestMappingReport:
         text = mapping_report(result)
         assert str(result.lower_bound) in text
         assert str(result.total_time) in text
-
-
-class TestExport:
-    def test_csv_round_trip(self):
-        text = rows_to_csv(_rows())
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert len(parsed) == 2
-        assert parsed[0]["topology"] == "hypercube-8"
-        assert float(parsed[0]["improvement"]) == pytest.approx(44.0)
-        assert parsed[1]["reached_lower_bound"] == "True"
-
-    def test_json_round_trip(self):
-        data = json.loads(rows_to_json(_rows()))
-        assert len(data) == 2
-        assert data[0]["ours_pct"] == pytest.approx(104.0)
-        assert data[1]["reached_lower_bound"] is True
-
-    def test_save_by_suffix(self, tmp_path):
-        csv_path = save_rows(tmp_path / "t.csv", _rows())
-        json_path = save_rows(tmp_path / "t.json", _rows())
-        assert csv_path.read_text().startswith("index,")
-        assert json.loads(json_path.read_text())[0]["index"] == 1
-
-    def test_bad_suffix(self, tmp_path):
-        with pytest.raises(ValueError, match="suffix"):
-            save_rows(tmp_path / "t.xlsx", _rows())

@@ -148,6 +148,38 @@ class TestScenarioRoundTrip:
             with pytest.raises(ScenarioError, match=fragment):
                 Scenario(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, fragments",
+        [
+            (dict(workload_params={"points_log": 2}),
+             ["'workload_params'", "'points_log'", "workload 'fft'", "points_log2"]),
+            (dict(clustering="load_balance", clustering_params={"afinity": 1.0}),
+             ["'clustering_params'", "'afinity'", "affinity_weight"]),
+            (dict(mapper="annealing", mapper_params={"coolng": 0.9}),
+             ["'mapper_params'", "'coolng'", "cooling, initial_temperature"]),
+            (dict(clustering_params={"num_clusters": 4}),
+             ["'clustering_params'", "'num_clusters'", "supplied by the engine"]),
+            (dict(workload="layered_random", workload_params={"num_tasks": 24, "rng": 3}),
+             ["'workload_params'", "'rng'", "supplied by the engine"]),
+        ],
+    )
+    def test_unknown_params_name_axis_key_and_accepted(self, kwargs, fragments):
+        base = dict(workload="fft", workload_params={"points_log2": 2},
+                    topology="hypercube:2")
+        with pytest.raises(ScenarioError) as excinfo:
+            Scenario(**{**base, **kwargs})
+        for fragment in fragments:
+            assert fragment in str(excinfo.value)
+
+    def test_kwargs_factories_accept_any_param(self):
+        from repro.api.scenario import _keyword_names
+
+        def factory(size, **extra):
+            return None
+
+        assert _keyword_names(factory) is None
+        assert _keyword_names(MAPPERS.factory("tabu")) == {"iterations", "tenure"}
+
     def test_from_dict_rejects_unknown_and_missing_fields(self):
         with pytest.raises(ScenarioError, match="unknown scenario field"):
             Scenario.from_dict({"workload": "fft", "topology": "hypercube:2",
@@ -182,6 +214,19 @@ class TestGridExpansion:
         assert len(scenarios) == 4 + 1
         assert all(s.replicas == 2 for s in scenarios[:4])
         assert scenarios[-1].workload == "cholesky"
+
+    def test_expand_spec_rejects_misspelled_params(self):
+        spec = {"grid": {"workload": {"name": "fft", "params": {"points_log2": 2}},
+                         "topology": "hypercube:2",
+                         "mapper": ["critical", {"name": "tabu",
+                                                 "params": {"iteration": 5}}]}}
+        with pytest.raises(ScenarioError, match="'mapper_params'.*'iteration'"):
+            expand_spec(spec)
+        explicit = {"scenarios": [{"workload": "fft",
+                                   "workload_params": {"points": 2},
+                                   "topology": "hypercube:2"}]}
+        with pytest.raises(ScenarioError, match="'workload_params'.*'points'"):
+            expand_spec(explicit)
 
     def test_expand_spec_rejects_bad_shapes(self):
         with pytest.raises(ScenarioError, match="unknown sweep-spec key"):
@@ -262,6 +307,34 @@ class TestSweep:
         table = format_sweep(result.records)
         assert "mean total time" in table and "tabu[iterations=5]" in table
 
+    def test_rows_rank_by_percent_of_bound_not_raw_total(self):
+        """Each mapper draws its own instance, so raw totals are not
+        comparable across rows: 'big' has the larger total on a larger
+        graph but sits closer to its own bound."""
+
+        def record(mapper, total, bound):
+            return {"group": "g", "run": {"mapper_label": mapper},
+                    "outcome": {"total_time": total, "lower_bound": bound,
+                                "reached_lower_bound": total == bound}}
+
+        records = [record("small", 50, 40), record("big", 130, 120),
+                   record("middle", 90, 80)]
+        (_, rows), = summarize_sweep(records)
+        assert [row["mapper"] for row in rows] == ["big", "middle", "small"]
+        assert format_sweep(records).index("big") < format_sweep(records).index("small")
+
+    def test_group_key_is_key_without_mapper(self):
+        a = Scenario(workload="fft", workload_params={"points_log2": 2},
+                     topology="hypercube:2", mapper="tabu", metrics=["hop_bytes"])
+        b = Scenario(workload="fft", workload_params={"points_log2": 2},
+                     topology="hypercube:2", metrics=["hop_bytes"])
+        c = Scenario(workload="fft", workload_params={"points_log2": 2},
+                     topology="hypercube:2", metrics=["comm_volume"])
+        assert a.group_key() == b.group_key() != c.group_key()
+        assert a.key() != b.key()
+        assert "mapper=" not in a.group_key()
+        assert "metrics=hop_bytes" in a.group_key()
+
     def test_records_are_wall_clock_free(self, grid_and_reference):
         _, result, _ = grid_and_reference
         assert all("wall_time" not in r["outcome"] for r in result.records)
@@ -331,18 +404,3 @@ class TestSpecScalarValidation:
         }
         with pytest.raises(ScenarioError, match=fragment):
             expand_spec(spec)
-
-
-class TestAblationInstanceAxes:
-    def test_fixed_structure_workload_usable(self):
-        import numpy as np
-
-        from repro.experiments.ablations import _instances
-        from repro.topology import hypercube
-
-        gen = np.random.default_rng(1)
-        rows = list(_instances(
-            [hypercube(2)], 1, gen,
-            workload="fft", workload_params={"points_log2": 2},
-        ))
-        assert rows[0][1].graph.num_tasks == 12

@@ -234,6 +234,29 @@ class TestValidation:
         assert status == 400
         assert "unknown mapper" in payload["error"]
 
+    def test_misspelled_param_400_before_any_job(self, server):
+        _, before = request(server, "/jobs")
+        body = {"scenario": dict(SCENARIO, workload_params={"points_log": 3})}
+        status, payload = request(server, "/jobs", body)
+        assert status == 400
+        assert "'workload_params'" in payload["error"]
+        assert "'points_log'" in payload["error"]
+        _, after = request(server, "/jobs")
+        assert len(after["jobs"]) == len(before["jobs"])
+
+    def test_parse_job_body_rejects_misspelled_params(self):
+        from repro.api import ScenarioError
+        from repro.service.http import parse_job_body
+
+        scenario, replica = parse_job_body({"scenario": SCENARIO, "replica": 0})
+        assert scenario.workload_params == {"points_log2": 3} and replica == 0
+        for bad in (
+            dict(SCENARIO, mapper="tabu", mapper_params={"iteration": 5}),
+            dict(SCENARIO, clustering_params={"num_clusters": 4}),
+        ):
+            with pytest.raises(ScenarioError, match="_params'"):
+                parse_job_body(bad)
+
     def test_unknown_job_field_400(self, server):
         status, payload = request(
             server, "/jobs", {"scenario": SCENARIO, "priority": 3}
