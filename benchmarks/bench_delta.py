@@ -20,7 +20,8 @@ Two modes:
   topologies.  Every result is checked against
   :func:`repro.core.evaluate.total_time` on a shadow assignment (a stack
   that ``apply_swap`` pushes and ``revert`` pops), and the evaluator's
-  aggregates against the scalar oracle (:meth:`DeltaEvaluator.verify`)
+  end times against the independent validator
+  :func:`repro.core.validate.verify_times` (:meth:`DeltaEvaluator.verify`)
   after every step.  Exits 1 on any mismatch.  ``--json-out FILE``
   writes the report that ``benchmarks/check_budgets.py`` compares
   against ``benchmarks/budgets.json``.

@@ -14,6 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core.evaluate import Schedule
+from ..sim.machine import route_between
 
 __all__ = ["ScheduleMetrics", "compute_metrics", "format_metrics"]
 
@@ -43,7 +44,7 @@ class ScheduleMetrics:
         ``comm_volume / total_work``.
     stretched_edges:
         Number of inter-cluster problem edges whose message crossed more
-        than one system link.
+        than one system link (route hops, not weighted cost).
     """
 
     makespan: int
@@ -69,8 +70,13 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     mean_busy = busy.mean() if busy.size else 0.0
     imbalance = (busy.max() / mean_busy - 1.0) if mean_busy > 0 else 0.0
 
-    clus = clustered.clus_edge
-    stretched = int(((schedule.comm > clus) & (clus > 0)).sum())
+    # A route lists its endpoints: more than one link is more than two nodes.
+    host = schedule.assignment.placement[clustered.clustering.labels]
+    srcs, dsts = np.nonzero(clustered.clus_edge)
+    stretched = sum(
+        len(route_between(schedule.system, p, q)) > 2
+        for p, q in zip(host[srcs].tolist(), host[dsts].tolist())
+    )
 
     return ScheduleMetrics(
         makespan=makespan,

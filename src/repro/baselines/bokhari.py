@@ -17,6 +17,12 @@ after clustering (each abstract node is one "problem node" from his point
 of view).  Cardinality here counts *abstract* edges on system edges,
 weighted optionally — with ``weighted=False`` (default) it is exactly his
 count.
+
+Cardinality is the pairwise objective ``sum w[x, y] * A[p(x), p(y)]``
+with ``A`` the 0/1 adjacency ``system.sys_edge``, so the search runs on
+:class:`~repro.core.incremental.CommVolumeDelta` with that matrix as its
+metric; :func:`cardinality` is the closed-form recount it is checked
+against.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from ..core.abstract import AbstractGraph
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
-from ..core.incremental import CardinalityDelta
+from ..core.incremental import CommVolumeDelta
 from ..topology.base import SystemGraph
 from ..utils import as_rng
 
@@ -75,6 +81,7 @@ def bokhari_mapping(
     """
     gen = as_rng(rng)
     abstract = AbstractGraph(clustered)
+    pair_weights = abstract.weights if weighted else abstract.abs_edge
     n = system.num_nodes
     best: Assignment | None = None
     best_card = -1
@@ -83,10 +90,13 @@ def bokhari_mapping(
     for _ in range(max(1, restarts)):
         # Each candidate exchange is scored by its O(deg) cardinality
         # delta instead of the O(n^2) full recount.
-        evaluator = CardinalityDelta(
-            abstract, system, Assignment.random(n, rng=gen), weighted=weighted
+        evaluator = CommVolumeDelta(
+            pair_weights,
+            system,
+            Assignment.random(n, rng=gen),
+            metric=system.sys_edge,
         )
-        current_card = evaluator.cardinality
+        current_card = evaluator.volume
         evaluations += 1
         for _ in range(max_passes):
             improved = False

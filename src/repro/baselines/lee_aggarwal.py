@@ -57,12 +57,7 @@ def phases_by_level(graph: TaskGraph) -> list[list[tuple[int, int]]]:
     predecessors; all edges out of level-k tasks belong to phase k.
     Empty phases are dropped.
     """
-    n = graph.num_tasks
-    level = np.zeros(n, dtype=np.int64)
-    for t in graph.topological_order.tolist():
-        preds = graph.predecessors(t)
-        if preds.size:
-            level[t] = int(level[preds].max()) + 1
+    level = graph.schedule_plan().depth()
     buckets: dict[int, list[tuple[int, int]]] = {}
     for e in graph.edges():
         buckets.setdefault(int(level[e.src]), []).append((e.src, e.dst))

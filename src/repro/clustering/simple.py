@@ -86,11 +86,7 @@ class BandClusterer(Clusterer):
     ) -> Clustering:
         validate_request(graph, self.num_clusters)
         n, k = graph.num_tasks, self.num_clusters
-        depth = np.zeros(n, dtype=np.int64)
-        for t in graph.topological_order.tolist():
-            preds = graph.predecessors(t)
-            if preds.size:
-                depth[t] = int(depth[preds].max()) + 1
+        depth = graph.schedule_plan().depth()
         # Rank by (depth, id) and cut into k nearly equal bands; ranking
         # instead of raw depth keeps clusters non-empty even when the DAG
         # has fewer distinct depths than clusters.

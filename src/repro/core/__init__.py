@@ -12,7 +12,7 @@ from .clustered import ClusteredGraph, Clustering
 from .critical import CriticalityAnalysis, analyze_criticality
 from .evaluate import Schedule, evaluate_assignment, total_time
 from .ideal import IdealSchedule, ideal_schedule, lower_bound
-from .incremental import CardinalityDelta, CommVolumeDelta, DeltaEvaluator
+from .incremental import CommVolumeDelta, DeltaEvaluator
 from .listsched import ListSchedule, bottom_levels, list_schedule
 from .initial import initial_assignment
 from .mapper import CriticalEdgeMapper, MappingResult, map_graph
@@ -40,7 +40,6 @@ __all__ = [
     "FileReporter",
     "ClusteredGraph",
     "Clustering",
-    "CardinalityDelta",
     "CommVolumeDelta",
     "CriticalEdgeMapper",
     "CriticalityAnalysis",

@@ -12,6 +12,12 @@ no link contention, and no serialization of independent tasks sharing a
 processor (the discrete-event simulator in :mod:`repro.sim` offers
 higher-fidelity variants).
 
+:func:`evaluate_assignment` and :func:`total_time` run the same level
+sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) over the same
+per-edge costs; the independent checks are
+:func:`~repro.core.validate.verify_schedule` and the scalar recurrence
+the tests keep as their oracle.
+
 The returned :class:`Schedule` carries everything downstream consumers
 need (Gantt rendering, per-task slack, comparison against the ideal).
 """
@@ -96,20 +102,9 @@ def evaluate_assignment(
     clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
 ) -> Schedule:
     """Run the paper's algorithms I-III of Sec. 4.3.4 and build a Schedule."""
-    graph = clustered.graph
     comm = communication_matrix(clustered, system, assignment)
-    n = graph.num_tasks
-    sizes = graph.task_sizes
-
-    start = np.zeros(n, dtype=np.int64)
-    end = np.zeros(n, dtype=np.int64)
-    for t in graph.topological_order.tolist():
-        preds = graph.predecessors(t)
-        s = 0
-        if preds.size:
-            s = int((end[preds] + comm[preds, t]).max())
-        start[t] = s
-        end[t] = s + sizes[t]
+    end = _finish_times(clustered, system, assignment)
+    start = end - clustered.graph.task_sizes
 
     comm.flags.writeable = False
     start.flags.writeable = False
@@ -130,13 +125,19 @@ def total_time(
 ) -> int:
     """Makespan only — the hot path of the refinement loop.
 
-    Same recurrence as :func:`evaluate_assignment` (bit-identical result)
-    but vectorized: tasks are processed level by level over the graph's
-    cached :class:`~repro.core.taskgraph.SchedulePlan`, each level one
-    gather plus a segmented max, and the O(np^2) communication matrix is
-    never built — per-edge costs come straight from the clustered CSR
-    weights and the topology distance matrix.
+    The sweep of :func:`evaluate_assignment` without the O(np^2)
+    communication matrix.
     """
+    return int(_finish_times(clustered, system, assignment).max())
+
+
+def _finish_times(
+    clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
+) -> np.ndarray:
+    """End time per task: one level sweep over the cached
+    :class:`~repro.core.taskgraph.SchedulePlan`, each level one gather
+    plus a segmented max, with per-edge costs taken straight from the
+    clustered CSR weights and the topology distance matrix."""
     if clustered.num_clusters != system.num_nodes:
         raise MappingError(
             f"{clustered.num_clusters} clusters cannot map onto "
@@ -150,7 +151,5 @@ def total_time(
     graph = clustered.graph
     plan = graph.schedule_plan()
     hosts = assignment.placement[clustered.clustering.labels]
-    dist = system.shortest
-    cost = clustered.plan_weights() * dist[hosts[plan.src], hosts[plan.dst]]
-    end = sweep_finish_times(plan, graph.task_sizes, cost)
-    return int(end.max())
+    cost = clustered.plan_weights() * system.shortest[hosts[plan.src], hosts[plan.dst]]
+    return sweep_finish_times(plan, graph.task_sizes, cost)

@@ -14,6 +14,11 @@ schedule is the paper's **lower bound** (Theorem 3): no assignment onto
 the real topology can finish earlier, and any assignment matching it is
 optimal — that is the refinement termination condition.
 
+Both :func:`ideal_schedule` and :func:`lower_bound` compute ``i_end`` by
+the one level sweep (:func:`~repro.core.taskgraph.sweep_finish_times`)
+with the clustered weight as the edge cost; the scalar form of the
+recurrence lives in the tests as the oracle.
+
 The *ideal edge matrix* ``i_edge[j][i] = i_start[i] - i_end[j]`` (for
 problem edges) records per-edge slack and feeds the critical-edge
 analysis: an edge with ``i_edge == clus_edge`` has no slack.
@@ -80,22 +85,13 @@ def ideal_schedule(clustered: ClusteredGraph) -> IdealSchedule:
     """Derive the ideal schedule (paper Sec. 4.1, algorithms I–III).
 
     The paper's algorithm I visits tasks whose predecessors are all done;
-    that is a topological sweep, which :class:`TaskGraph` precomputes.
+    the schedule plan groups them into exactly those waves, so algorithm
+    II is one level sweep (:func:`_ideal_end`).
     """
     graph = clustered.graph
     n = graph.num_tasks
-    clus = clustered.clus_edge
-    sizes = graph.task_sizes
-
-    i_start = np.zeros(n, dtype=np.int64)
-    i_end = np.zeros(n, dtype=np.int64)
-    for t in graph.topological_order.tolist():
-        preds = graph.predecessors(t)
-        start = 0
-        if preds.size:
-            start = int((i_end[preds] + clus[preds, t]).max())
-        i_start[t] = start
-        i_end[t] = start + sizes[t]
+    i_end = _ideal_end(clustered)
+    i_start = i_end - graph.task_sizes
 
     # Algorithm III: i_edge[j][i] = i_start[i] - i_end[j] on problem edges.
     mask = graph.prob_edge > 0
@@ -118,12 +114,15 @@ def ideal_schedule(clustered: ClusteredGraph) -> IdealSchedule:
 def lower_bound(clustered: ClusteredGraph) -> int:
     """The paper's lower bound: the ideal-graph makespan (algorithm II).
 
-    Vectorized fast path: the same recurrence as :func:`ideal_schedule`
-    swept level by level over the cached schedule plan, without building
-    the O(np^2) ``i_edge`` matrix — usable on 100k-task instances where
-    the full :class:`IdealSchedule` is not.
+    The same sweep as :func:`ideal_schedule` without the O(np^2)
+    ``i_edge`` matrix — usable on 100k-task instances where the full
+    :class:`IdealSchedule` is not.
     """
+    return int(_ideal_end(clustered).max())
+
+
+def _ideal_end(clustered: ClusteredGraph) -> np.ndarray:
+    """``i_end`` per task: the level sweep with clustered edge weights."""
     graph = clustered.graph
     plan = graph.schedule_plan()
-    end = sweep_finish_times(plan, graph.task_sizes, clustered.plan_weights())
-    return int(end.max())
+    return sweep_finish_times(plan, graph.task_sizes, clustered.plan_weights())

@@ -8,23 +8,24 @@ swap.  :class:`DeltaEvaluator` is the evaluator their inner loops run on:
   and the graph's cached :class:`~repro.core.taskgraph.SchedulePlan`;
 * the current schedule's end times, computed by one vectorized level
   sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) per probe or
-  commit — the paper's total-time recurrence of Sec. 4.3.4, exact and
-  bit-for-bit equal to :func:`~repro.core.evaluate.evaluate_assignment`;
-* per-processor load aggregates and per-cluster-pair communication
-  aggregates, answering the communication-volume change of a swap in
-  O(deg) (:meth:`~DeltaEvaluator.delta_comm_volume`);
+  commit — the paper's total-time recurrence of Sec. 4.3.4, the same
+  sweep :func:`~repro.core.evaluate.evaluate_assignment` runs;
 * ``probe_*`` (evaluate without committing), :meth:`~DeltaEvaluator.swap`
   (commit), :meth:`~DeltaEvaluator.apply_swap` /
   :meth:`~DeltaEvaluator.revert` (commit with an undo stack), and
   :meth:`~DeltaEvaluator.evaluate` — rebase onto any assignment without
   the O(V^2) communication matrix (used by population methods).
 
-:class:`CommVolumeDelta` keeps only the communication-volume aggregate
-(plus a gain table for batched swap deltas), and :class:`CardinalityDelta`
-applies the same O(deg) treatment to Bokhari's cardinality objective.
-All three are checked against the scalar oracles in
-:mod:`repro.core.evaluate` and :mod:`repro.core.validate` on random move
-sequences (``tests/test_delta.py``, ``tests/test_csr.py``,
+:class:`CommVolumeDelta` is the one incremental evaluator of a pairwise
+swap objective ``sum w[x, y] * metric[p(x), p(y)]``: hop-weighted
+communication volume by default (the multilevel refinement), Bokhari's
+cardinality with the 0/1 adjacency as the metric, or any registered
+metric's ``pair_matrix``.  The oracles they are checked against share no
+code with them: :func:`~repro.core.validate.verify_times` for the end
+times (:meth:`DeltaEvaluator.verify`), and closed-form recounts such as
+:meth:`~repro.core.evaluate.Schedule.communication_volume` and
+:func:`~repro.baselines.bokhari.cardinality` for the pairwise objectives
+(``tests/test_delta.py``, ``tests/test_csr.py``,
 ``benchmarks/bench_delta.py --smoke``).
 """
 
@@ -34,44 +35,11 @@ import numpy as np
 
 from ..topology.base import SystemGraph
 from ..utils import MappingError
-from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph
 from .taskgraph import sweep_finish_times
 
-__all__ = [
-    "CardinalityDelta",
-    "CommVolumeDelta",
-    "DeltaEvaluator",
-]
-
-
-def _pair_swap_delta(
-    placement: np.ndarray,
-    nbrs_list: list[np.ndarray],
-    nbr_w_list: list[np.ndarray],
-    metric: np.ndarray,
-    cluster_a: int,
-    cluster_b: int,
-) -> int:
-    """O(deg) change of an additive pairwise objective under a swap.
-
-    The objective is ``sum over cluster pairs {x, y} of w[x, y] *
-    metric[placement[x], placement[y]]`` with a *symmetric* metric
-    (hop distances, link adjacency, ...), so only the moved clusters'
-    neighbor terms change and the (a, b) term cancels.
-    """
-    pa, pb = int(placement[cluster_a]), int(placement[cluster_b])
-    delta = 0
-    for c, p_new, p_old in ((cluster_a, pb, pa), (cluster_b, pa, pb)):
-        nbrs = nbrs_list[c]
-        if not nbrs.size:
-            continue
-        mask = (nbrs != cluster_a) & (nbrs != cluster_b)
-        px = placement[nbrs[mask]]
-        w = nbr_w_list[c][mask]
-        delta += int((w * (metric[p_new, px] - metric[p_old, px])).sum())
-    return delta
+__all__ = ["CommVolumeDelta", "DeltaEvaluator"]
 
 
 class DeltaEvaluator:
@@ -100,7 +68,6 @@ class DeltaEvaluator:
         self._clustered = clustered
         self._system = system
         graph = clustered.graph
-        na = clustered.num_clusters
         labels = clustered.clustering.labels
         self._sizes = np.asarray(graph.task_sizes, dtype=np.int64)
         self._dist = np.ascontiguousarray(system.shortest)
@@ -111,21 +78,7 @@ class DeltaEvaluator:
         self._plan_w = clustered.plan_weights()
         self._plan_src = labels[self._plan.src]
         self._plan_dst = labels[self._plan.dst]
-        # Per-cluster-pair communication aggregates (both edge orientations
-        # summed, as in AbstractGraph.weights) for O(deg) volume deltas.
-        srcs, dsts, _ = graph.edge_arrays()
-        cout = clustered.cross_out_weights
-        cross = cout > 0
-        w = np.zeros((na, na), dtype=np.int64)
-        np.add.at(w, (labels[srcs[cross]], labels[dsts[cross]]), cout[cross])
-        w = w + w.T
-        self._abs_nbrs = [np.flatnonzero(w[c]) for c in range(na)]
-        self._abs_nbr_w = [w[c, self._abs_nbrs[c]] for c in range(na)]
-        self._iu = np.triu_indices(na, 1)
-        self._w_iu = w[self._iu]
-        # Per-processor load aggregate source: total task work per cluster.
-        self._cluster_work = clustered.clustering.load(graph)
-        self._undo: list[tuple[int, int, np.ndarray, int, int]] = []
+        self._undo: list[tuple[int, int, np.ndarray, int]] = []
         self._rebase(assignment)
 
     # ------------------------------------------------------------------
@@ -140,20 +93,9 @@ class DeltaEvaluator:
         """Makespan of the current assignment (the paper's objective)."""
         return self._makespan
 
-    @property
-    def comm_volume(self) -> int:
-        """Total hop-weighted communication of the current assignment
-        (equals ``Schedule.communication_volume()``)."""
-        return self._comm_volume
-
     def end_times(self) -> np.ndarray:
         """Current end times (copy)."""
         return self._end.copy()
-
-    def loads(self) -> np.ndarray:
-        """Per-processor load aggregate: total task work hosted on each
-        system node (copy; equals ``Schedule.processor_busy_time()``)."""
-        return self._load.copy()
 
     # ------------------------------------------------------------------
     # Schedule sweep and full (re-)evaluation
@@ -168,10 +110,10 @@ class DeltaEvaluator:
     def evaluate(self, assignment: Assignment) -> int:
         """Rebase onto ``assignment`` and return its makespan.
 
-        One level sweep plus an O(na^2) volume sum — no O(V^2)
-        communication matrix.  This is the fast path for moves that
-        change many clusters at once (population methods, random
-        re-placement).  Clears the undo stack.
+        One level sweep — no O(V^2) communication matrix.  This is the
+        fast path for moves that change many clusters at once
+        (population methods, random re-placement).  Clears the undo
+        stack.
         """
         self._rebase(assignment)
         return self._makespan
@@ -184,41 +126,19 @@ class DeltaEvaluator:
             )
         self._placement = assignment.placement.copy()
         self._assi = assignment.assi.copy()
-        self._load = np.zeros(self._system.num_nodes, dtype=np.int64)
-        self._load[self._placement] = self._cluster_work
         self._end = self._finish_times(self._placement)
         self._makespan = int(self._end.max())
-        p = self._placement
-        self._comm_volume = int(
-            (self._w_iu * self._dist[p[self._iu[0]], p[self._iu[1]]]).sum()
-        )
         self._undo.clear()
 
     # ------------------------------------------------------------------
     # Moves
     # ------------------------------------------------------------------
     def _exchange(self, cluster_a: int, cluster_b: int) -> None:
-        """Exchange the two clusters' processors in the placement and
-        load state (its own inverse)."""
+        """Exchange the two clusters' processors (its own inverse)."""
         p = self._placement
         pa, pb = int(p[cluster_a]), int(p[cluster_b])
         p[cluster_a], p[cluster_b] = pb, pa
         self._assi[pa], self._assi[pb] = self._assi[pb], self._assi[pa]
-        self._load[pa], self._load[pb] = self._load[pb], self._load[pa]
-
-    def delta_comm_volume(self, cluster_a: int, cluster_b: int) -> int:
-        """Communication-volume change if the two clusters swapped
-        processors, in O(deg(a) + deg(b)) from the cluster aggregates."""
-        if cluster_a == cluster_b:
-            return 0
-        return _pair_swap_delta(
-            self._placement,
-            self._abs_nbrs,
-            self._abs_nbr_w,
-            self._dist,
-            cluster_a,
-            cluster_b,
-        )
 
     def probe_swap(self, cluster_a: int, cluster_b: int) -> int:
         """Makespan after a hypothetical swap; state is left unchanged."""
@@ -252,10 +172,9 @@ class DeltaEvaluator:
 
     def _commit(
         self, cluster_a: int, cluster_b: int
-    ) -> tuple[int, int, np.ndarray, int, int]:
-        frame = (cluster_a, cluster_b, self._end, self._makespan, self._comm_volume)
+    ) -> tuple[int, int, np.ndarray, int]:
+        frame = (cluster_a, cluster_b, self._end, self._makespan)
         if cluster_a != cluster_b:
-            self._comm_volume += self.delta_comm_volume(cluster_a, cluster_b)
             self._exchange(cluster_a, cluster_b)
             self._end = self._finish_times(self._placement)
             self._makespan = int(self._end.max())
@@ -265,10 +184,10 @@ class DeltaEvaluator:
         """Undo the most recent :meth:`apply_swap`; returns the makespan."""
         if not self._undo:
             raise MappingError("revert() without a matching apply_swap()")
-        cluster_a, cluster_b, end, makespan, volume = self._undo.pop()
+        cluster_a, cluster_b, end, makespan = self._undo.pop()
         if cluster_a != cluster_b:
             self._exchange(cluster_a, cluster_b)
-        self._end, self._makespan, self._comm_volume = end, makespan, volume
+        self._end, self._makespan = end, makespan
         return self._makespan
 
     # Move variants: "cluster c onto processor p" under the bijection means
@@ -288,17 +207,23 @@ class DeltaEvaluator:
 
     # ------------------------------------------------------------------
     def verify(self) -> bool:
-        """Cross-check every aggregate against the plain oracle
-        (:mod:`repro.core.evaluate`); used by tests and the bench smoke."""
-        from .evaluate import evaluate_assignment
+        """Check the current end times and makespan against the
+        independent validator (:func:`~repro.core.validate.verify_times`,
+        which shares no code with the sweep); used by tests and the bench
+        smoke."""
+        from .validate import ScheduleViolation, verify_times
 
-        schedule = evaluate_assignment(self._clustered, self._system, self.assignment)
-        return (
-            self._makespan == schedule.total_time
-            and np.array_equal(self._end, schedule.end)
-            and self._comm_volume == schedule.communication_volume()
-            and np.array_equal(self._load, schedule.processor_busy_time())
-        )
+        try:
+            verify_times(
+                self._clustered,
+                self._system,
+                self.assignment,
+                self._end - self._sizes,
+                self._end,
+            )
+        except ScheduleViolation:
+            return False
+        return self._makespan == int(self._end.max())
 
 
 class CommVolumeDelta:
@@ -306,15 +231,17 @@ class CommVolumeDelta:
 
     Maintains ``sum over cluster pairs {x, y} of w[x, y] *
     dist(host(x), host(y))`` for a symmetric pairwise weight matrix and
-    answers swap deltas in O(deg(a) + deg(b)) — the same aggregate
-    :class:`DeltaEvaluator` tracks as ``comm_volume``, without any of
-    its schedule state.  This is the evaluator for search loops that
-    optimize communication volume alone (the multilevel refinement),
-    where sweeping the schedule on every commit would be pure overhead.
+    answers swap deltas in O(deg(a) + deg(b)) — the number
+    :meth:`~repro.core.evaluate.Schedule.communication_volume` gives,
+    without any schedule state.  This is the evaluator for search loops
+    that optimize a pairwise objective alone (the multilevel refinement,
+    Bokhari's cardinality search), where sweeping the schedule on every
+    commit would be pure overhead.
 
     ``metric`` generalizes the pairwise matrix: by default it is the
     topology's hop-distance matrix (the paper's objective), but any
-    symmetric integer ``ns x ns`` matrix works — the hook that lets
+    symmetric integer ``ns x ns`` matrix works — the 0/1 adjacency
+    ``system.sys_edge`` turns the volume into Bokhari's cardinality, and
     registered analytic metrics with a ``pair_matrix`` drive the same
     O(deg) refinement loop.  It must be integer because the gain table
     behind :meth:`delta_swaps` regroups sums, which is exact only in
@@ -391,12 +318,25 @@ class CommVolumeDelta:
         return self._assi
 
     def delta_swap(self, cluster_a: int, cluster_b: int) -> int:
-        """Volume change if the two clusters swapped processors."""
+        """Volume change if the two clusters swapped processors.
+
+        The metric is symmetric, so only the moved clusters' neighbor
+        terms change and the (a, b) term cancels.
+        """
         if cluster_a == cluster_b:
             return 0
-        return _pair_swap_delta(
-            self._placement, self._nbrs, self._nbr_w, self._dist, cluster_a, cluster_b
-        )
+        placement, metric = self._placement, self._dist
+        pa, pb = int(placement[cluster_a]), int(placement[cluster_b])
+        delta = 0
+        for c, p_new, p_old in ((cluster_a, pb, pa), (cluster_b, pa, pb)):
+            nbrs = self._nbrs[c]
+            if not nbrs.size:
+                continue
+            mask = (nbrs != cluster_a) & (nbrs != cluster_b)
+            px = placement[nbrs[mask]]
+            w = self._nbr_w[c][mask]
+            delta += int((w * (metric[p_new, px] - metric[p_old, px])).sum())
+        return delta
 
     def delta_swaps(self, cluster: int, procs: np.ndarray) -> np.ndarray:
         """Vector of :meth:`delta_swap` values for swapping ``cluster``
@@ -469,63 +409,3 @@ class CommVolumeDelta:
         p[cluster_a], p[cluster_b] = pb, pa
         self._assi[pa], self._assi[pb] = self._assi[pb], self._assi[pa]
         return self._volume
-
-
-class CardinalityDelta:
-    """Incremental evaluation of Bokhari's cardinality objective.
-
-    Maintains the number (or total weight, with ``weighted=True``) of
-    abstract edges mapped onto system links and answers swap deltas in
-    O(deg(a) + deg(b)) — the counterpart of :class:`DeltaEvaluator` for
-    the cardinality-driven baseline.
-    """
-
-    def __init__(
-        self,
-        abstract: AbstractGraph,
-        system: SystemGraph,
-        assignment: Assignment,
-        weighted: bool = False,
-    ) -> None:
-        na = abstract.num_nodes
-        if na != system.num_nodes:
-            raise MappingError(
-                f"{na} abstract nodes cannot map onto {system.num_nodes} system nodes"
-            )
-        if assignment.size != na:
-            raise MappingError(
-                f"assignment covers {assignment.size} nodes, system has {na}"
-            )
-        m = np.asarray(abstract.weights if weighted else abstract.abs_edge)
-        self._adj = np.ascontiguousarray(system.sys_edge)
-        self._nbrs = [np.flatnonzero(m[c]) for c in range(na)]
-        self._nbr_w = [m[c, self._nbrs[c]] for c in range(na)]
-        self._placement = assignment.placement.copy()
-        iu = np.triu_indices(na, 1)
-        p = self._placement
-        self._card = int((m[iu] * (self._adj[p[iu[0]], p[iu[1]]] > 0)).sum())
-
-    @property
-    def cardinality(self) -> int:
-        return self._card
-
-    @property
-    def assignment(self) -> Assignment:
-        return Assignment.from_placement(self._placement)
-
-    def delta_swap(self, cluster_a: int, cluster_b: int) -> int:
-        """Cardinality change if the two clusters swapped processors."""
-        if cluster_a == cluster_b:
-            return 0
-        return _pair_swap_delta(
-            self._placement, self._nbrs, self._nbr_w, self._adj, cluster_a, cluster_b
-        )
-
-    def swap(self, cluster_a: int, cluster_b: int) -> int:
-        """Commit a swap; returns the new cardinality."""
-        if cluster_a == cluster_b:
-            return self._card
-        self._card += self.delta_swap(cluster_a, cluster_b)
-        p = self._placement
-        p[cluster_a], p[cluster_b] = int(p[cluster_b]), int(p[cluster_a])
-        return self._card

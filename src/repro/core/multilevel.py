@@ -35,9 +35,8 @@ repo's existing primitives end to end:
   :func:`refine_comm_volume` runs KL/FM-style boundary refinement on
   top of the O(deg) probe/commit machinery from
   :mod:`repro.core.incremental`
-  (:class:`~repro.core.incremental.CommVolumeDelta`, the comm-volume
-  aggregate of :class:`~repro.core.incremental.DeltaEvaluator` without
-  the schedule state this loop never reads), committing only swaps
+  (:class:`~repro.core.incremental.CommVolumeDelta`, which keeps the
+  pairwise volume sum and no schedule state), committing only swaps
   that strictly reduce the hop-weighted communication volume.
 
 Communication volume is *exactly* representable at every level of the

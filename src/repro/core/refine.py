@@ -71,8 +71,8 @@ def critical_abstract_nodes(
     """Boolean mask of *critical abstract nodes* (paper definition 5).
 
     An abstract node is critical iff some incident critical abstract edge
-    is mapped onto a single system edge (hosts at distance 1).  These are
-    the nodes refinement must not move.
+    is mapped onto a single system edge (adjacent hosts, whatever the
+    link's cost).  These are the nodes refinement must not move.
     """
     c_abs = analysis.c_abs_edge
     na = c_abs.shape[0]
@@ -80,7 +80,7 @@ def critical_abstract_nodes(
     hosts = assignment.placement
     srcs, dsts = np.nonzero(np.triu(c_abs, 1))
     for a, b in zip(srcs.tolist(), dsts.tolist()):
-        if system.shortest[hosts[a], hosts[b]] == 1:
+        if system.sys_edge[hosts[a], hosts[b]]:
             pinned[a] = pinned[b] = True
     return pinned
 

@@ -73,6 +73,18 @@ class SchedulePlan:
     def num_levels(self) -> int:
         return self.level_ptr.size - 1
 
+    def depth(self) -> np.ndarray:
+        """Level of every task: its longest predecessor chain, in edges.
+
+        Kahn's frontiers are exactly the longest-path layers, so this is
+        the plan's own grouping read back per task.
+        """
+        depth = np.empty(self.order.size, dtype=np.int64)
+        depth[self.order] = np.repeat(
+            np.arange(self.num_levels, dtype=np.int64), np.diff(self.level_ptr)
+        )
+        return depth
+
 
 def sweep_finish_times(
     plan: SchedulePlan, sizes: np.ndarray, edge_cost: np.ndarray
@@ -80,9 +92,11 @@ def sweep_finish_times(
     """Finish time per task under ``start[t] = max(end[src] + cost(edge))``.
 
     ``edge_cost`` must be aligned with ``plan.src``/``plan.dst`` (apply
-    ``plan.eperm`` to in-CSR-ordered per-edge data first).  Bit-identical
-    to the scalar topological recurrence: all arithmetic stays in int64
-    and max over an empty predecessor set is 0.
+    ``plan.eperm`` to in-CSR-ordered per-edge data first).  This is the
+    only implementation of the recurrence: the ideal schedule, the lower
+    bound, every assignment's schedule and the delta evaluator all run
+    it.  All arithmetic stays in int64 and max over an empty predecessor
+    set is 0.
     """
     end = np.zeros(sizes.size, dtype=np.int64)
     order, level_ptr, eptr = plan.order, plan.level_ptr, plan.eptr

@@ -58,10 +58,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: ServiceHTTPServer
+class JsonHandler(BaseHTTPRequestHandler):
+    """JSON plumbing shared by the shard front-end and the gateway.
 
-    # -- helpers --------------------------------------------------------
+    Responses are sorted-key JSON with an exact ``Content-Length``;
+    request bodies are bounded at 16 MiB; the server's ``quiet`` flag
+    silences the per-request log line.
+    """
 
     def _send(
         self,
@@ -81,17 +84,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})
 
-    def _read_json(self) -> Any:
+    def _read_json(self) -> tuple[bytes, Any]:
+        """The raw request body and its parsed JSON (``ValueError`` on an
+        empty, oversized or malformed body)."""
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise ValueError("request body is empty; send a JSON object")
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+        raw = self.rfile.read(length)
+        return raw, json.loads(raw.decode("utf-8"))
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.server.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
+
+
+class _Handler(JsonHandler):
+    server: ServiceHTTPServer
 
     # -- routes ---------------------------------------------------------
 
@@ -150,7 +160,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no route for POST {self.path!r}")
             return
         try:
-            body = self._read_json()
+            _, body = self._read_json()
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")
             return

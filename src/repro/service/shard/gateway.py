@@ -37,17 +37,17 @@ import re
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlsplit
 
 from ...utils import MappingError
 from ..fingerprint import scenario_fingerprint
+from ..http import JsonHandler, parse_job_body
 from .keyspace import KeyspaceSlice, shard_for_fingerprint
 
 __all__ = ["GatewayHTTPServer", "ShardUnreachableError", "make_gateway"]
 
-_MAX_BODY = 16 * 1024 * 1024
 _GATEWAY_ID = re.compile(r"s(\d+)\.(.+)")
 
 
@@ -143,32 +143,10 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         )
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(JsonHandler):
     server: GatewayHTTPServer
 
     # -- helpers --------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._send(status, {"error": message})
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
 
     def _gateway_id(self, index: int, job_id: str) -> str:
         return f"s{index}.{job_id}"
@@ -194,19 +172,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._error(404, f"no route for GET {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        from ..http import parse_job_body
-
         if urlsplit(self.path).path.rstrip("/") != "/jobs":
             self._error(404, f"no route for POST {self.path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
-                raise ValueError("request body is empty; send a JSON object")
-            if length > _MAX_BODY:
-                raise ValueError(f"request body too large ({length} bytes)")
-            raw = self.rfile.read(length)
-            body = json.loads(raw.decode("utf-8"))
+            raw, body = self._read_json()
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")
             return
@@ -286,16 +256,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         self._error(502, "no shard reachable for the registry listing")
 
-    def _stats(self) -> None:
-        """Fan ``GET /stats`` out to every shard and aggregate.
+    def _fleet_snapshot(self, name: str, up: str) -> dict[str, Any]:
+        """Fan ``GET /<name>`` out to every shard and aggregate.
 
-        Same totals as ``/health`` (the shard body is the same service
-        snapshot), but under its canonical name and without the
-        liveness framing — per-shard entries carry ``stats`` instead of
-        ``health``.
+        Each per-shard entry carries the shard's body under ``name`` and
+        whether it answered 200 under ``up``; the fleet body counts those
+        shards as ``<up>_shards`` and sums their totals.
         """
         shards: list[dict[str, Any]] = []
-        reachable = 0
+        answered = 0
         totals = {
             "executed": 0,
             "jobs": 0,
@@ -310,15 +279,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 "slice": self.server.slices[index].to_dict(),
             }
             try:
-                status, payload, _ = self.server.forward(index, "GET", "/stats")
+                status, payload, _ = self.server.forward(index, "GET", f"/{name}")
             except ShardUnreachableError as exc:
-                entry["reachable"] = False
+                entry[up] = False
                 entry["error"] = str(exc)
             else:
-                entry["reachable"] = status == 200
-                entry["stats"] = payload
+                entry[up] = status == 200
+                entry[name] = payload
                 if status == 200 and isinstance(payload, dict):
-                    reachable += 1
+                    answered += 1
                     totals["executed"] += payload.get("executed", 0)
                     totals["jobs"] += payload.get("jobs", {}).get("total", 0)
                     queue = payload.get("queue", {})
@@ -327,16 +296,20 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     store = payload.get("store") or {}
                     totals["store_records"] += store.get("records", 0)
             shards.append(entry)
-        self._send(
-            200,
-            {
-                "role": "gateway",
-                "shard_count": len(shards),
-                "reachable_shards": reachable,
-                "totals": totals,
-                "shards": shards,
-            },
-        )
+        return {
+            "role": "gateway",
+            "shard_count": len(shards),
+            f"{up}_shards": answered,
+            "totals": totals,
+            "shards": shards,
+        }
+
+    def _stats(self) -> None:
+        """``GET /stats``: the same totals as ``/health`` under the
+        canonical name, without the liveness framing — per-shard entries
+        carry ``stats`` and ``reachable`` instead of ``health`` and
+        ``healthy``, and there is no ``status`` field."""
+        self._send(200, self._fleet_snapshot("stats", "reachable"))
 
     def _recommend(self) -> None:
         """Merge every shard's learned default into one fleet answer."""
@@ -382,50 +355,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send(200, merged)
 
     def _health(self) -> None:
-        shards: list[dict[str, Any]] = []
-        healthy = 0
-        totals = {
-            "executed": 0,
-            "jobs": 0,
-            "queue_depth": 0,
-            "queue_active": 0,
-            "store_records": 0,
-        }
-        for index, address in enumerate(self.server.shards):
-            entry: dict[str, Any] = {
-                "shard": index,
-                "address": address,
-                "slice": self.server.slices[index].to_dict(),
-            }
-            try:
-                status, payload, _ = self.server.forward(index, "GET", "/health")
-            except ShardUnreachableError as exc:
-                entry["healthy"] = False
-                entry["error"] = str(exc)
-            else:
-                entry["healthy"] = status == 200
-                entry["health"] = payload
-                if status == 200 and isinstance(payload, dict):
-                    healthy += 1
-                    totals["executed"] += payload.get("executed", 0)
-                    totals["jobs"] += payload.get("jobs", {}).get("total", 0)
-                    queue = payload.get("queue", {})
-                    totals["queue_depth"] += queue.get("depth", 0)
-                    totals["queue_active"] += queue.get("active", 0)
-                    store = payload.get("store") or {}
-                    totals["store_records"] += store.get("records", 0)
-            shards.append(entry)
-        self._send(
-            200,
-            {
-                "role": "gateway",
-                "status": "ok" if healthy == len(shards) else "degraded",
-                "shard_count": len(shards),
-                "healthy_shards": healthy,
-                "totals": totals,
-                "shards": shards,
-            },
-        )
+        body = self._fleet_snapshot("health", "healthy")
+        healthy = body["healthy_shards"] == body["shard_count"]
+        body["status"] = "ok" if healthy else "degraded"
+        self._send(200, body)
 
 
 def make_gateway(

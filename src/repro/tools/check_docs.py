@@ -1,6 +1,6 @@
-"""Documentation gate: links, registry coverage, citations, commands.
+"""Documentation gate: links, registry coverage, citations, commands, names.
 
-Four checks, all against the working tree (run from the repo root, as
+Five checks, all against the working tree (run from the repo root, as
 the CI ``docs`` job does):
 
 1. every intra-repo markdown link in ``README.md`` and ``docs/**/*.md``
@@ -14,7 +14,13 @@ the CI ``docs`` job does):
 4. every ``mimdmap <cmd>`` / ``python -m repro <cmd>`` in ``README.md``,
    ``docs/**/*.md`` and ``.claude/skills/verify/SKILL.md`` names a
    subcommand the CLI defines, and every ``specs/*.json`` path they
-   cite exists — a removed command or spec cannot linger in the docs.
+   cite exists — a removed command or spec cannot linger in the docs;
+5. every ``repro.…`` name imports and resolves, where it is named by a
+   Sphinx role (``:class:``, ``:func:``, ``:meth:``, ``:mod:``,
+   ``:attr:``, ``:data:``, ``:exc:``) in ``src/``, ``tests/`` or
+   ``benchmarks/*.py``, or backticked in ``README.md``, ``docs/**/*.md``
+   or ``.claude/skills/verify/SKILL.md`` — a deleted or renamed name
+   cannot linger as a dangling cross-reference.
 
 Exit codes follow ``mimdmap lint``: 0 clean, 1 findings, 2 usage error.
 No dependencies beyond the package itself.
@@ -23,6 +29,7 @@ No dependencies beyond the package itself.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -45,6 +52,17 @@ _CITED_MD_RE = re.compile(r"(?<![\w./*:-])((?:[\w.-]+/)*[\w-]+\.md)(?![\w/])")
 _COMMAND_RE = re.compile(r"(?:\bmimdmap|python -m repro)[ \t]+([a-z][a-z0-9_-]*)")
 _SHELL_COMMENT_RE = re.compile(r"\s#\s.*$")
 _SPEC_PATH_RE = re.compile(r"(?<![\w/])(specs/[\w./-]+\.json)")
+_DOTTED = r"repro(?:\.[A-Za-z_]\w*)+"
+# A Sphinx cross-reference to a package name:
+# :class:`~repro.core.DeltaEvaluator`,
+# :meth:`swap <repro.core.DeltaEvaluator.swap>`.  Relative targets
+# (:func:`total_time`) are not checked.
+_ROLE_RE = re.compile(
+    rf":(?:class|func|meth|mod|attr|data|exc):`(?:[^`<]*<)?[~!]?({_DOTTED})>?`"
+)
+# A code span holding just a package name, or a call of one:
+# `repro.core.DeltaEvaluator`, `repro.solve(...)`.
+_DOC_NAME_RE = re.compile(rf"`({_DOTTED})(?:\((?:\.\.\.)?\))?`")
 
 
 def _slugify(heading: str) -> str:
@@ -181,6 +199,54 @@ def _check_commands(root: Path, problems: list[str]) -> None:
                     problems.append(f"{rel_source}:{lineno}: cites missing {spec}")
 
 
+def _resolves(name: str) -> bool:
+    """Whether dotted ``name`` imports: its longest importable module
+    prefix, then attributes."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for index in range(split, len(parts)):
+            attr = parts[index]
+            if hasattr(obj, attr):
+                obj = getattr(obj, attr)
+                continue
+            # A dataclass field or other annotated class attribute has no
+            # class-level value, so it can only end the name.
+            return (
+                index == len(parts) - 1
+                and isinstance(obj, type)
+                and any(attr in vars(c).get("__annotations__", {}) for c in obj.__mro__)
+            )
+        return True
+    return False
+
+
+def _check_references(root: Path, problems: list[str]) -> None:
+    sources = sorted((root / "src").rglob("*.py"))
+    sources += sorted((root / "tests").rglob("*.py"))
+    sources += sorted((root / "benchmarks").glob("*.py"))
+    docs = _markdown_files(root)
+    skill = root / ".claude/skills/verify/SKILL.md"
+    if skill.is_file():
+        docs.append(skill)
+    seen: dict[str, bool] = {}
+    for pattern, files in ((_ROLE_RE, sources), (_DOC_NAME_RE, docs)):
+        for source in files:
+            text = source.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in pattern.findall(line):
+                    if name not in seen:
+                        seen[name] = _resolves(name)
+                    if not seen[name]:
+                        rel_source = source.relative_to(root)
+                        problems.append(
+                            f"{rel_source}:{lineno}: dangling reference {name}"
+                        )
+
+
 def check_docs(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     problems: list[str] = []
@@ -192,6 +258,7 @@ def check_docs(root: Path) -> list[str]:
     _check_names(root, problems)
     _check_citations(root, problems)
     _check_commands(root, problems)
+    _check_references(root, problems)
     return problems
 
 
@@ -215,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         "docs clean: links resolve, registry names covered, citations exist, "
-        "commands and specs are current"
+        "commands and specs are current, cross-references resolve"
     )
     return 0
 

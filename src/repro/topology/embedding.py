@@ -4,9 +4,10 @@ The graph-embedding literature (from which Bokhari's cardinality comes)
 judges a placement of a *guest* graph (here: the abstract graph) into a
 *host* graph (the system graph) by:
 
-* **dilation** of an edge — hops its endpoints are apart on the host;
-  max/average dilation summarize the whole embedding.  Cardinality is
-  exactly the number of dilation-1 edges.
+* **dilation** of an edge — the number of host links its route crosses
+  (hops, not the weighted cost on weighted machines); max/average
+  dilation summarize the whole embedding.  Cardinality is exactly the
+  number of dilation-1 edges.
 * **congestion** of a host link — how many guest edges route through it
   (weighted by communication when requested); the bottleneck link bounds
   achievable bandwidth.
@@ -65,12 +66,17 @@ class EmbeddingReport:
 def edge_dilations(
     abstract: AbstractGraph, system: SystemGraph, assignment: Assignment
 ) -> dict[tuple[int, int], int]:
-    """Hop distance per abstract edge ``(a, b)`` with ``a < b``."""
+    """Hop count per abstract edge ``(a, b)`` with ``a < b``.
+
+    Counts the links of the :meth:`SystemGraph.shortest_path` route that
+    :func:`link_congestion` follows, so it equals the weighted distance
+    only on unit-weight machines.
+    """
     hosts = assignment.placement
     out: dict[tuple[int, int], int] = {}
     srcs, dsts = np.nonzero(np.triu(abstract.abs_edge, 1))
     for a, b in zip(srcs.tolist(), dsts.tolist()):
-        out[(a, b)] = int(system.shortest[hosts[a], hosts[b]])
+        out[(a, b)] = len(system.shortest_path(int(hosts[a]), int(hosts[b]))) - 1
     return out
 
 

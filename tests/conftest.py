@@ -70,3 +70,45 @@ def random_instance(
         graph, rng=seed
     )
     return ClusteredGraph(graph, clustering), system
+
+
+def weighted_ring4() -> SystemGraph:
+    """A 4-node ring whose link 0-1 costs 3 and the others 1.
+
+    The direct link stays a shortest route (the detour also costs 3), so
+    ``0 -> 1`` is one hop of weighted cost 3: the case that separates
+    "adjacent" and "hop count" from the weighted distance.
+    """
+    weights = ring(4).sys_edge.copy()
+    weights[0, 1] = weights[1, 0] = 3
+    return SystemGraph(ring(4).sys_edge, name="ring-4-w01", link_weights=weights)
+
+
+def chain4_one_task_per_cluster() -> ClusteredGraph:
+    """Unit tasks 0 -> 1 -> 2 -> 3 with unit weights, one per cluster."""
+    graph = TaskGraph([1, 1, 1, 1], [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    return ClusteredGraph(graph, Clustering([0, 1, 2, 3]))
+
+
+def scalar_schedule(
+    graph: TaskGraph, edge_cost: np.ndarray, sizes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule recurrence in its scalar form: the tests' oracle.
+
+    ``start[t] = max over predecessors j of (end[j] + edge_cost[j, t])``
+    (0 for entry tasks) and ``end[t] = start[t] + sizes[t]``, one task at
+    a time in topological order.  ``edge_cost`` is a dense ``np x np``
+    matrix: ``clus_edge`` gives the ideal schedule, an assignment's
+    ``comm`` matrix its schedule, and zeros with unit sizes the DAG
+    depth (as ``start``).  The library runs the same recurrence only as
+    the vectorized level sweep, which shares no code with this loop.
+    """
+    sizes = graph.task_sizes if sizes is None else sizes
+    start = np.zeros(graph.num_tasks, dtype=np.int64)
+    end = np.zeros(graph.num_tasks, dtype=np.int64)
+    for t in graph.topological_order.tolist():
+        preds = graph.predecessors(t)
+        if preds.size:
+            start[t] = int((end[preds] + edge_cost[preds, t]).max())
+        end[t] = start[t] + sizes[t]
+    return start, end

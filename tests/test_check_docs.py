@@ -2,7 +2,12 @@
 
 from pathlib import Path
 
-from repro.tools.check_docs import _check_citations, _check_commands, check_docs
+from repro.tools.check_docs import (
+    _check_citations,
+    _check_commands,
+    _check_references,
+    check_docs,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,4 +62,46 @@ def test_stale_commands_and_spec_paths_are_reported(tmp_path):
         "docs/guide.md:2: unknown CLI command 'sensitivity'",
         "docs/guide.md:3: cites missing specs/gone.json",
         ".claude/skills/verify/SKILL.md:1: unknown CLI command 'ablations'",
+    ]
+
+
+def _role(kind: str, target: str) -> str:
+    # Assembled at run time, so this file itself cites no dangling name.
+    return f":{kind}:`{target}`"
+
+
+def test_dangling_cross_references_are_reported(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "Use `repro.core.DeltaEvaluator`, not `repro.core.Gone`.\n"
+    )
+    (tmp_path / "docs" / "guide.md").write_text(
+        "`repro.solve(...)` works; `repro.nope(...)` does not.\n"
+    )
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        f'"""See {_role("class", "~repro.core.CardinalityDelta")} and\n'
+        f'{_role("meth", "swap <repro.core.DeltaEvaluator.swap>")};\n'
+        f'{_role("func", "total_time")} is relative and not checked.\n"""\n'
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        f'"""Pins {_role("attr", "repro.core.IdealSchedule.i_end")}, a '
+        f'dataclass field,\nand {_role("mod", "repro.core.gone")}."""\n'
+    )
+    (tmp_path / "benchmarks" / "e2e").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "bench_mod.py").write_text(
+        f'"""Times {_role("func", "repro.core.total_time")}."""\n'
+    )
+    (tmp_path / "benchmarks" / "e2e" / "run.py").write_text(
+        f'"""Not scanned: {_role("func", "repro.core.nope")}."""\n'
+    )
+    problems: list[str] = []
+    _check_references(tmp_path, problems)
+    assert problems == [
+        "src/pkg/mod.py:1: dangling reference repro.core.CardinalityDelta",
+        "tests/test_mod.py:2: dangling reference repro.core.gone",
+        "README.md:1: dangling reference repro.core.Gone",
+        "docs/guide.md:1: dangling reference repro.nope",
     ]

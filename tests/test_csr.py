@@ -1,11 +1,14 @@
-"""CSR edge cases and array-vs-scalar equivalence.
+"""CSR edge cases and sweep-vs-scalar equivalence.
 
-The CSR :class:`~repro.core.TaskGraph` and the array-native evaluators
-are only allowed to be *faster* than the scalar recurrence of
-:func:`~repro.core.evaluate.evaluate_assignment`, never different.  This
-module pins the degenerate shapes (no edges, one task, disconnected
-components, duplicate edges) and walks :class:`~repro.core.DeltaEvaluator`
-against that oracle over randomized move sequences — including deep
+The CSR :class:`~repro.core.TaskGraph` and the level sweep behind every
+schedule (:func:`~repro.core.evaluate.evaluate_assignment`,
+:func:`~repro.core.evaluate.total_time`,
+:class:`~repro.core.DeltaEvaluator`) are only allowed to be *faster*
+than the scalar recurrence the tests keep as their oracle
+(``tests.conftest.scalar_schedule``), never different.  This module pins
+the degenerate shapes (no edges, one task, disconnected components,
+duplicate edges) and walks :class:`~repro.core.DeltaEvaluator` against
+that oracle over randomized move sequences — including deep
 ``apply_swap``/``revert`` undo stacks mirrored by a stack of shadow
 assignments.
 """
@@ -19,6 +22,7 @@ from repro.core import (
     ClusteredGraph,
     DeltaEvaluator,
     TaskGraph,
+    communication_matrix,
     evaluate_assignment,
     total_time,
     verify_schedule,
@@ -27,6 +31,7 @@ from repro.core.incremental import CommVolumeDelta
 from repro.topology import chain, hypercube, mesh2d, ring
 from repro.utils import GraphError
 from repro.workloads import layered_random_dag
+from tests.conftest import scalar_schedule
 
 
 class TestCsrEdgeCases:
@@ -81,9 +86,8 @@ class TestCsrEdgeCases:
             )
 
     def test_disconnected_graph_evaluates_on_both_backends(self):
-        # Both the array sweep (DeltaEvaluator, total_time) and the scalar
-        # recurrence (evaluate_assignment, checked by verify_schedule)
-        # must see both components.
+        # The sweep (evaluate_assignment, DeltaEvaluator, total_time) and
+        # the scalar oracle must both see both components.
         g = TaskGraph([2, 3, 1, 4], [(0, 1, 2), (2, 3, 4)])
         clustering = RandomClusterer(num_clusters=2).cluster(g, rng=3)
         clustered = ClusteredGraph(g, clustering)
@@ -91,6 +95,9 @@ class TestCsrEdgeCases:
         assignment = Assignment.random(2, rng=0)
         schedule = evaluate_assignment(clustered, system, assignment)
         verify_schedule(schedule)
+        start, end = scalar_schedule(g, schedule.comm)
+        assert np.array_equal(schedule.start, start)
+        assert np.array_equal(schedule.end, end)
         ev = DeltaEvaluator(clustered, system, assignment)
         assert ev.total_time == schedule.total_time
         assert total_time(clustered, system, assignment) == schedule.total_time
@@ -111,14 +118,18 @@ SYSTEMS = [
 ]
 
 
+def _oracle_end(clustered, system, assignment):
+    """End times of ``assignment`` by the scalar recurrence."""
+    comm = communication_matrix(clustered, system, assignment)
+    return scalar_schedule(clustered.graph, comm)[1]
+
+
 def _assert_matches_oracle(ev, clustered, system, shadow):
-    """Every observable aggregate equals the scalar oracle's schedule."""
-    schedule = evaluate_assignment(clustered, system, shadow)
+    """The evaluator's state equals the scalar oracle's schedule."""
+    end = _oracle_end(clustered, system, shadow)
     assert ev.assignment == shadow
-    assert ev.total_time == schedule.total_time
-    assert ev.comm_volume == schedule.communication_volume()
-    assert np.array_equal(ev.end_times(), schedule.end)
-    assert np.array_equal(ev.loads(), schedule.processor_busy_time())
+    assert ev.total_time == int(end.max())
+    assert np.array_equal(ev.end_times(), end)
 
 
 class TestBackendEquivalenceUnderRevert:
@@ -129,7 +140,7 @@ class TestBackendEquivalenceUnderRevert:
     A stack of shadow assignments mirrors the evaluator's undo stack
     (``apply_swap`` pushes, ``revert`` pops, a plain commit or rebase
     resets it), so the undo stack is exercised at every depth; after
-    every operation all observable aggregates must equal the scalar
+    every operation the makespan and end times must equal the scalar
     oracle's schedule of the shadow's top, bit for bit.
     """
 
@@ -146,8 +157,8 @@ class TestBackendEquivalenceUnderRevert:
             a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
             op = int(gen.integers(0, 5))
             if op == 0:
-                probed = evaluate_assignment(clustered, system, shadow[-1].swapped(a, b))
-                assert ev.probe_swap(a, b) == probed.total_time
+                probed = _oracle_end(clustered, system, shadow[-1].swapped(a, b))
+                assert ev.probe_swap(a, b) == int(probed.max())
             elif op == 1:
                 # A plain commit invalidates (clears) the undo stack.
                 shadow = [shadow[-1].swapped(a, b)]
@@ -175,7 +186,7 @@ class TestBackendEquivalenceUnderRevert:
         n = system.num_nodes
         start = Assignment.random(n, rng=5)
         ev = DeltaEvaluator(clustered, system, start)
-        before = (ev.total_time, ev.comm_volume, ev.end_times())
+        before = (ev.total_time, ev.end_times())
         gen = np.random.default_rng(42)
         pushes = 8
         for _ in range(pushes):
@@ -183,8 +194,8 @@ class TestBackendEquivalenceUnderRevert:
             ev.apply_swap(a, b)
         for _ in range(pushes):
             ev.revert()
-        assert (ev.total_time, ev.comm_volume) == before[:2]
-        assert np.array_equal(ev.end_times(), before[2])
+        assert ev.total_time == before[0]
+        assert np.array_equal(ev.end_times(), before[1])
         _assert_matches_oracle(ev, clustered, system, start)
 
 

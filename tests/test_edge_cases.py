@@ -124,10 +124,12 @@ class TestDegenerateGraphValidation:
     def test_single_task_through_delta_evaluator(self):
         g = TaskGraph([4])
         cg = ClusteredGraph(g, Clustering([0]))
-        ev = DeltaEvaluator(cg, _one_node_system(), Assignment.identity(1))
+        system, a = _one_node_system(), Assignment.identity(1)
+        ev = DeltaEvaluator(cg, system, a)
         assert ev.total_time == 4
-        assert ev.comm_volume == 0
-        assert ev.loads().tolist() == [4]
+        schedule = evaluate_assignment(cg, system, a)
+        assert schedule.communication_volume() == 0
+        assert schedule.processor_busy_time().tolist() == [4]
         assert ev.probe_swap(0, 0) == 4
         assert ev.verify()
 

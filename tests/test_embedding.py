@@ -11,7 +11,7 @@ from repro.topology import (
     edge_dilations,
     link_congestion,
 )
-from tests.conftest import random_instance
+from tests.conftest import chain4_one_task_per_cluster, random_instance, weighted_ring4
 
 
 @pytest.fixture
@@ -38,6 +38,12 @@ class TestDilation:
             a = Assignment.random(system.num_nodes, rng=seed)
             report = analyze_embedding(abstract, system, a)
             assert report.dilation_one_edges == cardinality(abstract, system, a)
+        # Weighted links: dilation counts the route's links, not its cost
+        # (the 0-1 link costs 3, and its dilation used to read 3).
+        abstract = AbstractGraph(chain4_one_task_per_cluster())
+        system, a = weighted_ring4(), Assignment.identity(4)
+        report = analyze_embedding(abstract, system, a)
+        assert report.dilation_one_edges == cardinality(abstract, system, a) == 3
 
 
 class TestCongestion:

@@ -12,7 +12,7 @@ from repro.core import (
     evaluate_assignment,
 )
 from repro.topology import SystemGraph, chain, complete
-from tests.conftest import random_instance
+from tests.conftest import chain4_one_task_per_cluster, random_instance, weighted_ring4
 
 
 def _schedule(clustered, system, seed=0):
@@ -42,6 +42,15 @@ class TestMetrics:
         # (0,2) and (1,3) span two hops on the chain under identity.
         assert m.stretched_edges == 2
         assert m.comm_volume > diamond_clustered.graph.total_comm
+
+    def test_stretched_edges_count_hops_not_cost(self):
+        # Regression: on a machine whose 0-1 link costs 3, the message on
+        # that link crosses one link but used to count as stretched.
+        schedule = evaluate_assignment(
+            chain4_one_task_per_cluster(), weighted_ring4(), Assignment.identity(4)
+        )
+        assert schedule.comm[0, 1] == 3
+        assert compute_metrics(schedule).stretched_edges == 0
 
     def test_single_processor_degenerate(self):
         g = TaskGraph([4, 4])

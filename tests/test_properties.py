@@ -10,6 +10,9 @@ These encode the theorems and structural guarantees the paper relies on:
   initial assignment.
 * Serialization round-trips, generated topologies stay connected, and
   the DES agrees with the analytic evaluator on random instances.
+* The level sweep behind every schedule (ideal, assignment, delta
+  evaluator, plan depth) equals the scalar recurrence kept in the tests
+  (``tests.conftest.scalar_schedule``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core import (
     CriticalEdgeMapper,
     TaskGraph,
     analyze_criticality,
+    communication_matrix,
     evaluate_assignment,
     ideal_schedule,
     lower_bound,
@@ -35,6 +39,7 @@ from repro.io import task_graph_from_dict, task_graph_to_dict
 from repro.sim import simulate
 from repro.topology import by_name, random_connected
 from repro.workloads import layered_random_dag
+from tests.conftest import scalar_schedule
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -111,6 +116,29 @@ def test_ideal_schedule_is_pointwise_minimal(instance):
     )
     assert (schedule.start >= ideal.i_start).all()
     assert (schedule.end >= ideal.i_end).all()
+
+
+@SETTINGS
+@given(clustered_instances())
+def test_sweeps_match_scalar_recurrence(instance):
+    clustered, system, seed = instance
+    graph = clustered.graph
+    ideal = ideal_schedule(clustered)
+    start, end = scalar_schedule(graph, clustered.clus_edge)
+    assert np.array_equal(ideal.i_start, start)
+    assert np.array_equal(ideal.i_end, end)
+    assert lower_bound(clustered) == ideal.total_time == int(end.max())
+    assignment = Assignment.random(system.num_nodes, rng=seed)
+    schedule = evaluate_assignment(clustered, system, assignment)
+    comm = communication_matrix(clustered, system, assignment)
+    start, end = scalar_schedule(graph, comm)
+    assert np.array_equal(schedule.start, start)
+    assert np.array_equal(schedule.end, end)
+    n = graph.num_tasks
+    depth, _ = scalar_schedule(
+        graph, np.zeros((n, n), dtype=np.int64), np.ones(n, dtype=np.int64)
+    )
+    assert np.array_equal(graph.schedule_plan().depth(), depth)
 
 
 @SETTINGS
@@ -274,7 +302,7 @@ def test_layered_dag_generator_valid(n, seed):
 @SETTINGS
 @given(clustered_instances(), st.lists(st.integers(0, 10**6), max_size=12))
 def test_incremental_evaluator_equivalence(instance, swap_seeds):
-    from repro.core import DeltaEvaluator, evaluate_assignment
+    from repro.core import DeltaEvaluator
 
     clustered, system, seed = instance
     n = system.num_nodes
@@ -288,9 +316,10 @@ def test_incremental_evaluator_equivalence(instance, swap_seeds):
         if x == y:
             continue
         current = current.swapped(x, y)
-        oracle = evaluate_assignment(clustered, system, current)
-        assert inc.swap(x, y) == oracle.total_time
-        assert np.array_equal(inc.end_times(), oracle.end)
+        comm = communication_matrix(clustered, system, current)
+        _, end = scalar_schedule(clustered.graph, comm)
+        assert inc.swap(x, y) == int(end.max())
+        assert np.array_equal(inc.end_times(), end)
 
 
 @SETTINGS

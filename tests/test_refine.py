@@ -13,7 +13,7 @@ from repro.core import (
     total_time,
 )
 from repro.core.refine import critical_abstract_nodes
-from tests.conftest import random_instance
+from tests.conftest import chain4_one_task_per_cluster, random_instance, weighted_ring4
 
 
 def _setup(clustered, system, seed=0):
@@ -155,3 +155,12 @@ class TestCriticalAbstractNodes:
         assert pinned[1] and pinned[3]
         assert not pinned[0]
         assert not pinned[2]
+
+    def test_weighted_link_counts_as_one_link(self):
+        # Regression: the critical edge on link 0-1 (cost 3) left cluster
+        # 0 unpinned, because the check read the weighted distance as hops.
+        analysis = analyze_criticality(chain4_one_task_per_cluster())
+        system = weighted_ring4()
+        assert system.distance(0, 1) == 3
+        pinned = critical_abstract_nodes(analysis, system, Assignment.identity(4))
+        assert pinned.all()
