@@ -35,19 +35,10 @@ from repro.clustering import RandomClusterer
 from repro.core import ClusteredGraph
 from repro.core.evaluate import total_time
 from repro.core.ideal import lower_bound
+from repro.metrics import evaluate_metrics
 from repro.workloads import layered_random_dag
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_scale.txt"
-
-
-def comm_volume(clustered, system, assignment) -> int:
-    """Hop-weighted communication volume, straight off the cross-edge
-    arrays (no dense matrix)."""
-    labels = clustered.clustering.labels
-    hosts = assignment.placement[labels]
-    srcs, dsts, _ = clustered.graph.edge_arrays()
-    w = clustered.cross_out_weights
-    return int((w * system.shortest[hosts[srcs], hosts[dsts]]).sum())
 
 
 def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
@@ -66,7 +57,7 @@ def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
     outcome = mapper.map(clustered, system, rng=seed)
     t4 = time.perf_counter()
     makespan = total_time(clustered, system, outcome.assignment)
-    volume = comm_volume(clustered, system, outcome.assignment)
+    volume = evaluate_metrics(clustered, system, outcome.assignment, ["comm_volume"])
     t5 = time.perf_counter()
     return {
         "tasks": num_tasks,
@@ -78,7 +69,7 @@ def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
         "eval_seconds": t5 - t4,
         "lower_bound": int(bound),
         "total_time": int(makespan),
-        "comm_volume": int(volume),
+        "comm_volume": int(volume["comm_volume"]),
     }
 
 

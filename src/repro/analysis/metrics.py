@@ -14,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 from ..core.evaluate import Schedule
-from ..sim.machine import route_between
 
 __all__ = ["ScheduleMetrics", "compute_metrics", "format_metrics"]
 
@@ -74,7 +73,7 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     host = schedule.assignment.placement[clustered.clustering.labels]
     srcs, dsts = np.nonzero(clustered.clus_edge)
     stretched = sum(
-        len(route_between(schedule.system, p, q)) > 2
+        len(schedule.system.shortest_path(p, q)) > 2
         for p, q in zip(host[srcs].tolist(), host[dsts].tolist())
     )
 

@@ -32,11 +32,12 @@ class PaperMatrices:
     ``start`` and ``end`` are only present when an assignment was supplied.
 
     ``route_prev`` is the one addition beyond the paper's set: the
-    system's array-native routing table (the predecessor matrix of
-    :class:`repro.sim.machine.RouteTable` — ``route_prev[s, v]`` is the
-    node before ``v`` on the deterministic shortest route from ``s``),
-    bundled so a dumped instance carries the concrete routes the
-    simulator and congestion metrics will use, not just the distances.
+    system's route-predecessor table
+    (:attr:`repro.topology.base.SystemGraph.route_prev` —
+    ``route_prev[s, v]`` is the node before ``v`` on the deterministic
+    shortest route from ``s``), bundled so a dumped instance carries the
+    concrete routes the simulator and congestion metrics will use, not
+    just the distances.
     """
 
     prob_edge: np.ndarray       # Fig. 18
@@ -82,10 +83,6 @@ def collect_matrices(
     Pass a pre-computed ``ideal``/``analysis`` to avoid recomputation when
     they already exist (e.g. from a :class:`~repro.core.mapper.MappingResult`).
     """
-    # Late import: repro.sim consumes repro.core at package level, so the
-    # reverse edge must stay out of module scope.
-    from ..sim.machine import routing_table
-
     graph = clustered.graph
     abstract = AbstractGraph(clustered)
     if ideal is None:
@@ -117,7 +114,7 @@ def collect_matrices(
         sys_edge=system.sys_edge,
         shortest=system.shortest,
         deg=system.deg,
-        route_prev=routing_table(system).prev,
+        route_prev=system.route_prev,
         i_edge=ideal.i_edge,
         i_start=ideal.i_start,
         i_end=ideal.i_end,

@@ -57,12 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..topology.base import SystemGraph
-from ..utils import MappingError
+from ..utils import MappingError, _expand
 from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph, Clustering
 from .incremental import CommVolumeDelta
-from .taskgraph import TaskGraph, _expand
+from .taskgraph import TaskGraph
 
 __all__ = [
     "Level",

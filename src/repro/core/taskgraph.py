@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils import GraphError, as_weight_matrix
+from ..utils import GraphError, _expand, as_weight_matrix
 
 __all__ = ["TaskGraph", "Edge", "SchedulePlan", "sweep_finish_times"]
 
@@ -612,21 +612,6 @@ class TaskGraph:
         if len(order) != n:
             raise GraphError("problem graph contains a cycle; it must be a DAG")
         return np.asarray(order, dtype=np.int64)
-
-
-def _expand(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], ends[i])`` for all i, vectorized."""
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    rep_ends = np.repeat(np.cumsum(counts), counts)
-    return (
-        np.arange(total, dtype=np.int64)
-        - rep_ends
-        + np.repeat(counts, counts)
-        + np.repeat(starts, counts)
-    )
 
 
 def _looks_like_triples(edges: Sequence) -> bool:

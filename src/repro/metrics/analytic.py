@@ -1,8 +1,9 @@
 """Closed-form (analytic) metrics over a mapped instance.
 
-All of these score the task-level communication matrix ``clus_edge``
-(inter-cluster message weights; intra-cluster entries are 0) against the
-system's distance/routing structure — no simulation involved:
+All of these score the clustered task edges (inter-cluster message
+weights ``cross_out_weights`` over the graph's CSR edge arrays;
+intra-cluster edges weigh 0) against the system's distances and routes,
+never materializing the dense ``clus_edge`` and running no simulation:
 
 * ``comm_volume`` — the paper's objective: message weight x shortest
   distance, summed over ordered task pairs.  Identical to
@@ -12,10 +13,10 @@ system's distance/routing structure — no simulation involved:
   (where distance is cost, not hops).  See arXiv:2005.10413 for why this
   separates mappings that tie on total comm.
 * ``link_traffic`` / ``max_congestion`` — traffic is routed over the
-  deterministic shortest-path tables shared with the simulator
-  (:func:`repro.sim.machine.route_between`), accumulating ``weight x
-  link_weight`` per directed link — exactly the busy time the simulator
-  charges at ``link_setup=0``.  ``max_congestion`` is the most-loaded
+  deterministic shortest routes the simulator also takes
+  (:meth:`repro.topology.base.SystemGraph.shortest_path`), accumulating
+  ``weight x link_weight`` per directed link — exactly the busy time the
+  simulator charges at ``link_setup=0``.  ``max_congestion`` is the most-loaded
   directed link: the static bottleneck that bounds any contention-aware
   makespan from below.
 * ``avg_dilation`` — mean route hop count weighted by message size;
@@ -34,7 +35,6 @@ import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
-from ..sim.machine import route_between
 from ..topology.base import SystemGraph
 from ..utils import MappingError
 from .base import register_metric
@@ -75,8 +75,8 @@ def processor_traffic_matrix(
     host = task_hosts(clustered, system, assignment)
     ns = system.num_nodes
     traffic = np.zeros((ns, ns), dtype=np.int64)
-    srcs, dsts = np.nonzero(clustered.clus_edge)
-    np.add.at(traffic, (host[srcs], host[dsts]), clustered.clus_edge[srcs, dsts])
+    srcs, dsts, _ = clustered.graph.edge_arrays()
+    np.add.at(traffic, (host[srcs], host[dsts]), clustered.cross_out_weights)
     np.fill_diagonal(traffic, 0)
     return traffic
 
@@ -87,14 +87,14 @@ def link_traffic(
     """Static traffic per directed link: ``weight x link_weight`` summed
     over every route crossing it.
 
-    Routes come from the same shared table the simulator uses, so this
-    equals the simulator's per-link busy time at ``link_setup=0``.
+    Routes are the ones the simulator takes, so this equals the
+    simulator's per-link busy time at ``link_setup=0``.
     """
     traffic = processor_traffic_matrix(clustered, system, assignment)
     loads: dict[tuple[int, int], int] = {}
     for p, q in zip(*np.nonzero(traffic)):
         weight = int(traffic[p, q])
-        route = route_between(system, int(p), int(q))
+        route = system.shortest_path(int(p), int(q))
         for a, b in zip(route, route[1:]):
             loads[(a, b)] = loads.get((a, b), 0) + weight * system.link_weight(a, b)
     return loads
@@ -108,10 +108,7 @@ def _route_hops(
     pairs = np.nonzero(traffic)
     weights = traffic[pairs].astype(np.int64)
     hops = np.asarray(
-        [
-            len(route_between(system, int(p), int(q))) - 1
-            for p, q in zip(*pairs)
-        ],
+        [len(system.shortest_path(int(p), int(q))) - 1 for p, q in zip(*pairs)],
         dtype=np.int64,
     )
     return weights, hops
@@ -130,9 +127,9 @@ class CommVolumeMetric:
         assignment: Assignment,
     ) -> dict[str, float]:
         host = task_hosts(clustered, system, assignment)
-        srcs, dsts = np.nonzero(clustered.clus_edge)
+        srcs, dsts, _ = clustered.graph.edge_arrays()
         volume = (
-            clustered.clus_edge[srcs, dsts] * system.shortest[host[srcs], host[dsts]]
+            clustered.cross_out_weights * system.shortest[host[srcs], host[dsts]]
         ).sum()
         return {"comm_volume": float(volume)}
 

@@ -2,7 +2,7 @@
 
 from .engine import SimConfig, SimResult, simulate
 from .events import Event, EventKind, EventQueue
-from .machine import LinkGrant, MimdMachine, RouteTable, route_between, routing_table
+from .machine import LinkGrant, MimdMachine
 from .trace import (
     LoadedSimTrace,
     SimTrace,
@@ -28,9 +28,6 @@ __all__ = [
     "TaskRecord",
     "TransferRecord",
     "read_trace_jsonl",
-    "RouteTable",
-    "route_between",
-    "routing_table",
     "simulate",
     "trace_records",
     "write_trace_jsonl",

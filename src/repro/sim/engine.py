@@ -121,6 +121,8 @@ def simulate(
     n = graph.num_tasks
     labels = clustered.clustering.labels
     host = assignment.placement[labels]  # processor per task
+    out_ptr, out_dst = graph.out_indptr, graph.out_indices
+    cross_w = clustered.cross_out_weights  # aligned with out_dst
     machine = MimdMachine(system, fifo_depth=config.fifo_depth)
     machine.reset_links()
 
@@ -218,12 +220,12 @@ def simulate(
                     start_task(nxt, time)
                 else:
                     proc_busy[p] = False
-            for succ in graph.successors(task).tolist():
+            lo, hi = int(out_ptr[task]), int(out_ptr[task + 1])
+            for succ, weight in zip(out_dst[lo:hi].tolist(), cross_w[lo:hi].tolist()):
                 if host[succ] == p:
                     deliver(succ, time)
                     continue
-                weight = int(clustered.clus_edge[task, succ])
-                route = machine.route(p, int(host[succ]))
+                route = system.shortest_path(p, int(host[succ]))
                 launch_message(
                     _Message(task, succ, route, hop_index=0, weight=weight),
                     time,

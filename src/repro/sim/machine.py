@@ -1,15 +1,9 @@
-"""Machine model for the simulator: routing tables and link registry.
+"""Link bookkeeping for the simulator's contention model.
 
-Wraps a :class:`~repro.topology.base.SystemGraph` with the artifacts the
-discrete-event engine needs:
+Messages follow the routes of
+:meth:`repro.topology.base.SystemGraph.shortest_path`; this module only
+tracks what happens on the links they cross:
 
-* deterministic shortest *paths* (not just hop counts) for
-  store-and-forward routing — ties are broken by the BFS order of
-  :meth:`SystemGraph.shortest_path`, so routes are stable across runs.
-  The tables are cached **per SystemGraph** in a process-wide weak map
-  (:func:`routing_table`), so every machine, metric, and simulation run
-  touching the same system object shares one table instead of
-  re-deriving routes;
 * a directed-link table for the contention model (each physical link is
   two directed channels, full duplex, one message at a time each);
 * finite per-link FIFO bookkeeping for the backpressure model: with
@@ -27,121 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
-import numpy as np
-
-from ..core.taskgraph import _expand
 from ..topology.base import SystemGraph
-from ..utils import GraphError
 
-__all__ = ["LinkGrant", "MimdMachine", "RouteTable", "route_between", "routing_table"]
-
-#: Process-wide route cache, one table per SystemGraph *object* (the
-#: graph's hash is identity-based, so equal-but-distinct systems keep
-#: separate tables and dropping a system drops its table).
-_ROUTE_TABLES: "WeakKeyDictionary[SystemGraph, RouteTable]" = WeakKeyDictionary()
-
-
-class RouteTable:
-    """Array-native routing table of one system graph.
-
-    The canonical representation is the dense **predecessor matrix**
-    ``prev`` (``ns x ns`` int64, read-only): ``prev[s, v]`` is the node
-    preceding ``v`` on the deterministic shortest route from ``s``
-    (``prev[s, s] == s``; ``-1`` marks unreachable).  It is built in one
-    vectorized pass per source and reproduces
-    :meth:`SystemGraph.shortest_path` bit for bit — BFS discovery order
-    on unit-weight machines, lowest-id backtracking on weighted ones —
-    so every concrete route equals the historical per-pair computation.
-    Route tuples are materialized (and memoized) on demand by walking
-    ``prev``.
-    """
-
-    def __init__(self, system: SystemGraph) -> None:
-        self.system = system
-        self.prev = _predecessor_matrix(system)
-        self.prev.flags.writeable = False
-        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def route(self, src: int, dst: int) -> tuple[int, ...]:
-        """The route ``src -> dst``, endpoints included (memoized)."""
-        key = (src, dst)
-        path = self._routes.get(key)
-        if path is None:
-            if self.prev[src, dst] == -1:
-                raise GraphError(f"no path from {src} to {dst}")
-            hops = [dst]
-            row = self.prev[src]
-            while hops[-1] != src:
-                hops.append(int(row[hops[-1]]))
-            path = tuple(reversed(hops))
-            self._routes[key] = path
-        return path
-
-
-def _predecessor_matrix(system: SystemGraph) -> np.ndarray:
-    """Build :attr:`RouteTable.prev` for every source at once."""
-    n = system.num_nodes
-    prev = np.full((n, n), -1, dtype=np.int64)
-    if system.is_weighted:
-        # Weighted: ``shortest_path`` backtracks from dst to the first
-        # (lowest-id) neighbor u with dist[s, u] + w[u, v] == dist[s, v].
-        adj = system.sys_edge > 0
-        w = system.link_weights
-        dist = system.shortest
-        for s in range(n):
-            row = dist[s]
-            ok = adj & (row[:, None] + w == row[None, :])
-            ok &= (row >= 0)[:, None] & (row >= 0)[None, :]
-            has = ok.any(axis=0)
-            prev[s, has] = np.argmax(ok[:, has], axis=0)
-            prev[s, s] = s
-        return prev
-    # Unit weights: replicate the BFS of ``shortest_path`` exactly —
-    # each level's candidates in frontier order (neighbors ascending
-    # within a node), first discovery wins, and the next frontier keeps
-    # discovery order.
-    rows = [system.neighbors(u) for u in range(n)]
-    ptr = np.concatenate(([0], np.cumsum([r.size for r in rows]))).astype(np.int64)
-    idx = (
-        np.concatenate(rows).astype(np.int64) if n else np.empty(0, np.int64)
-    )
-    counts = np.diff(ptr)
-    for s in range(n):
-        row = prev[s]
-        row[s] = s
-        frontier = np.array([s], dtype=np.int64)
-        while frontier.size:
-            cand_u = np.repeat(frontier, counts[frontier])
-            cand_v = idx[_expand(ptr[frontier], ptr[frontier + 1])]
-            fresh = row[cand_v] == -1
-            cand_u, cand_v = cand_u[fresh], cand_v[fresh]
-            if not cand_v.size:
-                break
-            new_v, first = np.unique(cand_v, return_index=True)
-            row[new_v] = cand_u[first]
-            frontier = new_v[np.argsort(first, kind="stable")]
-    return prev
-
-
-def routing_table(system: SystemGraph) -> RouteTable:
-    """The shared :class:`RouteTable` of ``system`` (built on first use)."""
-    table = _ROUTE_TABLES.get(system)
-    if table is None:
-        table = RouteTable(system)
-        _ROUTE_TABLES[system] = table
-    return table
-
-
-def route_between(system: SystemGraph, src: int, dst: int) -> tuple[int, ...]:
-    """The deterministic shortest route ``src -> dst``, endpoints included.
-
-    Backed by the system's shared :class:`RouteTable`, so the analytic
-    congestion metrics and the simulator always agree on which links a
-    message crosses.
-    """
-    return routing_table(system).route(src, dst)
+__all__ = ["LinkGrant", "MimdMachine"]
 
 
 class LinkGrant(NamedTuple):
@@ -160,7 +43,7 @@ class LinkGrant(NamedTuple):
 
 
 class MimdMachine:
-    """Routing and link bookkeeping for one system graph.
+    """Link bookkeeping for one system graph.
 
     ``fifo_depth=None`` (the default) models unbounded link queues —
     the historical behavior; an integer ``D >= 1`` bounds each directed
@@ -174,7 +57,6 @@ class MimdMachine:
             raise ValueError(f"fifo_depth must be >= 1, got {fifo_depth}")
         self.system = system
         self.fifo_depth = fifo_depth
-        self._paths = routing_table(system)
         # busy-until time per directed link; populated lazily.
         self._link_free: dict[tuple[int, int], int] = {}
         self._link_busy_total: dict[tuple[int, int], int] = {}
@@ -187,10 +69,6 @@ class MimdMachine:
     @property
     def num_nodes(self) -> int:
         return self.system.num_nodes
-
-    def route(self, src: int, dst: int) -> tuple[int, ...]:
-        """The (cached) node sequence a message follows, endpoints included."""
-        return route_between(self.system, src, dst)
 
     def reset_links(self) -> None:
         """Forget all link occupancy (start of a simulation run)."""

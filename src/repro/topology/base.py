@@ -20,17 +20,31 @@ evaluator/simulator inherit the costs unchanged because they only consume
 ``shortest`` and the routes.  Theorem 3's lower bound stays valid as long
 as every link weight is >= 1 (the closure's unit links remain a lower
 envelope), which the constructor enforces.
+
+The system graph is the only owner of routing: every message follows
+one deterministic shortest route, the same in the simulator, the
+congestion metrics, the embedding report and the matrix dump.  The
+constructor builds ``shortest`` and the route-predecessor table
+``route_prev`` together — on unit-weight machines in one BFS over all
+sources at once, on weighted ones from the Dijkstra distances by a
+lowest-id backtrack vectorized over the links — and
+:meth:`SystemGraph.shortest_path` is a memoized walk of that table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from ..utils import GraphError
+from ..utils import GraphError, _expand
 
 __all__ = ["SystemGraph"]
+
+#: Candidate (source, link) pairs one block of sources may expand: the
+#: route builders take sources in blocks of ``_BLOCK_CANDIDATES // links``
+#: so their temporaries stay near 8 MB per array on dense machines.
+_BLOCK_CANDIDATES = 1 << 20
 
 
 class SystemGraph:
@@ -94,9 +108,12 @@ class SystemGraph:
         if self._weighted:
             self._shortest = _dijkstra_all_pairs(self._link_w, self._neighbors)
         else:
-            self._shortest = _bfs_all_pairs(adj)
+            self._shortest, self._prev = _bfs_routes(adj)
         if (self._shortest < 0).any():
             raise GraphError("system graph must be connected")
+        if self._weighted:  # the backtrack needs every node reachable
+            self._prev = _weighted_routes(self._shortest, self._link_w)
+        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._deg = adj.sum(axis=1).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -131,6 +148,15 @@ class SystemGraph:
     def shortest(self) -> np.ndarray:
         """All-pairs shortest hop counts (read-only view), Fig. 21-b."""
         view = self._shortest.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def route_prev(self) -> np.ndarray:
+        """Route predecessors (read-only view): ``route_prev[s, v]`` is the
+        node before ``v`` on the route :meth:`shortest_path` takes from
+        ``s`` (``route_prev[s, s] == s``)."""
+        view = self._prev.view()
         view.flags.writeable = False
         return view
 
@@ -193,53 +219,29 @@ class SystemGraph:
         n = self.num_nodes
         return self.num_edges() == n * (n - 1) // 2
 
-    def shortest_path(self, src: int, dst: int) -> list[int]:
-        """One concrete shortest path (node list incl. endpoints).
+    def shortest_path(self, src: int, dst: int) -> tuple[int, ...]:
+        """The deterministic shortest route ``src -> dst``, endpoints
+        included: a walk of :attr:`route_prev`, memoized per pair.
 
-        BFS on unit-weight machines, Dijkstra backtracking otherwise.
-        Used by the discrete-event simulator for hop-by-hop routing; the
-        analytic model only needs the *distance*.
+        On unit-weight machines it is the route a BFS from ``src`` finds
+        (neighbours scanned in ascending order, first discovery kept); on
+        weighted ones each hop backtracks to the lowest-id neighbour on a
+        weighted-shortest path.  The simulator routes messages hop by hop
+        along it, and the congestion metrics charge its links.
         """
-        if src == dst:
-            return [src]
-        if self._weighted:
-            return self._weighted_path(src, dst)
-        prev = np.full(self.num_nodes, -1, dtype=np.int64)
-        prev[src] = src
-        frontier = [src]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in self._neighbors[u].tolist():
-                    if prev[v] == -1:
-                        prev[v] = u
-                        if v == dst:
-                            path = [dst]
-                            while path[-1] != src:
-                                path.append(int(prev[path[-1]]))
-                            return path[::-1]
-                        nxt.append(v)
-            frontier = nxt
-        raise GraphError(f"no path from {src} to {dst}")  # pragma: no cover
-
-    def _weighted_path(self, src: int, dst: int) -> list[int]:
-        """Backtrack one weighted-shortest route using the distance matrix.
-
-        From ``dst`` walk to any neighbor ``u`` with
-        ``dist(src, u) + w(u, dst) == dist(src, dst)`` (ties: lowest id,
-        keeping routes deterministic).
-        """
-        dist = self._shortest[src]
-        path = [dst]
-        while path[-1] != src:
-            v = path[-1]
-            for u in self._neighbors[v].tolist():
-                if dist[u] + self._link_w[u, v] == dist[v]:
-                    path.append(u)
-                    break
-            else:  # pragma: no cover - defensive
-                raise GraphError(f"route backtrack failed {src}->{dst}")
-        return path[::-1]
+        key = (src, dst)
+        route = self._routes.get(key)
+        if route is None:
+            n = self.num_nodes
+            if not (0 <= src < n and 0 <= dst < n):
+                raise GraphError(f"no route {src} -> {dst} on {n} nodes")
+            row = self._prev[src]
+            hops = [int(dst)]
+            while hops[-1] != src:
+                hops.append(int(row[hops[-1]]))
+            route = tuple(reversed(hops))
+            self._routes[key] = route
+        return route
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of undirected links ``(u, v)`` with ``u < v``."""
@@ -294,28 +296,67 @@ def _dijkstra_all_pairs(
     return dist
 
 
-def _bfs_all_pairs(adj: np.ndarray) -> np.ndarray:
-    """All-pairs shortest hop counts by repeated BFS; -1 marks unreachable.
+def _source_blocks(n: int, links: int) -> Iterator[np.ndarray]:
+    """Source ids ``0..n-1`` in blocks of at most ``_BLOCK_CANDIDATES //
+    links`` (at least one)."""
+    block = max(1, _BLOCK_CANDIDATES // max(links, 1))
+    for lo in range(0, n, block):
+        yield np.arange(lo, min(lo + block, n), dtype=np.int64)
 
-    For the unit-weight, small (``ns <= 40`` in the paper, a few hundred at
-    most here) system graphs this beats setting up scipy's sparse machinery
-    and keeps the dependency surface minimal.
+
+def _bfs_routes(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances and route predecessors of every source, in one BFS.
+
+    The frontier holds ``(source, node)`` pairs, source-major and in
+    discovery order.  Each level expands every frontier node's
+    neighbours in ascending order, and the first candidate to reach an
+    undiscovered ``(source, node)`` becomes its predecessor: the order a
+    FIFO BFS from each source visits them in.  ``-1`` marks unreachable.
     """
     n = adj.shape[0]
-    neighbors = [np.flatnonzero(adj[i]) for i in range(n)]
+    rows, nbrs = np.nonzero(adj)  # row-major: each node's neighbours ascending
+    deg = np.bincount(rows, minlength=n)
+    ptr = np.concatenate(([0], np.cumsum(deg)))
     dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt: list[int] = []
-            for u in frontier:
-                for v in neighbors[u].tolist():
-                    if row[v] == -1:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
+    prev = np.full((n, n), -1, dtype=np.int64)
+    for block in _source_blocks(n, nbrs.size):
+        src = node = block
+        dist[block, block] = 0
+        prev[block, block] = block
+        level = 0
+        while src.size:
+            level += 1
+            cand_src = np.repeat(src, deg[node])
+            cand_from = np.repeat(node, deg[node])
+            cand_to = nbrs[_expand(ptr[node], ptr[node + 1])]
+            fresh = prev[cand_src, cand_to] == -1
+            cand_src, cand_from, cand_to = (
+                cand_src[fresh], cand_from[fresh], cand_to[fresh]
+            )
+            _, first = np.unique(cand_src * n + cand_to, return_index=True)
+            first.sort()
+            src, node = cand_src[first], cand_to[first]
+            dist[src, node] = level
+            prev[src, node] = cand_from[first]
+    return dist, prev
+
+
+def _weighted_routes(dist: np.ndarray, link_w: np.ndarray) -> np.ndarray:
+    """Route predecessors of a connected weighted machine.
+
+    ``prev[s, v]`` is the lowest-id neighbour ``u`` of ``v`` with
+    ``dist[s, u] + w(u, v) == dist[s, v]``, found for every source at
+    once over the links grouped by head ``v``.
+    """
+    n = dist.shape[0]
+    heads, tails = np.nonzero(link_w)  # links tail -> head, by head, tails ascending
+    weights = link_w[heads, tails]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
+    prev = np.empty((n, n), dtype=np.int64)
+    for block in _source_blocks(n, tails.size):
+        rows = dist[block]
+        tight = rows[:, tails] + weights == rows[:, heads]
+        prev[block] = np.minimum.reduceat(np.where(tight, tails, n), ptr[:-1], axis=1)
+    nodes = np.arange(n)
+    prev[nodes, nodes] = nodes
+    return prev

@@ -128,3 +128,18 @@ def pairs(items: Iterable[int]) -> Iterable[tuple[int, int]]:
     for idx, a in enumerate(seq):
         for b in seq[idx + 1 :]:
             yield (a, b)
+
+
+def _expand(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[i], ends[i])`` for all i, vectorized."""
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    rep_ends = np.repeat(np.cumsum(counts), counts)
+    return (
+        np.arange(total, dtype=np.int64)
+        - rep_ends
+        + np.repeat(counts, counts)
+        + np.repeat(starts, counts)
+    )

@@ -8,7 +8,35 @@ import pytest
 from repro.clustering import RandomClusterer
 from repro.core import Assignment, ClusteredGraph, Clustering, TaskGraph
 from repro.topology import SystemGraph, hypercube, mesh2d, ring
+from repro.utils import GraphError
 from repro.workloads import layered_random_dag
+
+#: family -> smallest representative spec; the assertion in
+#: test_metric_registry's test_every_topology_family_covered keeps this in
+#: sync with the registry.
+TOPOLOGY_SPECS = {
+    "btree": "btree:3",
+    "butterfly": "butterfly:2",
+    "ccc": "ccc:3",
+    "chain": "chain:8",
+    "chordal": "chordal:8x3",
+    "complete": "complete:8",
+    "debruijn": "debruijn:3",
+    "hypercube": "hypercube:3",
+    "kautz": "kautz:2x2",
+    "kbipartite": "kbipartite:3x3",
+    "mesh": "mesh:8",
+    "mesh2d": "mesh2d:2x4",
+    "mesh3d": "mesh3d:2x2x2",
+    "petersen": "petersen",
+    "random": "random:8",
+    "regular": "regular:8x3",
+    "ring": "ring:8",
+    "star": "star:8",
+    "torus": "torus:8",
+    "torus2d": "torus2d:2x4",
+    "torus3d": "torus3d:2x2x2",
+}
 
 
 @pytest.fixture
@@ -112,3 +140,64 @@ def scalar_schedule(
             start[t] = int((end[preds] + edge_cost[preds, t]).max())
         end[t] = start[t] + sizes[t]
     return start, end
+
+
+def oracle_route(system: SystemGraph, src: int, dst: int) -> list[int]:
+    """One shortest route ``src -> dst`` (endpoints included), computed
+    for this pair alone: the tests' routing oracle.
+
+    BFS on unit-weight machines, neighbours scanned in ascending order
+    and the first discovery kept; on weighted machines a backtrack from
+    ``dst`` to the lowest-id neighbour ``u`` with ``dist(src, u) +
+    w(u, v) == dist(src, v)``.  The library derives every route from one
+    all-sources predecessor table instead, which shares no code with
+    this loop.
+    """
+    if src == dst:
+        return [src]
+    if system.is_weighted:
+        return _oracle_weighted_route(system, src, dst)
+    prev = np.full(system.num_nodes, -1, dtype=np.int64)
+    prev[src] = src
+    frontier = [src]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for v in system.neighbors(u).tolist():
+                if prev[v] == -1:
+                    prev[v] = u
+                    if v == dst:
+                        path = [dst]
+                        while path[-1] != src:
+                            path.append(int(prev[path[-1]]))
+                        return path[::-1]
+                    nxt.append(v)
+        frontier = nxt
+    raise GraphError(f"no path from {src} to {dst}")
+
+
+def _oracle_weighted_route(system: SystemGraph, src: int, dst: int) -> list[int]:
+    dist = system.shortest[src]
+    link_w = system.link_weights
+    path = [dst]
+    while path[-1] != src:
+        v = path[-1]
+        for u in system.neighbors(v).tolist():
+            if dist[u] + link_w[u, v] == dist[v]:
+                path.append(u)
+                break
+        else:
+            raise GraphError(f"route backtrack failed {src}->{dst}")
+    return path[::-1]
+
+
+def assert_routes_match_oracle(system: SystemGraph) -> None:
+    """Every route of ``system`` equals :func:`oracle_route`'s, and its
+    cost equals the distance (the hop count on unit-weight machines)."""
+    link_w = system.link_weights
+    for a in range(system.num_nodes):
+        for b in range(system.num_nodes):
+            route = oracle_route(system, a, b)
+            assert system.shortest_path(a, b) == tuple(route), (a, b)
+            cost = sum(int(link_w[u, v]) for u, v in zip(route, route[1:]))
+            assert system.distance(a, b) == cost, (a, b)

@@ -9,6 +9,10 @@ evaluation count and the makespan are pinned.  So are the SHA-256 of the
 ideal schedule (``i_start``, ``i_end``, ``i_edge``), of one assignment's
 schedule (``start``, ``end``, ``comm``) and of the plan depth — the
 level sweep that computes them may change speed, never these values.
+
+Routing is pinned the same way: the SHA-256 of ``shortest`` and of the
+route-predecessor table ``route_prev`` of one machine per registered
+topology family and of two weighted machines.
 """
 
 import hashlib
@@ -19,6 +23,8 @@ import pytest
 from repro.api import build_topology, build_workload, get_mapper
 from repro.clustering import RandomClusterer
 from repro.core import Assignment, ClusteredGraph, evaluate_assignment, ideal_schedule
+from repro.topology import SystemGraph
+from tests.conftest import TOPOLOGY_SPECS
 
 SEED = 12
 
@@ -132,3 +138,119 @@ def test_plan_depth_is_pinned(instance):
     assert _digest(depth) == (
         "0587581cc8b1156b0c143401072d82fc9cc5ce5df59e7d521b884c70e7c3b940"
     )
+
+
+#: machine -> (SHA-256 of ``shortest``, SHA-256 of ``route_prev``)
+ROUTING = {
+    "btree:3": (
+        "a9fb96e85f690bf83af530bbdb74f85ae4ba136b3041cc444b4d5054785c3b0a",
+        "6b94cdaf799ce6b7f8d8b10308edf954217634eb57a41970096e72be4ff61b1e",
+    ),
+    "butterfly:2": (
+        "495217ca519cb1b980ae961ccc1b9d1fd7e9de59c370e0dd6474bf821ebbd8b7",
+        "c6c9333b5b47518e0c541e8d6138829216df84bb36c1902242c91763460b015b",
+    ),
+    "ccc:3": (
+        "6c753b0b3247aac6f3114bc47af8d3c0da2a2f300955c56f3068bd0648b12865",
+        "43ea7f8bea8bcecf81838226af707cdf532b4ebbbdbea78087f1c15b1c584043",
+    ),
+    "chain:8": (
+        "4764e1a61f9c24657b96ce9281544b428eb893ba77c5c7b549a0b4b6a6b9ee8c",
+        "6814056cc400fa41d3a4657edf5687c72abd14e46e4f48ca0dff48c905b7d93e",
+    ),
+    "chordal:8x3": (
+        "e1cfad1a1449576960061cade707d30de22cabe228239ceeb2e7e5f14eac9b56",
+        "ae25eab363ff31c0981c2734d5daa4f576d7fa7f488a366b1fb4094633b6715e",
+    ),
+    "complete:8": (
+        "d15861b7222d5ce19b2983d37dd7ba347e7d84a69b49c66239e066761b03c858",
+        "000996f8ba6f3ff83df5d2259ad6dac99ff41a1e85699eac1970dc712e435e47",
+    ),
+    "debruijn:3": (
+        "2132904fb93fecee38ef46cc5a57779f717bf35dd57ce2ef0f70dd02a16d483c",
+        "f6408416633a1c4bcb8fd24b77950c364c821bb36fa56f7032024b24dc9619c7",
+    ),
+    "hypercube:3": (
+        "5f2d811c5dca05fcdc93c66105721734e1d4b550b46efe5b1cd335f894ce5232",
+        "2c181420f31ffb04f94b62abd6011755f8527bbe0abccb6365e88539ca8f87eb",
+    ),
+    "kautz:2x2": (
+        "8e9e75ae68a2a63916bff5e3d3a75502c871dd0c6b986fba3f0e39bcf8da6cc3",
+        "b57f5b9f9137ec14e23a1cb545b1ed4ae11c78246cc31f7c2ed0d41c1c936b97",
+    ),
+    "kbipartite:3x3": (
+        "6ff9a374030face722c3cf43538515fc87ca7b031f786a7cde3b0d5dfa25b03a",
+        "d57aea809f01958bf4f4522bee1c9a926a4dc5d191f7ae942a3a4d70d840fb88",
+    ),
+    "mesh2d:2x4": (
+        "f3ac99720e86e8ef445db55d6eb3371535371e64a5cd9ba2772ce2737a041c2a",
+        "386c75519b550232bb56466db81464085a6e1d137471eccc06ea0f48ae4354e0",
+    ),
+    "mesh3d:2x2x2": (
+        "5f2d811c5dca05fcdc93c66105721734e1d4b550b46efe5b1cd335f894ce5232",
+        "2c181420f31ffb04f94b62abd6011755f8527bbe0abccb6365e88539ca8f87eb",
+    ),
+    "mesh:8": (
+        "f3ac99720e86e8ef445db55d6eb3371535371e64a5cd9ba2772ce2737a041c2a",
+        "386c75519b550232bb56466db81464085a6e1d137471eccc06ea0f48ae4354e0",
+    ),
+    "petersen": (
+        "b641c68b05c15a1abffd251bee63c7ad8dbb7ee00308724408c4ef955ee49a3c",
+        "03a3f0917be5dffba88cc979350b7381d8836a8b4b42f229ad681c9a5f2e638e",
+    ),
+    "random:8": (
+        "b771e461e61ffc4730c0d3a11e556f9145a5767560c9fb5e7ba6db93b8ccbe27",
+        "9c6e4df624e972abf2a871032905b04144d1549361744d58969849cfdb61c90a",
+    ),
+    "regular:8x3": (
+        "5d4f49fb6790582d3ded95c5adee35a4a602c4ad620e5557ef785ad5a0efe6fe",
+        "c6a3ca2221c2dcda3c795d400b9f96fdbbbb5ef54fd0f04ed273d17a5d254922",
+    ),
+    "ring:8": (
+        "203aaeeb3e16259a986ba29482002cecdff0db82917af01b9eed72d66aca1c26",
+        "629045b2028fcb980734bb308e3c8157e8f93852882ec4858151844932eca0d7",
+    ),
+    "star:8": (
+        "bb06d408343c8a6f932e05f8ffaf6b22b194e515dd20c958edd610323c3e0b71",
+        "5d49d507af187865c9d57ebb02c3509152bcda545ab312dc6d910280416606dc",
+    ),
+    "torus2d:2x4": (
+        "6d9277cf4231bc1abab689a100ae69359cddd3938ef2b34dd9a5d9d7fa8288fe",
+        "96db1766d7db33bb92425e8d21c8f1f04009d7d01f4ace3dc2585c858bbed3da",
+    ),
+    "torus3d:2x2x2": (
+        "5f2d811c5dca05fcdc93c66105721734e1d4b550b46efe5b1cd335f894ce5232",
+        "2c181420f31ffb04f94b62abd6011755f8527bbe0abccb6365e88539ca8f87eb",
+    ),
+    "torus:8": (
+        "6d9277cf4231bc1abab689a100ae69359cddd3938ef2b34dd9a5d9d7fa8288fe",
+        "96db1766d7db33bb92425e8d21c8f1f04009d7d01f4ace3dc2585c858bbed3da",
+    ),
+    "torus2d:4x4+w1": (
+        "a759895fa6c551f12585dac53e320eaad01906db7538d90bcd6786f81f3a3902",
+        "09022ad7857472fa16f0042873854cb73edc3a61b416cce3dceabcb30c17e700",
+    ),
+    "random:12+w2": (
+        "5c32da37dec74ee2a8d20f60e3dc623a4fd74443636fb46bf002c5f36de11db8",
+        "f29278030b58fa2cfa410036b25b66c625a238db4a6f06a69d560ae1c305c92e",
+    ),
+}
+
+
+def _routing_system(key: str) -> SystemGraph:
+    """``"<spec>+w<seed>"`` is ``<spec>`` with seeded random link costs 1-5."""
+    spec, _, seed = key.partition("+w")
+    system = build_topology(spec, rng=0)
+    if not seed:
+        return system
+    n = system.num_nodes
+    weights = np.random.default_rng(int(seed)).integers(1, 6, size=(n, n))
+    return SystemGraph(system.sys_edge, name=key, link_weights=weights)
+
+
+@pytest.mark.parametrize(
+    "key", [*sorted(TOPOLOGY_SPECS.values()), "torus2d:4x4+w1", "random:12+w2"]
+)
+def test_routing_is_pinned(key):
+    system = _routing_system(key)
+    assert (_digest(system.shortest), _digest(system.route_prev)) == ROUTING[key]

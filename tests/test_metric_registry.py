@@ -41,7 +41,7 @@ from repro.metrics import (
 from repro.sim import SimConfig, simulate
 from repro.topology import SystemGraph, chain, hypercube
 from repro.utils import MappingError
-from tests.conftest import random_instance
+from tests.conftest import TOPOLOGY_SPECS, random_instance
 
 ANALYTIC = ["avg_dilation", "comm_volume", "hop_bytes", "max_congestion"]
 SIMULATED = ["sim_fifo_stall_time", "sim_makespan", "sim_max_link_utilization"]
@@ -187,6 +187,33 @@ class TestAnalyticMetrics:
         with pytest.raises(MappingError, match="clusters"):
             task_hosts(clustered, hypercube(2), Assignment.identity(4))
 
+    def test_metrics_and_simulation_skip_the_dense_clus_edge(self, monkeypatch):
+        """They read the clustered CSR weights, so they also run where the
+        dense ``clus_edge`` is too large to allocate."""
+        clustered, system = random_instance(6, num_tasks=80)
+        a = Assignment.random(system.num_nodes, rng=6)
+        names = ["comm_volume", "hop_bytes", "max_congestion", "avg_dilation"]
+        configs = [
+            SimConfig(),
+            SimConfig(True, True, link_setup=1),
+            SimConfig(True, True, fifo_depth=1),
+        ]
+
+        def run():
+            sims = [simulate(clustered, system, a, config) for config in configs]
+            return evaluate_metrics(clustered, system, a, names), [
+                (sim.start.tolist(), sim.end.tolist(), sim.trace.link_busy_time(),
+                 sim.fifo_stall_time)
+                for sim in sims
+            ]
+
+        def dense(self):
+            raise AssertionError("dense clus_edge materialized")
+
+        expected = run()
+        monkeypatch.setattr(ClusteredGraph, "clus_edge", property(dense))
+        assert run() == expected
+
 
 class TestSimulatedMetrics:
     def test_sim_makespan_dominates_analytic(self):
@@ -225,32 +252,6 @@ class TestSimulatedMetrics:
         )
         assert len(calls) == 1  # identical SimConfig -> one shared run
 
-
-#: family -> smallest representative spec; the assertion in
-#: test_every_topology_family_covered keeps this in sync with the registry.
-TOPOLOGY_SPECS = {
-    "btree": "btree:3",
-    "butterfly": "butterfly:2",
-    "ccc": "ccc:3",
-    "chain": "chain:8",
-    "chordal": "chordal:8x3",
-    "complete": "complete:8",
-    "debruijn": "debruijn:3",
-    "hypercube": "hypercube:3",
-    "kautz": "kautz:2x2",
-    "kbipartite": "kbipartite:3x3",
-    "mesh": "mesh:8",
-    "mesh2d": "mesh2d:2x4",
-    "mesh3d": "mesh3d:2x2x2",
-    "petersen": "petersen",
-    "random": "random:8",
-    "regular": "regular:8x3",
-    "ring": "ring:8",
-    "star": "star:8",
-    "torus": "torus:8",
-    "torus2d": "torus2d:2x4",
-    "torus3d": "torus3d:2x2x2",
-}
 
 RELAXATIONS = [
     {},

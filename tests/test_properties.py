@@ -10,6 +10,8 @@ These encode the theorems and structural guarantees the paper relies on:
   initial assignment.
 * Serialization round-trips, generated topologies stay connected, and
   the DES agrees with the analytic evaluator on random instances.
+* Every route on random weighted machines equals the per-pair route
+  oracle (``tests.conftest.oracle_route``).
 * The level sweep behind every schedule (ideal, assignment, delta
   evaluator, plan depth) equals the scalar recurrence kept in the tests
   (``tests.conftest.scalar_schedule``).
@@ -39,7 +41,7 @@ from repro.io import task_graph_from_dict, task_graph_to_dict
 from repro.sim import simulate
 from repro.topology import by_name, random_connected
 from repro.workloads import layered_random_dag
-from tests.conftest import scalar_schedule
+from tests.conftest import assert_routes_match_oracle, scalar_schedule
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -397,16 +399,9 @@ def test_weighted_distances_metric(system):
 
 
 @SETTINGS
-@given(weighted_systems(), st.integers(0, 2**16))
-def test_weighted_routes_cost_matches_distance(system, seed):
-    gen = np.random.default_rng(seed)
-    n = system.num_nodes
-    a, b = int(gen.integers(n)), int(gen.integers(n))
-    path = system.shortest_path(a, b)
-    cost = sum(
-        int(system.link_weights[u, v]) for u, v in zip(path, path[1:])
-    )
-    assert cost == system.distance(a, b)
+@given(weighted_systems())
+def test_weighted_routes_cost_matches_distance(system):
+    assert_routes_match_oracle(system)
 
 
 @SETTINGS

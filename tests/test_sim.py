@@ -50,11 +50,11 @@ class TestEventQueue:
 
 class TestMachine:
     def test_route_cached_and_valid(self):
-        m = MimdMachine(ring(6))
-        route = m.route(0, 3)
+        system = ring(6)
+        route = system.shortest_path(0, 3)
         assert route[0] == 0 and route[-1] == 3
         assert len(route) - 1 == 3
-        assert m.route(0, 3) is m.route(0, 3)  # cache hit
+        assert system.shortest_path(0, 3) is route  # cache hit
 
     def test_link_acquisition_serializes(self):
         m = MimdMachine(chain(2))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.topology import SystemGraph, chain, complete, ring
+from repro.api import build_topology
+from repro.topology import SystemGraph, base, chain, complete, hypercube, ring
 from repro.utils import GraphError
+from tests.conftest import TOPOLOGY_SPECS, assert_routes_match_oracle
 
 
 class TestConstruction:
@@ -90,7 +92,26 @@ class TestShortestPaths:
             assert g.has_edge(a, b)
 
     def test_shortest_path_self(self):
-        assert ring(4).shortest_path(2, 2) == [2]
+        assert ring(4).shortest_path(2, 2) == (2,)
+
+    def test_shortest_path_rejects_missing_nodes(self):
+        with pytest.raises(GraphError, match="no route"):
+            ring(4).shortest_path(-1, 2)
+
+    @pytest.mark.parametrize("spec", sorted(TOPOLOGY_SPECS.values()))
+    def test_routes_match_oracle(self, spec):
+        assert_routes_match_oracle(build_topology(spec, rng=0))
+
+    def test_routes_match_oracle_across_source_blocks(self, monkeypatch):
+        # A tiny budget splits the sources into ragged blocks of 1-2.
+        monkeypatch.setattr(base, "_BLOCK_CANDIDATES", 40)
+        weights = np.random.default_rng(0).integers(1, 6, size=(9, 9))
+        for system in (
+            ring(9),
+            hypercube(4),
+            SystemGraph(ring(9).sys_edge, link_weights=weights),
+        ):
+            assert_routes_match_oracle(system)
 
 
 class TestDerived:

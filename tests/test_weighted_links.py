@@ -35,7 +35,7 @@ class TestConstruction:
         g = _triangle(w)
         assert g.is_weighted
         assert g.distance(0, 1) == 2
-        assert g.shortest_path(0, 1) == [0, 2, 1]
+        assert g.shortest_path(0, 1) == (0, 2, 1)
 
     def test_all_unit_weights_not_flagged_weighted(self):
         g = _triangle(np.asarray([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
