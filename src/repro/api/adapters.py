@@ -44,7 +44,7 @@ from ..core.clustered import ClusteredGraph
 from ..core.evaluate import total_time
 from ..core.ideal import lower_bound
 from ..core.mapper import CriticalEdgeMapper
-from ..core.multilevel import multilevel_map
+from ..core.multilevel import analytic_metric, multilevel_map
 from ..topology.base import SystemGraph
 from ..utils import MappingError, Stopwatch
 from .outcome import MapOutcome
@@ -386,17 +386,9 @@ class MultilevelAdapter:
             )
         if refine_passes < 0:
             raise MappingError(f"refine_passes must be >= 0, got {refine_passes}")
-        if refine_metric != "comm_volume":
-            # Validate eagerly, like the sub-mapper: unknown or
-            # simulator-backed objectives fail here, not mid-batch.
-            from ..metrics import METRICS
-
-            metric = METRICS.get(refine_metric)
-            if not getattr(metric, "analytic", False):
-                raise MappingError(
-                    f"refinement objective must be an analytic metric; "
-                    f"{refine_metric!r} is simulator-backed"
-                )
+        # Validate eagerly, like the sub-mapper: unknown or
+        # simulator-backed objectives fail here, not mid-batch.
+        analytic_metric(refine_metric)
         self.initial = initial
         self.initial_params = dict(initial_params or {})
         self.max_levels = max_levels

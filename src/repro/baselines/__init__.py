@@ -2,7 +2,7 @@
 tabu, and the exhaustive test oracle."""
 
 from .annealing import AnnealResult, anneal_mapping
-from .bokhari import BokhariResult, bokhari_mapping, cardinality
+from .bokhari import BokhariResult, bokhari_mapping, cardinalities, cardinality
 from .exhaustive import (
     ExhaustiveResult,
     all_assignment_total_times,
@@ -11,6 +11,7 @@ from .exhaustive import (
 )
 from .genetic import GeneticResult, genetic_mapping, order_crossover
 from .lee_aggarwal import (
+    LeeCost,
     LeeResult,
     communication_cost,
     lee_mapping,
@@ -24,6 +25,7 @@ __all__ = [
     "BokhariResult",
     "ExhaustiveResult",
     "GeneticResult",
+    "LeeCost",
     "LeeResult",
     "RandomMappingStats",
     "TabuResult",
@@ -31,6 +33,7 @@ __all__ = [
     "anneal_mapping",
     "average_random_mapping",
     "bokhari_mapping",
+    "cardinalities",
     "cardinality",
     "communication_cost",
     "enumerate_assignments",

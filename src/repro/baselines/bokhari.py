@@ -22,7 +22,7 @@ Cardinality is the pairwise objective ``sum w[x, y] * A[p(x), p(y)]``
 with ``A`` the 0/1 adjacency ``system.sys_edge``, so the search runs on
 :class:`~repro.core.incremental.CommVolumeDelta` with that matrix as its
 metric; :func:`cardinality` is the closed-form recount it is checked
-against.
+against, a one-row call of the batch form :func:`cardinalities` (E4).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..core.incremental import CommVolumeDelta
 from ..topology.base import SystemGraph
 from ..utils import as_rng
 
-__all__ = ["BokhariResult", "cardinality", "bokhari_mapping"]
+__all__ = ["BokhariResult", "cardinality", "cardinalities", "bokhari_mapping"]
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,21 @@ def cardinality(
     weighted: bool = False,
 ) -> int:
     """Number (or total weight) of abstract edges mapped onto system edges."""
-    hosts = assignment.placement
-    adj = system.sys_edge[np.ix_(hosts, hosts)]
+    return int(cardinalities(abstract, system, assignment.placement[None], weighted)[0])
+
+
+def cardinalities(
+    abstract: AbstractGraph,
+    system: SystemGraph,
+    placements: np.ndarray,
+    weighted: bool = False,
+) -> np.ndarray:
+    """:func:`cardinality` of every row of a ``(k, na)`` batch of
+    placements (``placements[r, cluster] = system node``)."""
     matrix = abstract.weights if weighted else abstract.abs_edge
-    return int((np.triu(matrix, 1) * (adj > 0)).sum())
+    x, y = np.nonzero(np.triu(matrix, 1))
+    on_link = system.sys_edge[placements[:, x], placements[:, y]] > 0
+    return (on_link * matrix[x, y]).sum(axis=1)
 
 
 def bokhari_mapping(

@@ -26,6 +26,7 @@ __all__ = [
     "exhaustive_optimum",
     "enumerate_assignments",
     "all_assignment_total_times",
+    "invert_permutations",
 ]
 
 _MAX_NODES = 9  # 9! = 362880 evaluations — the practical ceiling
@@ -53,6 +54,12 @@ def enumerate_assignments(n: int):
         yield Assignment(np.asarray(perm, dtype=np.int64))
 
 
+def invert_permutations(perms: np.ndarray) -> np.ndarray:
+    """``assi`` rows (``perms[r, system] = cluster``) as ``placement``
+    rows (``cluster -> system``): each row's inverse permutation."""
+    return np.argsort(perms, axis=1)
+
+
 def all_assignment_total_times(
     clustered: ClusteredGraph,
     system: SystemGraph,
@@ -77,10 +84,7 @@ def all_assignment_total_times(
             f"(limit {max_nodes}); use the heuristic mappers instead"
         )
     perms = np.asarray(list(permutations(range(n))), dtype=np.int64)  # (P, n)
-    # placement[k][cluster] = system node, the inverse permutation of assi.
-    placement = np.empty_like(perms)
-    rows = np.arange(perms.shape[0])[:, None]
-    placement[rows, perms] = np.arange(n)[None, :]
+    placement = invert_permutations(perms)
 
     graph = clustered.graph
     labels = clustered.clustering.labels

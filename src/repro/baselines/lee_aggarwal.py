@@ -24,6 +24,7 @@ grouping).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,14 +32,17 @@ from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
 from ..core.taskgraph import TaskGraph
 from ..topology.base import SystemGraph
-from ..utils import as_rng
+from ..utils import GraphError, as_rng
 
 __all__ = [
+    "LeeCost",
     "LeeResult",
     "phases_by_level",
     "communication_cost",
     "lee_mapping",
 ]
+
+Phases = list[list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -50,54 +54,101 @@ class LeeResult:
     evaluations: int
 
 
-def phases_by_level(graph: TaskGraph) -> list[list[tuple[int, int]]]:
+def _phase_edges(
+    graph: TaskGraph, phases: Phases | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids (into ``graph.edge_arrays()``) in phase order, and each
+    one's phase: by default the source task's topological level (sorted
+    stably, so edges keep their ``(src, dst)`` order inside a phase),
+    else the listed pairs that are edges, in listing order."""
+    srcs, dsts, _ = graph.edge_arrays()
+    if phases is None:
+        level = graph.schedule_plan().depth()[srcs]
+        order = np.argsort(level, kind="stable")
+        return order, level[order]
+    n = graph.num_tasks
+    pairs = np.asarray(list(chain.from_iterable(phases)), dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise GraphError(f"a phase names a task outside 0..{n - 1}")
+    keys, wanted = srcs * n + dsts, pairs[:, 0] * n + pairs[:, 1]  # keys ascend
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    return pos[hit], np.repeat(np.arange(len(phases)), list(map(len, phases)))[hit]
+
+
+def phases_by_level(graph: TaskGraph) -> Phases:
     """Group edges by the topological level of their source task.
 
     Level of a task = length (in tasks) of the longest chain of
     predecessors; all edges out of level-k tasks belong to phase k.
     Empty phases are dropped.
     """
-    level = graph.schedule_plan().depth()
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for e in graph.edges():
-        buckets.setdefault(int(level[e.src]), []).append((e.src, e.dst))
-    return [buckets[k] for k in sorted(buckets)]
+    edge, phase = _phase_edges(graph, None)
+    srcs, dsts, _ = graph.edge_arrays()
+    pairs = list(zip(srcs[edge].tolist(), dsts[edge].tolist()))
+    bounds = [*np.flatnonzero(np.diff(phase, prepend=-1)).tolist(), len(pairs)]
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class LeeCost:
+    """Lee & Aggarwal's objective, laid out once to score batches: its one
+    implementation, shared by the hill climb, :func:`communication_cost`
+    and experiment E5 (the scalar per-phase loop is the tests' oracle).
+
+    The cross-cluster phase edges are kept phase-sorted: the cluster at
+    each end, the weight (from ``cross_out_weights``, so no dense
+    matrix) and where each phase starts.  Intra-cluster edges weigh 0
+    and are dropped, as are phases left empty.  ``phases`` defaults to
+    :func:`phases_by_level`.
+    """
+
+    def __init__(
+        self,
+        clustered: ClusteredGraph,
+        system: SystemGraph,
+        phases: Phases | None = None,
+    ) -> None:
+        edge, phase = _phase_edges(clustered.graph, phases)
+        weight = clustered.cross_out_weights[edge]
+        cross = weight > 0
+        srcs, dsts, _ = clustered.graph.edge_arrays()
+        labels = clustered.clustering.labels
+        self._src = labels[srcs[edge[cross]]]
+        self._dst = labels[dsts[edge[cross]]]
+        self._weight = weight[cross]
+        self._starts = np.flatnonzero(np.diff(phase[cross], prepend=-1))
+        self._dist = system.shortest
+
+    def costs(self, placements: np.ndarray) -> np.ndarray:
+        """The cost of each row of a ``(k, na)`` batch of placements
+        (``placements[r, cluster] = system node``)."""
+        if not self._weight.size:
+            return np.zeros(len(placements), dtype=np.int64)
+        dist = self._dist[placements[:, self._src], placements[:, self._dst]]
+        return np.maximum.reduceat(self._weight * dist, self._starts, axis=1).sum(axis=1)
+
+    def cost(self, assignment: Assignment) -> int:
+        """One assignment's cost: a one-row :meth:`costs` batch."""
+        return int(self.costs(assignment.placement[None, :])[0])
 
 
 def communication_cost(
     clustered: ClusteredGraph,
     system: SystemGraph,
     assignment: Assignment,
-    phases: list[list[tuple[int, int]]] | None = None,
+    phases: Phases | None = None,
 ) -> int:
-    """Lee & Aggarwal's objective for one assignment.
-
-    Edges whose clustered weight is zero (intra-cluster) contribute
-    nothing regardless of phase.
-    """
-    if phases is None:
-        phases = phases_by_level(clustered.graph)
-    labels = clustered.clustering.labels
-    hosts = assignment.placement
-    clus = clustered.clus_edge
-    total = 0
-    for phase in phases:
-        worst = 0
-        for i, j in phase:
-            w = int(clus[i, j])
-            if w == 0:
-                continue
-            d = int(system.shortest[hosts[labels[i]], hosts[labels[j]]])
-            worst = max(worst, w * d)
-        total += worst
-    return total
+    """Lee & Aggarwal's objective for one assignment (intra-cluster
+    edges contribute nothing regardless of phase)."""
+    return LeeCost(clustered, system, phases).cost(assignment)
 
 
 def lee_mapping(
     clustered: ClusteredGraph,
     system: SystemGraph,
     rng: int | np.random.Generator | None = None,
-    phases: list[list[tuple[int, int]]] | None = None,
+    phases: Phases | None = None,
     restarts: int = 4,
     max_passes: int = 20,
 ) -> LeeResult:
@@ -108,8 +159,7 @@ def lee_mapping(
     exchange too, which the paper cites when rejecting it for refinement).
     """
     gen = as_rng(rng)
-    if phases is None:
-        phases = phases_by_level(clustered.graph)
+    objective = LeeCost(clustered, system, phases)
     n = system.num_nodes
     best: Assignment | None = None
     best_cost = np.iinfo(np.int64).max
@@ -117,14 +167,14 @@ def lee_mapping(
 
     for _ in range(max(1, restarts)):
         current = Assignment.random(n, rng=gen)
-        current_cost = communication_cost(clustered, system, current, phases)
+        current_cost = objective.cost(current)
         evaluations += 1
         for _ in range(max_passes):
             improved = False
             for a in range(n - 1):
                 for b in range(a + 1, n):
                     candidate = current.swapped(a, b)
-                    cost = communication_cost(clustered, system, candidate, phases)
+                    cost = objective.cost(candidate)
                     evaluations += 1
                     if cost < current_cost:
                         current, current_cost = candidate, cost

@@ -400,33 +400,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from .utils import GraphError, MappingError
+
     args = build_parser().parse_args(argv)
     command: str = args.command
-
-    if command == "example":
-        _run_example()
-    elif command == "counterexamples":
-        _run_counterexamples()
-    elif command == "matrices":
-        _run_matrices()
-    elif command == "map":
-        _run_map(args)
-    elif command == "compare":
-        _run_compare(args)
-    elif command == "sweep":
-        _run_sweep(args)
-    elif command == "lint":
-        _run_lint(args)
-    elif command == "list":
-        _run_list(args)
-    elif command == "recommend":
-        _run_recommend(args)
-    elif command == "serve":
-        _run_serve(args)
-    elif command == "gateway":
-        _run_gateway(args)
-    else:  # pragma: no cover - argparse guards this
-        raise SystemExit(f"unknown command {command!r}")
+    # The one error boundary: invalid input anywhere below (including an
+    # instance too large for a dense path) exits 2 with one line.
+    try:
+        if command == "example":
+            _run_example()
+        elif command == "counterexamples":
+            _run_counterexamples()
+        elif command == "matrices":
+            _run_matrices()
+        elif command == "map":
+            _run_map(args)
+        elif command == "compare":
+            _run_compare(args)
+        elif command == "sweep":
+            _run_sweep(args)
+        elif command == "lint":
+            _run_lint(args)
+        elif command == "list":
+            _run_list(args)
+        elif command == "recommend":
+            _run_recommend(args)
+        elif command == "serve":
+            _run_serve(args)
+        elif command == "gateway":
+            _run_gateway(args)
+        else:  # pragma: no cover - argparse guards this
+            raise SystemExit(f"unknown command {command!r}")
+    except (GraphError, MappingError) as exc:
+        raise _cli_error(command, str(exc)) from None
     return 0
 
 
@@ -479,30 +485,26 @@ def _build_instance(args: argparse.Namespace):
     from .api import get_clusterer
     from .core import ClusteredGraph
     from .topology import by_name
-    from .utils import GraphError, MappingError
     from .workloads import layered_random_dag
 
     command: str = args.command
-    try:
-        if args.input is not None:
-            graph, system, clustering, _ = _load_input(command, args.input)
-        else:
-            if args.tasks < 1:
-                raise _cli_error(command, f"--tasks must be >= 1, got {args.tasks}")
-            if args.size < 1:
-                raise _cli_error(
-                    command, f"--size (processor count) must be >= 1, got {args.size}"
-                )
-            system = by_name(args.topology, args.size, rng=args.seed)
-            graph = layered_random_dag(num_tasks=args.tasks, rng=args.seed)
-            clustering = None
-        if clustering is None:
-            clustering = get_clusterer(
-                args.clusterer, num_clusters=system.num_nodes
-            ).cluster(graph, rng=args.seed)
-        return ClusteredGraph(graph, clustering), system
-    except (GraphError, MappingError) as exc:
-        raise _cli_error(command, str(exc)) from None
+    if args.input is not None:
+        graph, system, clustering, _ = _load_input(command, args.input)
+    else:
+        if args.tasks < 1:
+            raise _cli_error(command, f"--tasks must be >= 1, got {args.tasks}")
+        if args.size < 1:
+            raise _cli_error(
+                command, f"--size (processor count) must be >= 1, got {args.size}"
+            )
+        system = by_name(args.topology, args.size, rng=args.seed)
+        graph = layered_random_dag(num_tasks=args.tasks, rng=args.seed)
+        clustering = None
+    if clustering is None:
+        clustering = get_clusterer(
+            args.clusterer, num_clusters=system.num_nodes
+        ).cluster(graph, rng=args.seed)
+    return ClusteredGraph(graph, clustering), system
 
 
 def _load_input(command: str, path: str):
@@ -527,7 +529,6 @@ def _run_map(args: argparse.Namespace) -> None:
     from .analysis import compute_metrics, format_metrics, render_gantt
     from .api import solve_instance
     from .core import evaluate_assignment
-    from .utils import MappingError
 
     clustered, system = _build_instance(args)
     outcome = solve_instance(clustered, system, mapper=args.mapper, rng=args.seed)
@@ -543,10 +544,7 @@ def _run_map(args: argparse.Namespace) -> None:
                 "map", "--metrics needs at least one metric name "
                 "(see 'mimdmap list metrics')"
             )
-        try:
-            extra = evaluate_metrics(clustered, system, outcome.assignment, specs)
-        except MappingError as exc:
-            raise _cli_error("map", str(exc)) from None
+        extra = evaluate_metrics(clustered, system, outcome.assignment, specs)
 
     print(f"workload   : {clustered.graph}")
     print(f"machine    : {system}")
@@ -632,8 +630,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
     import json
 
     from .api import format_sweep, load_spec, run_scenarios
-    from .api.scenario import ScenarioError
-    from .utils import GraphError, MappingError
 
     if args.workers < 1:
         raise _cli_error("sweep", f"--workers must be >= 1, got {args.workers}")
@@ -647,8 +643,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
         raise _cli_error(
             "sweep", f"spec file {args.spec!r} is not valid JSON: {exc}"
         ) from None
-    except ScenarioError as exc:
-        raise _cli_error("sweep", str(exc)) from None
 
     total = sum(s.replicas for s in scenarios)
     print(f"sweep: {len(scenarios)} scenarios, {total} runs", flush=True)
@@ -673,8 +667,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
         result = run_scenarios(
             scenarios, out=args.out, max_workers=args.workers, on_record=progress
         )
-    except (GraphError, MappingError) as exc:
-        raise _cli_error("sweep", str(exc)) from None
     except OSError as exc:
         raise _cli_error(
             "sweep",
@@ -696,7 +688,6 @@ def _run_lint(args: argparse.Namespace) -> None:
 
     from .lint import (
         RULES,
-        BaselineError,
         apply_baseline,
         format_json,
         format_text,
@@ -768,8 +759,6 @@ def _run_lint(args: argparse.Namespace) -> None:
                 "lint",
                 f"cannot read baseline {baseline_path!r}: {exc.strerror or exc}",
             ) from None
-        except BaselineError as exc:
-            raise _cli_error("lint", str(exc)) from None
     diff = apply_baseline(result.findings, entries)
 
     if args.json:
@@ -799,14 +788,10 @@ def _run_recommend(args: argparse.Namespace) -> None:
 
     from .portfolio.recommend import mine_records
     from .service.backends import read_records
-    from .utils import MappingError
 
     if not Path(args.store).exists():
         raise _cli_error("recommend", f"store {args.store!r} does not exist")
-    try:
-        records = read_records(args.store, backend=args.store_backend)
-    except MappingError as exc:
-        raise _cli_error("recommend", str(exc)) from None
+    records = read_records(args.store, backend=args.store_backend)
     payload = mine_records(records, args.workload, args.topology)
     if payload is None:
         raise _cli_error(
@@ -862,9 +847,8 @@ def _install_sigterm_drain() -> None:
 
 
 def _run_serve(args: argparse.Namespace) -> None:
-    from .service import MappingService, StoreLockedError, make_server
+    from .service import MappingService, make_server
     from .service.shard import KeyspaceSlice
-    from .utils import MappingError
 
     if args.workers is not None and args.workers < 1:
         raise _cli_error("serve", f"--workers must be >= 1, got {args.workers}")
@@ -882,25 +866,17 @@ def _run_serve(args: argparse.Namespace) -> None:
         )
     keyspace = None
     if args.shard_index is not None:
-        try:
-            keyspace = KeyspaceSlice.for_shard(args.shard_index, args.shard_count)
-        except MappingError as exc:
-            raise _cli_error("serve", str(exc)) from None
-    try:
-        service = MappingService(
-            max_workers=args.workers,
-            store_path=args.store,
-            store_backend=args.store_backend,
-            store_sync=args.store_sync,
-            cache_size=args.cache_size,
-            queue_limit=args.queue_limit,
-            retry_after=args.retry_after,
-            keyspace=keyspace,
-        )
-    except StoreLockedError as exc:
-        raise _cli_error("serve", str(exc)) from None
-    except MappingError as exc:
-        raise _cli_error("serve", str(exc)) from None
+        keyspace = KeyspaceSlice.for_shard(args.shard_index, args.shard_count)
+    service = MappingService(
+        max_workers=args.workers,
+        store_path=args.store,
+        store_backend=args.store_backend,
+        store_sync=args.store_sync,
+        cache_size=args.cache_size,
+        queue_limit=args.queue_limit,
+        retry_after=args.retry_after,
+        keyspace=keyspace,
+    )
     try:
         server = make_server(
             service, host=args.host, port=args.port, quiet=not args.verbose
@@ -951,7 +927,6 @@ def _run_serve(args: argparse.Namespace) -> None:
 
 def _run_gateway(args: argparse.Namespace) -> None:
     from .service.shard import make_gateway
-    from .utils import MappingError
 
     shards = [s.strip() for s in args.shards.split(",") if s.strip()]
     if not shards:
@@ -975,8 +950,6 @@ def _run_gateway(args: argparse.Namespace) -> None:
             retry_delay=args.retry_delay,
             quiet=not args.verbose,
         )
-    except MappingError as exc:
-        raise _cli_error("gateway", str(exc)) from None
     except OSError as exc:
         raise _cli_error(
             "gateway",

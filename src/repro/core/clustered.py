@@ -203,8 +203,8 @@ class ClusteredGraph:
             if n > _DENSE_LIMIT:
                 gib = n * n * 8 / 2**30
                 raise GraphError(
-                    f"dense clus_edge for {n} tasks would allocate ~{gib:.0f} "
-                    "GiB; use cross_out_weights / cross_in_weights instead"
+                    f"dense clus_edge for {n} tasks (limit {_DENSE_LIMIT}) would "
+                    f"allocate ~{gib:.0f} GiB; use cross_out_weights / cross_in_weights"
                 )
             srcs, dsts, _ = self._graph.edge_arrays()
             mat = np.zeros((n, n), dtype=np.int64)

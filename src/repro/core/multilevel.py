@@ -32,12 +32,12 @@ repo's existing primitives end to end:
 * **Uncoarsening** — :func:`project_assignment` expands each coarse
   node's children onto its coarse processor's children (spill-over
   children go to the free processor nearest their sibling), then
-  :func:`refine_comm_volume` runs KL/FM-style boundary refinement on
-  top of the O(deg) probe/commit machinery from
-  :mod:`repro.core.incremental`
+  :func:`refine_metric` runs KL/FM-style boundary refinement on top of
+  the O(deg) probe/commit machinery from :mod:`repro.core.incremental`
   (:class:`~repro.core.incremental.CommVolumeDelta`, which keeps the
   pairwise volume sum and no schedule state), committing only swaps
-  that strictly reduce the hop-weighted communication volume.
+  that strictly reduce the hop-weighted communication volume (the
+  default objective).
 
 Communication volume is *exactly* representable at every level of the
 hierarchy (it is a sum over cluster pairs), which is why the refinement
@@ -69,6 +69,7 @@ __all__ = [
     "MultilevelHierarchy",
     "MultilevelResult",
     "abstract_taskgraph",
+    "analytic_metric",
     "build_hierarchy",
     "contract_graph",
     "contract_system",
@@ -77,7 +78,6 @@ __all__ = [
     "match_processors",
     "multilevel_map",
     "project_assignment",
-    "refine_comm_volume",
     "refine_metric",
 ]
 
@@ -389,39 +389,6 @@ def project_assignment(level: Level, coarse: Assignment) -> Assignment:
     return Assignment.from_placement(placement)
 
 
-def refine_comm_volume(
-    graph: TaskGraph,
-    system: SystemGraph,
-    assignment: Assignment,
-    passes: int,
-    reporter=None,
-) -> tuple[Assignment, int, int, int]:
-    """KL/FM-style boundary refinement of one level's assignment.
-
-    Sweeps the nodes in order; for each node ``c`` and each of its
-    graph neighbors ``d`` (heaviest first), proposes swapping ``c``
-    with the occupants of the processors adjacent to ``d``'s host —
-    i.e. tries to pull ``c`` next to the nodes it talks to most.  Each
-    node's proposals are scored as one gain-table batch on the
-    :class:`~repro.core.incremental.CommVolumeDelta` aggregate (the
-    comm-volume half of the delta-evaluation machinery, without the
-    schedule state this loop never reads); only strictly improving
-    swaps commit, so every pass monotonically reduces the hop-weighted
-    communication volume and the loop terminates.  Stops early when a
-    full pass commits nothing.
-
-    Returns ``(assignment, comm_volume, probes, swaps)``.
-    """
-    n = graph.num_tasks
-    if n != system.num_nodes:
-        raise MappingError(
-            f"level graph has {n} nodes, system has {system.num_nodes}"
-        )
-    sym = graph.prob_edge + graph.prob_edge.T
-    evaluator = CommVolumeDelta(sym, system, assignment)
-    return _pairwise_sweep(sym, system, evaluator, passes, reporter)
-
-
 def _neighbor_lists(sym: np.ndarray) -> list[list[int]]:
     """Per-node graph neighbors, heaviest edge first (ties by id)."""
     out: list[list[int]] = []
@@ -438,26 +405,26 @@ def _pairwise_sweep(
     evaluator: CommVolumeDelta,
     passes: int,
     reporter=None,
-) -> tuple[Assignment, int, int, int]:
-    """The KL/FM sweep of :func:`refine_comm_volume` over any
-    :class:`CommVolumeDelta` aggregate (default distances or a metric's
-    pair matrix).
+) -> tuple[Assignment, int, int]:
+    """KL/FM-style boundary refinement on a :class:`CommVolumeDelta`.
 
     Each node ``c`` proposes, in order, a swap with the occupant of
     every processor adjacent to each graph neighbor's host (neighbors
     heaviest-first, each host's processor neighborhood in order), and
-    the *first* improving proposal commits.  The placement is fixed
-    while ``c``'s proposals are scored, so the whole sequence is built
-    in one gather and scored with one :meth:`CommVolumeDelta.delta_swaps`
-    call; the first negative entry is the committed swap, and its
-    one-based position is the probe count.
+    the *first* strictly improving proposal commits.  The placement is
+    fixed while ``c``'s proposals are scored, so the whole sequence is
+    built in one gather and scored with one
+    :meth:`CommVolumeDelta.delta_swaps` call; the first negative entry
+    is the committed swap, and its one-based position is the probe
+    count.  Stops early when a full pass commits nothing.
 
     ``reporter`` (an optional
     :class:`~repro.core.anytime.AnytimeReporter`) gets one checkpoint
-    per completed pass and may stop the sweep between passes."""
+    per completed pass and may stop the sweep between passes.  Returns
+    ``(assignment, probes, swaps)``."""
     n = sym.shape[0]
     if passes <= 0 or n < 2:
-        return evaluator.assignment, evaluator.volume, 0, 0
+        return evaluator.assignment, 0, 0
 
     nbr_arrs = [np.asarray(nbrs, dtype=np.int64) for nbrs in _neighbor_lists(sym)]
     rows = [system.neighbors(p) for p in range(system.num_nodes)]
@@ -497,7 +464,21 @@ def _pairwise_sweep(
                 break
         if not improved:
             break
-    return evaluator.assignment, evaluator.volume, probes, swaps
+    return evaluator.assignment, probes, swaps
+
+
+def analytic_metric(name: str):
+    """The registered metric ``name``, which a refinement objective
+    must be: simulator-backed metrics raise :class:`MappingError`."""
+    from ..metrics import METRICS  # deferred: repro.metrics imports repro.api
+
+    metric = METRICS.get(name)
+    if not getattr(metric, "analytic", False):
+        raise MappingError(
+            f"refinement objective must be an analytic metric; "
+            f"{name!r} is simulator-backed"
+        )
+    return metric
 
 
 def refine_metric(
@@ -508,33 +489,22 @@ def refine_metric(
     metric: str = "comm_volume",
     reporter=None,
 ) -> tuple[Assignment, float, int, int]:
-    """:func:`refine_comm_volume` generalized to any registered analytic
-    metric as the objective.
+    """KL/FM-style refinement of one level's assignment, minimizing a
+    registered analytic metric (simulator-backed ones are rejected: a
+    sweep probing thousands of swaps cannot afford a simulation each).
 
-    ``metric="comm_volume"`` is the existing path, bit-identical to
-    :func:`refine_comm_volume`.  Other analytic metrics run the same
-    neighborhood sweep: metrics exposing a symmetric ``pair_matrix``
-    (e.g. ``hop_bytes`` on unit-weight machines) keep the O(deg) probes
-    on the :class:`~repro.core.incremental.CommVolumeDelta` aggregate;
-    anything else falls back to probing full metric evaluations on the
-    identity-clustered level graph.  Simulator-backed metrics are
-    rejected — a sweep probing thousands of swaps cannot afford a
-    simulation per probe.
+    Metrics with a symmetric integer ``pair_matrix`` — the default
+    ``comm_volume`` (hop distances), ``hop_bytes`` on unit-weight
+    machines — run :func:`_pairwise_sweep` with O(deg) probes on
+    :class:`~repro.core.incremental.CommVolumeDelta`; anything else
+    runs the same neighborhood sweep on full metric evaluations of the
+    identity-clustered level graph.
 
     Returns ``(assignment, objective_value, probes, swaps)`` where the
     objective value is the metric's headline key on the final
     assignment.
     """
-    if metric == "comm_volume":
-        return refine_comm_volume(graph, system, assignment, passes, reporter)
-    from ..metrics import METRICS  # deferred: repro.metrics imports repro.api
-
-    m = METRICS.get(metric)
-    if not getattr(m, "analytic", False):
-        raise MappingError(
-            f"refinement objective must be an analytic metric; "
-            f"{metric!r} is simulator-backed"
-        )
+    m = analytic_metric(metric)
     n = graph.num_tasks
     if n != system.num_nodes:
         raise MappingError(
@@ -547,7 +517,7 @@ def refine_metric(
     pair = pair_fn(system) if pair_fn is not None else None
     if pair is not None:
         evaluator = CommVolumeDelta(sym, system, assignment, metric=pair)
-        refined, _, probes, swaps = _pairwise_sweep(
+        refined, probes, swaps = _pairwise_sweep(
             sym, system, evaluator, passes, reporter
         )
         value = float(m.compute(level, system, refined)[metric])
@@ -609,7 +579,7 @@ class MultilevelResult:
 
     assignment: Assignment
     hierarchy: MultilevelHierarchy
-    comm_volume: int | float
+    comm_volume: float
     refine_probes: int
     refine_swaps: int
 
@@ -680,7 +650,7 @@ def multilevel_map(
             f"nodes, the coarsest level has {coarsest.graph.num_tasks}"
         )
     probes = swaps = 0
-    volume: int | float = 0
+    volume = 0.0
     for level in reversed(levels[:-1]):
         assignment = project_assignment(level, assignment)
         assignment, volume, level_probes, level_swaps = _refine_with_metric(

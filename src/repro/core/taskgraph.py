@@ -335,9 +335,9 @@ class TaskGraph:
             if n > _DENSE_LIMIT:
                 gib = n * n * 8 / 2**30
                 raise GraphError(
-                    f"dense prob_edge for {n} tasks would allocate ~{gib:.0f} "
-                    "GiB; use the CSR accessors (edge_arrays(), out_indptr, "
-                    "in_indptr, ...) instead"
+                    f"dense prob_edge for {n} tasks (limit {_DENSE_LIMIT}) would "
+                    f"allocate ~{gib:.0f} GiB; use the CSR accessors "
+                    "(edge_arrays(), out_indptr, in_indptr, ...) instead"
                 )
             mat = np.zeros((n, n), dtype=np.int64)
             mat[self._out_src, self._out_dst] = self._out_w

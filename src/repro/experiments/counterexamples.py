@@ -10,18 +10,25 @@ by enumerating all ``8! = 40320`` assignments:
   strictly larger than the global optimum (E4, Figs. 7-12);
 * among assignments minimizing the Lee cost, the best total time is
   strictly larger than the global optimum (E5, Figs. 13-17).
+
+Each objective is scored by its one implementation in
+:mod:`repro.baselines`, all ``8!`` placements in one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.exhaustive import all_assignment_total_times
+from ..baselines.bokhari import cardinalities
+from ..baselines.exhaustive import all_assignment_total_times, invert_permutations
+from ..baselines.lee_aggarwal import LeeCost
 from ..core.abstract import AbstractGraph
 from ..core.clustered import ClusteredGraph
 from ..core.ideal import lower_bound
+from ..topology.base import SystemGraph
 from ..workloads.paper_examples import (
     bokhari_counterexample_system,
     bokhari_counterexample_task_graph,
@@ -68,12 +75,29 @@ class CounterexampleReport:
         return self.time_at_objective_optimum - self.global_best_time
 
 
-def _placements(perms: np.ndarray) -> np.ndarray:
-    """Invert a batch of ``assi`` permutations to ``cluster -> system``."""
-    placement = np.empty_like(perms)
-    rows = np.arange(perms.shape[0])[:, None]
-    placement[rows, perms] = np.arange(perms.shape[1])[None, :]
-    return placement
+def _certify(
+    name: str,
+    objective_name: str,
+    clustered: ClusteredGraph,
+    system: SystemGraph,
+    score: Callable[[np.ndarray], np.ndarray],
+    maximize: bool,
+) -> CounterexampleReport:
+    """Enumerate every assignment, score all of them with ``score`` (a
+    ``(k, na)`` batch of placements -> objective values) and compare the
+    objective's optimum with the time optimum."""
+    perms, times = all_assignment_total_times(clustered, system)
+    scores = score(invert_permutations(perms))
+    best = int(scores.max() if maximize else scores.min())
+    return CounterexampleReport(
+        name=name,
+        objective_name=objective_name,
+        objective_best=best,
+        time_at_objective_optimum=int(times[scores == best].min()),
+        global_best_time=int(times.min()),
+        lower_bound=lower_bound(clustered),
+        assignments_enumerated=perms.shape[0],
+    )
 
 
 def run_bokhari_counterexample() -> CounterexampleReport:
@@ -82,24 +106,13 @@ def run_bokhari_counterexample() -> CounterexampleReport:
     system = bokhari_counterexample_system()
     clustered = ClusteredGraph(graph, singleton_clustering(graph))
     abstract = AbstractGraph(clustered)
-
-    perms, times = all_assignment_total_times(clustered, system)
-    placement = _placements(perms)
-    # Batch cardinality: count abstract edges whose hosts are adjacent.
-    srcs, dsts = np.nonzero(np.triu(abstract.abs_edge, 1))
-    adj = system.sys_edge[placement[:, srcs], placement[:, dsts]]
-    cards = adj.sum(axis=1)
-
-    best_card = int(cards.max())
-    best_time_at_card = int(times[cards == best_card].min())
-    return CounterexampleReport(
-        name="Bokhari cardinality (Figs. 7-12)",
-        objective_name="cardinality (maximize)",
-        objective_best=best_card,
-        time_at_objective_optimum=best_time_at_card,
-        global_best_time=int(times.min()),
-        lower_bound=lower_bound(clustered),
-        assignments_enumerated=perms.shape[0],
+    return _certify(
+        "Bokhari cardinality (Figs. 7-12)",
+        "cardinality (maximize)",
+        clustered,
+        system,
+        lambda placements: cardinalities(abstract, system, placements),
+        maximize=True,
     )
 
 
@@ -108,36 +121,14 @@ def run_lee_counterexample() -> CounterexampleReport:
     graph = lee_counterexample_task_graph()
     system = lee_counterexample_system()
     clustered = ClusteredGraph(graph, singleton_clustering(graph))
-    phases = lee_counterexample_phases()
-
-    perms, times = all_assignment_total_times(clustered, system)
-    placement = _placements(perms)
-    labels = clustered.clustering.labels
-    clus = clustered.clus_edge
-    # Batch Lee cost: per phase, max over edges of weight * hop distance.
-    costs = np.zeros(perms.shape[0], dtype=np.int64)
-    for phase in phases:
-        phase_max = np.zeros(perms.shape[0], dtype=np.int64)
-        for i, j in phase:
-            w = int(clus[i, j])
-            if w == 0:
-                continue
-            dist = system.shortest[
-                placement[:, labels[i]], placement[:, labels[j]]
-            ]
-            phase_max = np.maximum(phase_max, w * dist)
-        costs += phase_max
-
-    best_cost = int(costs.min())
-    best_time_at_cost = int(times[costs == best_cost].min())
-    return CounterexampleReport(
-        name="Lee & Aggarwal communication cost (Figs. 13-17)",
-        objective_name="phase communication cost (minimize)",
-        objective_best=best_cost,
-        time_at_objective_optimum=best_time_at_cost,
-        global_best_time=int(times.min()),
-        lower_bound=lower_bound(clustered),
-        assignments_enumerated=perms.shape[0],
+    objective = LeeCost(clustered, system, lee_counterexample_phases())
+    return _certify(
+        "Lee & Aggarwal communication cost (Figs. 13-17)",
+        "phase communication cost (minimize)",
+        clustered,
+        system,
+        objective.costs,
+        maximize=False,
     )
 
 

@@ -142,6 +142,53 @@ def scalar_schedule(
     return start, end
 
 
+def oracle_phases_by_level(graph: TaskGraph) -> list[list[tuple[int, int]]]:
+    """Edges grouped by their source task's DAG level, in ``edges()``
+    order within a level, empty levels dropped; the level is read from
+    :func:`scalar_schedule` (zero edge costs, unit sizes)."""
+    n = graph.num_tasks
+    depth, _ = scalar_schedule(
+        graph, np.zeros((n, n), dtype=np.int64), np.ones(n, dtype=np.int64)
+    )
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for e in graph.edges():
+        buckets.setdefault(int(depth[e.src]), []).append((e.src, e.dst))
+    return [buckets[k] for k in sorted(buckets)]
+
+
+def oracle_lee_cost(
+    clustered: ClusteredGraph,
+    system: SystemGraph,
+    assignment: Assignment,
+    phases: list[list[tuple[int, int]]] | None = None,
+) -> int:
+    """Lee & Aggarwal's phase cost in its scalar form: the tests' oracle.
+
+    ``sum over phases of max over the phase's pairs (i, j) of
+    clus_edge[i, j] * dist(host(i), host(j))``, one pair at a time;
+    intra-cluster edges and pairs that are no edge weigh 0.  Phases
+    default to :func:`oracle_phases_by_level`.  The library scores
+    placements on phase-sorted edge arrays with one segmented max,
+    which shares no code with this loop.
+    """
+    if phases is None:
+        phases = oracle_phases_by_level(clustered.graph)
+    labels = clustered.clustering.labels
+    hosts = assignment.placement
+    clus = clustered.clus_edge
+    total = 0
+    for phase in phases:
+        worst = 0
+        for i, j in phase:
+            w = int(clus[i, j])
+            if w == 0:
+                continue
+            d = int(system.shortest[hosts[labels[i]], hosts[labels[j]]])
+            worst = max(worst, w * d)
+        total += worst
+    return total
+
+
 def oracle_route(system: SystemGraph, src: int, dst: int) -> list[int]:
     """One shortest route ``src -> dst`` (endpoints included), computed
     for this pair alone: the tests' routing oracle.

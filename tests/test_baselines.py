@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import build_topology
 from repro.baselines import (
+    LeeCost,
     all_assignment_total_times,
     anneal_mapping,
     average_random_mapping,
@@ -26,8 +28,46 @@ from repro.core import (
     total_time,
 )
 from repro.topology import chain, complete, hypercube, ring
-from repro.utils import MappingError
-from tests.conftest import random_instance
+from repro.utils import GraphError, MappingError
+from repro.workloads import (
+    layered_random_dag,
+    lee_counterexample_phases,
+    lee_counterexample_system,
+    lee_counterexample_task_graph,
+    singleton_clustering,
+)
+from tests.conftest import (
+    TOPOLOGY_SPECS,
+    oracle_lee_cost,
+    oracle_phases_by_level,
+    random_instance,
+    weighted_ring4,
+)
+
+
+def _lee_case(case: str):
+    """``(clustered, system, phases)`` for one Lee-objective oracle case."""
+    if case in TOPOLOGY_SPECS:
+        system = build_topology(TOPOLOGY_SPECS[case], rng=0)
+        return (*random_instance(7, num_tasks=4 * system.num_nodes, system=system), None)
+    if case == "weighted":
+        return (*random_instance(7, num_tasks=20, system=weighted_ring4()), None)
+    fig13 = lee_counterexample_task_graph()
+    paper = ClusteredGraph(fig13, singleton_clustering(fig13))
+    if case == "fig15-phases":
+        return paper, lee_counterexample_system(), lee_counterexample_phases()
+    if case == "listed-non-edges":
+        # Reversed edges, absent pairs and a phase of non-edges weigh 0.
+        phases = lee_counterexample_phases()
+        phases[1] += [(2, 0), (0, 7)]
+        phases.append([(5, 6), (7, 4)])
+        return paper, lee_counterexample_system(), phases
+    if case == "intra-cluster":
+        graph = TaskGraph([2, 3, 1, 2], [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)])
+        return ClusteredGraph(graph, Clustering([0, 0, 1, 1])), chain(2), None
+    assert case == "no-cross-edge"
+    graph = TaskGraph([1, 1, 1, 1], [(0, 1, 3), (2, 3, 2)])
+    return ClusteredGraph(graph, Clustering([0, 0, 1, 1])), chain(2), None
 
 
 class TestRandomMapping:
@@ -117,6 +157,43 @@ class TestLee:
         # phases by level: level0 edges (0,1),(0,2) -> max(0, 2); level1
         # edges (1,3),(2,3) -> max(2, 0) = 2. Total 4.
         assert cost == 4
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *sorted(TOPOLOGY_SPECS),
+            "weighted",
+            "fig15-phases",
+            "listed-non-edges",
+            "intra-cluster",
+            "no-cross-edge",
+        ],
+    )
+    def test_cost_matches_the_scalar_oracle(self, case):
+        """The batch objective, and its one-row form, equal the scalar
+        per-phase loop on random placements."""
+        clustered, system, phases = _lee_case(case)
+        n = system.num_nodes
+        assignments = [Assignment.random(n, rng=s) for s in range(12)]
+        costs = LeeCost(clustered, system, phases).costs(
+            np.stack([a.placement for a in assignments])
+        )
+        expected = [oracle_lee_cost(clustered, system, a, phases) for a in assignments]
+        assert costs.tolist() == expected
+        assert [
+            communication_cost(clustered, system, a, phases) for a in assignments
+        ] == expected
+        if case == "no-cross-edge":
+            assert expected == [0] * 12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phases_by_level_matches_the_oracle(self, seed):
+        graph = layered_random_dag(num_tasks=60, rng=seed)
+        assert phases_by_level(graph) == oracle_phases_by_level(graph)
+
+    def test_phase_naming_a_missing_task_raises(self, diamond_clustered):
+        with pytest.raises(GraphError, match="outside"):
+            LeeCost(diamond_clustered, ring(4), [[(0, 1)], [(2, 4)]])
 
     def test_lee_search_minimizes(self, medium_instance):
         clustered, system = medium_instance

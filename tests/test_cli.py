@@ -160,6 +160,21 @@ class TestErrorPaths:
     def test_compare_bad_workers_exits_2(self, capsys):
         self._expect_exit2(["compare", "--workers", "0"], capsys, "--workers")
 
+    def test_map_above_the_dense_limit_exits_2(self, capsys):
+        self._expect_exit2(
+            ["map", "--tasks", "20001", "--topology", "hypercube", "--size", "8"],
+            capsys,
+            "(limit 20000)",
+        )
+
+    def test_compare_above_the_dense_limit_exits_2(self, capsys):
+        self._expect_exit2(
+            ["compare", "--tasks", "20001", "--topology", "hypercube",
+             "--size", "8", "--mappers", "critical"],
+            capsys,
+            "(limit 20000)",
+        )
+
     def test_map_from_instance_file(self, capsys, tmp_path):
         from repro.io import save_instance
         from repro.topology import ring

@@ -495,16 +495,6 @@ class TestRefineMetric:
         graph = layered_random_dag(num_tasks=ns, rng=seed)
         return graph, system
 
-    def test_default_is_bit_identical_to_refine_comm_volume(self):
-        from repro.core.multilevel import refine_comm_volume, refine_metric
-
-        graph, system = self._level()
-        a = Assignment.random(system.num_nodes, rng=13)
-        legacy = refine_comm_volume(graph, system, a, passes=4)
-        general = refine_metric(graph, system, a, passes=4, metric="comm_volume")
-        assert np.array_equal(legacy[0].assi, general[0].assi)
-        assert legacy[1:] == (int(general[1]),) + general[2:]
-
     @pytest.mark.parametrize("metric", ["hop_bytes", "max_congestion"])
     def test_refinement_never_worsens_the_metric(self, metric):
         from repro.core.multilevel import refine_metric

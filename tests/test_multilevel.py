@@ -34,7 +34,7 @@ from repro.core.multilevel import (
     heavy_edge_matching,
     match_processors,
     project_assignment,
-    refine_comm_volume,
+    refine_metric,
 )
 from repro.service.fingerprint import instance_fingerprint
 from repro.topology import hypercube, mesh2d
@@ -200,8 +200,8 @@ class TestProjection:
         clustered, system = instance
         level0 = abstract_taskgraph(clustered)
         start = Assignment.random(clustered.num_clusters, rng=17)
-        _, before, _, _ = refine_comm_volume(level0, system, start, passes=0)
-        refined, after, probes, swaps = refine_comm_volume(
+        _, before, _, _ = refine_metric(level0, system, start, passes=0)
+        refined, after, probes, swaps = refine_metric(
             level0, system, start, passes=4
         )
         assert after <= before

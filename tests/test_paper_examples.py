@@ -1,5 +1,7 @@
 """Tests for repro.workloads.paper_examples — every fact the paper states."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.workloads import (
     running_example_task_graph,
     singleton_clustering,
 )
+from tests.conftest import oracle_lee_cost
 
 
 class TestRunningExample:
@@ -136,6 +139,20 @@ class TestBokhariInstance:
         assert report.assignments_enumerated == 40320
         assert report.global_best_time == report.lower_bound
 
+    def test_objective_best_is_the_recount_at_the_best_placement(self):
+        from repro.baselines import cardinalities, cardinality
+        from repro.experiments import run_bokhari_counterexample
+
+        graph = bokhari_counterexample_task_graph()
+        system = bokhari_counterexample_system()
+        abstract = AbstractGraph(ClusteredGraph(graph, singleton_clustering(graph)))
+        placements = np.asarray(list(permutations(range(8))))
+        best = placements[cardinalities(abstract, system, placements).argmax()]
+        assert (
+            cardinality(abstract, system, Assignment.from_placement(best))
+            == run_bokhari_counterexample().objective_best
+        )
+
 
 class TestLeeInstance:
     def test_shape_matches_fig13(self):
@@ -174,6 +191,21 @@ class TestLeeInstance:
         report = run_lee_counterexample()
         assert report.phenomenon_holds
         assert report.gap >= 2  # the paper's 23 vs 21
+
+    def test_objective_best_is_the_oracle_at_the_best_placement(self):
+        from repro.baselines import LeeCost
+        from repro.experiments import run_lee_counterexample
+
+        graph = lee_counterexample_task_graph()
+        system = lee_counterexample_system()
+        clustered = ClusteredGraph(graph, singleton_clustering(graph))
+        phases = lee_counterexample_phases()
+        placements = np.asarray(list(permutations(range(8))))
+        best = placements[LeeCost(clustered, system, phases).costs(placements).argmin()]
+        assert (
+            oracle_lee_cost(clustered, system, Assignment.from_placement(best), phases)
+            == run_lee_counterexample().objective_best
+        )
 
 
 class TestSingletonClustering:

@@ -33,6 +33,12 @@ from repro.api import (
     run_scenarios,
     summarize_sweep,
 )
+from repro.baselines import random_mapping
+from repro.clustering import RandomClusterer
+from repro.core import ClusteredGraph, CriticalEdgeMapper
+from repro.sim import SimConfig, simulate
+from repro.topology import hypercube
+from repro.workloads import layered_random_dag
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 #: Each table's spec and the machine family it maps onto.
@@ -164,6 +170,27 @@ class TestFidelity:
         summaries = summarize_sweep(records)
         assert len(summaries) == 12
         assert all(len(rows) == 1 for _, rows in summaries)
+
+    def test_ranking_survives_the_harshest_model(self):
+        """Critical-edge mapping stays at or below random mapping under
+        serialized processors plus link contention in at least half of
+        six 100-task ``hypercube:3`` trials (seed 7; 4 of 6 measured).
+        The mapping optimizes the contention-free model, so some
+        inversions are expected."""
+        gen = np.random.default_rng(7)
+        system = hypercube(3)
+        config = SimConfig(serialize_processors=True, link_contention=True)
+        wins = 0
+        for _ in range(6):
+            graph = layered_random_dag(num_tasks=100, comm_range=(1, 5), rng=gen)
+            clustering = RandomClusterer(8).cluster(graph, rng=gen)
+            clustered = ClusteredGraph(graph, clustering)
+            ours = CriticalEdgeMapper(rng=gen).map(clustered, system)
+            rand_assignment, _ = random_mapping(clustered, system, rng=gen)
+            ours_span = simulate(clustered, system, ours.assignment, config).makespan
+            rand_span = simulate(clustered, system, rand_assignment, config).makespan
+            wins += ours_span <= rand_span
+        assert wins * 2 >= 6
 
 
 def test_a5_ours_beats_random_and_the_indirect_objectives():
