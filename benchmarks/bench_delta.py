@@ -16,8 +16,13 @@ Two modes:
   ``benchmarks/results/bench_delta.txt``.
 * ``--smoke`` — the CI guard: randomized walks over the full operation
   mix (``probe_swap``, ``probe_move``, ``swap``, ``apply_swap``,
-  ``revert``, ``evaluate``) on small instances across several
-  topologies.  Every result is checked against
+  ``revert``, ``evaluate``, the batch probes ``probe_swaps`` and
+  ``probe_assignments``, and ``commit_probed``: a ``swap`` or
+  ``apply_swap``, in either order, of the last pair ``probe_swap`` saw —
+  probed right before, so that the commit reuses the probe's sweep, or
+  earlier, with other operations in between that must discard it) on
+  small instances across several
+  topologies.  Every result — every row of a batch — is checked against
   :func:`repro.core.evaluate.total_time` on a shadow assignment (a stack
   that ``apply_swap`` pushes and ``revert`` pops), and the evaluator's
   end times against the independent validator
@@ -65,18 +70,68 @@ def build_instance(num_tasks: int, system, seed: int):
 
 # -- smoke ----------------------------------------------------------------
 
-OPS = ("probe_swap", "probe_move", "swap", "apply_swap", "revert", "evaluate")
+OPS = (
+    "probe_swap",
+    "probe_move",
+    "swap",
+    "apply_swap",
+    "revert",
+    "evaluate",
+    "probe_swaps",
+    "probe_assignments",
+    "commit_probed",
+)
+
+
+def batch_mismatch(op: str, ev: DeltaEvaluator, clustered, system, current, gen):
+    """One batch probe on 1-5 random rows, each row checked against
+    ``total_time``; the first mismatch, or None."""
+    n = system.num_nodes
+    k = int(gen.integers(1, 6))
+    if op == "probe_swaps":
+        pairs = gen.integers(n, size=(k, 2))
+        rows = [current if a == b else current.swapped(a, b) for a, b in pairs.tolist()]
+        got = ev.probe_swaps(pairs)
+    else:
+        assis = np.stack([gen.permutation(n) for _ in range(k)])
+        rows = [Assignment(assi) for assi in assis]
+        got = ev.probe_assignments(assis)
+    for i, (row, value) in enumerate(zip(rows, got.tolist())):
+        want = total_time(clustered, system, row)
+        if value != want:
+            return f"{op} row {i} of {k} gave {value}, total_time says {want}"
+    return None
 
 
 def walk(ev: DeltaEvaluator, clustered, system, gen, steps: int) -> str | None:
     """One randomized walk over :data:`OPS`; the first mismatch, or None."""
     n = system.num_nodes
     shadow = [ev.assignment]  # shadow[-1] is the evaluator's assignment
+    last_probe = (0, 1)
     for step in range(steps):
         a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
         op = OPS[int(gen.integers(len(OPS)))]
         current = probed = shadow[-1]
-        if op == "probe_swap":
+        if op in ("probe_swaps", "probe_assignments"):
+            error = batch_mismatch(op, ev, clustered, system, current, gen)
+            if error is not None:
+                return f"step {step}: {error}"
+            got = ev.total_time  # the batch must leave the state alone
+        elif op == "commit_probed":
+            if gen.integers(2):
+                last_probe = (a, b)
+                probe = ev.probe_swap(a, b)
+                if probe != total_time(clustered, system, current.swapped(a, b)):
+                    return f"step {step}: probe_swap before a commit gave {probe}"
+            x, y = last_probe if gen.integers(2) else last_probe[::-1]
+            if gen.integers(2):
+                shadow = [current.swapped(x, y)]
+                got = ev.swap(x, y)
+            else:
+                shadow.append(current.swapped(x, y))
+                got = ev.apply_swap(x, y)
+        elif op == "probe_swap":
+            last_probe = (a, b)
             got, probed = ev.probe_swap(a, b), current.swapped(a, b)
         elif op == "probe_move":
             other = current.cluster_on(b)

@@ -26,7 +26,7 @@ from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
 from ..core.incremental import DeltaEvaluator
 from ..topology.base import SystemGraph
-from ..utils import as_rng
+from ..utils import MappingError, as_rng
 
 __all__ = ["AnnealResult", "anneal_mapping"]
 
@@ -66,9 +66,11 @@ def anneal_mapping(
         Defaults to the initial total time / 10 — large enough to accept
         most early uphill moves on integer-time instances.
     cooling:
-        Geometric cooling factor per temperature level.
+        Geometric cooling factor per temperature level, in ``(0, 1)``.
     moves_per_temperature:
         Defaults to ``2 * ns`` swap proposals per level.
+    min_temperature:
+        The run ends once the temperature falls to this value.
     quench:
         When True, temperature is ignored and only improvements are
         accepted (the "quenching" of ref [14]).
@@ -80,7 +82,16 @@ def anneal_mapping(
         reaction — and a racing controller's kill ordinals — cheap
         relative to a level.  A run that is never stopped is
         bit-identical to one without a reporter.
+
+    Raises :class:`~repro.utils.MappingError` unless ``0 < cooling < 1``
+    and ``min_temperature > 0``: otherwise the schedule never ends
+    (``cooling >= 1``, ``min_temperature < 0``) or ends only when the
+    temperature underflows (``min_temperature == 0``).
     """
+    if not 0.0 < cooling < 1.0:
+        raise MappingError(f"cooling must be in (0, 1), got {cooling}")
+    if not min_temperature > 0.0:
+        raise MappingError(f"min_temperature must be > 0, got {min_temperature}")
     gen = as_rng(rng)
     n = system.num_nodes
     current = initial if initial is not None else Assignment.random(n, rng=gen)

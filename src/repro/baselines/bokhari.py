@@ -99,8 +99,9 @@ def bokhari_mapping(
     evaluations = 0
 
     for _ in range(max(1, restarts)):
-        # Each candidate exchange is scored by its O(deg) cardinality
-        # delta instead of the O(n^2) full recount.
+        # Each cluster's remaining partners are scored at once from the
+        # gain table (cardinality deltas, no full recount); the first
+        # improving partner is committed and the scan resumes after it.
         evaluator = CommVolumeDelta(
             pair_weights,
             system,
@@ -109,15 +110,19 @@ def bokhari_mapping(
         )
         current_card = evaluator.volume
         evaluations += 1
+        placement = evaluator.placement_view
         for _ in range(max_passes):
             improved = False
             for a in range(n - 1):
-                for b in range(a + 1, n):
-                    card = current_card + evaluator.delta_swap(a, b)
-                    evaluations += 1
-                    if card > current_card:
-                        current_card = evaluator.swap(a, b)
+                b = a + 1
+                while b < n:  # partners b.., scored against the live placement
+                    hits = np.flatnonzero(evaluator.delta_swaps(a, placement[b:]) > 0)
+                    scanned = int(hits[0]) + 1 if hits.size else n - b
+                    evaluations += scanned
+                    if hits.size:
+                        current_card = evaluator.swap(a, b + scanned - 1)
                         improved = True
+                    b += scanned
             if not improved:
                 break
         if current_card > best_card:

@@ -28,7 +28,7 @@ from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
 from ..core.incremental import DeltaEvaluator
 from ..topology.base import SystemGraph
-from ..utils import as_rng
+from ..utils import MappingError, as_rng
 
 __all__ = ["GeneticResult", "genetic_mapping", "order_crossover"]
 
@@ -83,20 +83,26 @@ def genetic_mapping(
 
     ``reporter`` (optional) gets one anytime checkpoint per generation
     and may stop the run between generations with the best-so-far.
+
+    Raises :class:`~repro.utils.MappingError` unless ``population >= 2``
+    and ``1 <= tournament <= population`` (a tournament samples distinct
+    individuals).
     """
     if population < 2:
-        raise ValueError("population must be >= 2")
+        raise MappingError(f"population must be >= 2, got {population}")
+    if not 1 <= tournament <= population:
+        raise MappingError(
+            f"tournament must be in 1..population ({population}), got {tournament}"
+        )
     gen = as_rng(rng)
     n = system.num_nodes
 
     # Individuals change too much per generation to be reached by swaps;
-    # the delta evaluator's full-evaluation path skips the O(V^2)
-    # communication matrix on every fitness call.
+    # the delta evaluator scores a whole generation in batched level
+    # sweeps, with no O(V^2) communication matrix.
     evaluator = DeltaEvaluator(clustered, system, Assignment.identity(n))
     pop = [gen.permutation(n) for _ in range(population)]
-    fitness = np.array(
-        [evaluator.evaluate(Assignment(p)) for p in pop], dtype=np.int64
-    )
+    fitness = evaluator.probe_assignments(np.stack(pop))
     evaluations = population
     best_idx = int(fitness.argmin())
     best, best_time = pop[best_idx].copy(), int(fitness[best_idx])
@@ -123,10 +129,7 @@ def genetic_mapping(
                 child[i], child[j] = child[j], child[i]
             next_pop.append(child)
         pop = next_pop
-        fitness = np.array(
-            [evaluator.evaluate(Assignment(p)) for p in pop],
-            dtype=np.int64,
-        )
+        fitness = evaluator.probe_assignments(np.stack(pop))
         evaluations += population
         idx = int(fitness.argmin())
         if fitness[idx] < best_time:

@@ -58,9 +58,10 @@ def tabu_mapping(
     n = system.num_nodes
     current = initial if initial is not None else Assignment.random(n, rng=gen)
     # Best-improvement scans probe every pair swap; the delta evaluator
-    # answers each probe with one vectorized level sweep (no O(V^2)
+    # scores the whole neighbourhood in batched level sweeps (no O(V^2)
     # communication matrix), and only the chosen move is committed.
     evaluator = DeltaEvaluator(clustered, system, current)
+    pairs = np.column_stack(np.triu_indices(n, 1))  # the scan's (a, b > a) order
     current_time = evaluator.total_time
     best, best_time = current, current_time
     evaluations = 1
@@ -73,22 +74,17 @@ def tabu_mapping(
         it += 1
         if lower_bound is not None and best_time <= lower_bound:
             break
-        move_best: tuple[int, int] | None = None
-        move_time = None
-        for a in range(n - 1):
-            for b in range(a + 1, n):
-                t = evaluator.probe_swap(a, b)
-                evaluations += 1
-                tabu = tabu_until[a, b] >= it
-                aspirated = t < best_time
-                if tabu and not aspirated:
-                    continue
-                if move_time is None or t < move_time:
-                    move_best, move_time = (a, b), t
-        if move_best is None:  # everything tabu and nothing aspirates
+        times = evaluator.probe_swaps(pairs)
+        evaluations += times.size
+        # Allowed: not tabu, or aspirating (beats the best-so-far); the
+        # move is the first minimum among them.
+        allowed = np.flatnonzero(
+            (tabu_until[pairs[:, 0], pairs[:, 1]] < it) | (times < best_time)
+        )
+        if not allowed.size:  # everything tabu and nothing aspirates
             tabu_until[:] = 0
             continue
-        a, b = move_best
+        a, b = (int(x) for x in pairs[allowed[np.argmin(times[allowed])]])
         tabu_until[a, b] = tabu_until[b, a] = it + tenure
         current_time = evaluator.swap(a, b)
         if current_time < best_time:

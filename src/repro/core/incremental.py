@@ -9,12 +9,17 @@ swap.  :class:`DeltaEvaluator` is the evaluator their inner loops run on:
 * the current schedule's end times, computed by one vectorized level
   sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) per probe or
   commit — the paper's total-time recurrence of Sec. 4.3.4, the same
-  sweep :func:`~repro.core.evaluate.evaluate_assignment` runs;
+  sweep :func:`~repro.core.evaluate.evaluate_assignment` runs; committing
+  the pair just probed reuses that probe's end times;
 * ``probe_*`` (evaluate without committing), :meth:`~DeltaEvaluator.swap`
   (commit), :meth:`~DeltaEvaluator.apply_swap` /
   :meth:`~DeltaEvaluator.revert` (commit with an undo stack), and
   :meth:`~DeltaEvaluator.evaluate` — rebase onto any assignment without
-  the O(V^2) communication matrix (used by population methods).
+  the O(V^2) communication matrix;
+* :meth:`~DeltaEvaluator.probe_swaps` and
+  :meth:`~DeltaEvaluator.probe_assignments` — the makespans of a whole
+  neighbourhood (a list of swaps, a population of assignments) from
+  batched sweeps, state left unchanged.
 
 :class:`CommVolumeDelta` is the one incremental evaluator of a pairwise
 swap objective ``sum w[x, y] * metric[p(x), p(y)]``: hop-weighted
@@ -31,6 +36,8 @@ times (:meth:`DeltaEvaluator.verify`), and closed-form recounts such as
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..topology.base import SystemGraph
@@ -40,6 +47,18 @@ from .clustered import ClusteredGraph
 from .taskgraph import sweep_finish_times
 
 __all__ = ["CommVolumeDelta", "DeltaEvaluator"]
+
+#: Byte budget of one chunk's ``(rows, edges)`` int64 edge-cost array in
+#: the batch probes.  Measured on two tabu iterations on ``hypercube:6``
+#: (2,016 pairs each): 1 MB is as fast as 4 or 32 MB at 1k tasks and
+#: grows peak memory by 5 MB, against 15 and 67 MB.
+_BATCH_BYTES = 1 << 20
+#: Fewest rows a chunk must hold for the batch to pay.  A narrower batch
+#: (a graph of more than ``_BATCH_BYTES / 64`` edges, about 6,500 tasks
+#: at the default density) sweeps its rows one at a time instead.  Per
+#: row, at 20k tasks, chunks of 2 rows took 2.3x as long as one row at a
+#: time and chunks of 12 about as long; at 5k tasks 8 rows took 0.76x.
+_MIN_ROWS = 8
 
 
 class DeltaEvaluator:
@@ -79,6 +98,9 @@ class DeltaEvaluator:
         self._plan_src = labels[self._plan.src]
         self._plan_dst = labels[self._plan.dst]
         self._undo: list[tuple[int, int, np.ndarray, int]] = []
+        # The last single-pair probe, (a, b, end times), valid until the
+        # state changes: committing that pair reuses its sweep.
+        self._probed: tuple[int, int, np.ndarray] | None = None
         self._rebase(assignment)
 
     # ------------------------------------------------------------------
@@ -100,20 +122,42 @@ class DeltaEvaluator:
     # ------------------------------------------------------------------
     # Schedule sweep and full (re-)evaluation
     # ------------------------------------------------------------------
+    def _edge_costs(self, hosts: np.ndarray) -> np.ndarray:
+        """Plan-aligned edge costs (clustered weight x distance) for one
+        placement ``(na,)``, or ``(E, k)`` for ``k`` placements given as
+        the columns of ``hosts`` — the sweep's edge-major lane layout."""
+        # A flat index host(x) * ns + host(y) into the distance matrix.
+        hops = self._dist.take(
+            (hosts * self._dist.shape[0])[self._plan_src] + hosts[self._plan_dst]
+        )
+        return hops * (self._plan_w if hosts.ndim == 1 else self._plan_w[:, None])
+
     def _finish_times(self, placement: np.ndarray) -> np.ndarray:
         """End time per task under ``placement``: one level sweep."""
-        cost = self._plan_w * self._dist[
-            placement[self._plan_src], placement[self._plan_dst]
-        ]
-        return sweep_finish_times(self._plan, self._sizes, cost)
+        return sweep_finish_times(self._plan, self._sizes, self._edge_costs(placement))
+
+    def _makespans(self, placements: np.ndarray) -> np.ndarray:
+        """Makespan of every row of a ``(k, ns)`` placement batch, swept
+        in row chunks whose edge costs fit in :data:`_BATCH_BYTES`."""
+        rows = _BATCH_BYTES // (8 * max(1, self._plan_w.size))
+        if rows < _MIN_ROWS:
+            return np.array(
+                [self._finish_times(p).max() for p in placements], dtype=np.int64
+            )
+        out = np.empty(placements.shape[0], dtype=np.int64)
+        for lo in range(0, placements.shape[0], rows):
+            hosts = np.ascontiguousarray(placements[lo : lo + rows].T)
+            end = sweep_finish_times(self._plan, self._sizes, self._edge_costs(hosts).T)
+            out[lo : lo + rows] = end.max(axis=1)
+        return out
 
     def evaluate(self, assignment: Assignment) -> int:
         """Rebase onto ``assignment`` and return its makespan.
 
         One level sweep — no O(V^2) communication matrix.  This is the
-        fast path for moves that change many clusters at once
-        (population methods, random re-placement).  Clears the undo
-        stack.
+        fast path for a move that changes many clusters at once (random
+        re-placement); :meth:`probe_assignments` scores many such
+        assignments without rebasing.  Clears the undo stack.
         """
         self._rebase(assignment)
         return self._makespan
@@ -129,6 +173,7 @@ class DeltaEvaluator:
         self._end = self._finish_times(self._placement)
         self._makespan = int(self._end.max())
         self._undo.clear()
+        self._probed = None
 
     # ------------------------------------------------------------------
     # Moves
@@ -141,12 +186,64 @@ class DeltaEvaluator:
         self._assi[pa], self._assi[pb] = self._assi[pb], self._assi[pa]
 
     def probe_swap(self, cluster_a: int, cluster_b: int) -> int:
-        """Makespan after a hypothetical swap; state is left unchanged."""
+        """Makespan after a hypothetical swap; state is left unchanged.
+
+        The probe's end times are kept until the state changes, so
+        committing this pair next (in either order) costs no sweep.
+        """
         if cluster_a == cluster_b:
             return self._makespan
         p = self._placement.copy()
         p[cluster_a], p[cluster_b] = p[cluster_b], p[cluster_a]
-        return int(self._finish_times(p).max())
+        end = self._finish_times(p)
+        self._probed = (cluster_a, cluster_b, end)
+        return int(end.max())
+
+    def probe_swaps(
+        self, pairs: np.ndarray | Sequence[tuple[int, int]]
+    ) -> np.ndarray:
+        """Makespans of a ``(k, 2)`` list of hypothetical swaps.
+
+        Row ``r`` equals ``probe_swap(*pairs[r])`` against the current
+        placement (a pair of equal clusters gives the current makespan);
+        the rows are swept in batches and the state is left unchanged.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        n = self._placement.size
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise MappingError(
+                f"expected a (k, 2) list of pairs, got shape {pairs.shape}"
+            )
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise MappingError(f"swap pairs must name clusters 0..{n - 1}")
+        rows = np.arange(pairs.shape[0])
+        placements = np.tile(self._placement, (rows.size, 1))
+        placements[rows, pairs[:, 0]] = self._placement[pairs[:, 1]]
+        placements[rows, pairs[:, 1]] = self._placement[pairs[:, 0]]
+        return self._makespans(placements)
+
+    def probe_assignments(self, assis: np.ndarray) -> np.ndarray:
+        """Makespans of a ``(k, ns)`` batch of ``assi`` rows.
+
+        Row ``r`` equals ``evaluate(Assignment(assis[r]))``, and is
+        checked as :class:`~repro.core.assignment.Assignment` checks it;
+        the rows are swept in batches and the state is left unchanged.
+        """
+        arr = np.asarray(assis, dtype=np.int64)
+        n = self._placement.size
+        if arr.ndim != 2 or arr.shape[1] != n:
+            raise MappingError(
+                f"expected a (k, {n}) batch of permutations, got shape {arr.shape}"
+            )
+        bad = np.flatnonzero((np.sort(arr, axis=1) != np.arange(n)).any(axis=1))
+        if bad.size:
+            r = int(bad[0])
+            raise MappingError(
+                f"row {r} is not a permutation of 0..{n - 1}: {arr[r].tolist()}"
+            )
+        placements = np.empty_like(arr)
+        placements[np.arange(arr.shape[0])[:, None], arr] = np.arange(n)
+        return self._makespans(placements)
 
     def delta_total_time(self, cluster_a: int, cluster_b: int) -> int:
         """Makespan change of the hypothetical swap (probe convenience)."""
@@ -175,8 +272,14 @@ class DeltaEvaluator:
     ) -> tuple[int, int, np.ndarray, int]:
         frame = (cluster_a, cluster_b, self._end, self._makespan)
         if cluster_a != cluster_b:
+            probed, self._probed = self._probed, None
             self._exchange(cluster_a, cluster_b)
-            self._end = self._finish_times(self._placement)
+            if probed is not None and probed[:2] in (
+                (cluster_a, cluster_b), (cluster_b, cluster_a)
+            ):
+                self._end = probed[2]
+            else:
+                self._end = self._finish_times(self._placement)
             self._makespan = int(self._end.max())
         return frame
 
@@ -187,6 +290,7 @@ class DeltaEvaluator:
         cluster_a, cluster_b, end, makespan = self._undo.pop()
         if cluster_a != cluster_b:
             self._exchange(cluster_a, cluster_b)
+            self._probed = None
         self._end, self._makespan = end, makespan
         return self._makespan
 

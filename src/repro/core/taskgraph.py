@@ -97,14 +97,25 @@ def sweep_finish_times(
     bound, every assignment's schedule and the delta evaluator all run
     it.  All arithmetic stays in int64 and max over an empty predecessor
     set is 0.
+
+    A ``(k, E)`` batch of edge costs gives the ``(k, n)`` end times of
+    every row, each row by the same recurrence; the rows ride along as a
+    trailing lane axis, so a level is still one gather plus one
+    segmented max.  A batch laid out column-major (``cost.T`` of a
+    C-ordered ``(E, k)`` array) is swept without a transposing copy, and
+    the result is then a view.
     """
-    end = np.zeros(sizes.size, dtype=np.int64)
+    batch = edge_cost.ndim == 2
+    if batch:
+        edge_cost, sizes = np.ascontiguousarray(edge_cost.T), sizes[:, None]
+    lanes = edge_cost.shape[1:]
+    end = np.zeros((sizes.shape[0], *lanes), dtype=np.int64)
     order, level_ptr, eptr = plan.order, plan.level_ptr, plan.eptr
     for level in range(level_ptr.size - 1):
         t0, t1 = int(level_ptr[level]), int(level_ptr[level + 1])
         tasks = order[t0:t1]
         e0, e1 = int(eptr[t0]), int(eptr[t1])
-        start = np.zeros(t1 - t0, dtype=np.int64)
+        start = np.zeros((t1 - t0, *lanes), dtype=np.int64)
         if e1 > e0:
             arrive = end[plan.src[e0:e1]] + edge_cost[e0:e1]
             offs = eptr[t0:t1] - e0
@@ -118,7 +129,7 @@ def sweep_finish_times(
                 # boundaries still delimit the right slices.
                 start[nz] = np.maximum.reduceat(arrive, offs[nz])
         end[tasks] = start + sizes[tasks]
-    return end
+    return end.T if batch else end
 
 
 class TaskGraph:

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.baselines.bokhari import BokhariResult
+from repro.baselines.tabu import TabuResult
 from repro.clustering import RandomClusterer
-from repro.core import Assignment, ClusteredGraph, Clustering, TaskGraph
+from repro.core import (
+    AbstractGraph,
+    Assignment,
+    ClusteredGraph,
+    Clustering,
+    CommVolumeDelta,
+    DeltaEvaluator,
+    TaskGraph,
+)
 from repro.topology import SystemGraph, hypercube, mesh2d, ring
-from repro.utils import GraphError
+from repro.utils import GraphError, as_rng
 from repro.workloads import layered_random_dag
 
 #: family -> smallest representative spec; the assertion in
@@ -187,6 +199,134 @@ def oracle_lee_cost(
             worst = max(worst, w * d)
         total += worst
     return total
+
+
+def oracle_tabu_mapping(
+    clustered: ClusteredGraph,
+    system: SystemGraph,
+    rng: int | np.random.Generator | None = None,
+    iterations: int = 40,
+    tenure: int | None = None,
+    initial: Assignment | None = None,
+    lower_bound: int | None = None,
+    reporter=None,
+) -> tuple[TabuResult, Counter]:
+    """Tabu search with its neighbourhood scanned one pair at a time:
+    the tests' oracle for :func:`~repro.baselines.tabu.tabu_mapping`.
+
+    Each iteration probes every pair ``(a, b > a)`` in order and keeps
+    the first strictly best move that is not tabu or that aspirates
+    (beats the best-so-far).  Also counts the scan's events: ``tie`` (an
+    allowed move equal to the best so far in the scan), ``aspiration``
+    (a tabu move allowed by aspiration) and ``reset`` (everything tabu
+    and nothing aspirates).  The library scores the neighbourhood in one
+    batch call instead.
+    """
+    gen = as_rng(rng)
+    n = system.num_nodes
+    current = initial if initial is not None else Assignment.random(n, rng=gen)
+    evaluator = DeltaEvaluator(clustered, system, current)
+    current_time = evaluator.total_time
+    best, best_time = current, current_time
+    evaluations = 1
+    events: Counter = Counter()
+    if tenure is None:
+        tenure = n // 2 + 1
+
+    tabu_until = np.zeros((n, n), dtype=np.int64)
+    it = 0
+    while it < iterations and n >= 2:
+        it += 1
+        if lower_bound is not None and best_time <= lower_bound:
+            break
+        move_best: tuple[int, int] | None = None
+        move_time = None
+        for a in range(n - 1):
+            for b in range(a + 1, n):
+                t = evaluator.probe_swap(a, b)
+                evaluations += 1
+                tabu = tabu_until[a, b] >= it
+                aspirated = t < best_time
+                if tabu and not aspirated:
+                    continue
+                events["aspiration"] += int(tabu)
+                events["tie"] += t == move_time
+                if move_time is None or t < move_time:
+                    move_best, move_time = (a, b), t
+        if move_best is None:
+            events["reset"] += 1
+            tabu_until[:] = 0
+            continue
+        a, b = move_best
+        tabu_until[a, b] = tabu_until[b, a] = it + tenure
+        current_time = evaluator.swap(a, b)
+        if current_time < best_time:
+            best, best_time = evaluator.assignment, current_time
+        if reporter is not None:
+            reporter.report(it, best_time, best)
+            if reporter.should_stop():
+                break
+    result = TabuResult(
+        assignment=best,
+        total_time=best_time,
+        iterations=it,
+        evaluations=evaluations,
+        reached_lower_bound=lower_bound is not None and best_time <= lower_bound,
+    )
+    return result, events
+
+
+def oracle_bokhari_mapping(
+    clustered: ClusteredGraph,
+    system: SystemGraph,
+    rng: int | np.random.Generator | None = None,
+    restarts: int = 4,
+    max_passes: int = 20,
+    weighted: bool = False,
+) -> tuple[BokhariResult, Counter]:
+    """Bokhari's pairwise-exchange hill climb with each pass scanned one
+    pair at a time: the tests' oracle for
+    :func:`~repro.baselines.bokhari.bokhari_mapping`.
+
+    Every pair ``(a, b > a)`` is scored by its scalar cardinality delta
+    (:meth:`~repro.core.incremental.CommVolumeDelta.delta_swap`) and
+    committed when it improves.  Also counts ``multi_commit_rows``:
+    scans of one cluster ``a`` that commit more than once.  The library
+    scores each cluster's remaining partners in one batch instead.
+    """
+    gen = as_rng(rng)
+    abstract = AbstractGraph(clustered)
+    pair_weights = abstract.weights if weighted else abstract.abs_edge
+    n = system.num_nodes
+    best: Assignment | None = None
+    best_card = -1
+    evaluations = 0
+    events: Counter = Counter()
+    for _ in range(max(1, restarts)):
+        evaluator = CommVolumeDelta(
+            pair_weights, system, Assignment.random(n, rng=gen), metric=system.sys_edge
+        )
+        current_card = evaluator.volume
+        evaluations += 1
+        for _ in range(max_passes):
+            improved = False
+            for a in range(n - 1):
+                commits = 0
+                for b in range(a + 1, n):
+                    card = current_card + evaluator.delta_swap(a, b)
+                    evaluations += 1
+                    if card > current_card:
+                        current_card = evaluator.swap(a, b)
+                        improved = True
+                        commits += 1
+                events["multi_commit_rows"] += commits > 1
+            if not improved:
+                break
+        if current_card > best_card:
+            best, best_card = evaluator.assignment, current_card
+    assert best is not None
+    result = BokhariResult(assignment=best, cardinality=best_card, evaluations=evaluations)
+    return result, events
 
 
 def oracle_route(system: SystemGraph, src: int, dst: int) -> list[int]:

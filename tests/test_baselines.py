@@ -27,7 +27,7 @@ from repro.core import (
     lower_bound,
     total_time,
 )
-from repro.topology import chain, complete, hypercube, ring
+from repro.topology import chain, complete, hypercube, mesh2d, ring, star
 from repro.utils import GraphError, MappingError
 from repro.workloads import (
     layered_random_dag,
@@ -38,6 +38,7 @@ from repro.workloads import (
 )
 from tests.conftest import (
     TOPOLOGY_SPECS,
+    oracle_bokhari_mapping,
     oracle_lee_cost,
     oracle_phases_by_level,
     random_instance,
@@ -124,6 +125,35 @@ class TestCardinality:
         )
         assert result.cardinality >= rand_card
         assert result.evaluations > 0
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "system",
+        [chain(3), ring(4), star(5), hypercube(3), mesh2d(2, 3)],
+        ids=["chain3", "ring4", "star5", "hypercube3", "mesh2x3"],
+    )
+    def test_batched_rows_match_the_scalar_pass(self, system, weighted):
+        """Scoring a cluster's remaining partners in one batch, committing
+        the first improvement and rescanning after it, gives the
+        per-pair pass's assignment, cardinality and evaluations."""
+        for seed in range(3):
+            clustered, system = random_instance(
+                seed, num_tasks=5 * system.num_nodes, system=system
+            )
+            want, _ = oracle_bokhari_mapping(clustered, system, rng=seed, weighted=weighted)
+            got = bokhari_mapping(clustered, system, rng=seed, weighted=weighted)
+            assert got == want, seed
+
+    def test_rows_with_several_commits(self):
+        """Rows that commit more than once: each rescan starts right
+        after the committed partner, against the new placement."""
+        multi = 0
+        for seed in range(3):
+            clustered, system = random_instance(seed, num_tasks=40)
+            want, events = oracle_bokhari_mapping(clustered, system, rng=seed, weighted=True)
+            assert bokhari_mapping(clustered, system, rng=seed, weighted=True) == want
+            multi += events["multi_commit_rows"]
+        assert multi > 0
 
 
 class TestLee:
@@ -251,6 +281,28 @@ class TestAnnealing:
         system = SystemGraph(np.zeros((1, 1), dtype=int))
         result = anneal_mapping(cg, system, rng=0)
         assert result.total_time == 3
+
+    @pytest.mark.parametrize("quench", [False, True], ids=["annealing", "quenching"])
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"cooling": 1.0}, r"cooling must be in \(0, 1\), got 1.0"),
+            ({"cooling": 1.5}, r"cooling must be in \(0, 1\), got 1.5"),
+            ({"cooling": 0.0}, r"cooling must be in \(0, 1\), got 0.0"),
+            ({"min_temperature": -1}, "min_temperature must be > 0, got -1"),
+            ({"min_temperature": 0.0}, "min_temperature must be > 0, got 0.0"),
+            ({"min_temperature": float("nan")}, "min_temperature must be > 0, got nan"),
+        ],
+        ids=["cooling-1", "cooling-1.5", "cooling-0", "min-temp-neg", "min-temp-0",
+             "min-temp-nan"],
+    )
+    def test_schedules_that_never_end_raise(self, params, message, quench):
+        """Cooling >= 1 and a negative minimum temperature used to run
+        forever, and a zero minimum until the temperature underflowed
+        (about 14,500 levels)."""
+        clustered, system = random_instance(0, num_tasks=60)
+        with pytest.raises(MappingError, match=message):
+            anneal_mapping(clustered, system, rng=0, quench=quench, **params)
 
 
 class TestExhaustive:

@@ -1,5 +1,7 @@
 """Unit tests for the metaheuristic baselines (genetic, tabu)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,23 @@ from repro.baselines import (
     tabu_mapping,
 )
 from repro.core import Assignment, lower_bound, total_time
-from tests.conftest import random_instance
+from repro.topology import chain, hypercube, mesh2d, ring, star
+from repro.utils import MappingError
+from tests.conftest import oracle_tabu_mapping, random_instance
+
+
+class _ListReporter:
+    """In-memory anytime reporter: records checkpoints, stops on demand."""
+
+    def __init__(self, stop_after=None):
+        self.checkpoints = []
+        self.stop_after = stop_after
+
+    def report(self, iteration, best_metric, best_assignment):
+        self.checkpoints.append((iteration, best_metric, best_assignment))
+
+    def should_stop(self):
+        return self.stop_after is not None and len(self.checkpoints) >= self.stop_after
 
 
 class TestOrderCrossover:
@@ -82,9 +100,93 @@ class TestGenetic:
         assert a.total_time == b.total_time
 
     def test_bad_population(self):
+        """Used to raise a bare ValueError."""
         clustered, system = random_instance(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(MappingError, match="population must be >= 2, got 1"):
             genetic_mapping(clustered, system, population=1)
+
+    @pytest.mark.parametrize("tournament", [40, 0])
+    def test_bad_tournament_raises_mapping_error(self, tournament):
+        """Used to fail inside numpy: "Cannot take a larger sample than
+        population" (40 of 30) and "argmin of an empty sequence" (0)."""
+        clustered, system = random_instance(0, num_tasks=60)
+        message = rf"tournament must be in 1..population \(30\), got {tournament}"
+        with pytest.raises(MappingError, match=message):
+            genetic_mapping(clustered, system, rng=0, generations=2, tournament=tournament)
+
+    def test_tournament_of_the_whole_population_is_allowed(self):
+        clustered, system = random_instance(0)
+        result = genetic_mapping(
+            clustered, system, rng=0, population=4, tournament=4, generations=3
+        )
+        assert result.total_time == total_time(clustered, system, result.assignment)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checkpoints_are_exact_and_every_individual_counts(self, seed):
+        """Each generation is scored in one batch: every checkpoint's
+        best time is its assignment's total time, and each individual of
+        each generation counts as one evaluation."""
+        clustered, system = random_instance(seed, num_tasks=48)
+        reporter = _ListReporter()
+        result = genetic_mapping(
+            clustered, system, rng=seed, population=7, generations=6,
+            reporter=reporter,
+        )
+        assert result.evaluations == 7 * (1 + result.generations)
+        for _, best_time, best in reporter.checkpoints:
+            assert total_time(clustered, system, best) == best_time
+
+
+#: scan event -> (system, tenure): instances whose scans exercise it.
+TABU_CASES = {
+    "reset": (chain(3), 10),
+    "tie": (ring(4), None),
+    "tie-star": (star(5), 10),
+    "aspiration": (hypercube(3), 10),
+    "aspiration-default-tenure": (hypercube(3), None),
+    "plain": (mesh2d(2, 3), None),
+}
+
+
+class TestTabuMatchesTheScalarScan:
+    """The batched neighbourhood against the per-pair scan kept in
+    ``tests/conftest.py``: same assignment, result, evaluations and
+    anytime checkpoints, including makespan ties (first minimum wins),
+    aspiration, and the reset when everything is tabu."""
+
+    @pytest.mark.parametrize("case", sorted(TABU_CASES))
+    def test_same_result_evaluations_and_checkpoints(self, case):
+        system, tenure = TABU_CASES[case]
+        events = Counter()
+        for seed in range(4):
+            clustered, system = random_instance(
+                seed, num_tasks=5 * system.num_nodes, system=system
+            )
+            bound = lower_bound(clustered)
+            want_rep, got_rep = _ListReporter(), _ListReporter()
+            want, seen = oracle_tabu_mapping(
+                clustered, system, rng=seed, iterations=12, tenure=tenure,
+                lower_bound=bound, reporter=want_rep,
+            )
+            got = tabu_mapping(
+                clustered, system, rng=seed, iterations=12, tenure=tenure,
+                lower_bound=bound, reporter=got_rep,
+            )
+            assert got == want, (case, seed)
+            assert got_rep.checkpoints == want_rep.checkpoints
+            events.update(seen)
+        event = case.split("-")[0]
+        if event != "plain":
+            assert events[event] > 0, f"no {event} in the {case} scans"
+
+    def test_stop_request_ends_both_at_the_same_iteration(self):
+        clustered, system = random_instance(5, num_tasks=40)
+        want, _ = oracle_tabu_mapping(
+            clustered, system, rng=5, reporter=_ListReporter(stop_after=3)
+        )
+        got = tabu_mapping(clustered, system, rng=5, reporter=_ListReporter(stop_after=3))
+        assert got == want
+        assert got.iterations == 3
 
 
 class TestTabu:

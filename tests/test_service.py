@@ -409,6 +409,30 @@ class TestServiceJobs:
             retry = svc.submit_scenario(scenario)
             assert not retry.cached
 
+    def test_endless_annealing_schedule_fails_and_the_service_serves_on(self):
+        """A scenario's mapper_params are checked by name when it is built
+        and by value when the mapper runs: ``cooling: 1.0`` used to hold
+        its worker forever.  It now fails the job with the mapper's
+        message, the failure is not cached, and the next job runs."""
+        base = dict(
+            workload="layered_random", workload_params={"num_tasks": 60},
+            topology="hypercube:3", mapper="annealing", seed=3,
+        )
+        endless = Scenario(**base, mapper_params={"cooling": 1.0})
+        with MappingService(max_workers=1) as svc:
+            job = svc.submit_scenario(endless)
+            with pytest.raises(MappingError, match="cooling must be in"):
+                job.result(timeout=60)
+            assert job.status == "failed"
+            assert "cooling must be in (0, 1), got 1.0" in job.error
+            retry = svc.submit_scenario(endless)
+            assert not retry.cached and retry is not job
+            with pytest.raises(MappingError):
+                retry.result(timeout=60)
+            ok = svc.submit_scenario(Scenario(**base, mapper_params={"cooling": 0.5}))
+            assert ok.result(timeout=60).total_time >= 1
+            assert ok.status == "done"
+
     def test_failed_scheduling_releases_fingerprint(self, instance):
         graph, clustering, system = instance
         with MappingService(max_workers=2) as svc:
