@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
-from ..core.evaluate import total_time
+from ..core.incremental import DeltaEvaluator
 from ..topology.base import SystemGraph
 from ..utils import MappingError
 
@@ -69,11 +69,12 @@ def all_assignment_total_times(
 
     Returns ``(perms, times)`` where ``perms[k]`` is the ``assi`` vector of
     the k-th assignment (``perms[k][system] = cluster``) and ``times[k]``
-    its makespan.  The schedule recurrence runs once per task with all
-    ``n!`` assignments as a vector lane, which is two to three orders of
-    magnitude faster than evaluating assignments one by one — it is what
-    makes the exhaustive counterexample proofs (experiments E4/E5) cheap
-    enough for the test suite.
+    its makespan.  All ``n!`` rows are scored by
+    :meth:`~repro.core.incremental.DeltaEvaluator.probe_assignments`: the
+    one level sweep, run on chunks of rows at once, which is two to three
+    orders of magnitude faster than evaluating assignments one by one —
+    it is what makes the exhaustive counterexample proofs (experiments
+    E4/E5) cheap enough for the test suite.
     """
     n = system.num_nodes
     if clustered.num_clusters != n:
@@ -84,26 +85,8 @@ def all_assignment_total_times(
             f"(limit {max_nodes}); use the heuristic mappers instead"
         )
     perms = np.asarray(list(permutations(range(n))), dtype=np.int64)  # (P, n)
-    placement = invert_permutations(perms)
-
-    graph = clustered.graph
-    labels = clustered.clustering.labels
-    clus = clustered.clus_edge
-    sizes = graph.task_sizes
-    host = placement[:, labels]  # (P, np) system node per task per assignment
-
-    end = np.zeros((perms.shape[0], graph.num_tasks), dtype=np.int64)
-    shortest = system.shortest
-    for t in graph.topological_order.tolist():
-        preds = graph.predecessors(t)
-        if preds.size == 0:
-            end[:, t] = sizes[t]
-            continue
-        # comm[k, j] = clus[j, t] * dist(host[k, j], host[k, t])
-        dist = shortest[host[:, preds], host[:, t][:, None]]
-        start = (end[:, preds] + clus[preds, t][None, :] * dist).max(axis=1)
-        end[:, t] = start + sizes[t]
-    return perms, end.max(axis=1)
+    evaluator = DeltaEvaluator(clustered, system, Assignment.identity(n))
+    return perms, evaluator.probe_assignments(perms)
 
 
 def exhaustive_optimum(

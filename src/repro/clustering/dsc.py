@@ -10,7 +10,9 @@ whenever doing so does not delay the task.
 This implementation follows the classic simplified DSC loop:
 
 1. Compute ``blevel`` (longest path to an exit, inclusive) on the
-   unclustered graph; priority of a free task = ``tlevel + blevel``.
+   unclustered graph with the one level sweep, run over the reversed
+   DAG (:meth:`~repro.core.taskgraph.TaskGraph.bottom_levels`); priority
+   of a free task = ``tlevel + blevel``.
 2. Repeatedly take the highest-priority unexamined task whose
    predecessors are all examined; try placing it in the cluster of each
    predecessor (zeroing that edge) and keep the choice minimizing its
@@ -29,7 +31,6 @@ import numpy as np
 from ..core.clustered import ClusteredGraph, Clustering
 from ..core.ideal import lower_bound
 from ..core.taskgraph import TaskGraph
-from ..utils import as_rng
 from .base import Clusterer, validate_request
 
 __all__ = ["DscClusterer"]
@@ -42,7 +43,6 @@ class DscClusterer(Clusterer):
         self, graph: TaskGraph, rng: int | np.random.Generator | None = None
     ) -> Clustering:
         validate_request(graph, self.num_clusters)
-        n = graph.num_tasks
         labels = self._dsc_pass(graph)
         labels = self._merge_to_target(graph, labels)
         return Clustering(labels, num_clusters=self.num_clusters)
@@ -54,13 +54,7 @@ class DscClusterer(Clusterer):
         prob = graph.prob_edge
 
         # blevel: longest path (nodes + edges) from each task to an exit.
-        blevel = np.zeros(n, dtype=np.int64)
-        for t in graph.topological_order[::-1].tolist():
-            succs = graph.successors(t)
-            tail = 0
-            if succs.size:
-                tail = int((prob[t, succs] + blevel[succs]).max())
-            blevel[t] = sizes[t] + tail
+        blevel = graph.bottom_levels(graph.out_weights)
 
         labels = np.arange(n, dtype=np.int64)  # singleton start
         # cluster_end[c]: finish time of the last task placed in cluster c

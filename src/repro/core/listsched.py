@@ -15,7 +15,9 @@ priority policy:
   the vast majority of random ones.
 * ``"blevel"`` — classic HLFET: among ready tasks, the one with the
   largest bottom level (longest weighted path to an exit) goes first —
-  usually beats FIFO on critical-path-bound workloads.
+  usually beats FIFO on critical-path-bound workloads.  The bottom
+  levels come from the one level sweep, run over the reversed DAG
+  (:func:`bottom_levels`).
 
 Communication remains the paper's: ``clus_edge * hop distance``,
 contention-free.  The result is a plain start/end pair that
@@ -48,18 +50,10 @@ class ListSchedule:
 
 
 def bottom_levels(clustered: ClusteredGraph) -> np.ndarray:
-    """Longest path (sizes + clustered comm) from each task to an exit."""
-    graph = clustered.graph
-    clus = clustered.clus_edge
-    sizes = graph.task_sizes
-    blevel = np.zeros(graph.num_tasks, dtype=np.int64)
-    for t in graph.topological_order[::-1].tolist():
-        succs = graph.successors(t)
-        tail = 0
-        if succs.size:
-            tail = int((clus[t, succs] + blevel[succs]).max())
-        blevel[t] = int(sizes[t]) + tail
-    return blevel
+    """Longest path (sizes + clustered comm) from each task to an exit:
+    :meth:`~repro.core.taskgraph.TaskGraph.bottom_levels`, the level sweep
+    over the reversed DAG, with the clustered weights."""
+    return clustered.graph.bottom_levels(clustered.cross_out_weights)
 
 
 def list_schedule(
@@ -85,7 +79,7 @@ def list_schedule(
 
     start = np.full(n, -1, dtype=np.int64)
     end = np.full(n, -1, dtype=np.int64)
-    pending = np.asarray([graph.predecessors(t).size for t in range(n)])
+    pending = np.diff(graph.in_indptr)
     busy = np.zeros(system.num_nodes, dtype=bool)
     queues: list[list[tuple[int, int, int]]] = [
         [] for _ in range(system.num_nodes)

@@ -12,11 +12,17 @@ orientations: ``out_indptr/out_indices/out_weights`` sorted by
 paper phrases every Sec. 4 algorithm over the dense ``prob_edge`` matrix;
 that matrix is still available through :attr:`TaskGraph.prob_edge` but is
 materialized lazily and only for small graphs (a 100k-task dense matrix
-would need 80 GB), so the scale path never touches it.  Adjacency,
-topological order, and the level-structured :class:`SchedulePlan` used by
-the vectorized schedule sweeps are derived and cached.  Tasks are numbered
-``0..np-1`` (the paper numbers from 1; all internal indices here are
-0-based and the I/O layer preserves that convention).
+would need 80 GB), so the scale path never touches it.  Tasks are
+numbered ``0..np-1`` (the paper numbers from 1; all internal indices here
+are 0-based and the I/O layer preserves that convention).
+
+The graph's one traversal is the level-structured :class:`SchedulePlan`
+(Kahn's algorithm one frontier at a time) and its level sweep
+:func:`sweep_finish_times`.  Construction checks acyclicity without a
+traversal when every edge runs from a lower to a higher id, and through
+the plan otherwise; :meth:`TaskGraph.bottom_levels` sweeps the reversed
+DAG's plan.  The stack-ordered :attr:`TaskGraph.topological_order` is
+computed only when read.
 """
 
 from __future__ import annotations
@@ -94,9 +100,10 @@ def sweep_finish_times(
     ``edge_cost`` must be aligned with ``plan.src``/``plan.dst`` (apply
     ``plan.eperm`` to in-CSR-ordered per-edge data first).  This is the
     only implementation of the recurrence: the ideal schedule, the lower
-    bound, every assignment's schedule and the delta evaluator all run
-    it.  All arithmetic stays in int64 and max over an empty predecessor
-    set is 0.
+    bound, every assignment's schedule, the delta evaluator (and through
+    it the exhaustive enumeration) and, over the reversed DAG's plan,
+    the bottom levels all run it.  All arithmetic stays in int64 and max
+    over an empty predecessor set is 0.
 
     A ``(k, E)`` batch of edge costs gives the ``(k, n)`` end times of
     every row, each row by the same recurrence; the rows ride along as a
@@ -150,8 +157,9 @@ class TaskGraph:
     Raises
     ------
     GraphError
-        If sizes are non-positive, an edge is self-looping, dangling or
-        duplicated, or the graph contains a cycle.
+        If sizes are non-positive, the edges are not ``(src, dst, weight)``
+        triples, an edge is self-looping, dangling or duplicated, or the
+        graph contains a cycle.
     """
 
     def __init__(
@@ -160,58 +168,24 @@ class TaskGraph:
         edges: object = (),
         name: str = "taskgraph",
     ) -> None:
-        sizes = np.asarray(task_sizes, dtype=np.int64).copy()
-        if sizes.ndim != 1:
-            raise GraphError(f"task_sizes must be 1-D, got shape {sizes.shape}")
-        if sizes.size == 0:
-            raise GraphError("a task graph needs at least one task")
-        if (sizes <= 0).any():
-            bad = int(np.argmax(sizes <= 0))
-            raise GraphError(f"task {bad} has non-positive size {int(sizes[bad])}")
-        n = sizes.size
-
+        sizes = _checked_sizes(task_sizes)
         dense: np.ndarray | None = None
         if isinstance(edges, (np.ndarray, dict)) or (
             isinstance(edges, Sequence) and edges and not _looks_like_triples(edges)
         ):
-            mat = as_weight_matrix(edges, n)
-            if np.diagonal(mat).any():
-                raise GraphError("self-loop edges are not allowed")
-            dense = mat
-            srcs, dsts = np.nonzero(mat)
-            weights = mat[srcs, dsts]
-            presorted = True  # nonzero() is row-major: sorted by (src, dst)
+            dense = as_weight_matrix(edges, sizes.size)
+            srcs, dsts = np.nonzero(dense)
+            weights = dense[srcs, dsts]
         else:
             triples = list(edges)  # type: ignore[arg-type]
             if triples and isinstance(triples[0], Edge):
                 triples = [e.as_tuple() for e in triples]
-            arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-            srcs = np.ascontiguousarray(arr[:, 0])
-            dsts = np.ascontiguousarray(arr[:, 1])
-            weights = np.ascontiguousarray(arr[:, 2])
-            oob = (srcs < 0) | (srcs >= n) | (dsts < 0) | (dsts >= n)
-            if oob.any():
-                i = int(np.argmax(oob))
-                raise GraphError(
-                    f"edge ({int(srcs[i])}, {int(dsts[i])}) references a missing task"
-                )
-            loops = srcs == dsts
-            if loops.any():
-                i = int(np.argmax(loops))
-                raise GraphError(
-                    f"self-loop edges are not allowed (task {int(srcs[i])})"
-                )
-            nonpos = weights <= 0
-            if nonpos.any():
-                i = int(np.argmax(nonpos))
-                raise GraphError(
-                    f"edge ({int(srcs[i])}, {int(dsts[i])}) must have positive "
-                    f"weight, got {int(weights[i])}; a zero-weight edge cannot "
-                    "be represented — omit it (a zero matrix entry means "
-                    "'no edge')"
-                )
-            presorted = False
-        self._init_from_csr(sizes, srcs, dsts, weights, name, dense, presorted)
+            try:
+                arr = np.asarray(triples, dtype=np.int64).reshape(len(triples), 3)
+            except (TypeError, ValueError):
+                raise GraphError("edges must be (src, dst, weight) triples") from None
+            srcs, dsts, weights = arr[:, 0], arr[:, 1], arr[:, 2]
+        self._init_from_csr(sizes, srcs, dsts, weights, name, dense)
 
     @classmethod
     def from_edge_arrays(
@@ -227,61 +201,25 @@ class TaskGraph:
         Performs the same validation as the triple constructor but stays
         vectorized end to end; edges need not be pre-sorted.
         """
-        triples = np.stack(
-            [
-                np.asarray(srcs, dtype=np.int64),
-                np.asarray(dsts, dtype=np.int64),
-                np.asarray(weights, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        return cls._from_arrays(task_sizes, triples, name)
-
-    @classmethod
-    def _from_arrays(
-        cls, task_sizes: object, triples: np.ndarray, name: str
-    ) -> "TaskGraph":
         self = cls.__new__(cls)
-        sizes = np.asarray(task_sizes, dtype=np.int64).copy()
-        if sizes.ndim != 1 or sizes.size == 0:
-            raise GraphError("task_sizes must be a non-empty 1-D sequence")
-        if (sizes <= 0).any():
-            bad = int(np.argmax(sizes <= 0))
-            raise GraphError(f"task {bad} has non-positive size {int(sizes[bad])}")
-        n = sizes.size
-        srcs, dsts, weights = triples[:, 0], triples[:, 1], triples[:, 2]
-        oob = (srcs < 0) | (srcs >= n) | (dsts < 0) | (dsts >= n)
-        if oob.any():
-            i = int(np.argmax(oob))
-            raise GraphError(
-                f"edge ({int(srcs[i])}, {int(dsts[i])}) references a missing task"
-            )
-        if (srcs == dsts).any():
-            i = int(np.argmax(srcs == dsts))
-            raise GraphError(f"self-loop edges are not allowed (task {int(srcs[i])})")
-        if (weights <= 0).any():
-            i = int(np.argmax(weights <= 0))
-            raise GraphError(
-                f"edge ({int(srcs[i])}, {int(dsts[i])}) must have positive "
-                f"weight, got {int(weights[i])}"
-            )
-        self._init_from_csr(sizes, srcs, dsts, weights, name, None, False)
+        self._init_from_csr(_checked_sizes(task_sizes), srcs, dsts, weights, name)
         return self
 
     def _init_from_csr(
         self,
         sizes: np.ndarray,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        weights: np.ndarray,
+        srcs: object,
+        dsts: object,
+        weights: object,
         name: str,
-        dense: np.ndarray | None,
-        presorted: bool,
+        dense: np.ndarray | None = None,
     ) -> None:
         n = sizes.size
+        srcs, dsts, weights = _checked_edges(n, srcs, dsts, weights)
         self._sizes = sizes
         self.name = name
-        if not presorted and srcs.size:
+        # A dense matrix's nonzero() is row-major: sorted by (src, dst).
+        if dense is None:
             order = np.lexsort((dsts, srcs))
             srcs, dsts, weights = srcs[order], dsts[order], weights[order]
             dup = (srcs[1:] == srcs[:-1]) & (dsts[1:] == dsts[:-1])
@@ -311,7 +249,13 @@ class TaskGraph:
             a.flags.writeable = False
         self._dense = dense
         self._plan: SchedulePlan | None = None
-        self._topo = self._topological_order_csr()  # raises on cycles
+        self._topo: np.ndarray | None = None
+        # Edges that all run from a lower to a higher id close no cycle;
+        # otherwise the schedule plan's Kahn frontiers must reach every task.
+        if not (self._out_src < self._out_dst).all() and (
+            self.schedule_plan().order.size < n
+        ):
+            raise GraphError("problem graph contains a cycle; it must be a DAG")
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -449,7 +393,15 @@ class TaskGraph:
 
     @property
     def topological_order(self) -> np.ndarray:
-        """A topological ordering of the tasks (read-only view)."""
+        """A topological ordering of the tasks (read-only view).
+
+        Kahn's algorithm with a stack, run on first read and cached.  The
+        schedule sweeps use :meth:`schedule_plan` instead; this visit
+        order is kept for :class:`~repro.clustering.LinearClusterer`,
+        whose longest-path tie-break follows it.
+        """
+        if self._topo is None:
+            self._topo = self._topological_order_csr()
         view = self._topo.view()
         view.flags.writeable = False
         return view
@@ -460,42 +412,21 @@ class TaskGraph:
     def schedule_plan(self) -> SchedulePlan:
         """The cached level-structured in-edge layout for vectorized sweeps."""
         if self._plan is None:
-            self._plan = self._build_plan()
+            self._plan = _kahn_plan(
+                self._in_ptr, self._in_src, self._out_ptr, self._out_dst
+            )
         return self._plan
 
-    def _build_plan(self) -> SchedulePlan:
-        n = self._sizes.size
-        in_counts = np.diff(self._in_ptr)
-        indeg = in_counts.copy()
-        frontier = np.flatnonzero(indeg == 0)
-        parts: list[np.ndarray] = []
-        while frontier.size:
-            parts.append(frontier)
-            eidx = _expand(
-                self._out_ptr[frontier], self._out_ptr[frontier + 1]
-            )
-            targets = self._out_dst[eidx]
-            np.subtract.at(indeg, targets, 1)
-            frontier = np.unique(targets[indeg[targets] == 0])
-        order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        level_ptr = np.concatenate(
-            ([0], np.cumsum([p.size for p in parts], dtype=np.int64))
-        )
-        cnt = in_counts[order]
-        eptr = np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
-        eperm = _expand(self._in_ptr[order], self._in_ptr[order + 1])
-        plan = SchedulePlan(
-            order=order,
-            level_ptr=level_ptr,
-            eptr=eptr,
-            src=self._in_src[eperm],
-            dst=np.repeat(order, cnt),
-            eperm=eperm,
-        )
-        for a in (plan.order, plan.level_ptr, plan.eptr, plan.src, plan.dst,
-                  plan.eperm):
-            a.flags.writeable = False
-        return plan
+    def bottom_levels(self, weights: np.ndarray) -> np.ndarray:
+        """Longest path from each task to an exit: task sizes plus
+        ``weights``, one per edge aligned with :meth:`edge_arrays`.
+
+        The level sweep over the reversed DAG, whose plan is the same
+        Kahn layout built on the swapped CSR arrays (so its ``eperm``
+        indexes the out-CSR edges).  Not cached.
+        """
+        plan = _kahn_plan(self._out_ptr, self._out_dst, self._in_ptr, self._in_src)
+        return sweep_finish_times(plan, self._sizes, np.asarray(weights)[plan.eperm])
 
     def critical_path_length(self) -> int:
         """Length of the longest path counting node *and* edge weights.
@@ -601,17 +532,16 @@ class TaskGraph:
         return cls(sizes, edges, name=name or str(g.name or "taskgraph"))
 
     def _topological_order_csr(self) -> np.ndarray:
-        """Kahn's algorithm over the out-CSR arrays; raises on cycles.
+        """Kahn's algorithm over the out-CSR arrays of this acyclic graph.
 
         Visits in the exact order of the historical dense implementation
         (stack popped from the back, successors appended ascending) so
         every downstream pinned result is preserved.
         """
-        n = self._sizes.size
         indeg = np.diff(self._in_ptr).tolist()
         out_ptr = self._out_ptr.tolist()
         out_dst = self._out_dst.tolist()
-        ready = [i for i in range(n) if indeg[i] == 0]
+        ready = [i for i, d in enumerate(indeg) if d == 0]
         order: list[int] = []
         while ready:
             u = ready.pop()
@@ -620,9 +550,90 @@ class TaskGraph:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     ready.append(v)
-        if len(order) != n:
-            raise GraphError("problem graph contains a cycle; it must be a DAG")
         return np.asarray(order, dtype=np.int64)
+
+
+def _kahn_plan(
+    in_ptr: np.ndarray, in_src: np.ndarray, out_ptr: np.ndarray, out_dst: np.ndarray
+) -> SchedulePlan:
+    """The :class:`SchedulePlan` of the DAG with these CSR arrays: Kahn's
+    algorithm one whole frontier at a time.  On a cyclic graph the
+    tasks on or after a cycle are missing from ``order``."""
+    in_counts = np.diff(in_ptr)
+    indeg = in_counts.copy()
+    frontier = np.flatnonzero(indeg == 0)
+    parts: list[np.ndarray] = []
+    while frontier.size:
+        parts.append(frontier)
+        targets = out_dst[_expand(out_ptr[frontier], out_ptr[frontier + 1])]
+        np.subtract.at(indeg, targets, 1)
+        frontier = np.unique(targets[indeg[targets] == 0])
+    order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    level_ptr = np.concatenate(
+        ([0], np.cumsum([p.size for p in parts], dtype=np.int64))
+    )
+    cnt = in_counts[order]
+    eptr = np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
+    eperm = _expand(in_ptr[order], in_ptr[order + 1])
+    plan = SchedulePlan(
+        order=order,
+        level_ptr=level_ptr,
+        eptr=eptr,
+        src=in_src[eperm],
+        dst=np.repeat(order, cnt),
+        eperm=eperm,
+    )
+    for a in (plan.order, plan.level_ptr, plan.eptr, plan.src, plan.dst, plan.eperm):
+        a.flags.writeable = False
+    return plan
+
+
+def _checked_sizes(task_sizes: object) -> np.ndarray:
+    """Validated int64 copy of the per-task execution times."""
+    sizes = np.asarray(task_sizes, dtype=np.int64).copy()
+    if sizes.ndim != 1:
+        raise GraphError(f"task_sizes must be 1-D, got shape {sizes.shape}")
+    if sizes.size == 0:
+        raise GraphError("a task graph needs at least one task")
+    if (sizes <= 0).any():
+        bad = int(np.argmax(sizes <= 0))
+        raise GraphError(f"task {bad} has non-positive size {int(sizes[bad])}")
+    return sizes
+
+
+def _checked_edges(
+    n: int, srcs: object, dsts: object, weights: object
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated int64 ``(srcs, dsts, weights)`` of an ``n``-task graph:
+    the one edge check every constructor runs."""
+    srcs, dsts, weights = (
+        np.asarray(a, dtype=np.int64) for a in (srcs, dsts, weights)
+    )
+    if srcs.ndim != 1 or not srcs.shape == dsts.shape == weights.shape:
+        raise GraphError(
+            "edge arrays must be 1-D and of equal length, got shapes "
+            f"{srcs.shape}, {dsts.shape} and {weights.shape}"
+        )
+    oob = (srcs < 0) | (srcs >= n) | (dsts < 0) | (dsts >= n)
+    if oob.any():
+        i = int(np.argmax(oob))
+        raise GraphError(
+            f"edge ({int(srcs[i])}, {int(dsts[i])}) references a missing task"
+        )
+    loops = srcs == dsts
+    if loops.any():
+        i = int(np.argmax(loops))
+        raise GraphError(f"self-loop edges are not allowed (task {int(srcs[i])})")
+    nonpos = weights <= 0
+    if nonpos.any():
+        i = int(np.argmax(nonpos))
+        raise GraphError(
+            f"edge ({int(srcs[i])}, {int(dsts[i])}) must have positive "
+            f"weight, got {int(weights[i])}; a zero-weight edge cannot "
+            "be represented — omit it (a zero matrix entry means "
+            "'no edge')"
+        )
+    return srcs, dsts, weights
 
 
 def _looks_like_triples(edges: Sequence) -> bool:

@@ -131,9 +131,7 @@ def simulate(
 
     start = np.full(n, -1, dtype=np.int64)
     end = np.full(n, -1, dtype=np.int64)
-    pending_inputs = np.asarray(
-        [graph.predecessors(t).size for t in range(n)], dtype=np.int64
-    )
+    pending_inputs = np.diff(graph.in_indptr)
     # Per-processor run state (serialization mode).
     proc_busy = np.zeros(system.num_nodes, dtype=bool)
     proc_queue: list[list[tuple[int, int]]] = [[] for _ in range(system.num_nodes)]

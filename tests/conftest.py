@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -152,6 +153,58 @@ def scalar_schedule(
             start[t] = int((end[preds] + edge_cost[preds, t]).max())
         end[t] = start[t] + sizes[t]
     return start, end
+
+
+def oracle_bottom_levels(graph: TaskGraph, weights: np.ndarray) -> np.ndarray:
+    """Bottom levels in their scalar form: the tests' oracle.
+
+    ``blevel[t] = sizes[t] + max over successors s of (weights[t, s] +
+    blevel[s])`` (0 for exit tasks), one task at a time in reverse
+    topological order, over a dense ``np x np`` weight matrix:
+    ``prob_edge`` for DSC's priorities, ``clus_edge`` for the list
+    scheduler's.  The library sweeps the reversed DAG's plan instead.
+    """
+    sizes = graph.task_sizes
+    blevel = np.zeros(graph.num_tasks, dtype=np.int64)
+    for t in graph.topological_order[::-1].tolist():
+        succs = graph.successors(t)
+        tail = 0
+        if succs.size:
+            tail = int((weights[t, succs] + blevel[succs]).max())
+        blevel[t] = int(sizes[t]) + tail
+    return blevel
+
+
+def oracle_all_total_times(
+    clustered: ClusteredGraph, system: SystemGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment's total time, the ``n!`` assignments as one
+    vector lane and the tasks one at a time in topological order: the
+    tests' oracle for
+    :func:`~repro.baselines.exhaustive.all_assignment_total_times`.
+
+    Returns ``(perms, times)``: the ``assi`` rows in
+    ``itertools.permutations`` order and their makespans, each task's
+    communication ``clus_edge[j, t] * dist(host(j), host(t))`` read off
+    the dense matrices.  The library scores the rows with the delta
+    evaluator's batched level sweep instead.
+    """
+    n = system.num_nodes
+    perms = np.asarray(list(permutations(range(n))), dtype=np.int64)
+    host = np.argsort(perms, axis=1)[:, clustered.clustering.labels]
+    graph = clustered.graph
+    clus = clustered.clus_edge
+    sizes = graph.task_sizes
+    end = np.zeros((perms.shape[0], graph.num_tasks), dtype=np.int64)
+    for t in graph.topological_order.tolist():
+        preds = graph.predecessors(t)
+        if preds.size == 0:
+            end[:, t] = sizes[t]
+            continue
+        dist = system.shortest[host[:, preds], host[:, t][:, None]]
+        start = (end[:, preds] + clus[preds, t][None, :] * dist).max(axis=1)
+        end[:, t] = start + sizes[t]
+    return perms, end.max(axis=1)
 
 
 def oracle_phases_by_level(graph: TaskGraph) -> list[list[tuple[int, int]]]:

@@ -30,6 +30,8 @@ from repro.core import (
 from repro.topology import chain, complete, hypercube, mesh2d, ring, star
 from repro.utils import GraphError, MappingError
 from repro.workloads import (
+    bokhari_counterexample_system,
+    bokhari_counterexample_task_graph,
     layered_random_dag,
     lee_counterexample_phases,
     lee_counterexample_system,
@@ -38,6 +40,7 @@ from repro.workloads import (
 )
 from tests.conftest import (
     TOPOLOGY_SPECS,
+    oracle_all_total_times,
     oracle_bokhari_mapping,
     oracle_lee_cost,
     oracle_phases_by_level,
@@ -316,6 +319,36 @@ class TestExhaustive:
             assert times[k] == total_time(
                 diamond_clustered, ring4, Assignment(perms[k])
             )
+
+    @staticmethod
+    def _assert_rows_match_oracle(clustered, system):
+        perms, times = all_assignment_total_times(clustered, system)
+        want_perms, want_times = oracle_all_total_times(clustered, system)
+        assert np.array_equal(perms, want_perms)
+        assert np.array_equal(times, want_times)
+
+    def test_rows_match_oracle_on_diamond(self, diamond_clustered, ring4):
+        self._assert_rows_match_oracle(diamond_clustered, ring4)
+
+    @pytest.mark.parametrize("experiment", ["e4", "e5"])
+    def test_counterexample_rows_match_oracle(self, experiment):
+        """All ``8!`` rows of the Sec. 2.2 counterexample instances."""
+        graph, system = {
+            "e4": (bokhari_counterexample_task_graph(), bokhari_counterexample_system()),
+            "e5": (lee_counterexample_task_graph(), lee_counterexample_system()),
+        }[experiment]
+        clustered = ClusteredGraph(graph, singleton_clustering(graph))
+        self._assert_rows_match_oracle(clustered, system)
+
+    @pytest.mark.parametrize(
+        "spec,seed", [("ring:6", 0), ("ring:7", 1), ("hypercube:3", 2), ("mesh2d:2x4", 3)]
+    )
+    def test_random_rows_match_oracle(self, spec, seed):
+        system = build_topology(spec)
+        clustered, _ = random_instance(
+            seed, num_tasks=5 * system.num_nodes, system=system
+        )
+        self._assert_rows_match_oracle(clustered, system)
 
     def test_optimum_certified(self, diamond_clustered, ring4):
         result = exhaustive_optimum(diamond_clustered, ring4)

@@ -13,6 +13,12 @@ level sweep that computes them may change speed, never these values.
 Routing is pinned the same way: the SHA-256 of ``shortest`` and of the
 route-predecessor table ``route_prev`` of one machine per registered
 topology family and of two weighted machines.
+
+So is the stack-ordered ``topological_order``, with the ``linear``
+clustering that follows its visit order and the ``dsc`` clustering that
+follows the bottom levels, on graphs whose ids are in topological order
+and graphs whose ids are not (``gnp``, ``series_parallel``,
+``divide_conquer`` and a renumbered ``layered_random``).
 """
 
 import hashlib
@@ -21,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.api import build_topology, build_workload, get_mapper
-from repro.clustering import RandomClusterer
+from repro.clustering import DscClusterer, LinearClusterer, RandomClusterer
 from repro.core import Assignment, ClusteredGraph, evaluate_assignment, ideal_schedule
 from repro.topology import SystemGraph
 from tests.conftest import TOPOLOGY_SPECS
@@ -254,3 +260,63 @@ def _routing_system(key: str) -> SystemGraph:
 def test_routing_is_pinned(key):
     system = _routing_system(key)
     assert (_digest(system.shortest), _digest(system.route_prev)) == ROUTING[key]
+
+
+#: graph -> (SHA-256 of ``topological_order``, of the ``linear`` labels
+#: with 6 clusters, of the ``dsc`` labels with 8 clusters)
+TRAVERSAL = {
+    "layered_random-60": (
+        "235ddc9324549791831741b4e06c3fbb59412b8bb7facf7ed488f99263c73fb0",
+        "47811c473fc68d9af2bad7a3776eab8b729ac3e957daea17aa9ab51af242d618",
+        "df6e113c87c97d0ea0b6a70049d3477e7a8d2ddc68518b396a8f63e58a38969d",
+    ),
+    "gnp-40": (
+        "6187a369996f07a32361093128d1a823891db4d836b3f58c8c54b07792fa44a8",
+        "f6b3912110e84c93408fab14c43b22d8841d8a2fe8610609f03fd72149659373",
+        "905ea460cc95e6d9ca10cee47ba3c82504979a914f53d170c5a16e40e07def27",
+    ),
+    "series_parallel-3x3": (
+        "751ee5ca4a64286098249f67de8b6c5ac3b96cf8b0e0f348fa8503b882087332",
+        "6e7a5122a68584da4fcfffbc36561a20feb5ea43f0ef7be868b211e0e9c587f0",
+        "167264632fc0f9fda346da697ce8035974e225c5ceec74dd6476959edc8bcb1f",
+    ),
+    "divide_conquer-4": (
+        "9e13e92a91eeb879457d7471df9837aca99bff0ad4f713f261e5690b8d37612d",
+        "661b6586c79210c9c8a80f6df45799879e5bbf24dd8dd4c024ff06535ee20430",
+        "e96b1c0c3622a0d5aad9937979f20346c73c483b0c2123685707cddc6385586d",
+    ),
+    "layered_random-50-relabeled": (
+        "035d7584409108e4839c308c409c648f99f32f71d25adf4c67b66f64b61ceec8",
+        "8bd1f7786fc9884a090fa604b367104a5e947001767529c0d9f6a15a65279e44",
+        "3ec9331113911ec046b72ab51d3463962cf13d11954686faa23a8ee19cdf20cd",
+    ),
+}
+
+
+def _traversal_graph(key: str):
+    return {
+        "layered_random-60": lambda: build_workload(
+            "layered_random", {"num_tasks": 60}, rng=3
+        ),
+        "gnp-40": lambda: build_workload(
+            "gnp", {"num_tasks": 40, "edge_prob": 0.15}, rng=5
+        ),
+        "series_parallel-3x3": lambda: build_workload(
+            "series_parallel", {"depth": 3, "branching": 3}, rng=2
+        ),
+        "divide_conquer-4": lambda: build_workload("divide_conquer", {"levels": 4}),
+        "layered_random-50-relabeled": lambda: build_workload(
+            "layered_random", {"num_tasks": 50}, rng=7
+        ).relabeled(np.random.default_rng(11).permutation(50)),
+    }[key]()
+
+
+@pytest.mark.parametrize("key", list(TRAVERSAL))
+def test_traversal_is_pinned(key):
+    graph = _traversal_graph(key)
+    got = (
+        _digest(graph.topological_order),
+        _digest(LinearClusterer(6).cluster(graph, rng=0).labels),
+        _digest(DscClusterer(8).cluster(graph, rng=0).labels),
+    )
+    assert got == TRAVERSAL[key]

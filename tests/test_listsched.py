@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import WORKLOADS, build_workload
+from repro.clustering import DscClusterer, RandomClusterer
 from repro.core import (
     Assignment,
     ClusteredGraph,
@@ -14,7 +16,37 @@ from repro.core import (
 from repro.core.listsched import bottom_levels, list_schedule
 from repro.sim import SimConfig, simulate
 from repro.topology import SystemGraph, chain, complete
-from tests.conftest import random_instance
+from tests.conftest import oracle_bottom_levels, random_instance
+
+#: every registered workload at a small size
+SMALL_WORKLOADS = {
+    "broadcast_tree": {"leaves": 8},
+    "cholesky": {"tiles": 3},
+    "diamond": {"width": 3},
+    "divide_conquer": {"levels": 3},
+    "fft": {"points_log2": 2},
+    "fork_join": {"width": 4, "stages": 2},
+    "gaussian": {"matrix_size": 4},
+    "gnp": {"num_tasks": 24, "edge_prob": 0.2},
+    "layered_random": {"num_tasks": 30},
+    "lu": {"tiles": 3},
+    "map_reduce": {"mappers": 4, "reducers": 3},
+    "pipeline": {"stages": 3, "items": 4},
+    "reduction_tree": {"leaves": 8},
+    "series_parallel": {"depth": 3},
+    "stencil": {"grid": 3, "sweeps": 2},
+    "triangular_solve": {"size": 5},
+    "wavefront": {"rows": 3, "cols": 4},
+}
+
+
+def _small_graph(name: str, relabel: bool) -> TaskGraph:
+    """A small instance of a registered workload, optionally renumbered
+    in a random order so that its ids are not in topological order."""
+    graph = build_workload(name, SMALL_WORKLOADS[name], rng=5)
+    if relabel:
+        graph = graph.relabeled(np.random.default_rng(9).permutation(graph.num_tasks))
+    return graph
 
 
 class TestBottomLevels:
@@ -31,6 +63,41 @@ class TestBottomLevels:
         merged = ClusteredGraph(diamond_graph, Clustering([0, 0, 0, 0]))
         bl = bottom_levels(merged)
         assert bl[0] == 2 + 3 + 2  # longest node-only chain
+
+
+class TestBottomLevelsMatchOracle:
+    """The reversed-plan sweep against the scalar loop, on every
+    registered workload, also renumbered out of topological order."""
+
+    def test_every_workload_listed(self):
+        assert sorted(SMALL_WORKLOADS) == WORKLOADS.available()
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["ids", "relabeled"])
+    @pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
+    def test_clustered_bottom_levels(self, name, relabel):
+        graph = _small_graph(name, relabel)
+        clustering = RandomClusterer(min(4, graph.num_tasks)).cluster(graph, rng=1)
+        clustered = ClusteredGraph(graph, clustering)
+        got = bottom_levels(clustered)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle_bottom_levels(graph, clustered.clus_edge))
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["ids", "relabeled"])
+    @pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
+    def test_dsc_bottom_levels(self, monkeypatch, name, relabel):
+        """DSC's priorities read the unclustered graph's bottom levels."""
+        graph = _small_graph(name, relabel)
+        seen = []
+        sweep = TaskGraph.bottom_levels
+
+        def spy(self, weights):
+            seen.append(sweep(self, weights))
+            return seen[-1]
+
+        monkeypatch.setattr(TaskGraph, "bottom_levels", spy)
+        DscClusterer(min(3, graph.num_tasks)).cluster(graph)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], oracle_bottom_levels(graph, graph.prob_edge))
 
 
 class TestListSchedule:

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import Edge, TaskGraph
+from repro.api import build_topology, build_workload, get_mapper
+from repro.clustering import RandomClusterer
+from repro.core import ClusteredGraph, Edge, TaskGraph
 from repro.utils import GraphError
+
+
+@pytest.fixture
+def no_stack_kahn(monkeypatch):
+    """Make the stack-ordered Kahn loop behind ``topological_order`` fail
+    if anything but a read of that property runs it."""
+
+    def forbidden(self):
+        raise AssertionError("the stack-ordered Kahn loop ran")
+
+    monkeypatch.setattr(TaskGraph, "_topological_order_csr", forbidden)
 
 
 class TestConstruction:
@@ -68,6 +81,109 @@ class TestConstruction:
     def test_matrix_size_mismatch(self):
         with pytest.raises(GraphError):
             TaskGraph([1, 1, 1], np.zeros((2, 2), dtype=int))
+
+
+class TestEdgeValidation:
+    """Both constructors run one edge check, with one set of messages."""
+
+    def test_unequal_edge_arrays_rejected(self):
+        with pytest.raises(GraphError, match="equal length"):
+            TaskGraph.from_edge_arrays(
+                [1, 1, 1], np.array([0]), np.array([1, 2]), np.array([1])
+            )
+
+    def test_edge_arrays_must_be_1d(self):
+        with pytest.raises(GraphError, match="must be 1-D"):
+            TaskGraph.from_edge_arrays(
+                [1, 1, 1], np.array([[0, 1]]), np.array([[1, 2]]), np.array([[1, 1]])
+            )
+
+    def test_ragged_triples_rejected(self):
+        with pytest.raises(GraphError, match="triples"):
+            TaskGraph([1, 1, 1], [(0, 1, 1), (1, 2)])
+
+    def test_non_integer_triples_rejected(self):
+        with pytest.raises(GraphError, match="triples"):
+            TaskGraph([1, 1, 1], [(0, 1, 1), (1, 2, "x")])
+
+    def test_edge_arrays_need_a_task(self):
+        with pytest.raises(GraphError, match="at least one task"):
+            TaskGraph.from_edge_arrays([], [], [], [])
+
+    def test_edge_arrays_sizes_must_be_1d(self):
+        with pytest.raises(GraphError, match=r"task_sizes must be 1-D, got shape \(1, 2\)"):
+            TaskGraph.from_edge_arrays([[1, 1]], [0], [1], [1])
+
+    def test_edge_arrays_zero_weight_guidance(self):
+        with pytest.raises(GraphError, match="zero-weight edge cannot be represented"):
+            TaskGraph.from_edge_arrays([1, 1], [0], [1], [0])
+
+    def test_dense_self_loop_names_the_task(self):
+        mat = np.zeros((3, 3), dtype=int)
+        mat[2, 2] = 1
+        with pytest.raises(GraphError, match=r"self-loop edges are not allowed \(task 2\)"):
+            TaskGraph([1, 1, 1], mat)
+
+    def test_caller_arrays_untouched(self):
+        srcs, dsts, weights = (np.array([], dtype=np.int64) for _ in range(3))
+        TaskGraph.from_edge_arrays([1, 2], srcs, dsts, weights)
+        assert all(a.flags.writeable for a in (srcs, dsts, weights))
+
+
+class TestAcyclicityThroughThePlan:
+    """Construction rejects cycles through the schedule plan's Kahn
+    frontiers, never the stack-ordered loop."""
+
+    def test_three_cycle_among_high_ids(self, no_stack_kahn):
+        with pytest.raises(GraphError, match="cycle"):
+            TaskGraph([1] * 6, [(0, 1, 1), (1, 3, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)])
+
+    def test_two_cycle_in_second_component(self, no_stack_kahn):
+        with pytest.raises(GraphError, match="cycle"):
+            TaskGraph([1] * 5, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 3, 1)])
+
+    def test_cycle_through_edge_arrays(self, no_stack_kahn):
+        with pytest.raises(GraphError, match="cycle"):
+            TaskGraph.from_edge_arrays([1, 1, 1], [0, 1, 2], [1, 2, 0], [1, 1, 1])
+
+    def test_reverse_numbered_dag_accepted(self, no_stack_kahn):
+        g = TaskGraph([1] * 5, [(4, 3, 1), (3, 2, 1), (2, 1, 1), (1, 0, 1)])
+        assert g.schedule_plan().order.tolist() == [4, 3, 2, 1, 0]
+        assert g.critical_path_length() == 9
+
+    def test_low_to_high_ids_build_no_plan(self, no_stack_kahn):
+        g = TaskGraph([1] * 4, [(0, 2, 1), (1, 2, 1), (2, 3, 1)])
+        assert g._plan is None
+
+
+class TestOneTraversal:
+    def test_build_and_map_never_run_the_stack_loop(self, monkeypatch, no_stack_kahn):
+        """Building and mapping graphs whose ids are in topological order
+        (``layered_random``) and graphs whose ids are not (``gnp``) runs
+        no stack-ordered Kahn loop; reading ``topological_order`` runs it
+        once."""
+        system = build_topology("hypercube:3")
+        graphs = [
+            build_workload("layered_random", {"num_tasks": 2000}, rng=0),
+            build_workload("gnp", {"num_tasks": 150, "edge_prob": 0.05}, rng=0),
+        ]
+        for graph in graphs:
+            clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=0)
+            clustered = ClusteredGraph(graph, clustering)
+            for name in ("critical", "multilevel", "annealing"):
+                get_mapper(name).map(clustered, system, rng=0)
+
+        calls = []
+        monkeypatch.undo()
+        stack_kahn = TaskGraph._topological_order_csr
+        monkeypatch.setattr(
+            TaskGraph,
+            "_topological_order_csr",
+            lambda self: calls.append(self) or stack_kahn(self),
+        )
+        first = graphs[1].topological_order
+        assert np.array_equal(graphs[1].topological_order, first)
+        assert len(calls) == 1
 
 
 class TestAccessors:

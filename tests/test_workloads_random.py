@@ -174,7 +174,7 @@ def _assert_matches_reference(n, bit_generator=np.random.PCG64, seed=0, **kwargs
     for field in _CSR_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert got._topo.tobytes() == want._topo.tobytes()
+    assert got.topological_order.tobytes() == want.topological_order.tobytes()
     assert got.name == want.name
     assert repr(gen_new.bit_generator.state) == repr(gen_ref.bit_generator.state)
     return got
