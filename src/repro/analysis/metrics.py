@@ -69,13 +69,9 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     mean_busy = busy.mean() if busy.size else 0.0
     imbalance = (busy.max() / mean_busy - 1.0) if mean_busy > 0 else 0.0
 
-    # A route lists its endpoints: more than one link is more than two nodes.
     host = schedule.assignment.placement[clustered.clustering.labels]
-    srcs, dsts = np.nonzero(clustered.clus_edge)
-    stretched = sum(
-        len(schedule.system.shortest_path(p, q)) > 2
-        for p, q in zip(host[srcs].tolist(), host[dsts].tolist())
-    )
+    srcs, dsts, _ = clustered.graph.edge_arrays()
+    stretched = int((schedule.system.route_hops[host[srcs], host[dsts]] > 1).sum())
 
     return ScheduleMetrics(
         makespan=makespan,

@@ -55,22 +55,32 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
 
 
 def system_graph_to_dict(system: SystemGraph) -> dict:
-    return {
+    """Edge list; a weighted machine adds ``[u, v, weight]`` link triples."""
+    edges = system.edges()
+    data = {
         "version": _FORMAT_VERSION,
         "kind": "system_graph",
         "name": system.name,
         "num_nodes": system.num_nodes,
-        "edges": [list(e) for e in system.edges()],
+        "edges": [list(e) for e in edges],
     }
+    if system.is_weighted:
+        data["link_weights"] = [[u, v, system.link_weight(u, v)] for u, v in edges]
+    return data
 
 
 def system_graph_from_dict(data: dict) -> SystemGraph:
     _check(data, "system_graph")
-    return SystemGraph.from_edges(
-        data["num_nodes"],
-        [tuple(e) for e in data["edges"]],
-        name=data.get("name", "system"),
-    )
+    n, name = data["num_nodes"], data.get("name", "system")
+    system = SystemGraph.from_edges(n, [tuple(e) for e in data["edges"]], name=name)
+    if "link_weights" not in data:
+        return system
+    weights = np.zeros_like(system.sys_edge)
+    for u, v, w in data["link_weights"]:
+        if not (0 <= u < n and 0 <= v < n and system.has_edge(u, v)):
+            raise GraphError(f"link weight ({u}, {v}, {w}) is not on a link")
+        weights[u, v] = w
+    return SystemGraph(system.sys_edge, name=name, link_weights=weights)
 
 
 def clustering_to_dict(clustering: Clustering) -> dict:

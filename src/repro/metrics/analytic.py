@@ -13,8 +13,8 @@ never materializing the dense ``clus_edge`` and running no simulation:
   (where distance is cost, not hops).  See arXiv:2005.10413 for why this
   separates mappings that tie on total comm.
 * ``link_traffic`` / ``max_congestion`` — traffic is routed over the
-  deterministic shortest routes the simulator also takes
-  (:meth:`repro.topology.base.SystemGraph.shortest_path`), accumulating
+  deterministic shortest routes the simulator also takes, all pairs in
+  one walk (:meth:`repro.topology.base.SystemGraph.route_loads`), giving
   ``weight x link_weight`` per directed link — exactly the busy time the
   simulator charges at ``link_setup=0``.  ``max_congestion`` is the most-loaded
   directed link: the static bottleneck that bounds any contention-aware
@@ -91,13 +91,9 @@ def link_traffic(
     simulator's per-link busy time at ``link_setup=0``.
     """
     traffic = processor_traffic_matrix(clustered, system, assignment)
-    loads: dict[tuple[int, int], int] = {}
-    for p, q in zip(*np.nonzero(traffic)):
-        weight = int(traffic[p, q])
-        route = system.shortest_path(int(p), int(q))
-        for a, b in zip(route, route[1:]):
-            loads[(a, b)] = loads.get((a, b), 0) + weight * system.link_weight(a, b)
-    return loads
+    loads = system.route_loads(traffic) * system.link_weights
+    tails, heads = np.nonzero(loads)
+    return dict(zip(zip(tails.tolist(), heads.tolist()), loads[tails, heads].tolist()))
 
 
 def _route_hops(
@@ -106,12 +102,7 @@ def _route_hops(
     """(weights, hop counts) of every ordered inter-processor message."""
     traffic = processor_traffic_matrix(clustered, system, assignment)
     pairs = np.nonzero(traffic)
-    weights = traffic[pairs].astype(np.int64)
-    hops = np.asarray(
-        [len(system.shortest_path(int(p), int(q))) - 1 for p, q in zip(*pairs)],
-        dtype=np.int64,
-    )
-    return weights, hops
+    return traffic[pairs], system.route_hops[pairs]
 
 
 @register_metric("comm_volume")

@@ -42,7 +42,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.abstract import AbstractGraph
 from ..core.anytime import FileReporter, use_reporter
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
@@ -85,13 +84,11 @@ class RaceResult:
 class ObjectiveScorer:
     """Score assignments/outcomes under one racing objective.
 
-    ``comm_volume`` uses the closed form ``sum of W[a,b] * dist(host a,
-    host b)`` over unordered cluster pairs (``W`` the symmetric abstract
-    weights), which equals both
-    ``Schedule.communication_volume()`` and the multilevel refinement's
-    :class:`~repro.core.incremental.CommVolumeDelta` aggregate — so
-    checkpoint values labeled ``comm_volume`` and re-scored assignments
-    live on the same scale.
+    ``comm_volume`` is the registered ``comm_volume`` metric, which
+    equals both ``Schedule.communication_volume()`` and the multilevel
+    refinement's :class:`~repro.core.incremental.CommVolumeDelta`
+    aggregate — so checkpoint values labeled ``comm_volume`` and
+    re-scored assignments live on the same scale.
     """
 
     def __init__(
@@ -106,14 +103,14 @@ class ObjectiveScorer:
         self._clustered = clustered
         self._system = system
         if objective == "comm_volume":
-            self._weights = AbstractGraph(clustered).weights
-            self._dist = system.shortest
+            from ..metrics import METRICS  # deferred: repro.metrics imports repro.api
+
+            self._volume = METRICS.get("comm_volume")
 
     def score_assignment(self, assignment: Assignment) -> float:
         if self.objective == "comm_volume":
-            place = assignment.placement
-            hops = self._dist[np.ix_(place, place)]
-            return float(int((self._weights * hops).sum()) // 2)
+            volume = self._volume.compute(self._clustered, self._system, assignment)
+            return volume["comm_volume"]
         return float(total_time(self._clustered, self._system, assignment))
 
     def score_outcome(self, outcome: Any) -> float:

@@ -27,8 +27,10 @@ congestion metrics, the embedding report and the matrix dump.  The
 constructor builds ``shortest`` and the route-predecessor table
 ``route_prev`` together — on unit-weight machines in one BFS over all
 sources at once, on weighted ones from the Dijkstra distances by a
-lowest-id backtrack vectorized over the links — and
-:meth:`SystemGraph.shortest_path` is a memoized walk of that table.
+lowest-id backtrack vectorized over the links.  The metrics and reports
+read one walk of that table over all their pairs at once
+(:attr:`SystemGraph.route_hops`, :meth:`SystemGraph.route_loads`); the
+simulator reads single routes (:meth:`SystemGraph.shortest_path`).
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class SystemGraph:
         if self._weighted:  # the backtrack needs every node reachable
             self._prev = _weighted_routes(self._shortest, self._link_w)
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._hops: np.ndarray | None = None
         self._deg = adj.sum(axis=1).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -140,40 +143,71 @@ class SystemGraph:
     @property
     def sys_edge(self) -> np.ndarray:
         """0/1 adjacency matrix (read-only view), Fig. 21-a."""
-        view = self._adj.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._adj)
 
     @property
     def shortest(self) -> np.ndarray:
         """All-pairs shortest hop counts (read-only view), Fig. 21-b."""
-        view = self._shortest.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._shortest)
 
     @property
     def route_prev(self) -> np.ndarray:
         """Route predecessors (read-only view): ``route_prev[s, v]`` is the
         node before ``v`` on the route :meth:`shortest_path` takes from
         ``s`` (``route_prev[s, s] == s``)."""
-        view = self._prev.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._prev)
+
+    @property
+    def route_hops(self) -> np.ndarray:
+        """Link count of every ordered pair's route (read-only view):
+        ``shortest`` on unit-weight machines (BFS routes are shortest in
+        hops); on weighted ones walked once on first read, maybe asymmetric."""
+        if not self._weighted:
+            return self.shortest
+        if self._hops is None:
+            n = self.num_nodes
+            hops = np.zeros(n * n, dtype=np.int64)
+            for live, _, _ in self._walk_routes(*np.divmod(np.arange(n * n), n)):
+                hops[live] += 1
+            self._hops = hops.reshape(n, n)
+        return _read_only(self._hops)
+
+    def route_loads(self, traffic: np.ndarray) -> np.ndarray:
+        """Per directed link ``a -> b``, the summed ``traffic[p, q]`` of every
+        route ``p -> q`` crossing it, exact and in ``traffic``'s dtype; the
+        diagonal of the ``ns x ns`` ``traffic`` is ignored."""
+        n = self.num_nodes
+        if traffic.shape != (n, n):
+            raise GraphError(f"traffic shape {traffic.shape} != ({n}, {n})")
+        src, dst = np.nonzero(traffic)
+        loads = np.zeros((n, n), dtype=traffic.dtype)
+        for live, tail, head in self._walk_routes(src, dst):
+            np.add.at(loads, (tail, head), traffic[src[live], dst[live]])
+        return loads
+
+    def _walk_routes(self, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple]:
+        """Walk the routes ``src[i] -> dst[i]`` back through ``route_prev``,
+        all pairs one hop per step (at most the diameter in hops): each
+        step yields the pairs still under way and the links ``tail -> head``
+        they cross."""
+        live = np.flatnonzero(src != dst)
+        head = dst[live]
+        while live.size:
+            tail = self._prev[src[live], head]
+            yield live, tail, head
+            going = tail != src[live]
+            live, head = live[going], tail[going]
 
     @property
     def deg(self) -> np.ndarray:
         """Node degree vector (read-only view), Fig. 21-c."""
-        view = self._deg.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._deg)
 
     @property
     def link_weights(self) -> np.ndarray:
         """Per-link cost matrix (read-only view); equals ``sys_edge`` for
         unit-weight machines."""
-        view = self._link_w.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._link_w)
 
     @property
     def is_weighted(self) -> bool:
@@ -227,7 +261,7 @@ class SystemGraph:
         (neighbours scanned in ascending order, first discovery kept); on
         weighted ones each hop backtracks to the lowest-id neighbour on a
         weighted-shortest path.  The simulator routes messages hop by hop
-        along it, and the congestion metrics charge its links.
+        along it.
         """
         key = (src, dst)
         route = self._routes.get(key)
@@ -260,7 +294,8 @@ class SystemGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SystemGraph):
             return NotImplemented
-        return np.array_equal(self._adj, other._adj)
+        # Link weights are >= 1 exactly on the links: they carry the adjacency.
+        return np.array_equal(self._link_w, other._link_w)
 
     def __hash__(self) -> int:  # pragma: no cover
         return id(self)
@@ -270,6 +305,12 @@ class SystemGraph:
             f"SystemGraph(name={self.name!r}, nodes={self.num_nodes}, "
             f"links={self.num_edges()}, diameter={self.diameter()})"
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _dijkstra_all_pairs(

@@ -68,16 +68,14 @@ def edge_dilations(
 ) -> dict[tuple[int, int], int]:
     """Hop count per abstract edge ``(a, b)`` with ``a < b``.
 
-    Counts the links of the :meth:`SystemGraph.shortest_path` route that
-    :func:`link_congestion` follows, so it equals the weighted distance
-    only on unit-weight machines.
+    Counts the links of the route ``hosts[a] -> hosts[b]`` that
+    :func:`link_congestion` follows (:attr:`SystemGraph.route_hops`), so
+    it equals the weighted distance only on unit-weight machines.
     """
     hosts = assignment.placement
-    out: dict[tuple[int, int], int] = {}
     srcs, dsts = np.nonzero(np.triu(abstract.abs_edge, 1))
-    for a, b in zip(srcs.tolist(), dsts.tolist()):
-        out[(a, b)] = len(system.shortest_path(int(hosts[a]), int(hosts[b]))) - 1
-    return out
+    hops = system.route_hops[hosts[srcs], hosts[dsts]]
+    return dict(zip(zip(srcs.tolist(), dsts.tolist()), hops.tolist()))
 
 
 def link_congestion(
@@ -88,20 +86,19 @@ def link_congestion(
 ) -> dict[tuple[int, int], int]:
     """Guest-edge crossings per undirected host link.
 
-    Routes follow :meth:`SystemGraph.shortest_path`, the same
-    deterministic routes the simulator uses, so congestion here predicts
-    the simulator's contention hotspots.
+    Each edge ``(a, b)`` with ``a < b`` is routed ``hosts[a] ->
+    hosts[b]`` (:meth:`SystemGraph.route_loads`), the same deterministic
+    routes the simulator uses, so congestion here predicts the
+    simulator's contention hotspots.
     """
     hosts = assignment.placement
-    out: dict[tuple[int, int], int] = {}
     srcs, dsts = np.nonzero(np.triu(abstract.abs_edge, 1))
-    for a, b in zip(srcs.tolist(), dsts.tolist()):
-        path = system.shortest_path(int(hosts[a]), int(hosts[b]))
-        load = int(abstract.weights[a, b]) if weighted else 1
-        for u, v in zip(path, path[1:]):
-            key = (min(u, v), max(u, v))
-            out[key] = out.get(key, 0) + load
-    return out
+    pair_loads = np.zeros((system.num_nodes,) * 2, dtype=np.int64)
+    pair_loads[hosts[srcs], hosts[dsts]] = abstract.weights[srcs, dsts] if weighted else 1
+    loads = system.route_loads(pair_loads)
+    links = np.triu(loads + loads.T)
+    us, vs = np.nonzero(links)
+    return dict(zip(zip(us.tolist(), vs.tolist()), links[us, vs].tolist()))
 
 
 def analyze_embedding(

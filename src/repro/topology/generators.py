@@ -17,6 +17,8 @@ dispatcher (``("mesh", 12)`` -> squarest 12-node mesh).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..utils import GraphError, as_rng
@@ -54,57 +56,35 @@ def hypercube(dimension: int) -> SystemGraph:
     """
     if dimension < 0:
         raise GraphError("hypercube dimension must be >= 0")
-    n = 1 << dimension
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(dimension) if u < u ^ (1 << b)]
-    return SystemGraph.from_edges(n, edges, name=f"hypercube-{n}")
+    return _grid((2,) * dimension, wrap=False, name=f"hypercube-{1 << dimension}")
 
 
 def mesh2d(rows: int, cols: int) -> SystemGraph:
     """A ``rows x cols`` 2-D mesh (no wraparound); node ``(r, c) -> r*cols + c``."""
     if rows < 1 or cols < 1:
         raise GraphError("mesh dimensions must be >= 1")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.append((u, u + 1))
-            if r + 1 < rows:
-                edges.append((u, u + cols))
-    return SystemGraph.from_edges(rows * cols, edges, name=f"mesh-{rows}x{cols}")
+    return _grid((rows, cols), wrap=False, name=f"mesh-{rows}x{cols}")
 
 
 def torus2d(rows: int, cols: int) -> SystemGraph:
     """A ``rows x cols`` 2-D torus (mesh with wraparound links)."""
     if rows < 2 or cols < 2:
         raise GraphError("torus dimensions must be >= 2")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            right = r * cols + (c + 1) % cols
-            down = ((r + 1) % rows) * cols + c
-            if u != right:
-                edges.add((min(u, right), max(u, right)))
-            if u != down:
-                edges.add((min(u, down), max(u, down)))
-    return SystemGraph.from_edges(rows * cols, sorted(edges), name=f"torus-{rows}x{cols}")
+    return _grid((rows, cols), wrap=True, name=f"torus-{rows}x{cols}")
 
 
 def ring(n: int) -> SystemGraph:
     """A cycle of ``n`` nodes (``n >= 3``)."""
     if n < 3:
         raise GraphError("a ring needs at least 3 nodes")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return SystemGraph.from_edges(n, edges, name=f"ring-{n}")
+    return _grid((n,), wrap=True, name=f"ring-{n}")
 
 
 def chain(n: int) -> SystemGraph:
     """A linear array of ``n`` nodes."""
     if n < 1:
         raise GraphError("a chain needs at least 1 node")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return SystemGraph.from_edges(n, edges, name=f"chain-{n}")
+    return _grid((n,), wrap=False, name=f"chain-{n}")
 
 
 def star(n: int) -> SystemGraph:
@@ -197,23 +177,7 @@ def mesh3d(nx_: int, ny: int, nz: int) -> SystemGraph:
     """A 3-D mesh; node ``(x, y, z) -> (x * ny + y) * nz + z``."""
     if min(nx_, ny, nz) < 1:
         raise GraphError("mesh3d dimensions must be >= 1")
-
-    def node(x: int, y: int, z: int) -> int:
-        return (x * ny + y) * nz + z
-
-    edges = []
-    for x in range(nx_):
-        for y in range(ny):
-            for z in range(nz):
-                if x + 1 < nx_:
-                    edges.append((node(x, y, z), node(x + 1, y, z)))
-                if y + 1 < ny:
-                    edges.append((node(x, y, z), node(x, y + 1, z)))
-                if z + 1 < nz:
-                    edges.append((node(x, y, z), node(x, y, z + 1)))
-    return SystemGraph.from_edges(
-        nx_ * ny * nz, edges, name=f"mesh3d-{nx_}x{ny}x{nz}"
-    )
+    return _grid((nx_, ny, nz), wrap=False, name=f"mesh3d-{nx_}x{ny}x{nz}")
 
 
 def torus3d(nx_: int, ny: int, nz: int) -> SystemGraph:
@@ -224,25 +188,25 @@ def torus3d(nx_: int, ny: int, nz: int) -> SystemGraph:
     """
     if min(nx_, ny, nz) < 2:
         raise GraphError("torus3d dimensions must be >= 2")
+    return _grid((nx_, ny, nz), wrap=True, name=f"torus3d-{nx_}x{ny}x{nz}")
 
-    def node(x: int, y: int, z: int) -> int:
-        return (x * ny + y) * nz + z
 
-    edges = set()
-    for x in range(nx_):
-        for y in range(ny):
-            for z in range(nz):
-                u = node(x, y, z)
-                for v in (
-                    node((x + 1) % nx_, y, z),
-                    node(x, (y + 1) % ny, z),
-                    node(x, y, (z + 1) % nz),
-                ):
-                    if u != v:
-                        edges.add((min(u, v), max(u, v)))
-    return SystemGraph.from_edges(
-        nx_ * ny * nz, sorted(edges), name=f"torus3d-{nx_}x{ny}x{nz}"
-    )
+def _grid(shape: tuple[int, ...], wrap: bool, name: str) -> SystemGraph:
+    """A grid of ``shape`` with row-major node ids: every node links to
+    its successor along each axis and, with ``wrap``, each axis's last
+    node back to its first (on a size-2 axis that is the same link).
+    Chains and rings are 1-D grids, the ``d``-cube a ``2 x ... x 2`` mesh."""
+    n = stride = math.prod(shape)
+    edges = []
+    for size in shape:
+        stride //= size  # id step of one place along this axis
+        for u in range(n):
+            at = u // stride % size
+            if at + 1 < size:
+                edges.append((u, u + stride))
+            elif wrap:
+                edges.append((u, u - at * stride))
+    return SystemGraph.from_edges(n, edges, name=name)
 
 
 def complete_bipartite(a: int, b: int) -> SystemGraph:

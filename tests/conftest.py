@@ -431,6 +431,33 @@ def _oracle_weighted_route(system: SystemGraph, src: int, dst: int) -> list[int]
     return path[::-1]
 
 
+def oracle_route_hops(system: SystemGraph) -> np.ndarray:
+    """Links on every ordered pair's route, one :func:`oracle_route` per
+    pair: the tests' oracle for ``SystemGraph.route_hops``, which walks
+    all pairs' routes at once."""
+    n = system.num_nodes
+    hops = np.zeros((n, n), dtype=np.int64)
+    for p in range(n):
+        for q in range(n):
+            hops[p, q] = len(oracle_route(system, p, q)) - 1
+    return hops
+
+
+def oracle_route_loads(system: SystemGraph, traffic: np.ndarray) -> np.ndarray:
+    """Per directed link, the summed ``traffic[p, q]`` of every route
+    ``p -> q`` crossing it, one :func:`oracle_route` at a time: the
+    tests' oracle for ``SystemGraph.route_loads``, which walks all
+    pairs' routes at once."""
+    n = system.num_nodes
+    loads = np.zeros((n, n), dtype=traffic.dtype)
+    for p in range(n):
+        for q in range(n):
+            route = oracle_route(system, p, q)
+            for a, b in zip(route, route[1:]):
+                loads[a, b] += traffic[p, q]
+    return loads
+
+
 def assert_routes_match_oracle(system: SystemGraph) -> None:
     """Every route of ``system`` equals :func:`oracle_route`'s, and its
     cost equals the distance (the hop count on unit-weight machines)."""

@@ -10,6 +10,7 @@ from repro.topology import (
     complete,
     edge_dilations,
     link_congestion,
+    ring,
 )
 from tests.conftest import chain4_one_task_per_cluster, random_instance, weighted_ring4
 
@@ -88,6 +89,17 @@ class TestReport:
     def test_str(self, diamond_abstract):
         text = str(analyze_embedding(diamond_abstract, chain(4), Assignment.identity(4)))
         assert "dilation" in text and "congestion" in text
+
+    def test_guest_smaller_than_host(self):
+        from repro.core import TaskGraph
+
+        g = TaskGraph([1, 1, 1, 1], [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+        abstract = AbstractGraph(ClusteredGraph(g, Clustering([0, 1, 2, 3])))
+        report = analyze_embedding(abstract, ring(5), Assignment.identity(5))
+        assert str(report) == (
+            "dilation max 1 / avg 1.00, 3/3 edges on single links, "
+            "congestion max 1 (weighted 2), expansion 1.25"
+        )
 
     def test_no_edges_degenerate(self):
         from repro.core import TaskGraph

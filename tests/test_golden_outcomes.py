@@ -12,7 +12,13 @@ level sweep that computes them may change speed, never these values.
 
 Routing is pinned the same way: the SHA-256 of ``shortest`` and of the
 route-predecessor table ``route_prev`` of one machine per registered
-topology family and of two weighted machines.
+topology family and of two weighted machines.  On the same machines, the
+route consumers are pinned for one mapped instance: the sorted
+``link_traffic`` items (as a SHA-256), ``hop_bytes``, ``avg_dilation``,
+``max_congestion``, the stretched-edge count of ``compute_metrics`` and
+the ``analyze_embedding`` report.  The grid generators' ``sys_edge`` is
+pinned over every 2-D size up to 5 x 5 and every 3-D size up to 3 x 3 x 3,
+with the chain, ring and hypercube they also build.
 
 So is the stack-ordered ``topological_order``, with the ``linear``
 clustering that follows its visit order and the ``dsc`` clustering that
@@ -26,10 +32,29 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.analysis import compute_metrics
 from repro.api import build_topology, build_workload, get_mapper
 from repro.clustering import DscClusterer, LinearClusterer, RandomClusterer
-from repro.core import Assignment, ClusteredGraph, evaluate_assignment, ideal_schedule
-from repro.topology import SystemGraph
+from repro.core import (
+    AbstractGraph,
+    Assignment,
+    ClusteredGraph,
+    evaluate_assignment,
+    ideal_schedule,
+)
+from repro.metrics import evaluate_metrics, link_traffic
+from repro.topology import (
+    SystemGraph,
+    analyze_embedding,
+    chain,
+    hypercube,
+    mesh2d,
+    mesh3d,
+    ring,
+    torus2d,
+    torus3d,
+)
+from repro.utils import GraphError
 from tests.conftest import TOPOLOGY_SPECS
 
 SEED = 12
@@ -81,10 +106,15 @@ GOLDEN = {
         {},
         ("0a5a8e64befa5a67fd9f34a1147b5f85ee00d81b30929d572e14637ca75bbeee", 3213, 163),
     ),
+    "multilevel-congestion": (
+        "multilevel",
+        {"refine_metric": "max_congestion"},
+        ("fa7e3eb206cb62b3c945e3e3eb2395e0c49e7b7c51ce49bab272873d96fd63eb", 2784, 192),
+    ),
 }
 
 #: multilevel's refinement counters: (refine_probes, refine_swaps)
-MULTILEVEL_REFINE = (3213, 28)
+MULTILEVEL_REFINE = {"multilevel": (3213, 28), "multilevel-congestion": (2784, 28)}
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +146,7 @@ def test_outcome_is_pinned(instance, case):
     if name == "multilevel":
         extras = outcome.extras
         refine = (int(extras["refine_probes"]), int(extras["refine_swaps"]))
-        assert refine == MULTILEVEL_REFINE
+        assert refine == MULTILEVEL_REFINE[case]
 
 
 def test_ideal_schedule_is_pinned(instance):
@@ -260,6 +290,227 @@ def _routing_system(key: str) -> SystemGraph:
 def test_routing_is_pinned(key):
     system = _routing_system(key)
     assert (_digest(system.shortest), _digest(system.route_prev)) == ROUTING[key]
+
+
+#: machine -> (SHA-256 of the sorted ``link_traffic`` items, (``hop_bytes``,
+#: ``avg_dilation``, ``max_congestion``, stretched edges), the
+#: ``analyze_embedding`` report) for one mapped 60-task instance
+ROUTE_METRICS = {
+    "btree:3": (
+        "cad16d58be960029b896ef6bbbd81a5a2c9684613cbcd664f5493d41527547e8",
+        (1601.0, 2.081924577373212, 252.0, 104),
+        "dilation max 4 / avg 2.29, 6/21 edges on single links, congestion max 12 (weighted 398), expansion 1.00",
+    ),
+    "butterfly:2": (
+        "144f38426b9327d976a009de75726e97fcc4253cae1a5c6c50ebb5b5584f6499",
+        (1920.0, 2.3529411764705883, 144.0, 114),
+        "dilation max 4 / avg 2.25, 13/56 edges on single links, congestion max 15 (weighted 301), expansion 1.00",
+    ),
+    "ccc:3": (
+        "449f44cee399d4478c7e0c95244d586dcf3819b318a56c5eb3dc9fc7b7b77418",
+        (2615.0, 3.0983412322274884, 83.0, 123),
+        "dilation max 6 / avg 3.13, 19/103 edges on single links, congestion max 18 (weighted 130), expansion 1.00",
+    ),
+    "chain:8": (
+        "53f9ed710b56d40d598fd31a3edb61470471f567937cd8a2328231d81ab4b9c7",
+        (2181.0, 2.736511919698871, 258.0, 100),
+        "dilation max 7 / avg 2.89, 7/27 edges on single links, congestion max 15 (weighted 443), expansion 1.00",
+    ),
+    "chordal:8x3": (
+        "bb013d91a7833608020522bc89bed2092d0cc1c6947d2f0042183a99e493f37c",
+        (1127.0, 1.4140526976160601, 111.0, 53),
+        "dilation max 2 / avg 1.41, 16/27 edges on single links, congestion max 6 (weighted 207), expansion 1.00",
+    ),
+    "complete:8": (
+        "5c691f27524d6387590861ec7ef683826dca13e60de4ea7a4f95bdde0852de43",
+        (797.0, 1.0, 47.0, 0),
+        "dilation max 1 / avg 1.00, 27/27 edges on single links, congestion max 1 (weighted 91), expansion 1.00",
+    ),
+    "debruijn:3": (
+        "521b1a00c82d9694eeaf7b592e30ee0d15cec902378e7a28bf3c8de3da938457",
+        (1315.0, 1.6499372647427855, 141.0, 79),
+        "dilation max 3 / avg 1.63, 13/27 edges on single links, congestion max 7 (weighted 232), expansion 1.00",
+    ),
+    "hypercube:3": (
+        "77414b42f8e7ea1bcd10ca26e67223c4f137e21f55d83d72b08c23555b7be446",
+        (1286.0, 1.6135508155583438, 189.0, 79),
+        "dilation max 3 / avg 1.70, 12/27 edges on single links, congestion max 9 (weighted 259), expansion 1.00",
+    ),
+    "kautz:2x2": (
+        "1922e12bc65b922ccc0f44931b95f0c7e76255b1f7035faf5ef99af824bf22df",
+        (1502.0, 1.8406862745098038, 94.0, 96),
+        "dilation max 3 / avg 1.89, 19/56 edges on single links, congestion max 10 (weighted 141), expansion 1.00",
+    ),
+    "kbipartite:3x3": (
+        "a8a0c862c1256f719c563621c7fb628f6af6ba337c1b704377d5d9c7bce488ef",
+        (956.0, 1.335195530726257, 170.0, 40),
+        "dilation max 2 / avg 1.40, 9/15 edges on single links, congestion max 5 (weighted 306), expansion 1.00",
+    ),
+    "mesh2d:2x4": (
+        "5c2c75a496ba77d1da1cb4526d858cfe2da22e7a9273cc04d7c994324602df42",
+        (1454.0, 1.824341279799247, 185.0, 81),
+        "dilation max 4 / avg 1.96, 10/27 edges on single links, congestion max 11 (weighted 328), expansion 1.00",
+    ),
+    "mesh3d:2x2x2": (
+        "77414b42f8e7ea1bcd10ca26e67223c4f137e21f55d83d72b08c23555b7be446",
+        (1286.0, 1.6135508155583438, 189.0, 79),
+        "dilation max 3 / avg 1.70, 12/27 edges on single links, congestion max 9 (weighted 259), expansion 1.00",
+    ),
+    "mesh:8": (
+        "5c2c75a496ba77d1da1cb4526d858cfe2da22e7a9273cc04d7c994324602df42",
+        (1454.0, 1.824341279799247, 185.0, 81),
+        "dilation max 4 / avg 1.96, 10/27 edges on single links, congestion max 11 (weighted 328), expansion 1.00",
+    ),
+    "petersen": (
+        "4e62cd0a4437c86ab358f87df3c8bfe1ec0b47b7cb778d7e2972301914ec3519",
+        (1327.0, 1.6649937264742785, 79.0, 94),
+        "dilation max 2 / avg 1.68, 13/40 edges on single links, congestion max 5 (weighted 138), expansion 1.00",
+    ),
+    "random:8": (
+        "38c30b84e59d9d3f0b37940f7cd7f000004d7a1559f2553281cbf0e09a389e3a",
+        (1335.0, 1.6750313676286073, 148.0, 74),
+        "dilation max 3 / avg 1.70, 12/27 edges on single links, congestion max 7 (weighted 258), expansion 1.00",
+    ),
+    "regular:8x3": (
+        "099396b2fbad4142d64a6395391782da2106a6b5a57aeadfa531763e4f08e616",
+        (1281.0, 1.6072772898368883, 102.0, 90),
+        "dilation max 2 / avg 1.56, 12/27 edges on single links, congestion max 5 (weighted 182), expansion 1.00",
+    ),
+    "ring:8": (
+        "8c81a595390ebc6afbc0c377abd7830ebaa6f5b775ed3d3abf83bd7e835dbf8b",
+        (1849.0, 2.3199498117942285, 188.0, 97),
+        "dilation max 4 / avg 2.30, 8/27 edges on single links, congestion max 9 (weighted 292), expansion 1.00",
+    ),
+    "star:8": (
+        "499661702680f3e0f596f21b9d2f0094bab017f68a373701f37dc1c77d365f81",
+        (1354.0, 1.698870765370138, 148.0, 103),
+        "dilation max 2 / avg 1.74, 7/27 edges on single links, congestion max 7 (weighted 282), expansion 1.00",
+    ),
+    "torus2d:2x4": (
+        "f03320d4a6117b57965451875c2b0770e4264c9d759c7cf822405a2644da30fc",
+        (1294.0, 1.6235884567126726, 146.0, 73),
+        "dilation max 3 / avg 1.67, 12/27 edges on single links, congestion max 8 (weighted 271), expansion 1.00",
+    ),
+    "torus3d:2x2x2": (
+        "77414b42f8e7ea1bcd10ca26e67223c4f137e21f55d83d72b08c23555b7be446",
+        (1286.0, 1.6135508155583438, 189.0, 79),
+        "dilation max 3 / avg 1.70, 12/27 edges on single links, congestion max 9 (weighted 259), expansion 1.00",
+    ),
+    "torus:8": (
+        "f03320d4a6117b57965451875c2b0770e4264c9d759c7cf822405a2644da30fc",
+        (1294.0, 1.6235884567126726, 146.0, 73),
+        "dilation max 3 / avg 1.67, 12/27 edges on single links, congestion max 8 (weighted 271), expansion 1.00",
+    ),
+    "torus2d:4x4+w1": (
+        "a53cb3e6db5c18cf01573ea6b4adf329cca108a7d5eb994ccc92c6fbf5ecf00f",
+        (1828.0, 2.1480611045828435, 355.0, 110),
+        "dilation max 4 / avg 1.99, 25/81 edges on single links, congestion max 15 (weighted 214), expansion 1.00",
+    ),
+    "random:12+w2": (
+        "b3b02e6bb42561b870eae81a3a7083db8900f57e1b196261b7f832bb0d076c7e",
+        (2050.0, 2.5122549019607843, 736.0, 115),
+        "dilation max 5 / avg 2.32, 14/56 edges on single links, congestion max 19 (weighted 300), expansion 1.00",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(ROUTE_METRICS))
+def test_route_metrics_are_pinned(key):
+    system = _routing_system(key)
+    graph = build_workload("layered_random", {"num_tasks": 60}, rng=SEED)
+    clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=SEED)
+    clustered = ClusteredGraph(graph, clustering)
+    assignment = Assignment.random(system.num_nodes, rng=SEED)
+    loads = sorted(link_traffic(clustered, system, assignment).items())
+    scores = evaluate_metrics(
+        clustered, system, assignment, ["hop_bytes", "avg_dilation", "max_congestion"]
+    )
+    schedule = evaluate_assignment(clustered, system, assignment)
+    got = (
+        _digest([(a, b, w) for (a, b), w in loads]),
+        (
+            scores["hop_bytes"],
+            scores["avg_dilation"],
+            scores["max_congestion"],
+            compute_metrics(schedule).stretched_edges,
+        ),
+        str(analyze_embedding(AbstractGraph(clustered), system, assignment)),
+    )
+    assert got == ROUTE_METRICS[key]
+
+
+SIZES_2D = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+SIZES_3D = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
+
+#: generator -> (sizes, smallest size per axis, name prefix, SHA-256 of
+#: ``sys_edge`` over the valid sizes in order)
+GRIDS = {
+    "mesh2d": (
+        SIZES_2D,
+        1,
+        "mesh",
+        "5bf3435c7cd200251a17fbb450b1d40cec060ac9a69884ad38cdd4a2bf9f9fac",
+    ),
+    "torus2d": (
+        SIZES_2D,
+        2,
+        "torus",
+        "faf36f93b24dc1967bedf57aad7ecadd33b74874d8b2b7dfb306751e98cf1414",
+    ),
+    "mesh3d": (
+        SIZES_3D,
+        1,
+        "mesh3d",
+        "5796cba56d22ad885f70c9a6f65e0c7309c69ade0061666937f292e6555f0be2",
+    ),
+    "torus3d": (
+        SIZES_3D,
+        2,
+        "torus3d",
+        "61bac811372d4cb03eb3f80367fc55b7bee926242917f0b9701a9037d9cf2f55",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_grids_are_pinned(name):
+    generator = {"mesh2d": mesh2d, "torus2d": torus2d, "mesh3d": mesh3d, "torus3d": torus3d}[name]
+    sizes, smallest, prefix, expected = GRIDS[name]
+    systems = []
+    for dims in sizes:
+        if min(dims) < smallest:
+            with pytest.raises(GraphError, match=f"dimensions must be >= {smallest}"):
+                generator(*dims)
+            continue
+        system = generator(*dims)
+        assert system.name == f"{prefix}-" + "x".join(map(str, dims))
+        systems.append(system.sys_edge)
+    assert _digest(*systems) == expected
+
+
+#: generator -> (sizes, SHA-256 of ``sys_edge`` over them in order); the
+#: chain and ring are 1-D grids and the ``d``-cube a 2 x ... x 2 one
+LINES_AND_CUBES = {
+    "chain": (
+        range(1, 9),
+        "c0827a0862a464dfc5a6a21b91c89415960f6870c68b739d92ec6aa7b7931f3f",
+    ),
+    "ring": (
+        range(3, 9),
+        "9ec8b53a524a8d3860562385b751c5f3051f47088b0299ba907045c00c067b0a",
+    ),
+    "hypercube": (
+        range(0, 6),
+        "50bc3f00fa8ffb652b65141e8e776faede77e7bfa598eb3e7d777638708a5372",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LINES_AND_CUBES))
+def test_lines_and_cubes_are_pinned(name):
+    generator = {"chain": chain, "ring": ring, "hypercube": hypercube}[name]
+    sizes, expected = LINES_AND_CUBES[name]
+    assert _digest(*(generator(k).sys_edge for k in sizes)) == expected
 
 
 #: graph -> (SHA-256 of ``topological_order``, of the ``linear`` labels

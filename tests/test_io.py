@@ -22,7 +22,7 @@ from repro.io import (
     task_graph_from_dict,
     task_graph_to_dict,
 )
-from repro.topology import hypercube, ring
+from repro.topology import SystemGraph, hypercube, ring
 from repro.utils import GraphError
 from repro.workloads import (
     layered_random_dag,
@@ -63,6 +63,25 @@ class TestSerialize:
         save_instance(path, g, s, c, a)
         g2, s2, c2, a2 = load_instance(path)
         assert g2 == g and s2 == s and c2 == c and a2 == a
+
+    def test_weighted_instance_round_trip(self, tmp_path):
+        g = layered_random_dag(num_tasks=20, rng=1)
+        s = SystemGraph(ring(4).sys_edge, link_weights=3 * ring(4).sys_edge)
+        path = tmp_path / "weighted.json"
+        save_instance(path, g, s)
+        _, s2, _, _ = load_instance(path)
+        assert s2 == s
+        assert s2.shortest[0].tolist() == [0, 3, 6, 3]
+
+    def test_unit_machine_writes_no_link_weights(self):
+        assert "link_weights" not in system_graph_to_dict(ring(4))
+
+    @pytest.mark.parametrize("triple", [[0, 2, 3], [-1, 0, 3], [0, 4, 3]])
+    def test_link_weight_off_the_links_rejected(self, triple):
+        data = system_graph_to_dict(ring(4))
+        data["link_weights"] = [triple]
+        with pytest.raises(GraphError, match="is not on a link"):
+            system_graph_from_dict(data)
 
     def test_instance_optional_parts(self, tmp_path):
         g = layered_random_dag(num_tasks=10, rng=2)

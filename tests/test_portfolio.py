@@ -7,11 +7,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.api import Scenario, available_mappers, get_mapper
+from repro.api import Scenario, available_mappers, build_topology, get_mapper
 from repro.api.scenario import ScenarioError
 from repro.baselines.annealing import anneal_mapping
 from repro.clustering import RandomClusterer
-from repro.core import ClusteredGraph, evaluate_assignment
+from repro.core import AbstractGraph, ClusteredGraph, evaluate_assignment
 from repro.core.anytime import FileReporter, active_reporter, use_reporter
 from repro.core.assignment import Assignment
 from repro.portfolio import (
@@ -34,6 +34,7 @@ from repro.service import (
 from repro.topology import hypercube
 from repro.utils import MappingError
 from repro.workloads import layered_random_dag
+from tests.conftest import TOPOLOGY_SPECS
 
 
 def make_instance(num_tasks=96, dim=3, seed=11):
@@ -151,6 +152,24 @@ class TestObjectiveScorer:
             assert scorer.score_assignment(assignment) == float(
                 schedule.communication_volume()
             )
+
+    @pytest.mark.parametrize("spec", sorted(TOPOLOGY_SPECS.values()))
+    def test_comm_volume_matches_abstract_closed_form(self, spec):
+        """The old private closed form, kept here as the oracle: the
+        symmetric abstract weights times the hop distances of the hosts,
+        over ordered cluster pairs, halved."""
+        system = build_topology(spec, rng=0)
+        graph = layered_random_dag(num_tasks=4 * system.num_nodes, rng=5)
+        clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=5)
+        clustered = ClusteredGraph(graph, clustering)
+        weights = AbstractGraph(clustered).weights
+        scorer = ObjectiveScorer(clustered, system, "comm_volume")
+        for seed in range(3):
+            assignment = Assignment.random(system.num_nodes, rng=seed)
+            place = assignment.placement
+            hops = system.shortest[np.ix_(place, place)]
+            expected = float(int((weights * hops).sum()) // 2)
+            assert scorer.score_assignment(assignment) == expected
 
     def test_total_time_matches_schedule(self, instance):
         clustered, system = instance

@@ -6,7 +6,12 @@ import pytest
 from repro.api import build_topology
 from repro.topology import SystemGraph, base, chain, complete, hypercube, ring
 from repro.utils import GraphError
-from tests.conftest import TOPOLOGY_SPECS, assert_routes_match_oracle
+from tests.conftest import (
+    TOPOLOGY_SPECS,
+    assert_routes_match_oracle,
+    oracle_route_hops,
+    oracle_route_loads,
+)
 
 
 class TestConstruction:
@@ -114,6 +119,76 @@ class TestShortestPaths:
             assert_routes_match_oracle(system)
 
 
+def _weighted(spec: str, seed: int) -> SystemGraph:
+    """``spec``'s machine with seeded random link costs 1-3."""
+    system = build_topology(spec, rng=0)
+    n = system.num_nodes
+    weights = np.random.default_rng(seed).integers(1, 4, size=(n, n))
+    return SystemGraph(system.sys_edge, name=f"{spec}+w{seed}", link_weights=weights)
+
+
+#: Weighted machines on which some route is longer in hops one way than
+#: the other (a lowest-id backtrack may pick a different equal-cost path
+#: in each direction).
+ASYMMETRIC = [
+    ("ring:6", 23),
+    ("mesh2d:3x3", 3),
+    ("torus2d:4x4", 3),
+    ("petersen", 1),
+    ("random:8", 1),
+]
+
+
+class TestRouteArrays:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("spec", sorted(TOPOLOGY_SPECS.values()))
+    def test_match_oracles(self, spec, weighted):
+        system = _weighted(spec, 0) if weighted else build_topology(spec, rng=0)
+        n = system.num_nodes
+        traffic = np.random.default_rng(1).integers(0, 9, size=(n, n))
+        assert np.array_equal(system.route_hops, oracle_route_hops(system))
+        assert np.array_equal(
+            system.route_loads(traffic), oracle_route_loads(system, traffic)
+        )
+
+    @pytest.mark.parametrize("spec, seed", ASYMMETRIC)
+    def test_direction_dependent_hops(self, spec, seed):
+        system = _weighted(spec, seed)
+        hops = system.route_hops
+        assert not np.array_equal(hops, hops.T)
+        assert np.array_equal(hops, oracle_route_hops(system))
+        traffic = np.ones((system.num_nodes, system.num_nodes), dtype=np.int64)
+        loads = system.route_loads(traffic)
+        assert np.array_equal(loads, oracle_route_loads(system, traffic))
+        assert not np.array_equal(loads, loads.T)
+
+    def test_unit_hops_are_shortest(self):
+        g = hypercube(3)
+        assert np.array_equal(g.route_hops, g.shortest)
+        assert not g.route_hops.flags.writeable
+
+    def test_weighted_hops_are_cached_read_only(self):
+        g = _weighted("ring:6", 23)
+        assert np.shares_memory(g.route_hops, g.route_hops)
+        with pytest.raises(ValueError):
+            g.route_hops[0, 1] = 9
+
+    def test_loads_keep_dtype_ignore_diagonal_and_sum_exactly(self):
+        # Link 1 -> 2 carries four routes of 2**53 + 1: a float sum would
+        # lose the 4 in 2**55 + 4.
+        g = chain(4)
+        traffic = np.full((4, 4), 2**53 + 1, dtype=np.int64)
+        loads = g.route_loads(traffic)
+        assert loads.dtype == np.int64
+        assert int(loads[1, 2]) == 4 * (2**53 + 1)
+        assert np.array_equal(g.route_loads(np.eye(4, dtype=np.int32)), np.zeros((4, 4)))
+        assert g.route_loads(np.eye(4, dtype=np.int32)).dtype == np.int32
+
+    def test_loads_reject_wrong_shape(self):
+        with pytest.raises(GraphError, match="traffic shape"):
+            ring(4).route_loads(np.ones((3, 3)))
+
+
 class TestDerived:
     def test_degrees(self):
         g = ring(5)
@@ -146,6 +221,9 @@ class TestDerived:
     def test_equality(self):
         assert ring(5) == ring(5)
         assert ring(5) != chain(5)
+        heavy = SystemGraph(ring(5).sys_edge, link_weights=3 * ring(5).sys_edge)
+        assert heavy != ring(5)
+        assert heavy == SystemGraph(ring(5).sys_edge, link_weights=3 * ring(5).sys_edge)
 
     def test_networkx_export(self):
         g = ring(5)
