@@ -33,7 +33,8 @@ machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -43,9 +44,11 @@ from ..topology.base import SystemGraph
 from ..utils import MappingError
 from .events import EventKind, EventQueue
 from .machine import MimdMachine
-from .trace import SimTrace, StallRecord, TaskRecord, TransferRecord
+from .trace import SimTrace
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
+
+_READY, _FINISH, _HOP = EventKind.TASK_READY, EventKind.TASK_FINISH, EventKind.HOP_ARRIVE
 
 
 @dataclass(frozen=True)
@@ -97,152 +100,113 @@ class SimResult:
         )
 
 
-@dataclass
-class _Message:
-    """A payload in flight along its fixed route."""
-
-    src_task: int
-    dst_task: int
-    route: tuple[int, ...]
-    hop_index: int  # next link to traverse is route[hop_index] -> route[hop_index+1]
-    weight: int     # clustered edge weight (message size in time units/link-cost)
-
-
 def simulate(
     clustered: ClusteredGraph,
     system: SystemGraph,
     assignment: Assignment,
     config: SimConfig = SimConfig(),
 ) -> SimResult:
-    """Run the mapped program to completion and return the schedule."""
+    """Run the mapped program to completion and return the schedule.
+
+    One loop over the event queue.  A finished task sends one message per
+    out-edge, ``(src_task, dst_task, route, weight, hop)``: it crosses
+    link ``route[hop] -> route[hop + 1]`` next and is delivered once
+    ``hop`` reaches the route's end, at once for a successor on the same
+    processor (a one-node route).  Each serialized processor queues its
+    ready tasks in a heap of ``(ready time, task)``.
+    """
     graph = clustered.graph
     if clustered.num_clusters != system.num_nodes:
         raise MappingError("na must equal ns for simulation")
-    n = graph.num_tasks
-    labels = clustered.clustering.labels
-    host = assignment.placement[labels]  # processor per task
-    out_ptr, out_dst = graph.out_indptr, graph.out_indices
-    cross_w = clustered.cross_out_weights  # aligned with out_dst
+    n, ns = graph.num_tasks, system.num_nodes
+    host = assignment.placement[clustered.clustering.labels].tolist()
+    sizes = graph.task_sizes.tolist()
+    out_ptr = graph.out_indptr.tolist()
+    out_dst = graph.out_indices.tolist()
+    cross_w = clustered.cross_out_weights.tolist()  # aligned with out_dst
+    pending = np.diff(graph.in_indptr).tolist()
+    link_w = system.link_weights.ravel().tolist()  # link a -> b at a * ns + b
+    route_of = system.shortest_path
+    serialize, contention = config.serialize_processors, config.link_contention
+    setup = config.link_setup
     machine = MimdMachine(system, fifo_depth=config.fifo_depth)
-    machine.reset_links()
+    grant = machine.grant
 
     queue = EventQueue()
-    trace = SimTrace()
+    push, pop = queue.push, queue.pop
+    start = [-1] * n
+    end = [-1] * n
+    busy = [False] * ns
+    ready: list[list[tuple[int, int]]] = [[] for _ in range(ns)]
+    task_rows: list[tuple[int, int, int, int]] = []
+    transfer_rows: list[tuple[int, int, tuple[int, int], int, int]] = []
+    stall_rows: list[tuple[int, int, tuple[int, int], int, int]] = []
 
-    start = np.full(n, -1, dtype=np.int64)
-    end = np.full(n, -1, dtype=np.int64)
-    pending_inputs = np.diff(graph.in_indptr)
-    # Per-processor run state (serialization mode).
-    proc_busy = np.zeros(system.num_nodes, dtype=bool)
-    proc_queue: list[list[tuple[int, int]]] = [[] for _ in range(system.num_nodes)]
-
-    def start_task(task: int, time: int) -> None:
-        start[task] = time
-        queue.push(time + int(graph.task_sizes[task]), EventKind.TASK_FINISH, task)
-
-    def on_ready(task: int, time: int) -> None:
-        p = int(host[task])
-        if not config.serialize_processors:
-            start_task(task, time)
-            return
-        if proc_busy[p]:
-            proc_queue[p].append((time, task))
-        else:
-            proc_busy[p] = True
-            start_task(task, time)
-
-    def deliver(task: int, time: int) -> None:
-        pending_inputs[task] -= 1
-        if pending_inputs[task] == 0:
-            queue.push(time, EventKind.TASK_READY, task)
-
-    def launch_message(msg: _Message, time: int) -> None:
-        """Send ``msg`` across its next link (or deliver at the end)."""
-        if msg.hop_index >= len(msg.route) - 1:
-            deliver(msg.dst_task, time)
-            return
-        a = msg.route[msg.hop_index]
-        b = msg.route[msg.hop_index + 1]
-        duration = config.link_setup + msg.weight * int(system.link_weights[a, b])
-        if config.link_contention:
-            grant = machine.acquire(a, b, time, duration)
-            begin = grant.start
-            if grant.stall:
-                trace.stalls.append(
-                    StallRecord(
-                        src_task=msg.src_task,
-                        dst_task=msg.dst_task,
-                        link=(a, b),
-                        start=time,
-                        end=grant.enqueue,
-                    )
-                )
-        else:
-            begin = time
-            machine.acquire_link(a, b, time, duration)  # stats only
-        arrive = begin + duration
-        trace.transfers.append(
-            TransferRecord(
-                src_task=msg.src_task,
-                dst_task=msg.dst_task,
-                link=(a, b),
-                start=begin,
-                end=arrive,
-            )
-        )
-        msg.hop_index += 1
-        queue.push(arrive, EventKind.HOP_ARRIVE, msg)
-
-    for t in range(n):
-        if pending_inputs[t] == 0:
-            queue.push(0, EventKind.TASK_READY, t)
-
-    makespan = 0
+    for task in range(n):
+        if not pending[task]:
+            push(0, _READY, task)
     while queue:
-        event = queue.pop()
-        time = event.time
-        if event.kind is EventKind.TASK_READY:
-            on_ready(int(event.payload), time)
-        elif event.kind is EventKind.TASK_FINISH:
-            task = int(event.payload)
+        time, _, kind, payload = pop()
+        if kind is _HOP:
+            messages = [payload]
+        elif kind is _FINISH:
+            task = payload
             end[task] = time
-            makespan = max(makespan, time)
-            p = int(host[task])
-            trace.tasks.append(
-                TaskRecord(task=task, processor=p, start=int(start[task]), end=time)
-            )
-            if config.serialize_processors:
-                if proc_queue[p]:
-                    proc_queue[p].sort()  # FIFO by ready time, tie by task id
-                    _, nxt = proc_queue[p].pop(0)
-                    start_task(nxt, time)
+            p = host[task]
+            task_rows.append((task, p, start[task], time))
+            if serialize:
+                if ready[p]:
+                    nxt = heappop(ready[p])[1]
+                    start[nxt] = time
+                    push(time + sizes[nxt], _FINISH, nxt)
                 else:
-                    proc_busy[p] = False
-            lo, hi = int(out_ptr[task]), int(out_ptr[task + 1])
-            for succ, weight in zip(out_dst[lo:hi].tolist(), cross_w[lo:hi].tolist()):
-                if host[succ] == p:
-                    deliver(succ, time)
+                    busy[p] = False
+            lo, hi = out_ptr[task], out_ptr[task + 1]
+            messages = [
+                (task, succ, route_of(p, host[succ]), weight, 0)
+                for succ, weight in zip(out_dst[lo:hi], cross_w[lo:hi])
+            ]
+        else:  # _READY
+            task = payload
+            if serialize:
+                p = host[task]
+                if busy[p]:
+                    heappush(ready[p], (time, task))
                     continue
-                route = system.shortest_path(p, int(host[succ]))
-                launch_message(
-                    _Message(task, succ, route, hop_index=0, weight=weight),
-                    time,
-                )
-        elif event.kind is EventKind.HOP_ARRIVE:
-            launch_message(event.payload, time)  # type: ignore[arg-type]
+                busy[p] = True
+            start[task] = time
+            push(time + sizes[task], _FINISH, task)
+            continue
+        for src, dst, route, weight, hop in messages:
+            if hop == len(route) - 1:
+                pending[dst] -= 1
+                if not pending[dst]:
+                    push(time, _READY, dst)
+                continue
+            a, b = link = route[hop], route[hop + 1]
+            duration = setup + weight * link_w[a * ns + b]
+            enqueue, begin = grant(a * ns + b, time, duration)
+            if not contention:
+                begin = time  # the grant only keeps the link statistics
+            elif enqueue > time:
+                stall_rows.append((src, dst, link, time, enqueue))
+            transfer_rows.append((src, dst, link, begin, begin + duration))
+            push(begin + duration, _HOP, (src, dst, route, weight, hop + 1))
 
-    if (end < 0).any():  # pragma: no cover - defensive
-        stuck = np.flatnonzero(end < 0).tolist()
+    start_arr = np.array(start, dtype=np.int64)
+    end_arr = np.array(end, dtype=np.int64)
+    if (end_arr < 0).any():  # pragma: no cover - defensive
+        stuck = np.flatnonzero(end_arr < 0).tolist()
         raise RuntimeError(f"simulation deadlocked; tasks never finished: {stuck}")
-
-    start.flags.writeable = False
-    end.flags.writeable = False
+    start_arr.flags.writeable = False
+    end_arr.flags.writeable = False
+    makespan = max(end, default=0)
     return SimResult(
         config=config,
-        start=start,
-        end=end,
+        start=start_arr,
+        end=end_arr,
         makespan=makespan,
-        trace=trace,
+        trace=SimTrace(task_rows, transfer_rows, stall_rows),
         max_link_utilization=machine.max_link_utilization(makespan),
         fifo_stall_time=machine.fifo_stall_time(),
         max_queue_depth=machine.max_queue_depth(),

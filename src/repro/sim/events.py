@@ -8,8 +8,9 @@ which makes runs fully deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum, auto
+from itertools import count
+from typing import NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -20,21 +21,19 @@ class EventKind(Enum):
     TASK_READY = auto()      # all inputs of a task have arrived
     TASK_FINISH = auto()     # a task completed execution
     HOP_ARRIVE = auto()      # a message finished traversing one link
-    LINK_FREE = auto()       # a link became available (contention mode)
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled occurrence.
 
-    ``payload`` is deliberately untyped (engine-internal records); only
-    ``time``/``seq`` participate in ordering.
+    Ordered as a tuple, so by ``(time, seq)``: ``seq`` is unique, and
+    ``kind`` and the untyped ``payload`` are never compared.
     """
 
     time: int
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: object = field(compare=False, default=None)
+    kind: EventKind
+    payload: object = None
 
 
 class EventQueue:
@@ -42,13 +41,12 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._seq = 0
+        self._seq = count()
 
     def push(self, time: int, kind: EventKind, payload: object = None) -> None:
         if time < 0:
             raise ValueError("event time must be non-negative")
-        heapq.heappush(self._heap, Event(time, self._seq, kind, payload))
-        self._seq += 1
+        heapq.heappush(self._heap, Event(time, next(self._seq), kind, payload))
 
     def pop(self) -> Event:
         return heapq.heappop(self._heap)

@@ -19,7 +19,7 @@ tracks what happens on the links they cross:
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from typing import NamedTuple
 
 from ..topology.base import SystemGraph
@@ -50,6 +50,11 @@ class MimdMachine:
     link to ``D`` in-flight messages with backpressure stalls.  Queue
     and stall statistics are meaningful only under the engine's
     contention mode, where grants serialize transmissions.
+
+    Per-link state sits in flat lists indexed by the directed link
+    ``a * ns + b``: the cumulative busy time, and the ascending finish
+    times of every transmission granted so far, read from a head index
+    that skips those already finished.
     """
 
     def __init__(self, system: SystemGraph, fifo_depth: int | None = None) -> None:
@@ -57,14 +62,7 @@ class MimdMachine:
             raise ValueError(f"fifo_depth must be >= 1, got {fifo_depth}")
         self.system = system
         self.fifo_depth = fifo_depth
-        # busy-until time per directed link; populated lazily.
-        self._link_free: dict[tuple[int, int], int] = {}
-        self._link_busy_total: dict[tuple[int, int], int] = {}
-        # FIFO state: finish times of slot-holding messages (ascending),
-        # cumulative stall per link, and the peak observed occupancy.
-        self._link_active: dict[tuple[int, int], deque[int]] = {}
-        self._link_stall_total: dict[tuple[int, int], int] = {}
-        self._link_peak_queue: dict[tuple[int, int], int] = {}
+        self.reset_links()
 
     @property
     def num_nodes(self) -> int:
@@ -72,11 +70,33 @@ class MimdMachine:
 
     def reset_links(self) -> None:
         """Forget all link occupancy (start of a simulation run)."""
-        self._link_free.clear()
-        self._link_busy_total.clear()
-        self._link_active.clear()
-        self._link_stall_total.clear()
-        self._link_peak_queue.clear()
+        links = self.system.num_nodes ** 2
+        self._busy = [0] * links
+        self._finish: list[list[int] | None] = [None] * links
+        self._head = [0] * links
+        self._stall_total = 0
+        self._peak_queue = 0
+
+    def grant(self, link: int, request_time: int, duration: int) -> tuple[int, int]:
+        """:meth:`acquire` on directed link ``link = a * ns + b``; returns
+        ``(enqueue, start)`` — the engine's per-hop call."""
+        finish = self._finish[link]
+        if finish is None:
+            finish = self._finish[link] = []
+        head = bisect_right(finish, request_time, self._head[link])
+        self._head[link] = head
+        enqueue = request_time
+        depth = self.fifo_depth
+        if depth is not None and len(finish) - head >= depth:
+            enqueue = finish[-depth]
+            self._stall_total += enqueue - request_time
+        start = max(enqueue, finish[-1]) if finish else enqueue
+        finish.append(start + duration)
+        occupancy = len(finish) - bisect_right(finish, enqueue, head)
+        if occupancy > self._peak_queue:
+            self._peak_queue = occupancy
+        self._busy[link] += duration
+        return enqueue, start
 
     def acquire(
         self, a: int, b: int, request_time: int, duration: int
@@ -91,30 +111,9 @@ class MimdMachine:
         charged to the sender.  Stalls only ever *delay* the start, so
         every relaxation remains monotone versus the analytic model.
         """
-        link = (a, b)
-        active = self._link_active.get(link)
-        if active is None:
-            active = deque()
-            self._link_active[link] = active
-        while active and active[0] <= request_time:
-            active.popleft()
-        enqueue = request_time
-        if self.fifo_depth is not None and len(active) >= self.fifo_depth:
-            enqueue = active[len(active) - self.fifo_depth]
-        stall = enqueue - request_time
-        start = max(enqueue, self._link_free.get(link, 0))
-        end = start + duration
-        active.append(end)
-        occupancy = sum(1 for finish in active if finish > enqueue)
-        if occupancy > self._link_peak_queue.get(link, 0):
-            self._link_peak_queue[link] = occupancy
-        self._link_free[link] = end
-        self._link_busy_total[link] = self._link_busy_total.get(link, 0) + duration
-        if stall:
-            self._link_stall_total[link] = (
-                self._link_stall_total.get(link, 0) + stall
-            )
-        return LinkGrant(enqueue=enqueue, start=start, end=end, stall=stall)
+        link = a * self.system.num_nodes + b
+        enqueue, start = self.grant(link, request_time, duration)
+        return LinkGrant(enqueue, start, start + duration, enqueue - request_time)
 
     def acquire_link(self, a: int, b: int, request_time: int, duration: int) -> int:
         """Reserve directed link ``a -> b``; returns the transfer *start* time.
@@ -123,28 +122,16 @@ class MimdMachine:
         """
         return self.acquire(a, b, request_time, duration).start
 
-    def link_busy_time(self) -> dict[tuple[int, int], int]:
-        """Total busy time per directed link over the last run."""
-        return dict(self._link_busy_total)
-
     def max_link_utilization(self, makespan: int) -> float:
         """Peak directed-link utilization (busy / makespan) of the last run."""
-        if makespan <= 0 or not self._link_busy_total:
+        if makespan <= 0:
             return 0.0
-        return max(self._link_busy_total.values()) / makespan
-
-    def link_stall_time(self) -> dict[tuple[int, int], int]:
-        """Backpressure stall time charged per directed link."""
-        return dict(self._link_stall_total)
+        return max(self._busy) / makespan
 
     def fifo_stall_time(self) -> int:
         """Total backpressure stall time across all links (0 without FIFOs)."""
-        return sum(self._link_stall_total.values())
-
-    def peak_queue_depth(self) -> dict[tuple[int, int], int]:
-        """Peak simultaneous slot occupancy observed per directed link."""
-        return dict(self._link_peak_queue)
+        return self._stall_total
 
     def max_queue_depth(self) -> int:
         """Peak slot occupancy across all links (<= ``fifo_depth`` when set)."""
-        return max(self._link_peak_queue.values(), default=0)
+        return self._peak_queue

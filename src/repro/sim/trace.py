@@ -15,7 +15,9 @@ so an exported simulated schedule renders identically to a live one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -73,13 +75,43 @@ class StallRecord:
     end: int
 
 
-@dataclass
 class SimTrace:
-    """Everything that happened during a run, in completion order."""
+    """Everything that happened during a run, in completion order.
 
-    tasks: list[TaskRecord] = field(default_factory=list)
-    transfers: list[TransferRecord] = field(default_factory=list)
-    stalls: list[StallRecord] = field(default_factory=list)
+    The engine hands over its rows as plain tuples of the record fields,
+    and each record list is built from its rows on first read, so a run
+    scored only by its makespan allocates no record.  ``SimTrace()``
+    starts empty, for callers that append records themselves.
+    """
+
+    def __init__(
+        self,
+        task_rows: Sequence[tuple[Any, ...]] = (),
+        transfer_rows: Sequence[tuple[Any, ...]] = (),
+        stall_rows: Sequence[tuple[Any, ...]] = (),
+    ) -> None:
+        self._rows = (task_rows, transfer_rows, stall_rows)
+
+    @cached_property
+    def tasks(self) -> list[TaskRecord]:
+        return [TaskRecord(*row) for row in self._rows[0]]
+
+    @cached_property
+    def transfers(self) -> list[TransferRecord]:
+        return [TransferRecord(*row) for row in self._rows[1]]
+
+    @cached_property
+    def stalls(self) -> list[StallRecord]:
+        return [StallRecord(*row) for row in self._rows[2]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return (self.tasks, self.transfers, self.stalls) == (
+            other.tasks,
+            other.transfers,
+            other.stalls,
+        )
 
     def tasks_by_processor(self) -> dict[int, list[TaskRecord]]:
         """Task records grouped by processor, ordered by start time."""

@@ -297,8 +297,11 @@ class SystemGraph:
         # Link weights are >= 1 exactly on the links: they carry the adjacency.
         return np.array_equal(self._link_w, other._link_w)
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return id(self)
+    def __hash__(self) -> int:
+        """In-process-only hash, consistent with ``==``: equal machines
+        (same link weights) hash equal, so copies dedupe in a set."""
+        # repro: allow[det_builtin_hash] - in-process dict/set membership only
+        return hash((self._link_w.shape, self._link_w.tobytes()))
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,13 @@ clustering that follows its visit order and the ``dsc`` clustering that
 follows the bottom levels, on graphs whose ids are in topological order
 and graphs whose ids are not (``gnp``, ``series_parallel``,
 ``divide_conquer`` and a renumbered ``layered_random``).
+
+The simulator is pinned on a 300-task ``layered_random`` instance per
+machine (``hypercube:3``, ``mesh2d:3x3``, a seeded ``random:8`` and the
+weighted 4-ring) under seven fidelity configurations: the makespan, the
+peak link utilization, the FIFO stall time, the peak queue depth, the
+SHA-256 of ``start`` and ``end`` and of the ``write_trace_jsonl`` bytes,
+which carry every trace record in order.
 """
 
 import hashlib
@@ -43,6 +50,7 @@ from repro.core import (
     ideal_schedule,
 )
 from repro.metrics import evaluate_metrics, link_traffic
+from repro.sim import SimConfig, simulate, write_trace_jsonl
 from repro.topology import (
     SystemGraph,
     analyze_embedding,
@@ -55,7 +63,7 @@ from repro.topology import (
     torus3d,
 )
 from repro.utils import GraphError
-from tests.conftest import TOPOLOGY_SPECS
+from tests.conftest import TOPOLOGY_SPECS, weighted_ring4
 
 SEED = 12
 
@@ -571,3 +579,197 @@ def test_traversal_is_pinned(key):
         _digest(DscClusterer(8).cluster(graph, rng=0).labels),
     )
     assert got == TRAVERSAL[key]
+
+
+#: the fidelity configurations the simulator is pinned under
+SIM_CONFIGS = {
+    "paper": SimConfig(),
+    "serialized": SimConfig(True, False),
+    "contention": SimConfig(False, True),
+    "serialized+contention": SimConfig(True, True),
+    "fifo=1": SimConfig(True, True, fifo_depth=1),
+    "fifo=2": SimConfig(False, True, fifo_depth=2),
+    "setup=3": SimConfig(True, True, link_setup=3),
+}
+
+#: (machine, config) -> (makespan, max_link_utilization, fifo_stall_time,
+#: max_queue_depth, SHA-256 of ``start`` and ``end``, SHA-256 of the
+#: ``write_trace_jsonl`` bytes)
+SIMULATION = {
+    ("hypercube:3", "paper"): (
+        159, 4.10062893081761, 0, 98,
+        "9ae8b470dbac9ba217ccf8e459ea41f6f462abde5df8cbce1769f882d108609d",
+        "3ea9b58e8a9eddd5b4b4bbfe0835854bb234f485d36c0ff6bfe29e4c5ad867ba",
+    ),
+    ("hypercube:3", "serialized"): (
+        298, 2.1879194630872485, 0, 80,
+        "3b12455fc141573cb83c4593ffb8765d73ccee96397ca8c2736393f731477175",
+        "7b6c8fb5ca5bbc503523b3ce45201875d4f6576ef86ce991113fa1b3e1d23e3e",
+    ),
+    ("hypercube:3", "contention"): (
+        724, 0.9005524861878453, 0, 53,
+        "a41ec44bab3a98095ec684d45e9498452fdca2d29550feee60ddd1e13f3ccaaf",
+        "d29dfb03691977cef62257314f8d06980fe85d3160ac4aab6ee88658efcd9c14",
+    ),
+    ("hypercube:3", "serialized+contention"): (
+        719, 0.9068150208623088, 0, 54,
+        "5f435f49b42399932e8e31193e9910bf860d8cad0690d4587adaf5bee4c73479",
+        "8015bd4fdd41fdb7dd79d6841c701e7c33375bf9d9b03a1ebf843c03979eed9e",
+    ),
+    ("hypercube:3", "fifo=1"): (
+        719, 0.9068150208623088, 34305, 1,
+        "5f435f49b42399932e8e31193e9910bf860d8cad0690d4587adaf5bee4c73479",
+        "1a82762187e739028cd6bbdef4e422b92297236b74a67e0da4eb9e69dad02b22",
+    ),
+    ("hypercube:3", "fifo=2"): (
+        724, 0.9005524861878453, 31504, 2,
+        "a41ec44bab3a98095ec684d45e9498452fdca2d29550feee60ddd1e13f3ccaaf",
+        "3f32ba9f5e9415540c6e78af560e264216c65a2e931f72cadcb7de992f8597d0",
+    ),
+    ("hypercube:3", "setup=3"): (
+        1098, 0.924408014571949, 0, 54,
+        "68a785e4aa67dd446aeea10b99b7cf9bd5e366231798059384f282f4066bbabe",
+        "8944272b1c0fcb772f1bcec8093e2eb538b22d5bc157da8b987ab3affe04eed1",
+    ),
+    ("mesh2d:3x3", "paper"): (
+        176, 3.5568181818181817, 0, 86,
+        "54ca8cfa703ce32a5e84be400fc2146ff840589c44dd51a2480ce706a381ee93",
+        "c8073722880cd6285eb515349ce8d5000beb3e9799d629c4d1be846182e28f31",
+    ),
+    ("mesh2d:3x3", "serialized"): (
+        288, 2.173611111111111, 0, 65,
+        "b4f8582b84504f43306253431b6a6e1e7398a855c5ef97d1b5b5e7dde326c6f4",
+        "62e884c9cd8f76ea120224c99952c477c8d226072ba187de803f7354541ead6a",
+    ),
+    ("mesh2d:3x3", "contention"): (
+        709, 0.8829337094499294, 0, 27,
+        "e5c45349d453bd4a65941bea8df7ca89e9578582d40cc20bb682dedfd93d5fcc",
+        "5fa73cdfa87f0c8dc76fc726df6c75752e6a063a75bb6c92137f0a6c2469a9b7",
+    ),
+    ("mesh2d:3x3", "serialized+contention"): (
+        711, 0.8804500703234881, 0, 28,
+        "6c1ca2f6027b5ae6e152fbf6cad90fc5b19877a07572717875621296889c7537",
+        "428dcdebb409d2c14791ddcf09fc7c29cdd4afa24cbec67cdfa12b624e8a0e14",
+    ),
+    ("mesh2d:3x3", "fifo=1"): (
+        711, 0.8804500703234881, 37183, 1,
+        "6c1ca2f6027b5ae6e152fbf6cad90fc5b19877a07572717875621296889c7537",
+        "3eb09a7b7226574da1ce48c1f3212eb198709e6e96714f2faf92b0ab8fd84c21",
+    ),
+    ("mesh2d:3x3", "fifo=2"): (
+        709, 0.8829337094499294, 33489, 2,
+        "e5c45349d453bd4a65941bea8df7ca89e9578582d40cc20bb682dedfd93d5fcc",
+        "f8b2bfea2887e401b806e823b150ad72f3b2501851f1430bcf60a73e63a0af58",
+    ),
+    ("mesh2d:3x3", "setup=3"): (
+        1044, 0.9128352490421456, 0, 29,
+        "42025613c388baba0543e478f8fcc5429d4757ff19f40deed51fed72c8d69796",
+        "0ca068748c77876e171139975aa0f93d6178cf350de78fbcdb70b940cec656a9",
+    ),
+    ("random:8", "paper"): (
+        162, 5.469135802469136, 0, 134,
+        "d3f83220137b092f4b824412eab2c337c08619348b4e3795e762802e23bc3f79",
+        "2257602a566ca55d651153322f1ebfaef2d5cd921aeeb0df4af61c5b2af84247",
+    ),
+    ("random:8", "serialized"): (
+        303, 2.924092409240924, 0, 114,
+        "00085ba53d8416c0db55f9d70cedc19e900b2ad761b92caf7dbbc4aa6bac358e",
+        "d34366e0afdc3c8420616c8ad032d910edf22e14d8a6c40ed32829f8c92e6f5e",
+    ),
+    ("random:8", "contention"): (
+        916, 0.9672489082969432, 0, 55,
+        "531cef42a65d537d9205434ba431cb00fd66fa38a5b9a1d116ffb8ffbbdc2a85",
+        "6df36d837c4689f9543c058b38f5221861e78a720b328f340491aa9985a198df",
+    ),
+    ("random:8", "serialized+contention"): (
+        919, 0.9640914036996736, 0, 52,
+        "77833c398eb21338ce1541c1f92dd0f8df0abff9c7c2e3c5f4d2c2db91b6870d",
+        "82411771fdf6d2afbe55d60f7e4a1b42009d37142fe3eaba9fd272c9a2f28b1a",
+    ),
+    ("random:8", "fifo=1"): (
+        919, 0.9640914036996736, 51320, 1,
+        "77833c398eb21338ce1541c1f92dd0f8df0abff9c7c2e3c5f4d2c2db91b6870d",
+        "68754b5e4db02be392829cd0f3b58c31a424bf70be3ed58c5bb2dcc726186d38",
+    ),
+    ("random:8", "fifo=2"): (
+        916, 0.9672489082969432, 48822, 2,
+        "531cef42a65d537d9205434ba431cb00fd66fa38a5b9a1d116ffb8ffbbdc2a85",
+        "3404d4f07705ef0e045a432c0cd001db448f99702aaf59099fca7b3240aa41aa",
+    ),
+    ("random:8", "setup=3"): (
+        1384, 0.9783236994219653, 0, 52,
+        "94bf2bc5aabf3e90394366ec2a685b5eeee770150b138f43d608756c39449253",
+        "7d473dbb3967f6d4ca7ff97ce8bb97926cd5cede5f7af052b578c2be99cdf68c",
+    ),
+    ("ring-4-w01", "paper"): (
+        161, 5.552795031055901, 0, 139,
+        "94383c1b9b25aaa00f1ec840d65b30177583174344ccc64f2b66d431fbac5fe4",
+        "fb6d30456feb4e9bca2f7cfb09643de50b886c657ae4d9d0d7837a4ba032e80e",
+    ),
+    ("ring-4-w01", "serialized"): (
+        505, 1.7702970297029703, 0, 79,
+        "a01db0a00b4a45cc5e7d8727af9ae4518a641912d501a18d954a4e59bdbfae99",
+        "c33bd5743d4c6458b41e3bc156daac670b1c92c35704040ffb9479c078353d58",
+    ),
+    ("ring-4-w01", "contention"): (
+        906, 0.9867549668874173, 0, 41,
+        "02d984b4851e3f2175b2c35108e5186a510a31c1ff355dda115c103d1bf6a860",
+        "e743a4a8575997732cb135e188b0191591b9fb9c3511d52462f6e8ac84a0e13e",
+    ),
+    ("ring-4-w01", "serialized+contention"): (
+        918, 0.9738562091503268, 0, 41,
+        "6adaf96f1c5a61c29d4c36093b28605daef65ef50a52df6f87626d71be53eb8d",
+        "5070ad20173fe7958891a701b7c29d87ab188efed8c7eb9969717219f0ad4a5e",
+    ),
+    ("ring-4-w01", "fifo=1"): (
+        918, 0.9738562091503268, 54017, 1,
+        "6adaf96f1c5a61c29d4c36093b28605daef65ef50a52df6f87626d71be53eb8d",
+        "db632b55d42b5cfc77ec39d3e6880e290536d891efaa2268656b0287b4600a48",
+    ),
+    ("ring-4-w01", "fifo=2"): (
+        906, 0.9867549668874173, 53082, 2,
+        "02d984b4851e3f2175b2c35108e5186a510a31c1ff355dda115c103d1bf6a860",
+        "04e21ccd9cb60a875007145f52c2819f7fd49e20ca6f619e8798ca5a7f7b2e17",
+    ),
+    ("ring-4-w01", "setup=3"): (
+        1406, 0.9772403982930299, 0, 45,
+        "9086a69a0dd79158b6ba914fafa8a3b13e8660b638c7a952e9dc77e0d3266771",
+        "aba2405001915f29a9fe9af89d966aac9948bb30c530d9cdf0b37f75e768c7f4",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def sim_instances():
+    """machine -> (clustered, system, assignment) for a 300-task instance."""
+    systems = {
+        "hypercube:3": build_topology("hypercube:3"),
+        "mesh2d:3x3": build_topology("mesh2d:3x3"),
+        "random:8": build_topology("random:8", rng=SEED),
+        "ring-4-w01": weighted_ring4(),
+    }
+    graph = build_workload("layered_random", {"num_tasks": 300}, rng=SEED)
+    out = {}
+    for key, system in systems.items():
+        clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=SEED)
+        assignment = Assignment.random(system.num_nodes, rng=SEED)
+        out[key] = (ClusteredGraph(graph, clustering), system, assignment)
+    return out
+
+
+@pytest.mark.parametrize("key", list(SIMULATION))
+def test_simulation_is_pinned(sim_instances, key, tmp_path):
+    machine, config = key
+    clustered, system, assignment = sim_instances[machine]
+    result = simulate(clustered, system, assignment, SIM_CONFIGS[config])
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(result, path)
+    got = (
+        result.makespan,
+        result.max_link_utilization,
+        result.fifo_stall_time,
+        result.max_queue_depth,
+        _digest(result.start, result.end),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+    assert got == SIMULATION[key]

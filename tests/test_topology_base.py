@@ -225,6 +225,14 @@ class TestDerived:
         assert heavy != ring(5)
         assert heavy == SystemGraph(ring(5).sys_edge, link_weights=3 * ring(5).sys_edge)
 
+    def test_equal_machines_hash_equal(self):
+        heavy = SystemGraph(ring(4).sys_edge, name="a", link_weights=2 * ring(4).sys_edge)
+        same = SystemGraph(ring(4).sys_edge, name="b", link_weights=2 * ring(4).sys_edge)
+        assert hash(ring(4)) == hash(ring(4))
+        assert hash(heavy) == hash(same)
+        assert len({ring(4), ring(4), heavy, same, chain(4)}) == 3
+        assert {ring(4): "ring"}[ring(4)] == "ring"
+
     def test_networkx_export(self):
         g = ring(5)
         nx_g = g.to_networkx()
