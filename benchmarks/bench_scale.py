@@ -1,15 +1,16 @@
 """Scale benchmark: the array-native core on 100k-task instances.
 
 Times the full large-instance pipeline — layered random DAG generation,
-clustering, the lower bound, the multilevel mapper, and the makespan
-evaluation — at sizes far beyond the paper's 30-300 tasks, on the
-``hypercube:10`` (1024-processor) machine.  Everything runs on the CSR /
-schedule-plan fast paths: no O(n^2) matrix is ever materialized.
+clustering, the lower bound, the mapper, and the makespan evaluation —
+at sizes far beyond the paper's 30-300 tasks, on the ``hypercube:10``
+(1024-processor) machine.  Everything runs on the CSR / schedule-plan
+fast paths: no O(n^2) matrix is ever materialized.
 
 Two modes:
 
-* default — one row per ``--sizes`` entry (10k-100k tasks), recording
-  ``benchmarks/results/bench_scale.txt``.
+* default — one row per ``--sizes`` entry (10k-100k tasks) and per
+  mapper in :data:`MAPPERS` (the multilevel mapper and the paper's own
+  ``critical`` strategy), recording ``benchmarks/results/bench_scale.txt``.
 * ``--smoke`` — the pinned CI instance (100k tasks on ``hypercube:10``).
   With ``--json-out FILE`` it emits the machine-readable report that
   ``benchmarks/check_budgets.py`` checks against the ``scale`` entry in
@@ -40,8 +41,14 @@ from repro.workloads import layered_random_dag
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_scale.txt"
 
+#: The mappers the full table times at every size; the smoke maps with
+#: the first.
+MAPPERS = ("multilevel", "critical")
 
-def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
+
+def run_instance(
+    num_tasks: int, topology: str, seed: int, mapper: str = MAPPERS[0]
+) -> dict:
     """Time every stage of the large-instance pipeline once."""
     t0 = time.perf_counter()
     graph = layered_random_dag(num_tasks=num_tasks, rng=seed)
@@ -53,8 +60,7 @@ def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
     t2 = time.perf_counter()
     bound = lower_bound(clustered)
     t3 = time.perf_counter()
-    mapper = get_mapper("multilevel")
-    outcome = mapper.map(clustered, system, rng=seed)
+    outcome = get_mapper(mapper).map(clustered, system, rng=seed)
     t4 = time.perf_counter()
     makespan = total_time(clustered, system, outcome.assignment)
     volume = evaluate_metrics(clustered, system, outcome.assignment, ["comm_volume"])
@@ -73,9 +79,10 @@ def run_instance(num_tasks: int, topology: str, seed: int) -> dict:
     }
 
 
-def format_row(topology: str, row: dict) -> str:
+def format_row(topology: str, row: dict, mapper: str | None = None) -> str:
+    by = f" by {mapper:<10}" if mapper else ""
     return (
-        f"  {row['tasks']:>7} tasks ({row['edges']:>7} edges) on {topology}: "
+        f"  {row['tasks']:>7} tasks ({row['edges']:>7} edges) on {topology}{by}: "
         f"gen={row['generate_seconds']:.2f}s setup={row['setup_seconds']:.2f}s "
         f"bound={row['bound_seconds']:.2f}s map={row['map_seconds']:.2f}s "
         f"eval={row['eval_seconds']:.2f}s | lb={row['lower_bound']} "
@@ -86,14 +93,15 @@ def format_row(topology: str, row: dict) -> str:
 def full(sizes: list[int], topology: str, seed: int, record: bool) -> int:
     report_lines = [
         "Array-native core at scale (benchmarks/bench_scale.py)",
-        f"workload: layered_random, clusterer: random, mapper: multilevel, "
-        f"seed: {seed}",
+        f"workload: layered_random, clusterer: random, mappers: "
+        f"{', '.join(MAPPERS)}, seed: {seed}",
     ]
     for size in sizes:
-        row = run_instance(size, topology, seed)
-        line = format_row(topology, row)
-        print(line)
-        report_lines.append(line)
+        for mapper in MAPPERS:
+            row = run_instance(size, topology, seed, mapper)
+            line = format_row(topology, row, mapper)
+            print(line)
+            report_lines.append(line)
     if record:
         RESULTS_PATH.parent.mkdir(exist_ok=True)
         RESULTS_PATH.write_text("\n".join(report_lines) + "\n")

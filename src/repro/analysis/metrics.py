@@ -38,7 +38,7 @@ class ScheduleMetrics:
     load_imbalance:
         ``max(busy) / mean(busy) - 1`` (0 = perfectly balanced).
     comm_volume:
-        Hop-weighted communication (sum of the ``comm`` matrix).
+        Hop-weighted communication (sum of the per-edge ``comm`` costs).
     comm_to_comp:
         ``comm_volume / total_work``.
     stretched_edges:
@@ -66,6 +66,7 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     makespan = schedule.total_time
 
     speedup = total_work / makespan if makespan else 0.0
+    volume = schedule.communication_volume()
     mean_busy = busy.mean() if busy.size else 0.0
     imbalance = (busy.max() / mean_busy - 1.0) if mean_busy > 0 else 0.0
 
@@ -82,8 +83,8 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
         if makespan
         else 0.0,
         load_imbalance=float(imbalance),
-        comm_volume=int(schedule.comm.sum()),
-        comm_to_comp=float(schedule.comm.sum() / total_work) if total_work else 0.0,
+        comm_volume=volume,
+        comm_to_comp=volume / total_work if total_work else 0.0,
         stretched_edges=stretched,
     )
 

@@ -14,10 +14,15 @@ This implementation follows the classic simplified DSC loop:
    DAG (:meth:`~repro.core.taskgraph.TaskGraph.bottom_levels`); priority
    of a free task = ``tlevel + blevel``.
 2. Repeatedly take the highest-priority unexamined task whose
-   predecessors are all examined; try placing it in the cluster of each
-   predecessor (zeroing that edge) and keep the choice minimizing its
-   start time (``tlevel``); a fresh singleton cluster is the fallback.
-3. Update ``tlevel`` of successors incrementally.
+   predecessors are all examined (ties to the lowest id); try placing
+   it in the cluster of each predecessor (zeroing that edge) and keep
+   the choice minimizing its start time (``tlevel``); a fresh singleton
+   cluster is the fallback.
+3. ``tlevel`` is written only when a task is examined, so a free task's
+   ``tlevel`` is still 0 when it is ranked and its priority is its
+   ``blevel``: the examination order is fixed by the bottom levels.
+   (Classic DSC raises the ``tlevel`` of successors as their
+   predecessors are examined; this loop does not.)
 
 DSC leaves the cluster count data-driven, so the driver then merges the
 smallest-communication cluster pairs (same policy as the edge-zeroing
@@ -51,7 +56,7 @@ class DscClusterer(Clusterer):
     def _dsc_pass(self, graph: TaskGraph) -> np.ndarray:
         n = graph.num_tasks
         sizes = graph.task_sizes
-        prob = graph.prob_edge
+        in_ptr, in_w = graph.in_indptr, graph.in_weights
 
         # blevel: longest path (nodes + edges) from each task to an exit.
         blevel = graph.bottom_levels(graph.out_weights)
@@ -75,17 +80,18 @@ class DscClusterer(Clusterer):
             ]
             t = max(free, key=lambda x: (tlevel[x] + blevel[x], -x))
             preds = graph.predecessors(t)
+            weights = in_w[in_ptr[t] : in_ptr[t + 1]]  # aligned with preds
             # Default: stay a singleton; start = max over preds with comm.
-            best_start = int((end[preds] + prob[preds, t]).max()) if preds.size else 0
+            best_start = int((end[preds] + weights).max()) if preds.size else 0
             best_cluster = int(labels[t])
             for p in preds.tolist():
                 c = int(labels[p])
                 # Zero the edge (p, t): t joins p's cluster and runs after
                 # the cluster's current last task; other preds still pay.
-                others = preds[preds != p]
+                others = preds != p
                 arrive = 0
-                if others.size:
-                    arrive = int((end[others] + prob[others, t]).max())
+                if others.any():
+                    arrive = int((end[preds[others]] + weights[others]).max())
                 start = max(int(cluster_end.get(c, end[p])), int(end[p]), arrive)
                 if start < best_start:
                     best_start, best_cluster = start, c

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..core.clustered import Clustering
 from ..core.taskgraph import TaskGraph
-from ..utils import as_rng
 from .base import Clusterer, validate_request
 
 __all__ = ["LoadBalanceClusterer"]
@@ -44,7 +43,8 @@ class LoadBalanceClusterer(Clusterer):
         validate_request(graph, self.num_clusters)
         n, k = graph.num_tasks, self.num_clusters
         sizes = graph.task_sizes
-        undirected = graph.prob_edge + graph.prob_edge.T
+        out_ptr, out_dst, out_w = graph.out_indptr, graph.out_indices, graph.out_weights
+        in_ptr, in_src, in_w = graph.in_indptr, graph.in_indices, graph.in_weights
 
         order = np.argsort(-sizes, kind="stable")
         labels = np.full(n, -1, dtype=np.int64)
@@ -56,11 +56,14 @@ class LoadBalanceClusterer(Clusterer):
             load[c] += sizes[t]
 
         for t in order[k:].tolist():
-            affinity = np.zeros(k, dtype=np.float64)
-            partners = np.flatnonzero(undirected[t])
-            for p in partners.tolist():
-                if labels[p] >= 0:
-                    affinity[labels[p]] += undirected[t, p]
+            out_lo, out_hi = out_ptr[t], out_ptr[t + 1]
+            in_lo, in_hi = in_ptr[t], in_ptr[t + 1]
+            partners = np.concatenate((out_dst[out_lo:out_hi], in_src[in_lo:in_hi]))
+            weights = np.concatenate((out_w[out_lo:out_hi], in_w[in_lo:in_hi]))
+            placed = labels[partners] >= 0
+            affinity = np.bincount(
+                labels[partners[placed]], weights=weights[placed], minlength=k
+            )
             score = load - self.affinity_weight * affinity
             c = int(np.argmin(score))
             labels[t] = c

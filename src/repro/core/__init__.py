@@ -7,10 +7,10 @@ interpretation choices it makes where the text leaves them open.
 
 from .abstract import AbstractGraph
 from .anytime import AnytimeReporter, FileReporter, active_reporter, use_reporter
-from .assignment import Assignment, communication_matrix
+from .assignment import Assignment
 from .clustered import ClusteredGraph, Clustering
 from .critical import CriticalityAnalysis, analyze_criticality
-from .evaluate import Schedule, evaluate_assignment, total_time
+from .evaluate import Schedule, communication_costs, evaluate_assignment, total_time
 from .ideal import IdealSchedule, ideal_schedule, lower_bound
 from .incremental import CommVolumeDelta, DeltaEvaluator
 from .listsched import ListSchedule, bottom_levels, list_schedule
@@ -61,7 +61,7 @@ __all__ = [
     "bottom_levels",
     "build_hierarchy",
     "collect_matrices",
-    "communication_matrix",
+    "communication_costs",
     "critical_abstract_nodes",
     "evaluate_assignment",
     "ideal_schedule",

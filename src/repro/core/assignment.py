@@ -16,11 +16,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..topology.base import SystemGraph
 from ..utils import MappingError, check_permutation
-from .clustered import ClusteredGraph
 
-__all__ = ["Assignment", "communication_matrix"]
+__all__ = ["Assignment"]
 
 
 class Assignment:
@@ -126,29 +124,3 @@ class Assignment:
     def __repr__(self) -> str:
         return f"Assignment(assi={self._assi.tolist()})"
 
-
-def communication_matrix(
-    clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
-) -> np.ndarray:
-    """The paper's ``comm[np][np]`` (Sec. 4.3.4 algorithm I, Fig. 23-c).
-
-    ``comm[i][j] = clus_edge[i][j] * shortest[sys(cluster(i))][sys(cluster(j))]``
-
-    — each inter-cluster message pays its clustered weight once per hop of
-    the shortest path between the host processors (store-and-forward,
-    contention-free).  Intra-cluster entries stay 0 because ``clus_edge``
-    is 0 there.
-    """
-    if clustered.num_clusters != system.num_nodes:
-        raise MappingError(
-            f"{clustered.num_clusters} clusters cannot map onto "
-            f"{system.num_nodes} system nodes (na must equal ns)"
-        )
-    if assignment.size != system.num_nodes:
-        raise MappingError(
-            f"assignment covers {assignment.size} nodes, system has {system.num_nodes}"
-        )
-    labels = clustered.clustering.labels
-    host = assignment.placement[labels]  # system node per task
-    hops = system.shortest[np.ix_(host, host)]
-    return (clustered.clus_edge * hops).astype(np.int64)

@@ -142,13 +142,11 @@ class Clustering:
 class ClusteredGraph:
     """A task graph together with a clustering (the paper's ``Gc``).
 
-    Exposes the two matrices the mapping algorithms consume:
-
-    * :attr:`clus_edge` — inter-cluster communication weights; intra-cluster
-      entries are zeroed (Fig. 19-a).
-    * the parent graph's ``prob_edge`` — still needed because precedence of
-      intra-cluster edges survives clustering (Sec. 4.1 discusses exactly
-      this trap: task 4's predecessor is only visible in ``prob_edge``).
+    The clustered weights (inter-cluster weights kept, intra-cluster ones
+    zeroed) are stored per edge of the parent graph, so every edge keeps
+    its precedence (Sec. 4.1 discusses exactly this trap: task 4's
+    predecessor is only visible in ``prob_edge``).  :attr:`clus_edge` is
+    the dense Fig. 19-a form.
     """
 
     def __init__(self, graph: TaskGraph, clustering: Clustering) -> None:

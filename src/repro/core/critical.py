@@ -8,8 +8,11 @@ computation:
 
 * start from the *latest tasks* (max ``i_end``),
 * an edge ``j -> i`` into a marked task is critical iff it is **tight**
-  (``i_edge[j][i] == clus_edge[j][i]``, i.e. zero slack),
+  (``i_edge`` equals its clustered weight, i.e. zero slack),
 * the tail of a critical edge becomes marked, and the search recurses.
+
+The marked set is what is reachable backwards over tight edges, in any
+visiting order, so the search runs one frontier at a time.
 
 Interpretation note: the paper's algorithm step 2(a) finds predecessors
 "in the matrix clus_edge", which read literally skips intra-cluster
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstract import AbstractGraph
+from ..utils import _expand
 from .clustered import ClusteredGraph
 from .ideal import IdealSchedule, ideal_schedule
 
@@ -49,15 +52,11 @@ class CriticalityAnalysis:
     ----------
     ideal:
         The ideal schedule the analysis is based on.
-    crit_edge:
-        ``crit_edge[j, i] = clus_edge[j, i]`` for every critical problem
-        edge ``j -> i``, else 0 (the paper's ``crit_edge[np][np]``,
-        Fig. 22-c).  Note a critical *intra*-cluster edge stores weight 0,
-        matching its clustered weight.
     crit_mask:
-        Boolean matrix marking critical problem edges (including tight
-        intra-cluster edges when propagation crossed them).  This
-        disambiguates "critical with weight 0" from "not critical".
+        True per critical problem edge, aligned with
+        ``graph.in_edge_arrays()`` (including tight intra-cluster edges
+        when propagation crossed them).  The paper's ``crit_edge``
+        (Fig. 22-c) is the clustered weight where it is set.
     c_abs_edge:
         Critical abstract edge weights, symmetric ``na x na`` (Fig. 20-b
         without its trailing degree column).
@@ -70,7 +69,6 @@ class CriticalityAnalysis:
     """
 
     ideal: IdealSchedule
-    crit_edge: np.ndarray
     crit_mask: np.ndarray
     c_abs_edge: np.ndarray
     critical_degree: np.ndarray
@@ -78,8 +76,9 @@ class CriticalityAnalysis:
 
     def critical_problem_edges(self) -> list[tuple[int, int]]:
         """Sorted ``(src, dst)`` pairs of critical problem edges."""
-        srcs, dsts = np.nonzero(self.crit_mask)
-        return sorted(zip(srcs.tolist(), dsts.tolist()))
+        srcs, dsts, _ = self.ideal.clustered.graph.in_edge_arrays()
+        mask = self.crit_mask
+        return sorted(zip(srcs[mask].tolist(), dsts[mask].tolist()))
 
     def critical_abstract_edges(self) -> list[tuple[int, int]]:
         """Sorted ``(a, b)`` with ``a < b`` of critical abstract edges."""
@@ -116,55 +115,47 @@ def analyze_criticality(
     if ideal is None:
         ideal = ideal_schedule(clustered)
     graph = clustered.graph
-    n = graph.num_tasks
-    clus = clustered.clus_edge
+    srcs, dsts, _ = graph.in_edge_arrays()
+    weights = clustered.cross_in_weights
     labels = clustered.clustering.labels
     na = clustered.num_clusters
 
-    crit_mask = np.zeros((n, n), dtype=bool)
-    on_path = np.zeros(n, dtype=bool)
+    tight = ideal.i_edge == weights
+    if not propagate_through_intra:
+        tight &= labels[srcs] != labels[dsts]
 
-    # Backward sweep from the latest tasks (paper algorithm I, Sec. 4.2).
-    frontier = ideal.latest_tasks().tolist()
+    # Backward sweep from the latest tasks (paper algorithm I, Sec. 4.2),
+    # one frontier of newly marked tasks at a time.
+    crit_mask = np.zeros(graph.num_edges, dtype=bool)
+    on_path = np.zeros(graph.num_tasks, dtype=bool)
+    frontier = ideal.latest_tasks()
     on_path[frontier] = True
-    while frontier:
-        v = frontier.pop()
-        for u in graph.predecessors(v).tolist():
-            tight = ideal.i_edge[u, v] == clus[u, v]
-            if not tight:
-                continue
-            intra = labels[u] == labels[v]
-            if intra and not propagate_through_intra:
-                continue
-            if not crit_mask[u, v]:
-                crit_mask[u, v] = True
-                if not on_path[u]:
-                    on_path[u] = True
-                    frontier.append(u)
+    in_ptr = graph.in_indptr
+    while frontier.size:
+        edges = _expand(in_ptr[frontier], in_ptr[frontier + 1])
+        edges = edges[tight[edges]]
+        crit_mask[edges] = True
+        tails = srcs[edges]
+        frontier = np.unique(tails[~on_path[tails]])
+        on_path[frontier] = True
 
-    crit_edge = np.where(crit_mask, clus, 0).astype(np.int64)
-
-    # Algorithm II: lift to critical abstract edges (inter-cluster only,
-    # which holds automatically since intra entries of crit_edge are 0 —
-    # but we also guard on the labels for clarity).
+    # Algorithm II: lift to critical abstract edges (intra-cluster edges
+    # weigh 0).
     c_abs = np.zeros((na, na), dtype=np.int64)
-    srcs, dsts = np.nonzero(crit_mask)
-    for s, d in zip(srcs.tolist(), dsts.tolist()):
-        a, b = int(labels[s]), int(labels[d])
-        if a == b:
-            continue
-        w = int(clus[s, d])
-        c_abs[a, b] += w
-        c_abs[b, a] += w
+    np.add.at(
+        c_abs,
+        (labels[srcs[crit_mask]], labels[dsts[crit_mask]]),
+        weights[crit_mask],
+    )
+    c_abs = c_abs + c_abs.T
 
     # Algorithm III: critical degrees (row sums).
     degree = c_abs.sum(axis=1).astype(np.int64)
 
-    for arr in (crit_edge, crit_mask, c_abs, degree, on_path):
+    for arr in (crit_mask, c_abs, degree, on_path):
         arr.flags.writeable = False
     return CriticalityAnalysis(
         ideal=ideal,
-        crit_edge=crit_edge,
         crit_mask=crit_mask,
         c_abs_edge=c_abs,
         critical_degree=degree,

@@ -1,7 +1,8 @@
 """Total-time evaluation of an assignment (paper Sec. 4.3.4).
 
 Identical recurrence to the ideal schedule, but communication costs come
-from the assignment-dependent ``comm`` matrix instead of ``clus_edge``:
+from the assignment-dependent ``comm`` costs instead of the clustered
+weights:
 
     ``start[i] = max_j (end[j] + comm[j][i])``  over problem-graph preds j
     ``end[i]   = start[i] + task_size[i]``
@@ -12,9 +13,10 @@ no link contention, and no serialization of independent tasks sharing a
 processor (the discrete-event simulator in :mod:`repro.sim` offers
 higher-fidelity variants).
 
+``comm`` holds one cost per edge (:func:`communication_costs`).
 :func:`evaluate_assignment` and :func:`total_time` run the same level
-sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) over the same
-per-edge costs; the independent checks are
+sweep (:func:`~repro.core.taskgraph.sweep_finish_times`) over it; the
+independent checks are
 :func:`~repro.core.validate.verify_schedule` and the scalar recurrence
 the tests keep as their oracle.
 
@@ -30,11 +32,11 @@ import numpy as np
 
 from ..topology.base import SystemGraph
 from ..utils import MappingError
-from .assignment import Assignment, communication_matrix
+from .assignment import Assignment
 from .clustered import ClusteredGraph
 from .taskgraph import sweep_finish_times
 
-__all__ = ["Schedule", "evaluate_assignment", "total_time"]
+__all__ = ["Schedule", "communication_costs", "evaluate_assignment", "total_time"]
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,9 @@ class Schedule:
     clustered, system, assignment:
         The inputs the schedule was computed from.
     comm:
-        Task-pair communication matrix (the paper's ``comm[np][np]``).
+        Communication cost per problem edge, aligned with
+        ``graph.in_edge_arrays()`` (the entries of the paper's
+        ``comm[np][np]``, Fig. 23-c; see :func:`communication_costs`).
     start, end:
         Start / end time per task (Fig. 23-d).
     total_time:
@@ -88,7 +92,7 @@ class Schedule:
         return out
 
     def communication_volume(self) -> int:
-        """Total hop-weighted communication (sum of ``comm``)."""
+        """Total hop-weighted communication (sum of the ``comm`` costs)."""
         return int(self.comm.sum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -102,13 +106,12 @@ def evaluate_assignment(
     clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
 ) -> Schedule:
     """Run the paper's algorithms I-III of Sec. 4.3.4 and build a Schedule."""
-    comm = communication_matrix(clustered, system, assignment)
-    end = _finish_times(clustered, system, assignment)
+    comm = communication_costs(clustered, system, assignment)
+    end = _finish_times(clustered, comm)
     start = end - clustered.graph.task_sizes
 
-    comm.flags.writeable = False
-    start.flags.writeable = False
-    end.flags.writeable = False
+    for arr in (comm, start, end):
+        arr.flags.writeable = False
     return Schedule(
         clustered=clustered,
         system=system,
@@ -123,21 +126,23 @@ def evaluate_assignment(
 def total_time(
     clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
 ) -> int:
-    """Makespan only — the hot path of the refinement loop.
-
-    The sweep of :func:`evaluate_assignment` without the O(np^2)
-    communication matrix.
-    """
-    return int(_finish_times(clustered, system, assignment).max())
+    """Makespan only: the sweep of :func:`evaluate_assignment` without the
+    :class:`Schedule` around it."""
+    comm = communication_costs(clustered, system, assignment)
+    return int(_finish_times(clustered, comm).max())
 
 
-def _finish_times(
+def communication_costs(
     clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
 ) -> np.ndarray:
-    """End time per task: one level sweep over the cached
-    :class:`~repro.core.taskgraph.SchedulePlan`, each level one gather
-    plus a segmented max, with per-edge costs taken straight from the
-    clustered CSR weights and the topology distance matrix."""
+    """The paper's ``comm`` (Sec. 4.3.4 algorithm I, Fig. 23-c), one cost
+    per edge aligned with ``graph.in_edge_arrays()``.
+
+    Each inter-cluster message pays its clustered weight once per hop of
+    the shortest path between the host processors (store-and-forward,
+    contention-free); an intra-cluster edge costs 0 because its
+    clustered weight is 0.
+    """
     if clustered.num_clusters != system.num_nodes:
         raise MappingError(
             f"{clustered.num_clusters} clusters cannot map onto "
@@ -148,8 +153,15 @@ def _finish_times(
             f"assignment covers {assignment.size} nodes, system has "
             f"{system.num_nodes}"
         )
+    hosts = assignment.placement[clustered.clustering.labels]
+    srcs, dsts, _ = clustered.graph.in_edge_arrays()
+    return clustered.cross_in_weights * system.shortest[hosts[srcs], hosts[dsts]]
+
+
+def _finish_times(clustered: ClusteredGraph, comm: np.ndarray) -> np.ndarray:
+    """End time per task: one level sweep over the cached
+    :class:`~repro.core.taskgraph.SchedulePlan`, each level one gather
+    plus a segmented max, with the per-edge ``comm`` costs in plan order."""
     graph = clustered.graph
     plan = graph.schedule_plan()
-    hosts = assignment.placement[clustered.clustering.labels]
-    cost = clustered.plan_weights() * system.shortest[hosts[plan.src], hosts[plan.dst]]
-    return sweep_finish_times(plan, graph.task_sizes, cost)
+    return sweep_finish_times(plan, graph.task_sizes, comm[plan.eperm])

@@ -8,8 +8,8 @@ unique, assignment-independent schedule:
     ``i_start[i] = max_j (i_end[j] + clus_edge[j][i])``  over predecessors j
     ``i_end[i]   = i_start[i] + task_size[i]``
 
-Predecessors are found in ``prob_edge`` (intra-cluster precedence
-survives; ``clus_edge`` contributes 0 for those).  The makespan of this
+Predecessors are the graph's in-edges (intra-cluster precedence
+survives; the clustered weight is 0 for those).  The makespan of this
 schedule is the paper's **lower bound** (Theorem 3): no assignment onto
 the real topology can finish earlier, and any assignment matching it is
 optimal — that is the refinement termination condition.
@@ -19,9 +19,10 @@ the one level sweep (:func:`~repro.core.taskgraph.sweep_finish_times`)
 with the clustered weight as the edge cost; the scalar form of the
 recurrence lives in the tests as the oracle.
 
-The *ideal edge matrix* ``i_edge[j][i] = i_start[i] - i_end[j]`` (for
-problem edges) records per-edge slack and feeds the critical-edge
-analysis: an edge with ``i_edge == clus_edge`` has no slack.
+The paper's *ideal edge matrix* ``i_edge[j][i] = i_start[i] - i_end[j]``
+is kept as one entry per problem edge and feeds the critical-edge
+analysis: an edge whose ``i_edge`` equals its clustered weight has no
+slack.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class IdealSchedule:
         Start / end time per task (the paper's ``i_start`` / ``i_end``,
         Fig. 22-b).
     i_edge:
-        Ideal edge matrix: for every problem edge ``j -> i``,
-        ``i_edge[j, i] = i_start[i] - i_end[j]`` (Fig. 22-a); zero where
-        there is no problem edge.
+        ``i_start[i] - i_end[j]`` for every problem edge ``j -> i``, one
+        entry per edge aligned with ``graph.in_edge_arrays()`` (the
+        entries of the paper's Fig. 22-a matrix).
     total_time:
         Makespan = ``max(i_end)``; the **lower bound** of Theorem 3.
     """
@@ -66,13 +67,13 @@ class IdealSchedule:
         return np.flatnonzero(self.i_end == self.total_time)
 
     def slack(self, src: int, dst: int) -> int:
-        """Slack of problem edge ``src -> dst``: ``i_edge - clus_edge``.
+        """Slack of problem edge ``src -> dst``: its ``i_edge`` minus its
+        clustered weight.
 
         A slack of zero is the *tightness* precondition of Theorems 1–2.
         """
-        return int(
-            self.i_edge[src, dst] - self.clustered.clus_edge[src, dst]
-        )
+        gap = int(self.i_start[dst] - self.i_end[src])
+        return gap - self.clustered.comm_weight(src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -89,15 +90,12 @@ def ideal_schedule(clustered: ClusteredGraph) -> IdealSchedule:
     II is one level sweep (:func:`_ideal_end`).
     """
     graph = clustered.graph
-    n = graph.num_tasks
     i_end = _ideal_end(clustered)
     i_start = i_end - graph.task_sizes
 
     # Algorithm III: i_edge[j][i] = i_start[i] - i_end[j] on problem edges.
-    mask = graph.prob_edge > 0
-    i_edge = np.zeros((n, n), dtype=np.int64)
-    diff = i_start[None, :] - i_end[:, None]
-    i_edge[mask] = diff[mask]
+    srcs, dsts, _ = graph.in_edge_arrays()
+    i_edge = i_start[dsts] - i_end[srcs]
 
     i_start.flags.writeable = False
     i_end.flags.writeable = False
@@ -114,9 +112,8 @@ def ideal_schedule(clustered: ClusteredGraph) -> IdealSchedule:
 def lower_bound(clustered: ClusteredGraph) -> int:
     """The paper's lower bound: the ideal-graph makespan (algorithm II).
 
-    The same sweep as :func:`ideal_schedule` without the O(np^2)
-    ``i_edge`` matrix — usable on 100k-task instances where the full
-    :class:`IdealSchedule` is not.
+    The same sweep as :func:`ideal_schedule` without the per-edge
+    ``i_edge`` and the :class:`IdealSchedule` around it.
     """
     return int(_ideal_end(clustered).max())
 

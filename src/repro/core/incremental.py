@@ -68,7 +68,7 @@ class DeltaEvaluator:
     ----------
     clustered, system:
         The instance; ``na`` must equal ``ns`` (same contract as
-        :func:`~repro.core.assignment.communication_matrix`).
+        :func:`~repro.core.evaluate.communication_costs`).
     assignment:
         The starting assignment; :meth:`evaluate` rebases onto another.
     """

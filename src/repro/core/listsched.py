@@ -19,9 +19,9 @@ priority policy:
   levels come from the one level sweep, run over the reversed DAG
   (:func:`bottom_levels`).
 
-Communication remains the paper's: ``clus_edge * hop distance``,
-contention-free.  The result is a plain start/end pair that
-:func:`repro.core.validate.verify_times` accepts with
+Communication remains the paper's, contention-free: each edge costs
+:func:`~repro.core.evaluate.communication_costs`.  The result is a plain
+start/end pair that :func:`repro.core.validate.verify_times` accepts with
 ``require_asap=False``.
 """
 
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..topology.base import SystemGraph
-from .assignment import Assignment, communication_matrix
+from .assignment import Assignment
 from .clustered import ClusteredGraph
+from .evaluate import communication_costs
 
 __all__ = ["ListSchedule", "list_schedule", "bottom_levels"]
 
@@ -67,7 +68,8 @@ def list_schedule(
         raise ValueError(f"policy must be 'fifo' or 'blevel', got {policy!r}")
     graph = clustered.graph
     n = graph.num_tasks
-    comm = communication_matrix(clustered, system, assignment)
+    comm = communication_costs(clustered, system, assignment)
+    in_ptr, in_src = graph.in_indptr, graph.in_indices
     sizes = graph.task_sizes
     labels = clustered.clustering.labels
     host = assignment.placement[labels]
@@ -79,7 +81,7 @@ def list_schedule(
 
     start = np.full(n, -1, dtype=np.int64)
     end = np.full(n, -1, dtype=np.int64)
-    pending = np.diff(graph.in_indptr)
+    pending = np.diff(in_ptr)
     busy = np.zeros(system.num_nodes, dtype=bool)
     queues: list[list[tuple[int, int, int]]] = [
         [] for _ in range(system.num_nodes)
@@ -141,8 +143,8 @@ def list_schedule(
             for succ in graph.successors(task).tolist():
                 pending[succ] -= 1
                 if pending[succ] == 0:
-                    preds = graph.predecessors(succ)
-                    arrive = int((end[preds] + comm[preds, succ]).max())
+                    lo, hi = in_ptr[succ], in_ptr[succ + 1]
+                    arrive = int((end[in_src[lo:hi]] + comm[lo:hi]).max())
                     push_ready(int(succ), max(arrive, time))
             if queues[p]:
                 _, _, nxt = heapq.heappop(queues[p])

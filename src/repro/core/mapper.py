@@ -178,16 +178,14 @@ class CriticalEdgeMapper:
 
 def _blank_analysis(analysis: CriticalityAnalysis) -> CriticalityAnalysis:
     """A zeroed copy of ``analysis`` (no critical edges) for ablation A2."""
-    zero_edge = np.zeros_like(analysis.crit_edge)
     zero_mask = np.zeros_like(analysis.crit_mask)
     zero_abs = np.zeros_like(analysis.c_abs_edge)
     zero_deg = np.zeros_like(analysis.critical_degree)
     zero_path = np.zeros_like(analysis.on_critical_path)
-    for arr in (zero_edge, zero_mask, zero_abs, zero_deg, zero_path):
+    for arr in (zero_mask, zero_abs, zero_deg, zero_path):
         arr.flags.writeable = False
     return CriticalityAnalysis(
         ideal=analysis.ideal,
-        crit_edge=zero_edge,
         crit_mask=zero_mask,
         c_abs_edge=zero_abs,
         critical_degree=zero_deg,

@@ -1,9 +1,11 @@
 """Paper-faithful bundle of the internal matrix representation (Sec. 3).
 
-The library's classes each own their matrices; this module assembles the
+The library's classes each own their data; this module assembles the
 complete set the paper enumerates in Sec. 3 / Figs. 18-23 for one mapping
 instance, keyed by the paper's names.  It exists for inspection, teaching
-and the I/O layer — algorithms use the typed objects directly.
+and the I/O layer — algorithms use the typed objects directly, whose
+per-edge arrays (``i_edge``, ``crit_mask``, ``comm``) only this module
+spreads into task x task matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from ..topology.base import SystemGraph
 from .abstract import AbstractGraph
-from .assignment import Assignment, communication_matrix
+from .assignment import Assignment
 from .clustered import ClusteredGraph
 from .critical import CriticalityAnalysis, analyze_criticality
 from .evaluate import evaluate_assignment
@@ -84,6 +86,14 @@ def collect_matrices(
     they already exist (e.g. from a :class:`~repro.core.mapper.MappingResult`).
     """
     graph = clustered.graph
+    prob_edge = graph.prob_edge  # refuses oversized instances up front
+    srcs, dsts, _ = graph.in_edge_arrays()
+
+    def dense(per_edge: np.ndarray) -> np.ndarray:
+        mat = np.zeros_like(prob_edge)
+        mat[srcs, dsts] = per_edge
+        return mat
+
     abstract = AbstractGraph(clustered)
     if ideal is None:
         ideal = ideal_schedule(clustered)
@@ -99,12 +109,12 @@ def collect_matrices(
     if assignment is not None:
         schedule = evaluate_assignment(clustered, system, assignment)
         assi = assignment.assi
-        comm = schedule.comm
+        comm = dense(schedule.comm)
         start = schedule.start
         end = schedule.end
 
     return PaperMatrices(
-        prob_edge=graph.prob_edge,
+        prob_edge=prob_edge,
         task_size=graph.task_sizes,
         clus_edge=clustered.clus_edge,
         clus_pnode=clustered.clustering.clus_pnode(),
@@ -115,10 +125,10 @@ def collect_matrices(
         shortest=system.shortest,
         deg=system.deg,
         route_prev=system.route_prev,
-        i_edge=ideal.i_edge,
+        i_edge=dense(ideal.i_edge),
         i_start=ideal.i_start,
         i_end=ideal.i_end,
-        crit_edge=analysis.crit_edge,
+        crit_edge=dense(np.where(analysis.crit_mask, clustered.cross_in_weights, 0)),
         assi=assi,
         comm=comm,
         start=start,

@@ -12,11 +12,15 @@ Checked constraints:
 1. durations: ``end[i] - start[i] == task_size[i]`` for every task;
 2. release: entry tasks start at time >= 0;
 3. precedence + communication: for every problem edge ``(u, v)``,
-   ``start[v] >= end[u] + clus_edge[u][v] * dist(host(u), host(v))``;
+   ``start[v] >= end[u] + w(u, v) * dist(host(u), host(v))``, with the
+   clustered weight ``w`` (0 inside a cluster);
 4. tightness (optional): every task starts *exactly* when its last
    input arrives (the paper's as-soon-as-possible semantics) — disable
    for schedules from models that may insert idle time (e.g. the
    serialized simulator).
+
+A breach is reported at the first offending edge in ``graph.edges()``
+order, then at the lowest-numbered offending task.
 """
 
 from __future__ import annotations
@@ -66,47 +70,51 @@ def verify_times(
 
     labels = clustered.clustering.labels
     hosts = assignment.placement[labels]
-    for e in graph.edges():
-        hops = int(system.shortest[hosts[e.src], hosts[e.dst]])
-        arrival = int(end[e.src]) + int(clustered.clus_edge[e.src, e.dst]) * hops
-        if start[e.dst] < arrival:
-            raise ScheduleViolation(
-                f"edge ({e.src} -> {e.dst}): task {e.dst} starts at "
-                f"{int(start[e.dst])} before its input arrives at {arrival}"
-            )
+    srcs, dsts, weights = graph.edge_arrays()
+    clustered_w = np.where(labels[srcs] == labels[dsts], 0, weights)
+    arrival = end[srcs] + clustered_w * system.shortest[hosts[srcs], hosts[dsts]]
+    late = start[dsts] < arrival
+    if late.any():
+        i = int(np.argmax(late))
+        src, dst = int(srcs[i]), int(dsts[i])
+        raise ScheduleViolation(
+            f"edge ({src} -> {dst}): task {dst} starts at "
+            f"{int(start[dst])} before its input arrives at {int(arrival[i])}"
+        )
 
     if require_asap:
-        for t in range(n):
-            preds = graph.predecessors(t)
-            if preds.size == 0:
-                if start[t] != 0:
-                    raise ScheduleViolation(
-                        f"entry task {t} idles until {int(start[t])} "
-                        "(as-soon-as-possible semantics requires 0)"
-                    )
-                continue
-            hops = system.shortest[hosts[preds], hosts[t]]
-            ready = int((end[preds] + clustered.clus_edge[preds, t] * hops).max())
-            if start[t] != ready:
+        ready = np.zeros(n, dtype=arrival.dtype)
+        np.maximum.at(ready, dsts, arrival)
+        idle = start != ready
+        if idle.any():
+            t = int(np.argmax(idle))
+            if graph.in_indptr[t] == graph.in_indptr[t + 1]:
                 raise ScheduleViolation(
-                    f"task {t} starts at {int(start[t])} but its inputs are "
-                    f"complete at {ready} (as-soon-as-possible violated)"
+                    f"entry task {t} idles until {int(start[t])} "
+                    "(as-soon-as-possible semantics requires 0)"
                 )
+            raise ScheduleViolation(
+                f"task {t} starts at {int(start[t])} but its inputs are "
+                f"complete at {int(ready[t])} (as-soon-as-possible violated)"
+            )
 
 
 def verify_schedule(schedule: Schedule, *, require_asap: bool = True) -> None:
     """Validate a :class:`Schedule` object (see :func:`verify_times`).
 
-    Additionally checks the stored ``comm`` matrix and ``total_time``
-    against independent recomputation.
+    Additionally checks the stored per-edge ``comm`` costs and
+    ``total_time`` against independent recomputation.
     """
     clustered = schedule.clustered
     system = schedule.system
     labels = clustered.clustering.labels
     hosts = schedule.assignment.placement[labels]
-    expected_comm = clustered.clus_edge * system.shortest[np.ix_(hosts, hosts)]
+    srcs, dsts, weights = clustered.graph.in_edge_arrays()
+    expected_comm = np.where(labels[srcs] == labels[dsts], 0, weights) * (
+        system.shortest[hosts[srcs], hosts[dsts]]
+    )
     if not np.array_equal(schedule.comm, expected_comm):
-        raise ScheduleViolation("stored comm matrix disagrees with the topology")
+        raise ScheduleViolation("stored comm costs disagree with the topology")
     if schedule.total_time != int(schedule.end.max()):
         raise ScheduleViolation(
             f"total_time {schedule.total_time} != max(end) {int(schedule.end.max())}"

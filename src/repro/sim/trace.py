@@ -221,13 +221,12 @@ def trace_records(result: "SimResult") -> list[dict[str, Any]]:
 
 
 def write_trace_jsonl(result: "SimResult", path: str | Path) -> int:
-    """Dump ``result`` to ``path`` as canonical JSONL; returns record count."""
-    from ..io.jsonl import write_record
+    """Dump ``result`` to ``path`` as canonical JSONL, in one write (no
+    reader tails a trace); returns the record count."""
+    from ..io.jsonl import dumps_record
 
     records = trace_records(result)
-    with Path(path).open("w") as fh:
-        for record in records:
-            write_record(fh, record)
+    Path(path).write_text("".join(dumps_record(r) + "\n" for r in records))
     return len(records)
 
 

@@ -18,6 +18,8 @@ from repro.core import (
     Clustering,
     CommVolumeDelta,
     DeltaEvaluator,
+    IdealSchedule,
+    ScheduleViolation,
     TaskGraph,
 )
 from repro.topology import SystemGraph, hypercube, mesh2d, ring
@@ -153,6 +155,152 @@ def scalar_schedule(
             start[t] = int((end[preds] + edge_cost[preds, t]).max())
         end[t] = start[t] + sizes[t]
     return start, end
+
+
+def communication_matrix(
+    clustered: ClusteredGraph, system: SystemGraph, assignment: Assignment
+) -> np.ndarray:
+    """The paper's dense ``comm[np][np]`` (Sec. 4.3.4, Fig. 23-c): the
+    tests' oracle for :func:`~repro.core.evaluate.communication_costs`.
+
+    ``comm[i][j] = clus_edge[i][j] * shortest[host(i)][host(j)]`` over
+    the dense matrices, so it is 0 where there is no edge and on edges
+    inside a cluster.  The library keeps one cost per edge instead.
+    """
+    host = assignment.placement[clustered.clustering.labels]
+    return clustered.clus_edge * system.shortest[np.ix_(host, host)]
+
+
+def on_edges(graph: TaskGraph, dense: np.ndarray) -> np.ndarray:
+    """The entries of an ``np x np`` matrix at the problem edges, aligned
+    with ``graph.in_edge_arrays()``: the layout of the library's per-edge
+    arrays (``i_edge``, ``crit_mask``, a schedule's ``comm``)."""
+    srcs, dsts, _ = graph.in_edge_arrays()
+    return dense[srcs, dsts]
+
+
+def oracle_criticality(
+    clustered: ClusteredGraph,
+    ideal: IdealSchedule,
+    propagate_through_intra: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Criticality by a pop-order backward search over dense matrices:
+    the tests' oracle for :func:`~repro.core.critical.analyze_criticality`.
+
+    The dense ``i_edge[j, i] = i_start[i] - i_end[j]`` (Fig. 22-a) is
+    built on the problem edges.  Marked tasks are popped off a stack that
+    starts with the latest tasks; every tight in-edge (``i_edge ==
+    clus_edge``) of a popped task is critical, and its tail is pushed
+    when first marked.  ``propagate_through_intra=False`` skips
+    intra-cluster edges.  Critical abstract weights are then summed one
+    edge at a time.  Returns the dense ``np x np`` critical mask,
+    ``c_abs_edge``, the critical degrees and ``on_critical_path``; the
+    library sweeps whole frontiers over per-edge arrays instead.
+    """
+    graph = clustered.graph
+    n = graph.num_tasks
+    clus = clustered.clus_edge
+    labels = clustered.clustering.labels
+    na = clustered.num_clusters
+    gap = ideal.i_start[None, :] - ideal.i_end[:, None]
+    i_edge = np.where(graph.prob_edge > 0, gap, 0)
+    crit_mask = np.zeros((n, n), dtype=bool)
+    on_path = np.zeros(n, dtype=bool)
+    stack = np.flatnonzero(ideal.i_end == ideal.i_end.max()).tolist()
+    on_path[stack] = True
+    while stack:
+        v = stack.pop()
+        for u in graph.predecessors(v).tolist():
+            if i_edge[u, v] != clus[u, v]:
+                continue
+            if labels[u] == labels[v] and not propagate_through_intra:
+                continue
+            crit_mask[u, v] = True
+            if not on_path[u]:
+                on_path[u] = True
+                stack.append(u)
+    c_abs = np.zeros((na, na), dtype=np.int64)
+    for s, d in zip(*np.nonzero(crit_mask)):
+        a, b = int(labels[s]), int(labels[d])
+        if a != b:
+            c_abs[a, b] += clus[s, d]
+            c_abs[b, a] += clus[s, d]
+    return crit_mask, c_abs, c_abs.sum(axis=1), on_path
+
+
+def oracle_verify_times(
+    clustered: ClusteredGraph,
+    system: SystemGraph,
+    assignment: Assignment,
+    start: np.ndarray,
+    end: np.ndarray,
+    *,
+    require_asap: bool = True,
+) -> None:
+    """The schedule checks one edge and one task at a time: the tests'
+    oracle for :func:`~repro.core.validate.verify_times`.
+
+    Raises :class:`~repro.core.validate.ScheduleViolation` with the
+    library's messages: durations first, then every edge in
+    ``graph.edges()`` order against ``end[u] + clus_edge[u, v] *
+    dist(host(u), host(v))``, then (with ``require_asap``) every task in
+    id order against its latest input.  The library checks each with one
+    vector expression instead.
+    """
+    graph = clustered.graph
+    n = graph.num_tasks
+    start, end = np.asarray(start), np.asarray(end)
+    if start.shape != (n,) or end.shape != (n,):
+        raise ScheduleViolation(
+            f"start/end must have shape ({n},), got {start.shape}/{end.shape}"
+        )
+    for t in range(n):
+        if start[t] < 0:
+            raise ScheduleViolation(f"task {t} starts before time 0")
+    for t in range(n):
+        if end[t] - start[t] != graph.task_sizes[t]:
+            raise ScheduleViolation(
+                f"task {t} runs for {int(end[t] - start[t])} units, "
+                f"size is {int(graph.task_sizes[t])}"
+            )
+    hosts = assignment.placement[clustered.clustering.labels]
+    clus = clustered.clus_edge
+    for e in graph.edges():
+        hops = int(system.shortest[hosts[e.src], hosts[e.dst]])
+        arrival = int(end[e.src]) + int(clus[e.src, e.dst]) * hops
+        if start[e.dst] < arrival:
+            raise ScheduleViolation(
+                f"edge ({e.src} -> {e.dst}): task {e.dst} starts at "
+                f"{int(start[e.dst])} before its input arrives at {arrival}"
+            )
+    if not require_asap:
+        return
+    for t in range(n):
+        preds = graph.predecessors(t)
+        if preds.size == 0:
+            if start[t] != 0:
+                raise ScheduleViolation(
+                    f"entry task {t} idles until {int(start[t])} "
+                    "(as-soon-as-possible semantics requires 0)"
+                )
+            continue
+        hops = system.shortest[hosts[preds], hosts[t]]
+        ready = int((end[preds] + clus[preds, t] * hops).max())
+        if start[t] != ready:
+            raise ScheduleViolation(
+                f"task {t} starts at {int(start[t])} but its inputs are "
+                f"complete at {ready} (as-soon-as-possible violated)"
+            )
+
+
+def violation(check, *args, **kwargs) -> str | None:
+    """The message of the :class:`~repro.core.validate.ScheduleViolation`
+    that ``check(*args, **kwargs)`` raises, or None when it passes."""
+    try:
+        check(*args, **kwargs)
+    except ScheduleViolation as exc:
+        return str(exc)
+    return None
 
 
 def oracle_bottom_levels(graph: TaskGraph, weights: np.ndarray) -> np.ndarray:

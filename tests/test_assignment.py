@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import Assignment, ClusteredGraph, Clustering, communication_matrix
+from repro.core import Assignment, ClusteredGraph, Clustering, communication_costs
 from repro.topology import chain, ring
 from repro.utils import MappingError
+from tests.conftest import communication_matrix, on_edges
+
+
+def _comm(clustered, system, assignment):
+    """The dense Fig. 23-c oracle, after checking that the library's
+    per-edge costs are its entries at the problem edges."""
+    comm = communication_matrix(clustered, system, assignment)
+    costs = communication_costs(clustered, system, assignment)
+    assert np.array_equal(costs, on_edges(clustered.graph, comm))
+    return comm
 
 
 class TestAssignment:
@@ -82,7 +92,7 @@ class TestCommunicationMatrix:
     def test_hops_multiply_weights(self, diamond_clustered):
         # chain topology 0-1-2-3; identity placement.
         system = chain(4)
-        comm = communication_matrix(diamond_clustered, system, Assignment.identity(4))
+        comm = _comm(diamond_clustered, system, Assignment.identity(4))
         assert comm[0, 1] == 1 * 1  # adjacent
         assert comm[0, 2] == 2 * 2  # two hops
         assert comm[1, 3] == 2 * 2
@@ -91,7 +101,7 @@ class TestCommunicationMatrix:
     def test_intra_cluster_is_free(self, diamond_graph):
         cg = ClusteredGraph(diamond_graph, Clustering([0, 0, 1, 1]))
         system = chain(2)
-        comm = communication_matrix(cg, system, Assignment.identity(2))
+        comm = _comm(cg, system, Assignment.identity(2))
         assert comm[0, 1] == 0
         assert comm[2, 3] == 0
         assert comm[0, 2] == 2  # inter, adjacent
@@ -99,24 +109,24 @@ class TestCommunicationMatrix:
     def test_closure_reproduces_clustered_weights(self, diamond_clustered):
         from repro.topology import complete
 
-        comm = communication_matrix(
+        comm = _comm(
             diamond_clustered, complete(4), Assignment.identity(4)
         )
         assert np.array_equal(comm, diamond_clustered.clus_edge)
 
     def test_na_ns_mismatch_rejected(self, diamond_clustered):
         with pytest.raises(MappingError, match="na must equal ns"):
-            communication_matrix(diamond_clustered, ring(5), Assignment.identity(5))
+            communication_costs(diamond_clustered, ring(5), Assignment.identity(5))
 
     def test_assignment_size_mismatch_rejected(self, diamond_clustered, ring4):
         with pytest.raises(MappingError):
-            communication_matrix(diamond_clustered, ring4, Assignment.identity(5))
+            communication_costs(diamond_clustered, ring4, Assignment.identity(5))
 
     def test_placement_changes_distances(self, diamond_clustered):
         system = chain(4)
-        near = communication_matrix(diamond_clustered, system, Assignment.identity(4))
+        near = _comm(diamond_clustered, system, Assignment.identity(4))
         # Put clusters 0 and 2 at the two chain ends: distance 3.
-        far = communication_matrix(
+        far = _comm(
             diamond_clustered, system, Assignment.from_placement([0, 1, 3, 2])
         )
         assert far[0, 2] == 2 * 3

@@ -8,6 +8,7 @@ from repro.core import (
     Clustering,
     TaskGraph,
     analyze_criticality,
+    collect_matrices,
     ideal_schedule,
 )
 
@@ -17,9 +18,10 @@ class TestCriticalEdges:
         an = analyze_criticality(diamond_clustered)
         # Latest is 3; (1,3) tight (slack 0), (2,3) slack 2; (0,1) tight.
         assert an.critical_problem_edges() == [(0, 1), (1, 3)]
-        assert an.crit_edge[0, 1] == 1
-        assert an.crit_edge[1, 3] == 2
-        assert an.crit_edge[2, 3] == 0
+        # One mask entry per edge, in in-edge order: (0,1) (0,2) (1,3) (2,3).
+        assert an.crit_mask.tolist() == [True, False, True, False]
+        weights = diamond_clustered.cross_in_weights[an.crit_mask]
+        assert weights.tolist() == [1, 2]
 
     def test_on_critical_path(self, diamond_clustered):
         an = analyze_criticality(diamond_clustered)
@@ -74,11 +76,14 @@ class TestCriticalEdges:
         assert an.c_abs_edge.sum() == 0
 
     def test_critical_edge_weight_is_clustered_weight(self, medium_instance):
-        clustered, _ = medium_instance
+        clustered, system = medium_instance
         an = analyze_criticality(clustered)
-        mask = an.crit_mask
-        assert np.array_equal(an.crit_edge[mask], clustered.clus_edge[mask])
-        assert (an.crit_edge[~mask] == 0).all()
+        crit_edge = collect_matrices(clustered, system, analysis=an).crit_edge
+        mask = np.zeros(crit_edge.shape, dtype=bool)
+        srcs, dsts, _ = clustered.graph.in_edge_arrays()
+        mask[srcs[an.crit_mask], dsts[an.crit_mask]] = True
+        assert np.array_equal(crit_edge[mask], clustered.clus_edge[mask])
+        assert (crit_edge[~mask] == 0).all()
 
     def test_critical_edges_are_tight(self, medium_instance):
         """Every critical edge has zero slack (necessary condition)."""
@@ -86,7 +91,9 @@ class TestCriticalEdges:
         ideal = ideal_schedule(clustered)
         an = analyze_criticality(clustered, ideal)
         for u, v in an.critical_problem_edges():
-            assert ideal.i_edge[u, v] == clustered.clus_edge[u, v]
+            assert ideal.slack(u, v) == 0
+        weights = clustered.cross_in_weights
+        assert (ideal.i_edge[an.crit_mask] == weights[an.crit_mask]).all()
 
     def test_semantic_definition_on_small_instance(self, diamond_clustered):
         """Definition check: raising a critical edge's weight raises the
@@ -95,6 +102,7 @@ class TestCriticalEdges:
 
         base = lower_bound(diamond_clustered)
         an = analyze_criticality(diamond_clustered)
+        critical = set(an.critical_problem_edges())
         graph = diamond_clustered.graph
         for e in graph.edges():
             bumped = graph.prob_edge.copy()
@@ -102,7 +110,7 @@ class TestCriticalEdges:
             g2 = TaskGraph(graph.task_sizes, bumped)
             cg2 = ClusteredGraph(g2, diamond_clustered.clustering)
             new_bound = lower_bound(cg2)
-            if an.crit_mask[e.src, e.dst]:
+            if (e.src, e.dst) in critical:
                 assert new_bound > base, f"critical edge {e} did not raise bound"
             else:
                 assert new_bound == base, f"non-critical edge {e} raised bound"
@@ -115,18 +123,19 @@ class TestCriticalEdges:
     def test_paper_running_example_critical_structure(self):
         from repro.workloads import running_example_clustered
 
-        an = analyze_criticality(running_example_clustered())
+        clustered = running_example_clustered()
+        an = analyze_criticality(clustered)
         assert an.critical_abstract_edges() == [(0, 1), (0, 2)]
         assert an.c_abs_edge[0, 1] == 3
         assert an.c_abs_edge[0, 2] == 6
         assert an.critical_degree[0] == 9
         # The edge the paper singles out: e79 (0-based (6, 8)).
-        assert an.crit_mask[6, 8]
-        assert an.crit_edge[6, 8] == 2
+        assert (6, 8) in an.critical_problem_edges()
+        assert clustered.comm_weight(6, 8) == 2
 
     def test_arrays_read_only(self, diamond_clustered):
         an = analyze_criticality(diamond_clustered)
         with pytest.raises(ValueError):
-            an.crit_edge[0, 1] = 9
+            an.crit_mask[0] = False
         with pytest.raises(ValueError):
             an.c_abs_edge[0, 1] = 9

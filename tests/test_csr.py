@@ -10,20 +10,28 @@ the degenerate shapes (no edges, one task, disconnected components,
 duplicate edges) and walks :class:`~repro.core.DeltaEvaluator` against
 that oracle over randomized move sequences — including deep
 ``apply_swap``/``revert`` undo stacks mirrored by a stack of shadow
-assignments.
+assignments.  With the dense-matrix size limit lowered below the
+instance, the paper's mapper, its schedule, the schedule oracle, the
+list scheduler, the metrics and the clusterers must still run: only the
+Sec. 3 dump builds a task x task matrix.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.clustered
+import repro.core.taskgraph
+from repro.analysis import compute_metrics
+from repro.api import get_clusterer, get_mapper
 from repro.clustering import RandomClusterer
 from repro.core import (
     Assignment,
     ClusteredGraph,
     DeltaEvaluator,
     TaskGraph,
-    communication_matrix,
+    collect_matrices,
     evaluate_assignment,
+    list_schedule,
     total_time,
     verify_schedule,
 )
@@ -31,7 +39,7 @@ from repro.core.incremental import CommVolumeDelta
 from repro.topology import chain, hypercube, mesh2d, ring
 from repro.utils import GraphError
 from repro.workloads import layered_random_dag
-from tests.conftest import scalar_schedule
+from tests.conftest import communication_matrix, scalar_schedule
 
 
 class TestCsrEdgeCases:
@@ -95,7 +103,9 @@ class TestCsrEdgeCases:
         assignment = Assignment.random(2, rng=0)
         schedule = evaluate_assignment(clustered, system, assignment)
         verify_schedule(schedule)
-        start, end = scalar_schedule(g, schedule.comm)
+        start, end = scalar_schedule(
+            g, communication_matrix(clustered, system, assignment)
+        )
         assert np.array_equal(schedule.start, start)
         assert np.array_equal(schedule.end, end)
         ev = DeltaEvaluator(clustered, system, assignment)
@@ -103,6 +113,33 @@ class TestCsrEdgeCases:
         assert total_time(clustered, system, assignment) == schedule.total_time
         assert np.array_equal(ev.end_times(), schedule.end)
         assert ev.verify()
+
+
+class TestNoDenseMatrixOnTheMappingPath:
+    """Every per-edge consumer runs where a dense matrix is refused."""
+
+    @pytest.fixture
+    def low_limit(self, monkeypatch):
+        monkeypatch.setattr(repro.core.taskgraph, "_DENSE_LIMIT", 64)
+        monkeypatch.setattr(repro.core.clustered, "_DENSE_LIMIT", 64)
+
+    @pytest.mark.parametrize("clusterer", ["random", "load_balance", "dsc"])
+    def test_map_evaluate_verify_above_the_limit(self, low_limit, clusterer):
+        graph = layered_random_dag(num_tasks=96, rng=4)
+        system = hypercube(3)
+        clustering = get_clusterer(clusterer, num_clusters=8).cluster(graph, rng=4)
+        clustered = ClusteredGraph(graph, clustering)
+        outcome = get_mapper("critical").map(clustered, system, rng=4)
+        schedule = evaluate_assignment(clustered, system, outcome.assignment)
+        assert schedule.total_time == outcome.total_time
+        verify_schedule(schedule)
+        for policy in ("fifo", "blevel"):
+            ls = list_schedule(clustered, system, outcome.assignment, policy)
+            assert ls.makespan >= schedule.total_time
+        metrics = compute_metrics(schedule)
+        assert metrics.comm_volume == schedule.communication_volume()
+        with pytest.raises(GraphError, match="limit 64"):
+            collect_matrices(clustered, system, outcome.assignment)
 
 
 def _instance(system, seed):

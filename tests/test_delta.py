@@ -29,7 +29,6 @@ from repro.core import (
     ClusteredGraph,
     CommVolumeDelta,
     DeltaEvaluator,
-    communication_matrix,
     incremental,
     total_time,
 )
@@ -59,6 +58,7 @@ from repro.utils import MappingError
 from repro.workloads import layered_random_dag
 from tests.conftest import (
     TOPOLOGY_SPECS,
+    communication_matrix,
     random_instance,
     scalar_schedule,
     weighted_ring4,

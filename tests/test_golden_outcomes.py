@@ -5,10 +5,19 @@ the paper's own mapper (``critical`` with its default random refinement,
 with ``refinement="none"`` and with pairwise refinement), Lee &
 Aggarwal's, and every search mapper (annealing, tabu, genetic, Bokhari,
 multilevel), the SHA-256 of the final assignment's placement bytes, the
-evaluation count and the makespan are pinned.  So are the SHA-256 of the
-ideal schedule (``i_start``, ``i_end``, ``i_edge``), of one assignment's
-schedule (``start``, ``end``, ``comm``) and of the plan depth — the
-level sweep that computes them may change speed, never these values.
+evaluation count and the makespan are pinned; ``critical`` is also pinned
+without critical guidance (ablation A2), with the literal
+``propagate_through_intra=False`` reading and with the ``degree``
+tie-break.  So are the SHA-256 of the ideal schedule (``i_start``,
+``i_end`` and the Fig. 22-a ``i_edge``), of one assignment's schedule
+(``start``, ``end`` and the Fig. 23-c ``comm``, both dense matrices read
+from ``collect_matrices``), of the plan depth, of the criticality
+analysis (the sorted critical problem edges, ``c_abs_edge``, the
+critical degrees and ``on_critical_path``, under both propagation
+settings and a second, ``linear`` clustering where they differ), of
+both ``list_schedule`` policies, and the exact ``verify_times`` verdicts
+on three broken schedules — the code that computes them may change
+speed and layout, never these values.
 
 Routing is pinned the same way: the SHA-256 of ``shortest`` and of the
 route-predecessor table ``route_prev`` of one machine per registered
@@ -46,8 +55,13 @@ from repro.core import (
     AbstractGraph,
     Assignment,
     ClusteredGraph,
+    ScheduleViolation,
+    analyze_criticality,
+    collect_matrices,
     evaluate_assignment,
     ideal_schedule,
+    list_schedule,
+    verify_times,
 )
 from repro.metrics import evaluate_metrics, link_traffic
 from repro.sim import SimConfig, simulate, write_trace_jsonl
@@ -104,6 +118,21 @@ GOLDEN = {
         {"refinement": "none"},
         ("d32904d7e289861b7507e1923903761c45f4de3d253120224fa260eef9b73bcb", 0, 167),
     ),
+    "critical-unguided": (
+        "critical",
+        {"use_critical_guidance": False},
+        ("ce12d3aa866667873f63eb9e72e2a03f66df894bd2f1d116a500f8efe598f80d", 16, 159),
+    ),
+    "critical-literal": (
+        "critical",
+        {"propagate_through_intra": False},
+        ("0dbafa0a51ec9984842ddcfeeb7a70b66110a53ee6e530fd35a0d53940f7ecc7", 16, 158),
+    ),
+    "critical-degree": (
+        "critical",
+        {"tie_break": "degree"},
+        ("2688e86cb3e35398137fc968ce8602d3a6f0f43072c636e968b0400de6015e8d", 16, 165),
+    ),
     "lee": (
         "lee",
         {},
@@ -158,10 +187,11 @@ def test_outcome_is_pinned(instance, case):
 
 
 def test_ideal_schedule_is_pinned(instance):
-    clustered, _ = instance
+    clustered, system = instance
     ideal = ideal_schedule(clustered)
     assert ideal.total_time == 109
-    assert _digest(ideal.i_start, ideal.i_end, ideal.i_edge) == (
+    matrices = collect_matrices(clustered, system, ideal=ideal)
+    assert _digest(matrices.i_start, matrices.i_end, matrices.i_edge) == (
         "4b1d7c13efc9a37f744dfaaff161b95361edb5c880d7c1d5743636769028765f"
     )
 
@@ -170,9 +200,95 @@ def test_assignment_schedule_is_pinned(instance):
     clustered, system = instance
     schedule = evaluate_assignment(clustered, system, Assignment.identity(16))
     assert schedule.total_time == 202
-    assert _digest(schedule.start, schedule.end, schedule.comm) == (
+    matrices = collect_matrices(clustered, system, Assignment.identity(16))
+    assert _digest(matrices.start, matrices.end, matrices.comm) == (
         "264bc820c138a21c305d0bb3cb1e92b79e18179b0f926463012693b1c7b5dd53"
     )
+
+
+#: (clusterer, propagate_through_intra) -> SHA-256 of the sorted critical
+#: problem edges, ``c_abs_edge``, ``critical_degree`` and
+#: ``on_critical_path``; the ``linear`` clustering propagates through
+#: tight intra-cluster edges, the ``random`` one never meets one
+CRITICALITY = {
+    ("random", True): "28470165018fcd5d08325b87b5979b77d5c96429f3f850c491d06a2ecb0d6ff5",
+    ("random", False): "28470165018fcd5d08325b87b5979b77d5c96429f3f850c491d06a2ecb0d6ff5",
+    ("linear", True): "7cf847310f209ce7136b80a94b72787ec5c6ddcecc4a46486d4cfaa89d104a9d",
+    ("linear", False): "1f638a1272ac0602a2640afc20fe589a50368db6dc35bc1297035fe2028e1b7d",
+}
+
+
+@pytest.mark.parametrize("key", list(CRITICALITY))
+def test_criticality_is_pinned(instance, key):
+    clustered, _ = instance
+    clusterer, propagate = key
+    if clusterer == "linear":
+        graph = clustered.graph
+        clustered = ClusteredGraph(graph, LinearClusterer(16).cluster(graph, rng=SEED))
+    an = analyze_criticality(clustered, propagate_through_intra=propagate)
+    got = _digest(
+        an.critical_problem_edges(),
+        an.c_abs_edge,
+        an.critical_degree,
+        an.on_critical_path,
+    )
+    assert got == CRITICALITY[key]
+
+
+#: policy -> (makespan, SHA-256 of ``start`` and ``end``) of the identity
+#: assignment's serialized list schedule
+LIST_SCHEDULES = {
+    "fifo": (214, "35044bfcc87be3464c792a8bb09247275c8872b7f563b0c8f0a69d9b6871609a"),
+    "blevel": (210, "a885bc4d10d9b8ef041fb577a3502421d0fce7d3b899148264331d8dcbc7470d"),
+}
+
+
+@pytest.mark.parametrize("policy", list(LIST_SCHEDULES))
+def test_list_schedule_is_pinned(instance, policy):
+    clustered, system = instance
+    ls = list_schedule(clustered, system, Assignment.identity(16), policy)
+    assert (ls.makespan, _digest(ls.start, ls.end)) == LIST_SCHEDULES[policy]
+
+
+#: (broken schedule, require_asap) -> the ``verify_times`` message, or
+#: None when it passes; each case shifts one task of the identity
+#: assignment's schedule: task 133 one unit early (a late edge) or late
+#: (a late start), entry task 13 one unit late (an idle entry task)
+VERDICTS = {
+    ("late-edge", True): "edge (57 -> 133): task 133 starts at 63 before its input arrives at 64",
+    ("late-edge", False): "edge (57 -> 133): task 133 starts at 63 before its input arrives at 64",
+    ("late-start", True): (
+        "task 133 starts at 65 but its inputs are complete at 64 "
+        "(as-soon-as-possible violated)"
+    ),
+    ("late-start", False): None,
+    ("idle-entry", True): (
+        "entry task 13 idles until 1 (as-soon-as-possible semantics requires 0)"
+    ),
+    ("idle-entry", False): None,
+}
+
+BROKEN = {"late-edge": (133, -1), "late-start": (133, 1), "idle-entry": (13, 1)}
+
+
+@pytest.mark.parametrize("key", list(VERDICTS))
+def test_verify_times_verdicts_are_pinned(instance, key):
+    clustered, system = instance
+    case, require_asap = key
+    assignment = Assignment.identity(16)
+    schedule = evaluate_assignment(clustered, system, assignment)
+    task, shift = BROKEN[case]
+    start, end = schedule.start.copy(), schedule.end.copy()
+    start[task] += shift
+    end[task] += shift
+    try:
+        verify_times(
+            clustered, system, assignment, start, end, require_asap=require_asap
+        )
+        got = None
+    except ScheduleViolation as exc:
+        got = str(exc)
+    assert got == VERDICTS[key]
 
 
 def test_plan_depth_is_pinned(instance):

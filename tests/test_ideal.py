@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ClusteredGraph, Clustering, TaskGraph, ideal_schedule, lower_bound
+from repro.core import (
+    ClusteredGraph,
+    Clustering,
+    TaskGraph,
+    collect_matrices,
+    ideal_schedule,
+    lower_bound,
+)
 
 
 class TestIdealSchedule:
@@ -26,21 +33,23 @@ class TestIdealSchedule:
         # All comm free: longest node-weight chain = 2+3+2 = 7.
         assert lower_bound(cg) == 7
 
-    def test_ideal_edge_matrix(self, diamond_clustered):
+    def test_ideal_edge_matrix(self, diamond_clustered, ring4):
         ideal = ideal_schedule(diamond_clustered)
-        # i_edge[j][i] = i_start[i] - i_end[j] on problem edges.
-        assert ideal.i_edge[0, 1] == 1  # 3 - 2
-        assert ideal.i_edge[0, 2] == 2  # 4 - 2
-        assert ideal.i_edge[1, 3] == 2  # 8 - 6
-        assert ideal.i_edge[2, 3] == 3  # 8 - 5
-        # Zero where no problem edge.
-        assert ideal.i_edge[0, 3] == 0
-        assert ideal.i_edge[3, 0] == 0
+        # i_edge = i_start[i] - i_end[j] per problem edge j -> i, in
+        # in-edge order: (0,1) 3 - 2, (0,2) 4 - 2, (1,3) 8 - 6, (2,3) 8 - 5.
+        assert ideal.i_edge.tolist() == [1, 2, 2, 3]
+        # The dump's Fig. 22-a matrix: the same entries, zero off the edges.
+        i_edge = collect_matrices(diamond_clustered, ring4, ideal=ideal).i_edge
+        assert i_edge[0, 1] == 1
+        assert i_edge[0, 2] == 2
+        assert i_edge[1, 3] == 2
+        assert i_edge[2, 3] == 3
+        assert i_edge[0, 3] == 0
+        assert i_edge[3, 0] == 0
 
     def test_ideal_edge_at_least_clustered_weight(self, diamond_clustered):
         ideal = ideal_schedule(diamond_clustered)
-        mask = diamond_clustered.prob_edge > 0
-        assert (ideal.i_edge[mask] >= diamond_clustered.clus_edge[mask]).all()
+        assert (ideal.i_edge >= diamond_clustered.cross_in_weights).all()
 
     def test_slack(self, diamond_clustered):
         ideal = ideal_schedule(diamond_clustered)
@@ -91,7 +100,7 @@ class TestIdealSchedule:
         with pytest.raises(ValueError):
             ideal.i_start[0] = 5
         with pytest.raises(ValueError):
-            ideal.i_edge[0, 1] = 5
+            ideal.i_edge[0] = 5
 
     def test_paper_running_example(self):
         from repro.workloads import (

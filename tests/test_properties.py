@@ -15,14 +15,21 @@ These encode the theorems and structural guarantees the paper relies on:
 * The level sweep behind every schedule (ideal, assignment, delta
   evaluator, plan depth) equals the scalar recurrence kept in the tests
   (``tests.conftest.scalar_schedule``).
+* The per-edge arrays of the criticality analysis and of a schedule
+  equal the dense oracles (``tests.conftest.oracle_criticality`` and
+  ``communication_matrix``), and the vectorized schedule checks give the
+  loop oracle's verdict (``tests.conftest.oracle_verify_times``) on
+  perturbed schedules, on random instances and on every topology family.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_topology
 from repro.baselines import exhaustive_optimum
 from repro.core import (
     Assignment,
@@ -31,17 +38,30 @@ from repro.core import (
     CriticalEdgeMapper,
     TaskGraph,
     analyze_criticality,
-    communication_matrix,
+    collect_matrices,
     evaluate_assignment,
     ideal_schedule,
+    list_schedule,
     lower_bound,
     total_time,
+    verify_schedule,
+    verify_times,
 )
 from repro.io import task_graph_from_dict, task_graph_to_dict
 from repro.sim import simulate
-from repro.topology import by_name, random_connected
+from repro.topology import random_connected
 from repro.workloads import layered_random_dag
-from tests.conftest import assert_routes_match_oracle, scalar_schedule
+from tests.conftest import (
+    TOPOLOGY_SPECS,
+    assert_routes_match_oracle,
+    communication_matrix,
+    on_edges,
+    oracle_criticality,
+    oracle_verify_times,
+    random_instance,
+    scalar_schedule,
+    violation,
+)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -153,11 +173,8 @@ def test_schedule_respects_precedence_and_sizes(instance):
     assert np.array_equal(
         schedule.end - schedule.start, clustered.task_sizes
     )
-    for e in clustered.graph.edges():
-        assert (
-            schedule.start[e.dst]
-            >= schedule.end[e.src] + schedule.comm[e.src, e.dst]
-        )
+    srcs, dsts, _ = clustered.graph.in_edge_arrays()
+    assert (schedule.start[dsts] >= schedule.end[srcs] + schedule.comm).all()
 
 
 @SETTINGS
@@ -165,8 +182,7 @@ def test_schedule_respects_precedence_and_sizes(instance):
 def test_ideal_edges_dominate_clustered_weights(instance):
     clustered, _, _ = instance
     ideal = ideal_schedule(clustered)
-    mask = clustered.prob_edge > 0
-    assert (ideal.i_edge[mask] >= clustered.clus_edge[mask]).all()
+    assert (ideal.i_edge >= clustered.cross_in_weights).all()
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +197,7 @@ def test_critical_edges_semantics(instance):
     non-critical edge by one unit never does (integer weights)."""
     clustered, _, _ = instance
     analysis = analyze_criticality(clustered)
+    critical = set(analysis.critical_problem_edges())
     base = analysis.ideal.total_time
     graph = clustered.graph
     labels = clustered.clustering.labels
@@ -191,7 +208,7 @@ def test_critical_edges_semantics(instance):
         new_bound = lower_bound(ClusteredGraph(regraph, clustered.clustering))
         if labels[e.src] == labels[e.dst]:
             assert new_bound == base  # intra edges have zero clustered weight
-        elif analysis.crit_mask[e.src, e.dst]:
+        elif (e.src, e.dst) in critical:
             assert new_bound > base
         else:
             assert new_bound == base
@@ -206,6 +223,89 @@ def test_critical_degree_is_row_sum(instance):
         analysis.critical_degree, analysis.c_abs_edge.sum(axis=1)
     )
     assert np.array_equal(analysis.c_abs_edge, analysis.c_abs_edge.T)
+
+
+# ----------------------------------------------------------------------
+# Per-edge arrays against the dense oracles
+# ----------------------------------------------------------------------
+
+
+def _assert_criticality_matches_oracle(clustered, system):
+    graph = clustered.graph
+    ideal = ideal_schedule(clustered)
+    for propagate in (True, False):
+        an = analyze_criticality(
+            clustered, ideal, propagate_through_intra=propagate
+        )
+        mask, c_abs, degree, on_path = oracle_criticality(
+            clustered, ideal, propagate
+        )
+        assert np.array_equal(an.crit_mask, on_edges(graph, mask))
+        assert an.critical_problem_edges() == sorted(
+            zip(*(a.tolist() for a in np.nonzero(mask)))
+        )
+        assert np.array_equal(an.c_abs_edge, c_abs)
+        assert np.array_equal(an.critical_degree, degree)
+        assert np.array_equal(an.on_critical_path, on_path)
+        matrices = collect_matrices(clustered, system, ideal=ideal, analysis=an)
+        assert np.array_equal(matrices.crit_edge, np.where(mask, clustered.clus_edge, 0))
+
+
+def _assert_schedule_matches_oracle(clustered, system, assignment, gen):
+    """The per-edge ``comm`` against the dense oracle, then the schedule
+    checks against the loop oracle on random perturbations of a valid
+    schedule and of both list schedules."""
+    graph = clustered.graph
+    schedule = evaluate_assignment(clustered, system, assignment)
+    dense = communication_matrix(clustered, system, assignment)
+    assert np.array_equal(schedule.comm, on_edges(graph, dense))
+    assert np.array_equal(collect_matrices(clustered, system, assignment).comm, dense)
+    verify_schedule(schedule)
+    candidates = [(schedule.start, schedule.end)]
+    for policy in ("fifo", "blevel"):
+        ls = list_schedule(clustered, system, assignment, policy)
+        candidates.append((ls.start, ls.end))
+    n = graph.num_tasks
+    for _ in range(12):
+        start, end = (a.copy() for a in candidates[int(gen.integers(len(candidates)))])
+        for t in gen.choice(n, size=int(gen.integers(1, 3)), replace=True).tolist():
+            shift = int(gen.choice([-2, -1, 1, 2]))
+            end[t] += shift
+            if gen.random() < 0.8:  # else the duration breaks too
+                start[t] += shift
+        candidates.append((start, end))
+    for start, end in candidates:
+        for asap in (True, False):
+            args = (clustered, system, assignment, start, end)
+            expected = violation(oracle_verify_times, *args, require_asap=asap)
+            assert violation(verify_times, *args, require_asap=asap) == expected
+
+
+@SETTINGS
+@given(clustered_instances())
+def test_criticality_matches_dense_oracle(instance):
+    clustered, system, _ = instance
+    _assert_criticality_matches_oracle(clustered, system)
+
+
+@SETTINGS
+@given(clustered_instances())
+def test_schedule_and_its_checks_match_dense_oracles(instance):
+    clustered, system, seed = instance
+    assignment = Assignment.random(system.num_nodes, rng=seed)
+    gen = np.random.default_rng(seed)
+    _assert_schedule_matches_oracle(clustered, system, assignment, gen)
+
+
+@pytest.mark.parametrize("family", sorted(TOPOLOGY_SPECS))
+def test_per_edge_layout_matches_dense_oracles_on_every_family(family):
+    system = build_topology(TOPOLOGY_SPECS[family], rng=0)
+    gen = np.random.default_rng(len(family))
+    for seed in range(2):
+        clustered, _ = random_instance(seed, num_tasks=48, system=system)
+        _assert_criticality_matches_oracle(clustered, system)
+        assignment = Assignment.random(system.num_nodes, rng=seed)
+        _assert_schedule_matches_oracle(clustered, system, assignment, gen)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.core import (
     ClusteredGraph,
     Clustering,
     TaskGraph,
-    communication_matrix,
+    communication_costs,
     evaluate_assignment,
     lower_bound,
     total_time,
@@ -16,6 +16,7 @@ from repro.core import (
 from repro.sim import simulate
 from repro.topology import SystemGraph
 from repro.utils import GraphError
+from tests.conftest import communication_matrix, on_edges
 
 
 def _triangle(weights=None):
@@ -78,9 +79,11 @@ class TestWeightedEvaluation:
 
     def test_comm_uses_weighted_distance(self, instance):
         clustered, system = instance
-        comm = communication_matrix(clustered, system, Assignment.identity(3))
-        assert comm[0, 1] == 3 * 2  # detour via node 2 costs 2
-        assert comm[1, 2] == 2 * 1
+        comm = communication_costs(clustered, system, Assignment.identity(3))
+        # One cost per edge, in in-edge order: (0, 1), then (1, 2).
+        assert comm.tolist() == [3 * 2, 2 * 1]  # 0 -> 1 detours via node 2
+        dense = communication_matrix(clustered, system, Assignment.identity(3))
+        assert np.array_equal(comm, on_edges(clustered.graph, dense))
 
     def test_lower_bound_still_holds(self, instance):
         clustered, system = instance
