@@ -69,6 +69,17 @@ class TestCommands:
         assert main(argv) == 0
         assert "lower bound:" in capsys.readouterr().out
 
+    def test_compare_above_the_dense_limit_succeeds(self, capsys):
+        # The compare path with the paper's mapper is dense-free too.
+        argv = [
+            "compare", "--tasks", "20001", "--topology", "hypercube",
+            "--size", "8", "--mappers", "critical",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Mapper comparison (lower bound =" in out
+        assert "critical" in out
+
     def test_map_bad_clusterer(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["map", "--clusterer", "magic"])
