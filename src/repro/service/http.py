@@ -29,6 +29,15 @@ Run it with ``mimdmap serve`` (see :mod:`repro.cli`) or embed it::
         server.serve_forever()
 
 Errors are JSON too: ``{"error": ...}`` with 400/404/405 status.
+
+The shard speaks HTTP/1.1, so a client such as the fleet gateway can
+keep a connection open across requests.  A response sent before the
+request body was read (an unknown ``POST`` path; an empty, oversized or
+unparseable body) closes the connection, so that the unread bytes are
+never taken for the next request.  Once ``server_close()`` has run, a
+kept-alive connection gets no answer at all: the handler hangs up, and
+the client retries on a new connection, which reaches whatever listens
+on the port by then (a restarted shard, or nothing).
 """
 
 from __future__ import annotations
@@ -51,11 +60,19 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`MappingService`."""
 
     daemon_threads = True
+    #: Set by :meth:`server_close`; a kept-alive handler thread outlives
+    #: it (``socketserver`` closes only the listening socket) and must
+    #: then answer nothing.
+    closed = False
 
     def __init__(self, address, service: MappingService, *, quiet: bool = True):
         self.service = service
         self.quiet = quiet
         super().__init__(address, _Handler)
+
+    def server_close(self) -> None:
+        self.closed = True
+        super().server_close()
 
 
 class JsonHandler(BaseHTTPRequestHandler):
@@ -81,8 +98,12 @@ class JsonHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._send(status, {"error": message})
+    def _error(self, status: int, message: str, *, close: bool = False) -> None:
+        """An error payload; ``close`` ends a kept-alive connection with
+        it (``Connection: close``), as a response must when it leaves
+        the request body unread."""
+        headers = {"Connection": "close"} if close else None
+        self._send(status, {"error": message}, headers=headers)
 
     def _read_json(self) -> tuple[bytes, Any]:
         """The raw request body and its parsed JSON (``ValueError`` on an
@@ -102,6 +123,18 @@ class JsonHandler(BaseHTTPRequestHandler):
 
 class _Handler(JsonHandler):
     server: ServiceHTTPServer
+
+    protocol_version = "HTTP/1.1"
+    # The headers and the body go out in two writes; with Nagle's
+    # algorithm on, a kept-alive connection holds the body back until
+    # the client's delayed ACK, about 40 ms later.
+    disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        if self.server.closed:  # close without an answer
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     # -- routes ---------------------------------------------------------
 
@@ -157,12 +190,12 @@ class _Handler(JsonHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if urlsplit(self.path).path.rstrip("/") != "/jobs":
-            self._error(404, f"no route for POST {self.path!r}")
+            self._error(404, f"no route for POST {self.path!r}", close=True)
             return
         try:
             _, body = self._read_json()
         except (ValueError, json.JSONDecodeError) as exc:
-            self._error(400, f"invalid JSON body: {exc}")
+            self._error(400, f"invalid JSON body: {exc}", close=True)
             return
         try:
             job = _submit_from_body(self.server.service, body)

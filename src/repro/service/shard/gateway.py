@@ -1,8 +1,9 @@
 """Fingerprint-routing HTTP gateway over a fleet of mapping shards.
 
 The gateway is deliberately thin: it holds **no pool, no cache, and no
-store**.  Its only state is the ordered shard address list, from which
-every routing decision follows deterministically:
+store**.  Its routing state is the ordered shard address list, from which
+every routing decision follows deterministically; besides that it keeps
+idle HTTP/1.1 connections to its shards, reused by later requests:
 
 * ``POST /jobs`` — validate the body exactly the way a shard would
   (:func:`repro.service.http.parse_job_body`), compute the scenario
@@ -24,7 +25,11 @@ every routing decision follows deterministically:
 A dead shard is retried ``retries`` times (with ``retry_delay`` between
 attempts) before the gateway surfaces ``502`` — transient restarts are
 bridged, hard failures are reported, and the rest of the keyspace keeps
-serving either way.
+serving either way.  A kept-alive connection the shard dropped while it
+sat idle (a restart, a closed server) is replaced at once by a fresh
+one; that retry is free.  Each shard's entry in ``GET /health`` and
+``GET /stats`` carries the gateway's ``upstream`` counters for it (see
+:meth:`GatewayHTTPServer.upstream`).
 
 Run it with ``mimdmap gateway --shards host:port,host:port,...`` or
 embed it via :func:`make_gateway`.
@@ -32,11 +37,11 @@ embed it via :func:`make_gateway`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import threading
 import time
-import urllib.error
-import urllib.request
 from http.server import ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlsplit
@@ -49,6 +54,9 @@ from .keyspace import KeyspaceSlice, shard_for_fingerprint
 __all__ = ["GatewayHTTPServer", "ShardUnreachableError", "make_gateway"]
 
 _GATEWAY_ID = re.compile(r"s(\d+)\.(.+)")
+
+#: How a reused connection fails when the shard dropped it while idle.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class ShardUnreachableError(MappingError):
@@ -100,6 +108,12 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         self.retry_delay = retry_delay
         self.proxy_timeout = proxy_timeout
         self.quiet = quiet
+        self._lock = threading.Lock()
+        self._idle: list[list[http.client.HTTPConnection]] = [[] for _ in self.shards]
+        self._upstream = [
+            dict.fromkeys(("connections", "forwards", "retries", "unreachable"), 0)
+            for _ in self.shards
+        ]
         super().__init__(address, _GatewayHandler)
 
     def forward(
@@ -107,40 +121,79 @@ class GatewayHTTPServer(ThreadingHTTPServer):
     ) -> tuple[int, Any, dict[str, str]]:
         """Proxy one request to shard ``index``; retry on a dead shard.
 
-        Returns ``(status, json payload, response headers)``.  An HTTP
-        error status from a *live* shard is a valid answer and passes
-        through; only connection-level failures are retried, and
-        exhaustion raises :class:`ShardUnreachableError`.
+        Returns ``(status, json payload, response headers)``.  Any HTTP
+        status from a *live* shard is a valid answer and passes through
+        (a body that is not JSON becomes an ``{"error": ...}`` payload).
+        The request goes over an idle kept-alive connection when the
+        shard has one.  If the shard dropped that connection meanwhile,
+        a fresh one is tried at once without counting an attempt; every
+        other connection-level failure counts an attempt and sleeps
+        ``retry_delay``, and exhaustion raises
+        :class:`ShardUnreachableError`.
         """
-        url = f"http://{self.shards[index]}{path}"
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            request = urllib.request.Request(url, data=data, method=method)
-            if data is not None:
-                request.add_header("Content-Type", "application/json")
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        idle, counts = self._idle[index], self._upstream[index]
+        with self._lock:
+            counts["forwards"] += 1
+            conn = idle.pop() if idle else None
+        attempt = 0
+        while True:
+            reused = conn is not None
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self.shards[index], timeout=self.proxy_timeout
+                )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.proxy_timeout
-                ) as response:
-                    return (
-                        response.status,
-                        json.loads(response.read()),
-                        dict(response.headers),
-                    )
-            except urllib.error.HTTPError as exc:
-                try:
-                    payload = json.loads(exc.read())
-                except ValueError:
-                    payload = {"error": f"shard {index} returned HTTP {exc.code}"}
-                return exc.code, payload, dict(exc.headers or {})
-            except OSError as exc:  # URLError, ConnectionError, timeouts
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(self.retry_delay)
-        raise ShardUnreachableError(
-            f"shard {index} ({self.shards[index]}) unreachable after "
-            f"{self.retries + 1} attempt(s): {last_error}"
-        )
+                if not reused:
+                    conn.connect()
+                    with self._lock:
+                        counts["connections"] += 1
+                conn.request(method, path, body=data, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                conn = None
+                if reused and isinstance(exc, _STALE):
+                    continue
+                if attempt == self.retries:
+                    with self._lock:
+                        counts["unreachable"] += 1
+                    raise ShardUnreachableError(
+                        f"shard {index} ({self.shards[index]}) unreachable after "
+                        f"{self.retries + 1} attempt(s): {exc}"
+                    ) from None
+                attempt += 1
+                with self._lock:
+                    counts["retries"] += 1
+                time.sleep(self.retry_delay)
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                idle.append(conn)
+        try:
+            payload = json.loads(raw)
+        except ValueError:
+            payload = {"error": f"shard {index} returned HTTP {response.status}"}
+        return response.status, payload, dict(response.headers)
+
+    def upstream(self, index: int) -> dict[str, int]:
+        """Shard ``index``'s counters: ``connections`` opened, ``forwards``
+        (calls of :meth:`forward`), ``retries`` (attempts that slept
+        ``retry_delay``) and ``unreachable`` (each
+        :class:`ShardUnreachableError` raised)."""
+        with self._lock:
+            return dict(self._upstream[index])
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            for conns in self._idle:
+                for conn in conns:
+                    conn.close()
+                conns.clear()
 
 
 class _GatewayHandler(JsonHandler):
@@ -259,9 +312,10 @@ class _GatewayHandler(JsonHandler):
     def _fleet_snapshot(self, name: str, up: str) -> dict[str, Any]:
         """Fan ``GET /<name>`` out to every shard and aggregate.
 
-        Each per-shard entry carries the shard's body under ``name`` and
-        whether it answered 200 under ``up``; the fleet body counts those
-        shards as ``<up>_shards`` and sums their totals.
+        Each per-shard entry carries the shard's body under ``name``,
+        whether it answered 200 under ``up``, and the gateway's
+        ``upstream`` counters for it; the fleet body counts the shards
+        that answered as ``<up>_shards`` and sums their totals.
         """
         shards: list[dict[str, Any]] = []
         answered = 0
@@ -295,6 +349,7 @@ class _GatewayHandler(JsonHandler):
                     totals["queue_active"] += queue.get("active", 0)
                     store = payload.get("store") or {}
                     totals["store_records"] += store.get("records", 0)
+            entry["upstream"] = self.server.upstream(index)
             shards.append(entry)
         return {
             "role": "gateway",

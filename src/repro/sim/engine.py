@@ -82,7 +82,34 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    Attributes
+    ----------
+    start, end:
+        Per-task start and finish times (read-only arrays).
+    makespan:
+        The latest finish time.
+    trace:
+        The task, transfer and stall records.
+    max_link_utilization:
+        The largest directed-link busy time (the sum of its hop times)
+        over the makespan.
+    fifo_stall_time:
+        Total time messages waited at their sender for a slot in a full
+        link FIFO; 0 unless ``fifo_depth`` is set.
+    max_queue_depth:
+        The most messages holding one directed link's slots (queued or
+        transmitting) when a message arrived at it.
+
+    Without ``link_contention`` no message waits for a link, but every
+    hop is still booked on its link as if the link carried one message
+    at a time (the grant only keeps the link statistics).  So
+    ``max_queue_depth`` counts a virtual queue that no message waits
+    in, and ``max_link_utilization`` can exceed 1: they are 98 and 4.10
+    on the golden 300-task ``hypercube:3`` pin under ``SimConfig()``,
+    where every hop starts at once.
+    """
 
     config: SimConfig
     start: np.ndarray

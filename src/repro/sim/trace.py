@@ -172,8 +172,14 @@ class LoadedSimTrace:
 def trace_records(result: "SimResult") -> list[dict[str, Any]]:
     """The canonical JSONL records of ``result``: header, then trace rows.
 
-    Rows are emitted in trace order (completion order), one object per
-    task/transfer/stall record, each tagged with a ``"record"`` kind.
+    The header carries the result's summary fields.  Its
+    ``max_queue_depth`` counts a virtual queue that no message waits in
+    when the run had no link contention (98 on the golden 300-task
+    ``hypercube:3`` pin under ``SimConfig()``), and its
+    ``fifo_stall_time`` is 0 unless the links had FIFOs; see
+    :class:`~repro.sim.engine.SimResult`.  Rows are emitted in trace
+    order (completion order), one object per task/transfer/stall record,
+    each tagged with a ``"record"`` kind.
     """
     records: list[dict[str, Any]] = [
         {

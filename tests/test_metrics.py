@@ -79,6 +79,25 @@ class TestMetrics:
         assert "makespan          : 10" in text
         assert "speedup" in text
 
+    def test_format_notes_shares_over_100_percent(self, diamond_clustered):
+        """The paper's model overlaps the tasks on a processor, so busy
+        time can exceed the makespan; the report says so."""
+        g = TaskGraph([4, 4])
+        cg = ClusteredGraph(g, Clustering([0, 0]))
+        system = SystemGraph(np.zeros((1, 1), dtype=int))
+        over = compute_metrics(evaluate_assignment(cg, system, Assignment.identity(1)))
+        lines = format_metrics(over).splitlines()
+        note = " (over 100%: tasks on a processor overlap)"
+        assert f"efficiency        : 200.00%{note}" in lines
+        assert f"avg utilization   : 200.00%{note}" in lines
+
+        under = compute_metrics(
+            evaluate_assignment(diamond_clustered, complete(4), Assignment.identity(4))
+        )
+        lines = format_metrics(under).splitlines()
+        assert "efficiency        : 20.00%" in lines
+        assert "avg utilization   : 20.00%" in lines
+
     def test_format_appends_extra_metric_lines(self, diamond_clustered):
         """Regression: requested registry metrics used to be dropped from
         the report; they must appear as aligned lines after the built-ins."""

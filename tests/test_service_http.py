@@ -1,6 +1,8 @@
 """End-to-end tests for the stdlib HTTP front-end (repro.service.http)."""
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -280,3 +282,48 @@ class TestValidation:
     def test_post_to_wrong_path_404(self, server):
         status, payload = request(server, "/registries/mappers", body={})
         assert status == 404
+
+
+class TestKeepAlive:
+    # A request smuggled in as the body: answering it would mean the
+    # unread body was parsed as the next request.
+    SMUGGLED = b"GET /health HTTP/1.1\r\nHost: shard\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            f"POST /nope HTTP/1.1\r\nContent-Length: {len(SMUGGLED)}\r\n",
+            "POST /jobs HTTP/1.1\r\nContent-Length: 999999999\r\n",
+            "POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+        ],
+        ids=["unknown-path", "oversized", "chunked"],
+    )
+    def test_answer_before_the_body_closes_the_connection(self, server, head):
+        request = f"{head}Host: shard\r\n\r\n".encode() + self.SMUGGLED
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):  # until the shard closes
+                received += chunk
+        status_line, _, rest = received.partition(b"\r\n")
+        assert status_line in (b"HTTP/1.1 400 Bad Request", b"HTTP/1.1 404 Not Found")
+        assert b"Connection: close" in rest.partition(b"\r\n\r\n")[0].split(b"\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1
+
+    def test_kept_alive_answers_are_not_held_back(self, server):
+        """Twenty round trips on one connection take a few ms each; with
+        Nagle's algorithm on the shard's socket each would wait about
+        40 ms for the client's delayed ACK before the body went out."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200 and not response.will_close
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.5, elapsed

@@ -6,6 +6,7 @@ two-shard fleet, backpressure (429 + Retry-After), keyspace enforcement
 and restarted shard re-serves its cached fingerprints bit-identically.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -409,6 +410,123 @@ class TestFleet:
             make_gateway(["localhost"])
         with pytest.raises(MappingError, match="host:port"):
             make_gateway(["host:not-a-port"])
+
+
+class TestShardConnections:
+    """The gateway forwards over kept-alive HTTP/1.1 shard connections."""
+
+    @staticmethod
+    def count_accepts(server):
+        """Record every connection ``server`` accepts from now on."""
+        accepted = []
+        get_request = server.get_request
+
+        def counting():
+            request = get_request()
+            accepted.append(request[1])
+            return request
+
+        server.get_request = counting
+        return accepted
+
+    def test_sequential_posts_reuse_one_connection_per_shard(self, fleet):
+        accepts = [self.count_accepts(server) for server in fleet.servers]
+        seeds = [seeds_for_shard(index, 2, want=1)[0] for index in range(2)]
+        for seed in seeds:
+            _, payload, _ = http_post(f"{fleet.gateway_url}/jobs", scenario_body(seed))
+            wait_done(fleet.gateway_url, payload["id"])
+        _, before, _ = http_get(f"{fleet.gateway_url}/stats")
+        for turn in range(20):
+            status, payload, _ = http_post(
+                f"{fleet.gateway_url}/jobs", scenario_body(seeds[turn % 2])
+            )
+            assert status == 200 and payload["cached"], payload
+        _, after, _ = http_get(f"{fleet.gateway_url}/stats")
+        assert [len(accepted) for accepted in accepts] == [1, 1]
+        for old, new in zip(before["shards"], after["shards"]):
+            upstream = new["upstream"]
+            assert upstream["connections"] == 1
+            assert upstream["retries"] == upstream["unreachable"] == 0
+            # Ten cached POSTs and the second /stats itself.
+            assert upstream["forwards"] - old["upstream"]["forwards"] == 11
+
+    def test_concurrent_forwards_never_share_a_connection(self, fleet):
+        seeds = [seeds_for_shard(index, 2, want=1)[0] for index in range(2)]
+        for seed in seeds:
+            _, payload, _ = http_post(f"{fleet.gateway_url}/jobs", scenario_body(seed))
+            wait_done(fleet.gateway_url, payload["id"])
+        before = [fleet.gateway.upstream(index)["forwards"] for index in range(2)]
+        clients, rounds = 8, 10
+        answers = []
+
+        def client(k):
+            for turn in range(rounds):
+                status, payload, _ = http_post(
+                    f"{fleet.gateway_url}/jobs", scenario_body(seeds[(k + turn) % 2])
+                )
+                answers.append((status, payload.get("cached")))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [(200, True)] * (clients * rounds)
+        for index in range(2):
+            upstream = fleet.gateway.upstream(index)
+            assert upstream["forwards"] - before[index] == clients * rounds // 2
+            assert upstream["retries"] == upstream["unreachable"] == 0
+            assert 1 <= upstream["connections"] <= clients
+
+    def test_dropped_connection_is_replaced_without_a_retry_delay(self, fleet):
+        addresses = [f"127.0.0.1:{s.server_address[1]}" for s in fleet.servers]
+        gateway = make_gateway(addresses, retries=1, retry_delay=30)
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{gateway.server_address[1]}"
+        try:
+            seed = seeds_for_shard(1, 2, want=1)[0]
+            _, payload, _ = http_post(f"{url}/jobs", scenario_body(seed))
+            wait_done(url, payload["id"])
+            port = fleet.stop_shard(1)
+            fleet.start_shard(1, port=port)
+
+            started = time.monotonic()
+            status, payload, _ = http_post(f"{url}/jobs", scenario_body(seed))
+            elapsed = time.monotonic() - started
+            assert status == 200 and payload["cached"], payload
+            assert elapsed < 5.0, elapsed  # a counted retry sleeps 30 s
+            upstream = gateway.upstream(1)
+            assert upstream["connections"] == 2
+            assert upstream["retries"] == upstream["unreachable"] == 0
+        finally:
+            gateway.shutdown()
+            gateway.server_close()
+
+    def test_closed_shard_answers_nothing_on_a_kept_alive_connection(self, fleet):
+        host, port = fleet.servers[0].server_address[:2]
+        service = fleet.services[0]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            fleet.stop_shard(0)
+
+            seed = seeds_for_shard(0, 2, want=1)[0]
+            body = json.dumps(scenario_body(seed))
+            with pytest.raises(http.client.RemoteDisconnected):
+                conn.request("POST", "/jobs", body=body)
+                conn.getresponse()
+        finally:
+            conn.close()
+        assert service.jobs() == []
 
 
 class TestGracefulDrain:
