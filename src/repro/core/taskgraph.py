@@ -28,7 +28,7 @@ computed only when read.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,13 @@ class SchedulePlan:
     to its position in the graph's in-CSR arrays: any per-edge quantity
     stored in in-CSR order (e.g. clustered cross weights) is aligned to the
     plan by ``quantity[eperm]``.
+
+    ``steps`` is derived once, when the plan is built: one
+    ``(tasks, edges, offs)`` per level that has in-edges, namely the
+    level's tasks that have in-edges, the slice of their in-edge slots
+    and each task's ``reduceat`` offset into that slice.  Levels without
+    in-edges have no step, and tasks without in-edges are left out of
+    their level's step.  Its arrays are read-only.
     """
 
     order: np.ndarray      # tasks grouped by depth, ascending within a level
@@ -74,6 +81,30 @@ class SchedulePlan:
     src: np.ndarray        # plan-ordered in-edge sources
     dst: np.ndarray        # plan-ordered in-edge destinations
     eperm: np.ndarray      # plan slot -> index into the in-CSR edge arrays
+    steps: tuple[tuple[np.ndarray, slice, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        tb, eb = self.level_ptr.tolist(), self.eptr[self.level_ptr].tolist()
+        has_in = self.eptr[1:] > self.eptr[:-1]
+        # Each task's first in-edge slot, relative to its level's first.
+        rel = self.eptr[:-1] - np.repeat(eb[:-1], np.diff(self.level_ptr))
+        # The steps are read-only, whatever the flags of the fields.
+        order = self.order.view()
+        order.flags.writeable = rel.flags.writeable = False
+        steps = []
+        for t0, t1, e0, e1 in zip(tb, tb[1:], eb, eb[1:]):
+            if e1 == e0:
+                continue
+            tasks, offs, keep = order[t0:t1], rel[t0:t1], has_in[t0:t1]
+            if not keep.all():
+                # A dropped task contributes no edges, so the remaining
+                # offsets still delimit the right slices.
+                tasks, offs = tasks[keep], offs[keep]
+                tasks.flags.writeable = offs.flags.writeable = False
+            steps.append((tasks, slice(e0, e1), offs))
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def num_levels(self) -> int:
@@ -105,37 +136,23 @@ def sweep_finish_times(
     the bottom levels all run it.  All arithmetic stays in int64 and max
     over an empty predecessor set is 0.
 
-    A ``(k, E)`` batch of edge costs gives the ``(k, n)`` end times of
-    every row, each row by the same recurrence; the rows ride along as a
-    trailing lane axis, so a level is still one gather plus one
-    segmented max.  A batch laid out column-major (``cost.T`` of a
-    C-ordered ``(E, k)`` array) is swept without a transposing copy, and
-    the result is then a view.
+    ``end`` starts as the task sizes, and each of ``plan.steps`` adds to
+    its tasks the segmented max of their arrivals: one gather, one add
+    and one ``reduceat`` per level with in-edges, and nothing per level
+    that the plan alone determines.  A ``(k, E)`` batch of edge costs
+    gives the ``(k, n)`` end times of every row, each row by the same
+    recurrence; the rows ride along as a trailing lane axis of the same
+    steps.  A batch laid out column-major (``cost.T`` of a C-ordered
+    ``(E, k)`` array) is swept without a transposing copy, and the
+    result is then a view.
     """
+    end = np.array(sizes, dtype=np.int64)
     batch = edge_cost.ndim == 2
     if batch:
-        edge_cost, sizes = np.ascontiguousarray(edge_cost.T), sizes[:, None]
-    lanes = edge_cost.shape[1:]
-    end = np.zeros((sizes.shape[0], *lanes), dtype=np.int64)
-    order, level_ptr, eptr = plan.order, plan.level_ptr, plan.eptr
-    for level in range(level_ptr.size - 1):
-        t0, t1 = int(level_ptr[level]), int(level_ptr[level + 1])
-        tasks = order[t0:t1]
-        e0, e1 = int(eptr[t0]), int(eptr[t1])
-        start = np.zeros((t1 - t0, *lanes), dtype=np.int64)
-        if e1 > e0:
-            arrive = end[plan.src[e0:e1]] + edge_cost[e0:e1]
-            offs = eptr[t0:t1] - e0
-            deg = np.diff(eptr[t0 : t1 + 1])
-            nz = deg > 0
-            if nz.all():
-                start = np.maximum.reduceat(arrive, offs)
-            elif nz.any():
-                # reduceat over only the non-empty segments; a dropped
-                # empty segment contributes no edges, so the remaining
-                # boundaries still delimit the right slices.
-                start[nz] = np.maximum.reduceat(arrive, offs[nz])
-        end[tasks] = start + sizes[tasks]
+        edge_cost = np.ascontiguousarray(edge_cost.T)
+        end = np.repeat(end[:, None], edge_cost.shape[1], axis=1)
+    for tasks, edges, offs in plan.steps:
+        end[tasks] += np.maximum.reduceat(end[plan.src[edges]] + edge_cost[edges], offs)
     return end.T if batch else end
 
 

@@ -331,6 +331,11 @@ class TestBatchSweep:
             for lo, hi in zip(plan.level_ptr[:-1], plan.level_ptr[1:])
         ]
         assert any(mixed[1:]), "the late plan must mix entry and inner tasks"
+        # Its steps keep only the tasks with in-edges, read-only.
+        kept = np.concatenate([tasks for tasks, _, _ in plan.steps])
+        assert sorted(kept.tolist()) == sorted(plan.order[has_in].tolist())
+        for tasks, _, offs in plan.steps:
+            assert not tasks.flags.writeable and not offs.flags.writeable
         weights = clustered.cross_in_weights[plan.eperm]
         assignments = [Assignment.random(8, rng=seed + s) for s in range(5)]
         costs = _plan_costs(

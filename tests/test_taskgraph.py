@@ -6,7 +6,9 @@ import pytest
 from repro.api import build_topology, build_workload, get_mapper
 from repro.clustering import RandomClusterer
 from repro.core import ClusteredGraph, Edge, TaskGraph
+from repro.core.taskgraph import sweep_finish_times
 from repro.utils import GraphError
+from tests.conftest import scalar_schedule
 
 
 @pytest.fixture
@@ -154,6 +156,57 @@ class TestAcyclicityThroughThePlan:
     def test_low_to_high_ids_build_no_plan(self, no_stack_kahn):
         g = TaskGraph([1] * 4, [(0, 2, 1), (1, 2, 1), (2, 3, 1)])
         assert g._plan is None
+
+
+def _plan_shape(name: str) -> TaskGraph:
+    """A graph whose plan the sweep's steps special-case."""
+    if name == "no_edges":
+        return TaskGraph([5, 9, 3])
+    if name == "single_task":
+        return TaskGraph([7])
+    # A chain numbered backwards, so that its plan is not the identity.
+    rng = np.random.default_rng(3)
+    sizes, weights = rng.integers(1, 9, 12), rng.integers(1, 9, 11).tolist()
+    return TaskGraph(sizes, [(i + 1, i, w) for i, w in enumerate(weights)])
+
+
+class TestSweepSteps:
+    """The plan's per-level steps on the shapes they special-case: a
+    level without in-edges has no step, and a chain has one task per
+    level.  One row and a batch against the scalar recurrence."""
+
+    @pytest.mark.parametrize(
+        "name, levels", [("no_edges", 1), ("single_task", 1), ("chain", 12)]
+    )
+    def test_steps_and_sweeps(self, name, levels):
+        graph = _plan_shape(name)
+        plan, sizes, n = graph.schedule_plan(), graph.task_sizes, graph.num_tasks
+        assert plan.num_levels == levels and len(plan.steps) == levels - 1
+        for tasks, edges, offs in plan.steps:
+            assert tasks.size == offs.size == 1 and edges.stop - edges.start == 1
+            assert not tasks.flags.writeable and not offs.flags.writeable
+        src, dst, _ = graph.in_edge_arrays()
+        costs = np.random.default_rng(0).integers(0, 20, (4, src.size))
+        ends = sweep_finish_times(plan, sizes, costs[:, plan.eperm])
+        assert ends.shape == (4, n)
+        for row, cost in enumerate(costs):
+            dense = np.zeros((n, n), dtype=np.int64)
+            dense[src, dst] = cost
+            _, end = scalar_schedule(graph, dense)
+            assert np.array_equal(ends[row], end)
+            one_row = sweep_finish_times(plan, sizes, cost[plan.eperm])
+            assert np.array_equal(one_row, end)
+
+    @pytest.mark.parametrize("name", ["no_edges", "single_task", "chain"])
+    def test_bottom_levels_over_the_reversed_plan(self, name):
+        """Bottom levels are the finish times of the reversed DAG."""
+        graph = _plan_shape(name)
+        src, dst, weights = graph.edge_arrays()
+        reverse = TaskGraph(
+            graph.task_sizes, list(zip(dst.tolist(), src.tolist(), weights.tolist()))
+        )
+        _, end = scalar_schedule(reverse, reverse.prob_edge)
+        assert np.array_equal(graph.bottom_levels(weights), end)
 
 
 class TestOneTraversal:
