@@ -29,6 +29,12 @@ the ``analyze_embedding`` report.  The grid generators' ``sys_edge`` is
 pinned over every 2-D size up to 5 x 5 and every 3-D size up to 3 x 3 x 3,
 with the chain, ring and hypercube they also build.
 
+The multilevel refinement is pinned on larger instances too: placement
+digest, ``refine_probes``, ``refine_swaps`` and ``comm_volume`` on
+``mesh2d:5x7``, a seeded ``random:64``, ``torus2d:8x8``, a weighted
+``hypercube:6`` and two block-clustered wavefronts, whose level graphs
+are sparse.
+
 So is the stack-ordered ``topological_order``, with the ``linear``
 clustering that follows its visit order and the ``dsc`` clustering that
 follows the bottom levels, on graphs whose ids are in topological order
@@ -50,7 +56,12 @@ import pytest
 
 from repro.analysis import compute_metrics
 from repro.api import build_topology, build_workload, get_mapper
-from repro.clustering import DscClusterer, LinearClusterer, RandomClusterer
+from repro.clustering import (
+    BlockClusterer,
+    DscClusterer,
+    LinearClusterer,
+    RandomClusterer,
+)
 from repro.core import (
     AbstractGraph,
     Assignment,
@@ -563,7 +574,69 @@ def test_route_metrics_are_pinned(key):
     assert got == ROUTE_METRICS[key]
 
 
-SIZES_2D = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+#: (machine key, workload) -> (placement SHA-256, refine_probes,
+#: refine_swaps, comm_volume) of a seed-0 ``multilevel`` map.  The
+#: machines cover irregular degrees (``mesh2d``, a seeded ``random``), a
+#: weighted machine (the ``+w`` keys of :func:`_routing_system`) and
+#: levels that commit 100-230 swaps; the block-clustered wavefronts give
+#: sparse level graphs.
+MULTILEVEL_PINS = {
+    ("mesh2d:5x7", "layered"): (
+        "b6ac05edb4ca99cc0ed33b88cd2716864ae3e6b23fb512984b02c8a7cf3cef30",
+        13636, 73, 144920,
+    ),
+    ("random:64", "layered"): (
+        "5bd5b20e2bfc6e510b965951dd6f4e601beb74e0066a04506e3fd86140e937f8",
+        159376, 151, 72666,
+    ),
+    ("torus2d:8x8", "layered"): (
+        "9e02a7319f618df69aaf73930abf9c499d1b0dd4a929261a6926d363b696f54a",
+        59271, 120, 149199,
+    ),
+    ("hypercube:6+w2", "layered"): (
+        "caaef3f42c43a1ceeb2e2a51c6f59ca7b3a86cfeb6dcb4f5e14ef9d55fccc446",
+        106604, 106, 314927,
+    ),
+    ("torus2d:8x8", "wavefront"): (
+        "6464aeff7faeef2f1a92700572ad9d17e02d6dafe2e781fc091f2dd4a708ddf8",
+        2499, 23, 2219,
+    ),
+    ("hypercube:8", "wavefront"): (
+        "6601b4a8214ef2dab40403860874b57b3faa140a0dfaf711efac27e1fcf98ed5",
+        61082, 232, 5510,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(MULTILEVEL_PINS), ids="/".join)
+def test_multilevel_refinement_is_pinned(key):
+    """A 3k-task ``layered_random`` graph under the random clusterer, or
+    a square ``wavefront`` (40 x 40 on 64 processors, 60 x 60 on 256)
+    under the block clusterer."""
+    spec, workload = key
+    system = _routing_system(spec)
+    n = system.num_nodes
+    if workload == "layered":
+        graph = build_workload("layered_random", {"num_tasks": 3000}, rng=0)
+        clustering = RandomClusterer(n).cluster(graph, rng=0)
+    else:
+        side = 40 if n == 64 else 60
+        graph = build_workload("wavefront", {"rows": side, "cols": side})
+        clustering = BlockClusterer(n).cluster(graph, rng=0)
+    outcome = get_mapper("multilevel").map(
+        ClusteredGraph(graph, clustering), system, rng=0
+    )
+    extras = outcome.extras
+    got = (
+        _digest(outcome.assignment.placement),
+        int(extras["refine_probes"]),
+        int(extras["refine_swaps"]),
+        int(extras["comm_volume"]),
+    )
+    assert got == MULTILEVEL_PINS[key]
+
+
+SIZES_2D =[(r, c) for r in range(1, 6) for c in range(1, 6)]
 SIZES_3D = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
 
 #: generator -> (sizes, smallest size per axis, name prefix, SHA-256 of
