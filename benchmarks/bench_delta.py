@@ -27,9 +27,16 @@ Two modes:
   that ``apply_swap`` pushes and ``revert`` pops), and the evaluator's
   end times against the independent validator
   :func:`repro.core.validate.verify_times` (:meth:`DeltaEvaluator.verify`)
-  after every step.  Exits 1 on any mismatch.  ``--json-out FILE``
-  writes the report that ``benchmarks/check_budgets.py`` compares
-  against ``benchmarks/budgets.json``.
+  after every step.  The smoke also walks
+  :class:`repro.core.CommVolumeDelta` on 64 processors (hop distances,
+  weighted distances and Bokhari's 0/1 adjacency): batches of
+  ``delta_swaps`` over every processor or a random subset, between
+  which ``swap`` commits run across several fold periods of the gain
+  table; every scored entry is checked against the scalar
+  ``delta_swap`` and the volume against a recount after every commit.
+  Exits 1 on any mismatch.  ``--json-out FILE`` writes the report that
+  ``benchmarks/check_budgets.py`` compares against
+  ``benchmarks/budgets.json``.
 
 Run from the repo root::
 
@@ -50,8 +57,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.clustering import RandomClusterer
-from repro.core import Assignment, ClusteredGraph, DeltaEvaluator, total_time
-from repro.topology import hypercube, mesh2d, ring, torus2d
+from repro.core import (
+    AbstractGraph,
+    Assignment,
+    ClusteredGraph,
+    CommVolumeDelta,
+    DeltaEvaluator,
+    total_time,
+)
+from repro.topology import SystemGraph, hypercube, mesh2d, ring, torus2d
 from repro.workloads import layered_random_dag
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_delta.txt"
@@ -163,6 +177,58 @@ def walk(ev: DeltaEvaluator, clustered, system, gen, steps: int) -> str | None:
     return None
 
 
+def volume_walk(ev: CommVolumeDelta, weights, metric, gen, commits: int) -> str | None:
+    """Batches of ``delta_swaps`` (every processor, or a random subset)
+    with 0-5 ``swap`` commits after each, until ``commits`` are made;
+    the first mismatch with ``delta_swap`` or a recount, or None."""
+    n = metric.shape[0]
+    upper = np.triu(weights, 1)
+    made = 0
+    while made < commits:
+        cluster = int(gen.integers(n))
+        procs = np.arange(n)
+        if gen.integers(2):
+            procs = gen.choice(n, int(gen.integers(1, n)))
+        got = ev.delta_swaps(cluster, procs).tolist()
+        for q, delta in zip(procs.tolist(), got):
+            want = ev.delta_swap(cluster, int(ev.occupant_view[q]))
+            if delta != want:
+                return (
+                    f"commit {made}: delta_swaps({cluster}) at {q} gave {delta}, "
+                    f"delta_swap says {want}"
+                )
+        for _ in range(int(gen.integers(6))):
+            a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+            volume = ev.swap(a, b)
+            p = ev.placement_view
+            want = int((upper * metric[np.ix_(p, p)]).sum())
+            if volume != want:
+                return (
+                    f"commit {made}: swap({a}, {b}) gave volume {volume}, "
+                    f"a recount says {want}"
+                )
+            made += 1
+    return None
+
+
+def volume_cases(seed: int):
+    """``(name, weights, system, metric)`` for the CommVolumeDelta walks."""
+    weighted = SystemGraph(
+        torus2d(8, 8).sys_edge,
+        name="torus-8x8-w",
+        link_weights=np.random.default_rng(seed).integers(1, 6, size=(64, 64)),
+    )
+    cube = hypercube(6)
+    abstract = AbstractGraph(build_instance(4 * 64, cube, seed)[0])
+    for name, system, metric in (
+        ("volume hypercube-64", cube, None),
+        ("volume torus-8x8 weighted", weighted, None),
+        ("cardinality hypercube-64", cube, cube.sys_edge),
+    ):
+        weights = abstract.abs_edge if metric is not None else abstract.weights
+        yield name, weights, system, metric
+
+
 def smoke(seed: int, json_out: str | None = None) -> int:
     """Cross-check every operation against the oracle; returns the exit code."""
     started = time.perf_counter()
@@ -183,6 +249,18 @@ def smoke(seed: int, json_out: str | None = None) -> int:
         else:
             print(f"FAIL {name}: {error}")
             failures += 1
+    commits = 40
+    for name, weights, system, metric in volume_cases(seed):
+        start = Assignment.random(system.num_nodes, rng=seed)
+        ev = CommVolumeDelta(weights, system, start, metric=metric)
+        pairs = system.shortest if metric is None else metric
+        error = volume_walk(ev, weights, pairs, np.random.default_rng(seed), commits)
+        cases.append((name, system))
+        if error is None:
+            print(f"ok   {name}: every score over {commits} commits matches the oracle")
+        else:
+            print(f"FAIL {name}: {error}")
+            failures += 1
     if json_out is not None:
         report = {
             "bench": "delta",
@@ -190,7 +268,7 @@ def smoke(seed: int, json_out: str | None = None) -> int:
             "seed": seed,
             "elapsed_seconds": time.perf_counter() - started,
             "cases": [name for name, _ in cases],
-            "operations": list(OPS),
+            "operations": [*OPS, "delta_swaps", "volume_swap"],
             "failures": failures,
         }
         Path(json_out).write_text(json.dumps(report, indent=2) + "\n")

@@ -387,21 +387,32 @@ class CommVolumeDelta:
                 raise MappingError(
                     f"pair metric matrix must be integer, got dtype {mat.dtype}"
                 )
-            self._dist = np.ascontiguousarray(mat)
+            self._dist = np.ascontiguousarray(mat, dtype=np.int64)
         # One nonzero pass split into per-row views (nonzero is row-major,
         # ascending per row).
         srcs, dsts = np.nonzero(weights)
         bounds = np.cumsum(np.bincount(srcs, minlength=na))[:-1]
         self._nbrs = np.split(dsts, bounds)
         self._nbr_w = np.split(weights[srcs, dsts], bounds)
-        self._weights = weights
-        self._gain: np.ndarray | None = None  # lazy gain table, see delta_swaps
-        self._gain_w: np.ndarray | None = None  # zero-diagonal weights for updates
         self._placement = assignment.placement.copy()
         self._assi = assignment.assi.copy()
         iu = np.triu_indices(na, 1)
         p = self._placement
         self._volume = int((weights[iu] * self._dist[p[iu[0]], p[iu[1]]]).sum())
+        # The gain table of delta_swaps and what reads and updates it: the
+        # zero-diagonal weights, the entry of each processor's occupant on
+        # it, the swap's metric term metric[r, q] + metric[q, r] -
+        # metric[q, q] - metric[r, r], and the first ``_pending`` rows of
+        # the factors U^T and V.
+        self._gain_w = weights.copy()
+        np.fill_diagonal(self._gain_w, 0)
+        self._gain = _exact_matmul(self._gain_w, self._dist[p])
+        self._own = self._gain[self._assi, np.arange(na)]
+        diag = np.diagonal(self._dist)
+        self._swap_metric = self._dist + self._dist.T - diag - diag[:, None]
+        self._fold_u = np.empty((_fold_period(na), na), dtype=np.int64)
+        self._fold_v = np.empty_like(self._fold_u)
+        self._pending = 0
 
     @property
     def volume(self) -> int:
@@ -447,9 +458,10 @@ class CommVolumeDelta:
         with the occupant of each processor in ``procs``.
 
         Bit-identical to :meth:`delta_swap` (integer arithmetic, so the
-        gain-table regrouping below is exact) at O(1) per candidate after
-        a one-off O(na * ns) gain-table build; only valid when no entry
-        of ``procs`` hosts ``cluster`` itself.
+        gain-table regrouping below is exact) at O(1) per candidate,
+        plus O(k * (na + ns)) per call for the ``k`` commits not yet
+        folded into the table.  ``cluster``'s own processor scores 0, so
+        ``procs`` may list every processor.
 
         The gain table is ``G[x, r] = sum_y w[x, y] * metric[p[y], r]``
         (diagonal of ``w`` zeroed): the total metric cost of ``x``'s
@@ -459,57 +471,72 @@ class CommVolumeDelta:
         w[c, o] * (metric[pc, q] + metric[q, pc] - metric[q, q] -
         metric[pc, pc])`` — the correction term undoes G's inclusion of
         the (c, o) edge, whose cost is unchanged by the swap.
-        """
-        if self._gain is None:
-            self._build_gain_table()
-        gain = self._gain
-        gw = self._gain_w
-        assert gain is not None and gw is not None
-        metric = self._dist
-        pc = int(self._placement[cluster])
-        occ = self._assi[procs]
-        w_co = gw[cluster, occ]
-        delta = gain[cluster, procs] - gain[cluster, pc]
-        delta += gain[occ, pc] - gain[occ, procs]
-        delta += w_co * (
-            metric[pc, procs] + metric[procs, pc]
-            - metric[procs, procs] - metric[pc, pc]
-        )
-        return delta
 
-    def _build_gain_table(self) -> None:
-        weights = self._weights.copy()
-        np.fill_diagonal(weights, 0)
-        rows = self._dist[self._placement]  # row y = metric[p[y]]
-        # Partial sums stay below 2^53 -> the float64 BLAS product is
-        # exact; otherwise fall back to the (slower) integer matmul.
-        bound = float(np.abs(weights).sum(axis=1).max(initial=0)) * float(
-            np.abs(rows).max(initial=0)
-        )
-        if bound < 2.0**53:
-            gain = np.rint(
-                weights.astype(np.float64) @ rows.astype(np.float64)
-            ).astype(np.int64)
-        else:  # pragma: no cover - astronomically weighted instances
-            gain = weights @ rows.astype(np.int64)
-        self._gain = gain
-        self._gain_w = weights
+        Each commit changes ``G`` by a rank-1 term (see :meth:`swap`).
+        The terms wait as factors ``U`` (``na x k``) and ``V`` (``k x
+        ns``) until :func:`_fold_period` of them fold in with one
+        product, so the current table is ``G + U @ V``: a call adds the
+        pending terms to row ``c`` and column ``pc`` only, and the
+        entries ``G[o, q]`` of each processor's own occupant are kept
+        current at every commit.
+        """
+        gain, own = self._gain, self._own
+        pc = int(self._placement[cluster])
+        occ = self._assi.take(procs)
+        row, col = gain[cluster], gain[:, pc]
+        k = self._pending
+        if k:
+            u, v = self._fold_u[:k], self._fold_v[:k]
+            row = row + u[:, cluster] @ v
+            col = col + v[:, pc] @ u
+        delta = row.take(procs) - own[pc] + col.take(occ) - own.take(procs)
+        delta += self._gain_w[cluster].take(occ) * self._swap_metric[pc].take(procs)
+        return delta
 
     def swap(self, cluster_a: int, cluster_b: int) -> int:
         """Commit a swap; returns the new volume."""
         if cluster_a == cluster_b:
             return self._volume
-        self._volume += self.delta_swap(cluster_a, cluster_b)
-        p = self._placement
+        p, assi, own = self._placement, self._assi, self._own
         pa, pb = int(p[cluster_a]), int(p[cluster_b])
-        if self._gain is not None:
-            # Rank-1 refresh: rows a and b of metric[p] changed.
-            gw = self._gain_w
-            assert gw is not None
-            self._gain += np.outer(
-                gw[:, cluster_a] - gw[:, cluster_b],
-                self._dist[pb] - self._dist[pa],
-            )
+        # The two current gain entries the swap moves onto, pending terms in.
+        k = self._pending
+        u, v = self._fold_u[:k], self._fold_v[:k]
+        a_on_pb = int(self._gain[cluster_a, pb] + u[:, cluster_a] @ v[:, pb])
+        b_on_pa = int(self._gain[cluster_b, pa] + u[:, cluster_b] @ v[:, pa])
+        self._volume += (
+            a_on_pb - int(own[pa]) + b_on_pa - int(own[pb])
+            + int(self._gain_w[cluster_a, cluster_b] * self._swap_metric[pa, pb])
+        )
+        # Rows a and b of metric[p] trade places, so G changes by the
+        # rank-1 term outer(du, dv); ``own`` takes it now, G at the next fold.
+        du = self._gain_w[:, cluster_a] - self._gain_w[:, cluster_b]
+        dv = self._dist[pb] - self._dist[pa]
+        own += du.take(assi) * dv
+        own[pa] = b_on_pa + du[cluster_b] * dv[pa]
+        own[pb] = a_on_pb + du[cluster_a] * dv[pb]
+        self._fold_u[k], self._fold_v[k] = du, dv
+        self._pending = k + 1
+        if self._pending == self._fold_u.shape[0]:
+            self._gain += _exact_matmul(self._fold_u.T, self._fold_v)
+            self._pending = 0
         p[cluster_a], p[cluster_b] = pb, pa
-        self._assi[pa], self._assi[pb] = self._assi[pb], self._assi[pa]
+        assi[pa], assi[pb] = cluster_b, cluster_a
         return self._volume
+
+
+def _fold_period(ns: int) -> int:
+    """Commits kept as pending factors before one product folds them into
+    an ``na x ns`` gain table (see :meth:`CommVolumeDelta.delta_swaps`)."""
+    return max(4, ns // 32)
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of integer matrices, exactly: by float64 BLAS when every
+    partial sum stays below 2^53, else by the (slower) integer matmul."""
+    bound = float(np.abs(a).sum(axis=1).max(initial=0)) * float(
+        np.abs(b).max(initial=0)
+    )
+    if bound < 2.0**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b.astype(np.int64)  # pragma: no cover - astronomically weighted

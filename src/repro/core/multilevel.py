@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..topology.base import SystemGraph
-from ..utils import MappingError, _expand
+from ..utils import MappingError
 from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph, Clustering
@@ -255,12 +255,10 @@ def contract_system(
     np.fill_diagonal(adj, 0)
     link_weights = None
     if system.is_weighted:
-        link_weights = np.zeros((nc, nc), dtype=np.int64)
-        for i, j, w in zip(
-            a.tolist(), b.tolist(), system.link_weights[srcs, dsts].tolist()
-        ):
-            if i != j and (link_weights[i, j] == 0 or w < link_weights[i, j]):
-                link_weights[i, j] = link_weights[j, i] = w
+        # Fine links come in both orientations, so the minimum is
+        # symmetric; SystemGraph ignores the entries off coarse links.
+        link_weights = np.full((nc, nc), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(link_weights, (a, b), system.link_weights[srcs, dsts])
     coarse = SystemGraph(adj, name=f"{system.name}/2", link_weights=link_weights)
     return coarse, proc_map
 
@@ -389,14 +387,12 @@ def project_assignment(level: Level, coarse: Assignment) -> Assignment:
     return Assignment.from_placement(placement)
 
 
-def _neighbor_lists(sym: np.ndarray) -> list[list[int]]:
-    """Per-node graph neighbors, heaviest edge first (ties by id)."""
-    out: list[list[int]] = []
-    for c in range(sym.shape[0]):
-        nbrs = np.flatnonzero(sym[c])
-        order = np.lexsort((nbrs, -sym[c, nbrs]))
-        out.append(nbrs[order].tolist())
-    return out
+def _neighbor_lists(sym: np.ndarray) -> list[np.ndarray]:
+    """Per-node graph neighbors, heaviest edge first (ties by id): views
+    of one stable sort of each row of ``-sym`` (edge weights are
+    positive, so a row's neighbors come first)."""
+    order = np.argsort(-sym, axis=1, kind="stable")
+    return [row[:k] for row, k in zip(order, np.count_nonzero(sym, axis=1).tolist())]
 
 
 def _pairwise_sweep(
@@ -410,13 +406,18 @@ def _pairwise_sweep(
 
     Each node ``c`` proposes, in order, a swap with the occupant of
     every processor adjacent to each graph neighbor's host (neighbors
-    heaviest-first, each host's processor neighborhood in order), and
-    the *first* strictly improving proposal commits.  The placement is
-    fixed while ``c``'s proposals are scored, so the whole sequence is
-    built in one gather and scored with one
-    :meth:`CommVolumeDelta.delta_swaps` call; the first negative entry
-    is the committed swap, and its one-based position is the probe
-    count.  Stops early when a full pass commits nothing.
+    heaviest-first, each host's processor neighborhood in order, ``c``'s
+    own processor skipped), and the *first* strictly improving proposal
+    commits.  The placement is fixed while ``c``'s proposals are
+    scored, and a proposal's delta depends only on its processor, so
+    one :meth:`CommVolumeDelta.delta_swaps` call scores every processor
+    once, however many proposals name it.  Only when some processor
+    improves is the proposal list built, as one gather of the hosts'
+    rows of a padded processor-neighbor table: its first improving entry
+    is the committed swap, and its position, padding and ``c``'s own
+    processor not counted, is the probe count (the whole list's length
+    when nothing improves).  Stops early when a full pass commits
+    nothing.
 
     ``reporter`` (an optional
     :class:`~repro.core.anytime.AnytimeReporter`) gets one checkpoint
@@ -426,38 +427,43 @@ def _pairwise_sweep(
     if passes <= 0 or n < 2:
         return evaluator.assignment, 0, 0
 
-    nbr_arrs = [np.asarray(nbrs, dtype=np.int64) for nbrs in _neighbor_lists(sym)]
-    rows = [system.neighbors(p) for p in range(system.num_nodes)]
-    adj_ptr = np.concatenate(
-        ([0], np.cumsum([row.size for row in rows]))
-    ).astype(np.int64)
-    adj_idx = np.concatenate(rows).astype(np.int64)
+    nbr_arrs = _neighbor_lists(sym)
+    # Row p: p's processor neighbors in order, padded with n.  counted[r,
+    # h]: the proposals in h's row for a node on r (r itself is skipped).
+    deg = system.deg
+    table = np.full((n, int(deg.max())), n, dtype=np.int64)
+    table[np.arange(table.shape[1]) < deg[:, None]] = np.concatenate(
+        [system.neighbors(p) for p in range(n)]
+    )
+    counted = deg - system.sys_edge
+    every = np.arange(n)
+    improves = np.zeros(n + 1, dtype=bool)  # the padding entry stays False
+    scored = improves[:n]
     placement = evaluator.placement_view
     assi = evaluator.occupant_view
     probes = swaps = 0
     for _ in range(passes):
         improved = False
         for c in range(n):
-            nbrs = nbr_arrs[c]
-            if not nbrs.size:
+            hosts = placement.take(nbr_arrs[c])
+            home = placement[c]
+            listed = int(counted[home].take(hosts).sum())
+            if not listed:
                 continue
-            hosts = placement[nbrs]
-            procs = adj_idx[_expand(adj_ptr[hosts], adj_ptr[hosts + 1])]
-            occ = assi[procs]
-            keep = occ != c
-            if not keep.all():
-                procs, occ = procs[keep], occ[keep]
-            if not procs.size:
-                continue
-            negative = evaluator.delta_swaps(c, procs) < 0
-            if negative.any():
-                first = int(np.argmax(negative))
-                probes += first + 1
-                evaluator.swap(c, int(occ[first]))
-                swaps += 1
-                improved = True
-            else:
-                probes += int(procs.size)
+            np.less(evaluator.delta_swaps(c, every), 0, out=scored)
+            if improves.any():
+                hits = improves.take(table.take(hosts, axis=0))
+                first = int(hits.argmax())
+                if hits.flat[first]:
+                    row, col = divmod(first, hits.shape[1])
+                    target = table[hosts[row]]
+                    probes += int(counted[home].take(hosts[:row]).sum()) + col + 1
+                    probes -= bool((target[:col] == home).any())
+                    evaluator.swap(c, int(assi[target[col]]))
+                    swaps += 1
+                    improved = True
+                    continue
+            probes += listed
         if reporter is not None:
             reporter.report(probes, evaluator.volume, evaluator.assignment)
             if reporter.should_stop():
@@ -495,10 +501,11 @@ def refine_metric(
 
     Metrics with a symmetric integer ``pair_matrix`` — the default
     ``comm_volume`` (hop distances), ``hop_bytes`` on unit-weight
-    machines — run :func:`_pairwise_sweep` with O(deg) probes on
-    :class:`~repro.core.incremental.CommVolumeDelta`; anything else
-    runs the same neighborhood sweep on full metric evaluations of the
-    identity-clustered level graph.
+    machines — run :func:`_pairwise_sweep` on the gain table of
+    :class:`~repro.core.incremental.CommVolumeDelta`, one score per
+    processor for each node visited; anything else runs the same
+    neighborhood sweep, one proposal at a time, on full metric
+    evaluations of the identity-clustered level graph.
 
     Returns ``(assignment, objective_value, probes, swaps)`` where the
     objective value is the metric's headline key on the final

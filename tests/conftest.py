@@ -616,3 +616,21 @@ def assert_routes_match_oracle(system: SystemGraph) -> None:
             assert system.shortest_path(a, b) == tuple(route), (a, b)
             cost = sum(int(link_w[u, v]) for u, v in zip(route, route[1:]))
             assert system.distance(a, b) == cost, (a, b)
+
+
+def oracle_contracted_link_weights(
+    system: SystemGraph, proc_map: np.ndarray
+) -> np.ndarray:
+    """The link costs of ``system`` contracted by ``proc_map``, one fine
+    link at a time: the tests' oracle for
+    :func:`~repro.core.multilevel.contract_system`, which takes every
+    coarse pair's cheapest member link in one ``np.minimum.at``.  Zero
+    off the coarse links."""
+    nc = int(proc_map.max()) + 1
+    out = np.zeros((nc, nc), dtype=np.int64)
+    srcs, dsts = np.nonzero(system.sys_edge)
+    for u, v in zip(srcs.tolist(), dsts.tolist()):
+        i, j, w = int(proc_map[u]), int(proc_map[v]), system.link_weight(u, v)
+        if i != j and (out[i, j] == 0 or w < out[i, j]):
+            out[i, j] = out[j, i] = w
+    return out

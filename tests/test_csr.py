@@ -36,7 +36,7 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.incremental import CommVolumeDelta
-from repro.topology import chain, hypercube, mesh2d, ring
+from repro.topology import SystemGraph, chain, hypercube, mesh2d, ring, torus2d
 from repro.utils import GraphError
 from repro.workloads import layered_random_dag
 from tests.conftest import communication_matrix, scalar_schedule
@@ -261,3 +261,56 @@ class TestCommVolumeDeltaBulk:
                 assert delta == ev.delta_swap(cluster, other)
             a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
             ev.swap(a, b)
+
+    @pytest.mark.parametrize("case", ["hops", "weighted", "cardinality"])
+    def test_scores_and_volume_across_fold_periods(self, case):
+        """Commits fold into the gain table in periods; between folds the
+        pending ones must reach every score.  Batches of every processor
+        and of a random subset, scored after 0 to several commits, each
+        entry against the scalar ``delta_swap`` (the own processor's
+        entry is 0), and the volume against a recount after every
+        commit, over more than three fold periods on 64 processors: the
+        hop metric, weighted distances and Bokhari's 0/1 adjacency."""
+        from repro.core import AbstractGraph
+        from repro.core.incremental import _fold_period
+
+        system = hypercube(6) if case != "weighted" else torus2d(8, 8)
+        n = system.num_nodes
+        if case == "weighted":
+            costs = np.random.default_rng(5).integers(1, 6, size=(n, n))
+            system = SystemGraph(system.sys_edge, link_weights=costs)
+            assert system.is_weighted
+        clustered = _instance(system, seed=4)
+        abstract = AbstractGraph(clustered)
+        weights = abstract.abs_edge if case == "cardinality" else abstract.weights
+        metric = system.sys_edge if case == "cardinality" else system.shortest
+        ev = CommVolumeDelta(
+            weights,
+            system,
+            Assignment.random(n, rng=4),
+            metric=system.sys_edge if case == "cardinality" else None,
+        )
+        upper = np.triu(weights, 1)
+
+        def recount() -> int:
+            p = ev.placement_view
+            return int((upper * metric[np.ix_(p, p)]).sum())
+
+        gen = np.random.default_rng(11)
+        commits, period = 0, _fold_period(n)
+        while commits < 3 * period + 2:
+            cluster = int(gen.integers(n))
+            every = np.arange(n)
+            subset = gen.choice(n, size=int(gen.integers(1, n)), replace=False)
+            for procs in (every, subset):
+                got = ev.delta_swaps(cluster, procs).tolist()
+                want = [
+                    ev.delta_swap(cluster, int(ev.occupant_view[q])) for q in procs
+                ]
+                assert got == want, (case, commits)
+            assert ev.delta_swaps(cluster, every)[ev.placement_view[cluster]] == 0
+            for _ in range(int(gen.integers(0, period + 2))):
+                a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+                assert ev.swap(a, b) == recount()
+                commits += 1
+        assert ev.volume == recount()

@@ -16,6 +16,7 @@ import pytest
 from repro.api import (
     UnknownMapperError,
     available_mappers,
+    build_topology,
     get_mapper,
     solve_instance,
 )
@@ -37,9 +38,10 @@ from repro.core.multilevel import (
     refine_metric,
 )
 from repro.service.fingerprint import instance_fingerprint
-from repro.topology import hypercube, mesh2d
+from repro.topology import SystemGraph, hypercube, mesh2d
 from repro.utils import MappingError
 from repro.workloads import layered_random_dag
+from tests.conftest import TOPOLOGY_SPECS, oracle_contracted_link_weights
 
 
 def make_instance(num_tasks=120, num_clusters=16, rng=3, system=None):
@@ -170,6 +172,31 @@ class TestHierarchy:
 
         coarse, _ = contract_system(hypercube(3), [(0, 1), (2, 3)])
         assert not coarse.is_weighted
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_SPECS))
+    @pytest.mark.parametrize("top", [3, 10**6])
+    def test_weighted_contraction_matches_the_oracle(self, family, top):
+        """Random link costs on one machine per family, contracted as a
+        hierarchy does it (as many nearest pairs as possible), then
+        contracted once more: every coarse link keeps its cheapest member
+        link, and the distances are those of a machine built from the
+        oracle's costs."""
+        from repro.core.multilevel import contract_system
+
+        system = build_topology(TOPOLOGY_SPECS[family], rng=0)
+        n = system.num_nodes
+        costs = np.random.default_rng(n + top).integers(1, top + 1, size=(n, n))
+        system = SystemGraph(system.sys_edge, name=family, link_weights=costs)
+        for _ in range(2):
+            if system.num_nodes < 2:
+                break
+            pairs = match_processors(system, system.num_nodes // 2)
+            coarse, proc_map = contract_system(system, pairs)
+            expected = oracle_contracted_link_weights(system, proc_map)
+            assert np.array_equal(coarse.link_weights, expected)
+            rebuilt = SystemGraph(expected > 0, link_weights=expected)
+            assert np.array_equal(coarse.shortest, rebuilt.shortest)
+            system = coarse
 
 
 class TestProjection:
