@@ -1,8 +1,10 @@
 """Multilevel coarsen–map–refine mapper (``repro.core.multilevel``).
 
 Locks down the coarsening invariants (valid projection maps, work and
-communication conservation across contraction levels), the projection's
-bijection guarantee at every level, the ``max_levels=1`` bit-identity
+communication conservation across contraction levels, the cheapest
+member link on weighted machines against a per-link oracle), the
+projection's bijection guarantee at every level, the refinement's
+neighbour order against a per-row sort, the ``max_levels=1`` bit-identity
 contract with the plain sub-mapper, the adapter's MapOutcome contract,
 nested sub-mapper parameters reaching the service fingerprint, and the
 registry's near-miss suggestions.
@@ -236,6 +238,21 @@ class TestProjection:
         # The level-0 abstract volume is exact for the original instance.
         schedule = evaluate_assignment(clustered, system, refined)
         assert schedule.communication_volume() == after
+
+    def test_neighbor_lists_match_a_per_row_sort(self):
+        """Heaviest edge first, ties by id, against a sort of each row's
+        nonzeros on its own; weights 1-3 make ties common."""
+        from repro.core.multilevel import _neighbor_lists
+
+        gen = np.random.default_rng(3)
+        weights = gen.integers(1, 4, size=(40, 40)) * (gen.random((40, 40)) < 0.3)
+        upper = np.triu(weights, 1)
+        sym = upper + upper.T
+        got = _neighbor_lists(sym)
+        assert len(got) == 40
+        for row, nbrs in zip(sym, got):
+            ids = np.flatnonzero(row)
+            assert nbrs.tolist() == ids[np.lexsort((ids, -row[ids]))].tolist()
 
     def test_comm_volume_delta_matches_schedule(self, instance):
         """CommVolumeDelta must track the schedule's communication volume
