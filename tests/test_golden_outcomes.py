@@ -33,7 +33,9 @@ The multilevel refinement is pinned on larger instances too: placement
 digest, ``refine_probes``, ``refine_swaps`` and ``comm_volume`` on
 ``mesh2d:5x7``, a seeded ``random:64``, ``torus2d:8x8``, a weighted
 ``hypercube:6`` and two block-clustered wavefronts, whose level graphs
-are sparse.
+are sparse.  The hierarchy under those maps is pinned level by level on
+the same six instances, on 1,024 processors and at 20k tasks: the level
+graphs, the projection maps, the absorbed weight and the level machines.
 
 So is the stack-ordered ``topological_order``, with the ``linear``
 clustering that follows its visit order and the ``dsc`` clustering that
@@ -68,6 +70,7 @@ from repro.core import (
     ClusteredGraph,
     ScheduleViolation,
     analyze_criticality,
+    build_hierarchy,
     collect_matrices,
     evaluate_assignment,
     ideal_schedule,
@@ -608,24 +611,28 @@ MULTILEVEL_PINS = {
 }
 
 
-@pytest.mark.parametrize("key", list(MULTILEVEL_PINS), ids="/".join)
-def test_multilevel_refinement_is_pinned(key):
-    """A 3k-task ``layered_random`` graph under the random clusterer, or
-    a square ``wavefront`` (40 x 40 on 64 processors, 60 x 60 on 256)
-    under the block clusterer."""
-    spec, workload = key
+def _multilevel_instance(
+    spec: str, workload: str, num_tasks: int = 3000
+) -> tuple[ClusteredGraph, SystemGraph]:
+    """A ``num_tasks``-task ``layered_random`` graph under the random
+    clusterer, or a square ``wavefront`` (40 x 40 on 64 processors,
+    60 x 60 on 256) under the block clusterer, on ``spec``'s machine."""
     system = _routing_system(spec)
     n = system.num_nodes
     if workload == "layered":
-        graph = build_workload("layered_random", {"num_tasks": 3000}, rng=0)
+        graph = build_workload("layered_random", {"num_tasks": num_tasks}, rng=0)
         clustering = RandomClusterer(n).cluster(graph, rng=0)
     else:
         side = 40 if n == 64 else 60
         graph = build_workload("wavefront", {"rows": side, "cols": side})
         clustering = BlockClusterer(n).cluster(graph, rng=0)
-    outcome = get_mapper("multilevel").map(
-        ClusteredGraph(graph, clustering), system, rng=0
-    )
+    return ClusteredGraph(graph, clustering), system
+
+
+@pytest.mark.parametrize("key", list(MULTILEVEL_PINS), ids="/".join)
+def test_multilevel_refinement_is_pinned(key):
+    clustered, system = _multilevel_instance(*key)
+    outcome = get_mapper("multilevel").map(clustered, system, rng=0)
     extras = outcome.extras
     got = (
         _digest(outcome.assignment.placement),
@@ -634,6 +641,103 @@ def test_multilevel_refinement_is_pinned(key):
         int(extras["comm_volume"]),
     )
     assert got == MULTILEVEL_PINS[key]
+
+
+#: (machine key, workload, tasks) -> one SHA-256 per level of
+#: ``build_hierarchy`` at its defaults, finest first, over the level
+#: graph's task sizes and out-CSR arrays, ``node_map``, ``proc_map``,
+#: ``absorbed`` and the level machine's ``shortest`` and
+#: ``link_weights``.  The instances are ``MULTILEVEL_PINS``' six, a
+#: 3k-task graph on 1,024 processors (whose sparse levels stop shrinking
+#: at ``max_levels``) and a 20k-task one on 256.
+HIERARCHY_PINS = {
+    ("mesh2d:5x7", "layered", 3000): (
+        "1afc668bc467ede097aeabdb43ad050d166e481d2823210b6a924a43602cf60b",
+        "a4b13dee0db68c07b462c34a7a43e33997a06adbd80e010a4d98939bc7e80bd7",
+        "d279d66c43e6dbe981da40cd34fd1a84b8ffbf67f4d5d9a826b7bb8fa40c3edc",
+        "d0ddf36d93116ba1c98fba3f8fc62e183683f7bb35a0cb58fc42e50a0e409c13",
+    ),
+    ("random:64", "layered", 3000): (
+        "a00a092b0fb9bd4f80244709539b74a4d060083d06b1574659ba359fc4353ed5",
+        "e7b6fb4c8480d78708d3a1331b927a3b3580e14fdfb0b3e458615541622477d0",
+        "9dd62e6cce4a6c42c914a7f3735ebb5f79b8e564c638d1b68f9bb53475f6446c",
+        "293120ce908a5f4877412d668a6f4bcb2052348853231f1bbbe769fa76f781f7",
+    ),
+    ("torus2d:8x8", "layered", 3000): (
+        "24eea5da0165c1c6837349434ad882c1ef2757aab1390d267b86b54e1c42793d",
+        "95c1114609fdcac65d9e34f3caffdff69007e1ce59ebdeddb61b937ec71413a3",
+        "1380c75311d0c235564f79f0877636f3abb710a0825f14dbdb5c5873213d5a8b",
+        "d4215360d9309ebb06ea4bd78e221164652b6e18731b4c34ba3f827f070bab8f",
+    ),
+    ("hypercube:6+w2", "layered", 3000): (
+        "54345acfe104a5a2a1d9116a768bfcb918e14c8c2a9dc19ca4edc4adeb513d0f",
+        "ad4a061a6c10335984daf1cfb5b4647959899bac1ebcf9d6e8ee3b8f99cd6454",
+        "47d7b52560b8de654e78e4b0a481b3ec2ad974ba11dfe32f3d74c91bea5096d8",
+        "4f911a87c5ae578886bdefb245c33b44f7f6f34729b8032d691b9313a6da53da",
+    ),
+    ("torus2d:8x8", "wavefront", 1600): (
+        "d45dc4187f30a2404dae8e0718cebc02793bbc0a7c4437c1ae6039ff6384fa6d",
+        "ab448eeb0fbae6bc1892671de1558cc570f282b9d2206dfe74c262589f63c596",
+        "77e1540f9e8ba6cd360c4712c3923a779812b4e625d55ecfc562827587334fe1",
+        "ad23424f49b14c4aa86ff19fa21bcb6583043fbfa86614fc05090f5ea13bc17b",
+    ),
+    ("hypercube:8", "wavefront", 3600): (
+        "e2762585cd4f008ec8248961259d9c7b9dbbb0a741effec88c4ebf56ad40ea24",
+        "cc5bfee8b513420e353c7d1f8393798ccf7812c9b2846c0461a15f29aa6f5aea",
+        "cbfa5d0f60046d5b4933c7ea69548ac23854dfd74c6cb4a0dcae940f6c347313",
+        "8c81b2feb959b5f50756a296a7135c3db46a8e52427702bfd15634f6d87b7a38",
+        "5bc57b615beaf5eedde84afa505f4ca46862a4bea8f800ba21fda03b45719c6a",
+        "0042ef40f888793634506dc62b2c0ab003c767a73359e780961a9837f7a3d358",
+        "d34393d566da75bfecb6f43d060c121bbeaa4fe73e5340292ca674228a251018",
+    ),
+    ("hypercube:10", "layered", 3000): (
+        "bce3e47df08812b92e08a507ed77c7f4753663ccbb2886d458aa95d04677506d",
+        "a35321350d70e040e1b89956ce8aa4d9d7591461a1d40558f19d78ae12c31db4",
+        "a3d92d1921b7a71a013e0e76483dd59fa933c1ce126240ab68fb7634a77aa207",
+        "20d82733bed520f09b75dee8d60528446b7f8ecdd862c614b4914a0cc7c46fec",
+        "e9dd914887d2c27d595bb7f85e494674ce1edc87dbb7ceba05522f499d09c430",
+        "c1738412f4a1da4034e894732dfe858f797f58df291f146e2873e35df1086b6e",
+        "a16fa137f3935e7f7ce18ac741ebb27de0194f3037206190488ea317780a0f45",
+        "62cce1c78d2d53d255b66dbcb3b10c5c74100f806ccf5a212a93563d7900f900",
+        "8d8a6c3df07a006baa0aa6c2a438a6afc44a5b14e9f2ae33679528b5fa29b0cb",
+        "908c64670abe623a219ac2969001725ca5b1923b68edd46fcad8d8b4fbe3a3ec",
+        "40710f48ac0093c91ce380b334ff018a8ac628a99e16b3552c7a9fca53ba99e5",
+        "5421d12fb88fe44f5189e1b8fc7cba13ba88a0e15865bd3c8f85d7a6c88c038f",
+    ),
+    ("hypercube:8", "layered", 20000): (
+        "ab06c1fdfb0cac027a33df308e1b2343d021bb1b07f0a17138b510567b740b95",
+        "e33ce2dd8e0c15219d4a7f734be3a511d9e2d1de3014a01a7d8a65f133a664e2",
+        "22b969682d1f7e58e26d4a23f0759b9952a017508af528d5b06f4a479a33649e",
+        "55ca03468ea9a68c5b191da77c13d79cd47a3eae69b3d33fee8ed20ea05356fd",
+        "4373e61ed1ec9d8455ce160fc46cdcbf8eedc3dc461980cb1188642f86a25464",
+        "03aa737a2f8f7ea71511231c60b4e1477fe7659a385e82b3b1cf19ee15d5f8e6",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(HIERARCHY_PINS), ids=lambda key: "/".join(map(str, key))
+)
+def test_hierarchy_is_pinned(key):
+    spec, workload, num_tasks = key
+    clustered, system = _multilevel_instance(spec, workload, num_tasks)
+    assert clustered.graph.num_tasks == num_tasks
+    none = np.empty(0, dtype=np.int64)
+    got = tuple(
+        _digest(
+            level.graph.task_sizes,
+            level.graph.out_indptr,
+            level.graph.out_indices,
+            level.graph.out_weights,
+            none if level.node_map is None else level.node_map,
+            none if level.proc_map is None else level.proc_map,
+            [level.absorbed],
+            level.system.shortest,
+            level.system.link_weights,
+        )
+        for level in build_hierarchy(clustered, system).levels
+    )
+    assert got == HIERARCHY_PINS[key]
 
 
 SIZES_2D =[(r, c) for r in range(1, 6) for c in range(1, 6)]
