@@ -35,13 +35,13 @@ class AbstractGraph:
         # Aggregate task-level clustered weights up to cluster pairs.  The
         # direction of problem edges is irrelevant at this level (the paper's
         # abstract graph is undirected), so accumulate both orientations.
-        # One scattered add over the graph's CSR edge arrays — no dense
-        # task-pair matrix is ever touched.
+        # One scattered add over the graph's CSR edge arrays into the flat
+        # cluster-pair index — no dense task-pair matrix is ever touched,
+        # and intra-cluster edges weigh 0, so they leave the diagonal 0.
         srcs, dsts, _ = clustered.graph.edge_arrays()
-        cw = clustered.cross_out_weights
-        m = cw > 0
-        acc = np.zeros((na, na), dtype=np.int64)
-        np.add.at(acc, (labels[srcs[m]], labels[dsts[m]]), cw[m])
+        acc = np.zeros(na * na, dtype=np.int64)
+        np.add.at(acc, labels[srcs] * na + labels[dsts], clustered.cross_out_weights)
+        acc = acc.reshape(na, na)
         weights = acc + acc.T
         self._weights = weights
         self._abs_edge = (weights > 0).astype(np.int64)

@@ -48,6 +48,11 @@ Edges of a level graph are stored low-id -> high-id (the abstract view
 is undirected; a DAG orientation is required by :class:`TaskGraph` and
 any total order gives one), so every level is a valid ``TaskGraph`` and
 the whole hierarchy can be fed back into any graph-consuming tool.
+Level graphs are built dense: they are nearly complete, level 0 comes
+from the abstract graph's cluster-pair matrix and each contraction sums
+its merged pairs in an ``nc x nc`` matrix, so every level carries the
+dense ``prob_edge`` its refinement reads, and a contraction to more
+than ``_DENSE_LIMIT`` nodes is refused, as ``prob_edge`` is.
 """
 
 from __future__ import annotations
@@ -57,12 +62,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..topology.base import SystemGraph
-from ..utils import MappingError
+from ..utils import GraphError, MappingError
 from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph, Clustering
 from .incremental import CommVolumeDelta
-from .taskgraph import TaskGraph
+from .taskgraph import _DENSE_LIMIT, TaskGraph
 
 __all__ = [
     "Level",
@@ -110,25 +115,28 @@ def identity_clustering(num_nodes: int) -> Clustering:
 def heavy_edge_matching(graph: TaskGraph, max_merges: int) -> list[tuple[int, int]]:
     """Deterministic heavy-edge matching: up to ``max_merges`` disjoint pairs.
 
-    Undirected edges are visited by descending weight (ties by endpoint
-    ids); a pair is taken when both endpoints are still unmatched.  The
-    classic randomized-visit HEM is replaced by this global greedy so the
-    whole multilevel pipeline is deterministic without consuming any RNG
-    state (the sub-mapper gets the seed untouched).
+    Undirected edges (coincident orientations summed) are visited by
+    descending weight, ties by ``(lo, hi)`` endpoint ids; a pair
+    ``(lo, hi)`` is taken when both endpoints are still unmatched, and
+    the pairs come back in the order they were taken.  The classic
+    randomized-visit HEM is replaced by this global greedy so the whole
+    multilevel pipeline is deterministic without consuming any RNG state
+    (the sub-mapper gets the seed untouched).  It reads the CSR edge
+    arrays only, so it works on a ``TaskGraph`` of any size and edge
+    direction.
     """
     if max_merges <= 0:
         return []
-    srcs, dsts, weights = _undirected_pairs(graph)
-    if not srcs.size:
-        return []
-    order = np.lexsort((dsts, srcs, -weights))
-    matched = np.zeros(graph.num_tasks, dtype=bool)
+    lo, hi, weights = _undirected_pairs(graph)
+    # The pairs are sorted by (lo, hi): a stable sort by weight alone
+    # gives the (-weight, lo, hi) visiting order.
+    order = np.argsort(-weights, kind="stable")
+    matched = bytearray(graph.num_tasks)
     pairs: list[tuple[int, int]] = []
-    for k in order.tolist():
-        u, v = int(srcs[k]), int(dsts[k])
+    for u, v in zip(lo[order].tolist(), hi[order].tolist()):
         if matched[u] or matched[v]:
             continue
-        matched[u] = matched[v] = True
+        matched[u] = matched[v] = 1
         pairs.append((u, v))
         if len(pairs) >= max_merges:
             break
@@ -175,41 +183,58 @@ def contract_graph(
 ) -> tuple[TaskGraph, np.ndarray, int]:
     """Merge matched node pairs; returns ``(coarse, node_map, absorbed)``.
 
-    ``node_map[fine] = coarse`` records the projection; ``absorbed`` is
-    the communication weight of edges whose endpoints merged (it leaves
-    the coarse graph but is conserved:
-    ``coarse.total_comm + absorbed == graph.total_comm``).
+    ``node_map[fine] = coarse`` records the projection: coarse ids are
+    ordered by each group's smallest fine member.  ``absorbed`` is the
+    communication weight of edges whose endpoints merged (it leaves the
+    coarse graph but is conserved:
+    ``coarse.total_comm + absorbed == graph.total_comm``).  The other
+    edges' weights add up per coarse pair, in either direction, onto one
+    edge ``lo -> hi``.
+
+    Level graphs are nearly complete, so the contraction accumulates an
+    ``nc x nc`` matrix and builds the coarse graph from it, dense
+    ``prob_edge`` included.  Precondition: at most ``_DENSE_LIMIT``
+    coarse nodes; above it :class:`~repro.utils.GraphError` is raised
+    before anything is allocated, as :attr:`TaskGraph.prob_edge` does.
     """
     n = graph.num_tasks
     node_map = _merge_map(n, pairs)
     nc = int(node_map.max()) + 1
-    sizes = np.bincount(node_map, weights=graph.task_sizes, minlength=nc)
-    srcs, dsts, w = _undirected_pairs(graph)
-    a, b = node_map[srcs], node_map[dsts]
-    inside = a == b
-    absorbed = int(w[inside].sum())
-    lo, hi = np.minimum(a[~inside], b[~inside]), np.maximum(a[~inside], b[~inside])
-    w = w[~inside]
-    if lo.size:
-        # Aggregate parallel coarse edges without a dense nc x nc scatter.
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        first = np.concatenate(
-            ([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
+    if nc > _DENSE_LIMIT:
+        raise GraphError(
+            f"dense contraction to {nc} nodes (limit {_DENSE_LIMIT}) would "
+            f"allocate ~{nc * nc * 8 / 2**30:.0f} GiB"
         )
-        starts = np.flatnonzero(first)
-        lo, hi, w = lo[starts], hi[starts], np.add.reduceat(w, starts)
-    coarse = TaskGraph.from_edge_arrays(
-        sizes.astype(np.int64), lo, hi, w, name=f"{graph.name}/2"
+    sizes = np.bincount(node_map, weights=graph.task_sizes, minlength=nc)
+    srcs, dsts, w = graph.edge_arrays()
+    acc = np.zeros(nc * nc, dtype=np.int64)
+    np.add.at(acc, node_map[srcs] * nc + node_map[dsts], w)
+    acc = acc.reshape(nc, nc)
+    absorbed = int(np.trace(acc))
+    coarse = TaskGraph(
+        sizes.astype(np.int64), np.triu(acc + acc.T, 1), name=f"{graph.name}/2"
     )
     return coarse, node_map, absorbed
 
 
 def match_processors(system: SystemGraph, num_merges: int) -> list[tuple[int, int]]:
-    """``num_merges`` disjoint processor pairs, nearest pairs first.
+    """``num_merges`` disjoint processor pairs ``(p, q)``, ``p < q``,
+    nearest pairs first.
 
-    Greedy over all pairs by ``(distance, ids)``; on a connected machine
-    any ``num_merges <= ns // 2`` is always achievable.
+    The greedy visits every pair by ``(distance, p, q)`` and takes it
+    when both processors are still unmatched; the pairs come back in the
+    order they were taken.  On a connected machine any
+    ``num_merges <= ns // 2`` is achievable.
+
+    No sort of all ``ns^2`` distances is needed.  The walk goes in
+    rounds over the processors still unmatched: a round visits, in that
+    order, their pairs up to the median of each one's nearest-partner
+    distance (on most machines the links alone, which already hold the
+    whole matching on hypercubes and tori).  Any pair left with both
+    ends unmatched would have been taken, so the next round starts
+    beyond that distance, and each round takes at least one pair.  It
+    reads the dense ``shortest`` matrix every :class:`SystemGraph`
+    holds, so its working copy is ``ns x ns``.
     """
     n = system.num_nodes
     if num_merges <= 0:
@@ -218,19 +243,30 @@ def match_processors(system: SystemGraph, num_merges: int) -> list[tuple[int, in
         raise MappingError(
             f"cannot merge {num_merges} processor pairs on {n} processors"
         )
-    iu = np.triu_indices(n, 1)
-    order = np.lexsort((iu[1], iu[0], system.shortest[iu]))
-    matched = np.zeros(n, dtype=bool)
+    # Distances between the live (unmatched) processors; the diagonal
+    # never counts as a pair.
+    dist = system.shortest.copy()
+    np.fill_diagonal(dist, np.iinfo(dist.dtype).max)
+    live = np.arange(n)
+    matched = bytearray(n)
     pairs: list[tuple[int, int]] = []
-    for k in order.tolist():
-        p, q = int(iu[0][k]), int(iu[1][k])
-        if matched[p] or matched[q]:
-            continue
-        matched[p] = matched[q] = True
-        pairs.append((p, q))
-        if len(pairs) >= num_merges:
-            break
-    return pairs
+    while True:
+        nearest = dist.min(axis=1)
+        median = (nearest.size - 1) // 2
+        rows, cols = np.nonzero(dist <= np.partition(nearest, median)[median])
+        upper = rows < cols  # row-major: by (p, q)
+        rows, cols = rows[upper], cols[upper]
+        order = np.argsort(dist[rows, cols], kind="stable")
+        for p, q in zip(live[rows[order]].tolist(), live[cols[order]].tolist()):
+            if matched[p] or matched[q]:
+                continue
+            matched[p] = matched[q] = 1
+            pairs.append((p, q))
+            if len(pairs) == num_merges:
+                return pairs
+        keep = np.flatnonzero(np.frombuffer(matched, dtype=np.uint8)[live] == 0)
+        live = live[keep]
+        dist = dist[np.ix_(keep, keep)]
 
 
 def contract_system(

@@ -634,3 +634,119 @@ def oracle_contracted_link_weights(
         if i != j and (out[i, j] == 0 or w < out[i, j]):
             out[i, j] = out[j, i] = w
     return out
+
+
+def oracle_abstract_weights(clustered: ClusteredGraph) -> np.ndarray:
+    """Symmetric clustered weight per cluster pair by a 2-D ``np.add.at``
+    over the inter-cluster edges only: the tests' oracle for
+    :class:`~repro.core.abstract.AbstractGraph`, which adds every edge
+    into one flat cluster-pair index."""
+    na = clustered.num_clusters
+    labels = clustered.clustering.labels
+    srcs, dsts, _ = clustered.graph.edge_arrays()
+    cw = clustered.cross_out_weights
+    m = cw > 0
+    acc = np.zeros((na, na), dtype=np.int64)
+    np.add.at(acc, (labels[srcs[m]], labels[dsts[m]]), cw[m])
+    return acc + acc.T
+
+
+def oracle_undirected_pairs(
+    graph: TaskGraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, weight)`` of every undirected edge, both orientations
+    summed, sorted by ``(lo, hi)``: one edge at a time into a dict."""
+    sums: dict[tuple[int, int], int] = {}
+    for e in graph.edges():
+        key = (min(e.src, e.dst), max(e.src, e.dst))
+        sums[key] = sums.get(key, 0) + e.weight
+    items = sorted(sums.items())
+    lo = np.array([a for (a, _), _ in items], dtype=np.int64)
+    hi = np.array([b for (_, b), _ in items], dtype=np.int64)
+    return lo, hi, np.array([w for _, w in items], dtype=np.int64)
+
+
+def oracle_heavy_edge_matching(
+    graph: TaskGraph, max_merges: int
+) -> list[tuple[int, int]]:
+    """Heavy-edge matching by a three-key ``lexsort`` over ``(-weight,
+    lo, hi)`` and a walk of numpy scalars: the tests' oracle for
+    :func:`~repro.core.multilevel.heavy_edge_matching`."""
+    if max_merges <= 0:
+        return []
+    srcs, dsts, weights = oracle_undirected_pairs(graph)
+    if not srcs.size:
+        return []
+    order = np.lexsort((dsts, srcs, -weights))
+    matched = np.zeros(graph.num_tasks, dtype=bool)
+    pairs: list[tuple[int, int]] = []
+    for k in order.tolist():
+        u, v = int(srcs[k]), int(dsts[k])
+        if matched[u] or matched[v]:
+            continue
+        matched[u] = matched[v] = True
+        pairs.append((u, v))
+        if len(pairs) >= max_merges:
+            break
+    return pairs
+
+
+def oracle_merge_map(num_nodes: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """``node_map[old] = new`` for merging ``pairs``: new ids ordered by
+    each group's smallest old member, one node at a time."""
+    rep = list(range(num_nodes))
+    for u, v in pairs:
+        rep[max(u, v)] = min(u, v)
+    new_id = {r: i for i, r in enumerate(sorted(set(rep)))}
+    return np.array([new_id[r] for r in rep], dtype=np.int64)
+
+
+def oracle_contract_graph(
+    graph: TaskGraph, pairs: list[tuple[int, int]]
+) -> tuple[TaskGraph, np.ndarray, int]:
+    """Contraction by sorting the merged undirected pairs with a
+    ``lexsort`` and summing them with ``np.add.reduceat``: the tests'
+    oracle for :func:`~repro.core.multilevel.contract_graph`."""
+    node_map = oracle_merge_map(graph.num_tasks, pairs)
+    nc = int(node_map.max()) + 1
+    sizes = np.bincount(node_map, weights=graph.task_sizes, minlength=nc)
+    srcs, dsts, w = oracle_undirected_pairs(graph)
+    a, b = node_map[srcs], node_map[dsts]
+    inside = a == b
+    absorbed = int(w[inside].sum())
+    lo, hi = np.minimum(a[~inside], b[~inside]), np.maximum(a[~inside], b[~inside])
+    w = w[~inside]
+    if lo.size:
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        first = np.concatenate(
+            ([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
+        )
+        starts = np.flatnonzero(first)
+        lo, hi, w = lo[starts], hi[starts], np.add.reduceat(w, starts)
+    coarse = TaskGraph.from_edge_arrays(
+        sizes.astype(np.int64), lo, hi, w, name=f"{graph.name}/2"
+    )
+    return coarse, node_map, absorbed
+
+
+def oracle_match_processors(
+    system: SystemGraph, num_merges: int
+) -> list[tuple[int, int]]:
+    """Processor pairing by a ``lexsort`` of all ``ns(ns-1)/2`` pairs by
+    ``(distance, p, q)`` and a walk of numpy scalars: the tests' oracle
+    for :func:`~repro.core.multilevel.match_processors`."""
+    n = system.num_nodes
+    iu = np.triu_indices(n, 1)
+    order = np.lexsort((iu[1], iu[0], system.shortest[iu]))
+    matched = np.zeros(n, dtype=bool)
+    pairs: list[tuple[int, int]] = []
+    for k in order.tolist():
+        if len(pairs) >= num_merges:
+            break
+        p, q = int(iu[0][k]), int(iu[1][k])
+        if matched[p] or matched[q]:
+            continue
+        matched[p] = matched[q] = True
+        pairs.append((p, q))
+    return pairs

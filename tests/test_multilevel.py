@@ -2,15 +2,21 @@
 
 Locks down the coarsening invariants (valid projection maps, work and
 communication conservation across contraction levels, the cheapest
-member link on weighted machines against a per-link oracle), the
-projection's bijection guarantee at every level, the refinement's
-neighbour order against a per-row sort, the ``max_levels=1`` bit-identity
-contract with the plain sub-mapper, the adapter's MapOutcome contract,
-nested sub-mapper parameters reaching the service fingerprint, and the
+member link on weighted machines against a per-link oracle), the four
+array-built hierarchy steps against the sorting loops they replaced
+(``tests/conftest.py``'s oracles: the abstract graph's cluster-pair sums,
+heavy-edge matching, graph contraction and processor pairing, on tied
+weights, edges running high to low, every merge budget and every
+topology family), the contraction's dense-size limit, the projection's
+bijection guarantee at every level, the refinement's neighbour order
+against a per-row sort, the ``max_levels=1`` bit-identity contract with
+the plain sub-mapper, the adapter's MapOutcome contract, nested
+sub-mapper parameters reaching the service fingerprint, and the
 registry's near-miss suggestions.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +31,10 @@ from repro.api import (
 from repro.api.scenario import Scenario
 from repro.clustering import RandomClusterer
 from repro.core import (
+    AbstractGraph,
     Assignment,
     ClusteredGraph,
+    TaskGraph,
     build_hierarchy,
     evaluate_assignment,
     verify_schedule,
@@ -41,9 +49,16 @@ from repro.core.multilevel import (
 )
 from repro.service.fingerprint import instance_fingerprint
 from repro.topology import SystemGraph, hypercube, mesh2d
-from repro.utils import MappingError
+from repro.utils import GraphError, MappingError
 from repro.workloads import layered_random_dag
-from tests.conftest import TOPOLOGY_SPECS, oracle_contracted_link_weights
+from tests.conftest import (
+    TOPOLOGY_SPECS,
+    oracle_abstract_weights,
+    oracle_contract_graph,
+    oracle_contracted_link_weights,
+    oracle_heavy_edge_matching,
+    oracle_match_processors,
+)
 
 
 def make_instance(num_tasks=120, num_clusters=16, rng=3, system=None):
@@ -199,6 +214,142 @@ class TestHierarchy:
             rebuilt = SystemGraph(expected > 0, link_weights=expected)
             assert np.array_equal(coarse.shortest, rebuilt.shortest)
             system = coarse
+
+
+def tied_graph(seed: int, num_tasks: int, direction: str = "mixed") -> TaskGraph:
+    """A random DAG whose edge weights are 1 or 2, so ties are everywhere.
+    ``direction`` ``"mixed"`` numbers the tasks at random, so edges run
+    both ways; ``"down"`` makes every edge run from a higher id to a
+    lower one."""
+    gen = np.random.default_rng(seed)
+    lo, hi = np.nonzero(np.triu(gen.random((num_tasks, num_tasks)) < 0.3, 1))
+    weights = gen.integers(1, 3, size=lo.size)
+    sizes = gen.integers(1, 6, size=num_tasks)
+    if direction == "down":
+        return TaskGraph.from_edge_arrays(sizes, hi, lo, weights, name="down")
+    perm = gen.permutation(num_tasks)
+    return TaskGraph.from_edge_arrays(sizes, perm[lo], perm[hi], weights, name="mixed")
+
+
+TIED_GRAPHS = [(seed, 12 + 7 * seed, "mixed") for seed in range(4)] + [
+    (7, 30, "down"),
+    (8, 5, "mixed"),
+]
+TIED_IDS = ["-".join(map(str, case)) for case in TIED_GRAPHS]
+
+
+def assert_same_graph(got: TaskGraph, expected: TaskGraph) -> None:
+    assert got.name == expected.name
+    assert np.array_equal(got.task_sizes, expected.task_sizes)
+    for accessor in ("edge_arrays", "in_edge_arrays"):
+        for a, b in zip(getattr(got, accessor)(), getattr(expected, accessor)()):
+            assert np.array_equal(a, b)
+    assert np.array_equal(got.out_indptr, expected.out_indptr)
+    assert np.array_equal(got.in_indptr, expected.in_indptr)
+    assert np.array_equal(got.prob_edge, expected.prob_edge)
+
+
+def tied_machines() -> list[SystemGraph]:
+    """One machine per topology family, seeded ``random:N`` machines, a
+    2-D mesh with an odd side, machines whose link costs are 1 or 2 (so
+    distances tie across hop counts) or 1-4, one whose costs run to a
+    million (so nearly every distance is its own class), and a
+    contracted machine."""
+    machines = [build_topology(spec, rng=0) for spec in TOPOLOGY_SPECS.values()]
+    machines += [build_topology("random:14", rng=seed) for seed in range(1, 4)]
+    machines.append(mesh2d(3, 5))
+    weighted = [
+        ("mesh2d:3x4", 2), ("torus2d:4x4", 2), ("random:12", 2), ("hypercube:4", 2),
+        ("random:16", 4), ("torus2d:4x4", 10**6),
+    ]
+    for seed, (spec, top) in enumerate(weighted):
+        base = build_topology(spec, rng=seed)
+        n = base.num_nodes
+        costs = np.random.default_rng(seed).integers(1, top + 1, size=(n, n))
+        machines.append(
+            SystemGraph(base.sys_edge, name=f"{spec}+w{top}", link_weights=costs)
+        )
+    from repro.core.multilevel import contract_system
+
+    cube = hypercube(5)
+    machines.append(contract_system(cube, match_processors(cube, 11))[0])
+    return machines
+
+
+class TestAgainstTheOracles:
+    """The array-built hierarchy steps return exactly what the sorting
+    loops in ``tests/conftest.py`` return."""
+
+    @pytest.mark.parametrize("case", TIED_GRAPHS, ids=TIED_IDS)
+    def test_heavy_edge_matching_for_every_budget(self, case):
+        graph = tied_graph(*case)
+        for max_merges in range(graph.num_tasks + 1):
+            assert heavy_edge_matching(graph, max_merges) == oracle_heavy_edge_matching(
+                graph, max_merges
+            ), max_merges
+
+    @pytest.mark.parametrize("case", TIED_GRAPHS, ids=TIED_IDS)
+    def test_contract_graph_for_every_budget(self, case):
+        graph = tied_graph(*case)
+        for max_merges in range(graph.num_tasks + 1):
+            pairs = oracle_heavy_edge_matching(graph, max_merges)
+            coarse, node_map, absorbed = contract_graph(graph, pairs)
+            expected, expected_map, expected_absorbed = oracle_contract_graph(graph, pairs)
+            assert_same_graph(coarse, expected)
+            assert np.array_equal(node_map, expected_map)
+            assert absorbed == expected_absorbed
+            assert coarse.total_comm + absorbed == graph.total_comm
+
+    def test_contract_graph_merges_any_disjoint_pairs(self):
+        """Pairs with no edge between them, given high id first."""
+        graph = tied_graph(7, 30, "down")
+        order = np.random.default_rng(5).permutation(30)
+        pairs = [(int(a), int(b)) for a, b in zip(order[0:20:2], order[1:20:2])]
+        coarse, node_map, absorbed = contract_graph(graph, pairs)
+        expected, expected_map, expected_absorbed = oracle_contract_graph(graph, pairs)
+        assert_same_graph(coarse, expected)
+        assert np.array_equal(node_map, expected_map)
+        assert absorbed == expected_absorbed > 0
+
+    def test_edgeless_graph(self):
+        graph = TaskGraph([3, 1, 2, 5])
+        assert heavy_edge_matching(graph, 2) == []
+        coarse, node_map, absorbed = contract_graph(graph, [(2, 0)])
+        assert_same_graph(coarse, oracle_contract_graph(graph, [(2, 0)])[0])
+        assert node_map.tolist() == [0, 1, 0, 2]
+        assert absorbed == 0
+
+    @pytest.mark.parametrize("system", tied_machines(), ids=lambda s: s.name)
+    def test_match_processors_for_every_budget(self, system):
+        for num_merges in range(1, system.num_nodes // 2 + 1):
+            assert match_processors(system, num_merges) == oracle_match_processors(
+                system, num_merges
+            ), num_merges
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("num_clusters", [1, 5, 16])
+    def test_abstract_weights(self, seed, num_clusters):
+        graph = layered_random_dag(num_tasks=80, rng=seed)
+        clustering = RandomClusterer(num_clusters=num_clusters).cluster(graph, rng=seed)
+        clustered = ClusteredGraph(graph, clustering)
+        abstract = AbstractGraph(clustered)
+        expected = oracle_abstract_weights(clustered)
+        assert np.array_equal(abstract.weights, expected)
+        assert np.array_equal(abstract.abs_edge, (expected > 0).astype(np.int64))
+        assert np.array_equal(abstract.mca, expected.sum(axis=1))
+
+    def test_contraction_above_the_dense_limit_is_refused_unallocated(self):
+        """20,001 nodes would need a 3.2 GB matrix: the contraction raises
+        before it allocates anything of that order."""
+        graph = TaskGraph(np.ones(20_001, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="limit 20000"):
+                contract_graph(graph, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestProjection:
