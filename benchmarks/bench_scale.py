@@ -11,6 +11,9 @@ Two modes:
 * default — one row per ``--sizes`` entry (10k-100k tasks) and per
   mapper in :data:`MAPPERS` (the multilevel mapper and the paper's own
   ``critical`` strategy), recording ``benchmarks/results/bench_scale.txt``.
+  A multilevel row also times one ``build_hierarchy`` of its instance on
+  its own before the map (``hier=``), which splits the map's time into
+  coarsening and the rest.
 * ``--smoke`` — the pinned CI instance (100k tasks on ``hypercube:10``).
   With ``--json-out FILE`` it emits the machine-readable report that
   ``benchmarks/check_budgets.py`` checks against the ``scale`` entry in
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from repro.api import build_topology, get_mapper
 from repro.clustering import RandomClusterer
-from repro.core import ClusteredGraph
+from repro.core import ClusteredGraph, build_hierarchy
 from repro.core.evaluate import total_time
 from repro.core.ideal import lower_bound
 from repro.metrics import evaluate_metrics
@@ -59,6 +62,11 @@ def run_instance(
     clustered = ClusteredGraph(graph, clustering)
     t2 = time.perf_counter()
     bound = lower_bound(clustered)
+    bound_end = time.perf_counter()
+    hierarchy_seconds = None
+    if mapper == "multilevel":
+        build_hierarchy(clustered, system)
+        hierarchy_seconds = time.perf_counter() - bound_end
     t3 = time.perf_counter()
     outcome = get_mapper(mapper).map(clustered, system, rng=seed)
     t4 = time.perf_counter()
@@ -70,7 +78,8 @@ def run_instance(
         "edges": int(graph.num_edges),
         "generate_seconds": t1 - t0,
         "setup_seconds": t2 - t1,
-        "bound_seconds": t3 - t2,
+        "bound_seconds": bound_end - t2,
+        "hierarchy_seconds": hierarchy_seconds,
         "map_seconds": t4 - t3,
         "eval_seconds": t5 - t4,
         "lower_bound": int(bound),
@@ -81,10 +90,12 @@ def run_instance(
 
 def format_row(topology: str, row: dict, mapper: str | None = None) -> str:
     by = f" by {mapper:<10}" if mapper else ""
+    hier = row["hierarchy_seconds"]
+    hier = "" if hier is None else f"hier={hier:.2f}s "
     return (
         f"  {row['tasks']:>7} tasks ({row['edges']:>7} edges) on {topology}{by}: "
         f"gen={row['generate_seconds']:.2f}s setup={row['setup_seconds']:.2f}s "
-        f"bound={row['bound_seconds']:.2f}s map={row['map_seconds']:.2f}s "
+        f"bound={row['bound_seconds']:.2f}s {hier}map={row['map_seconds']:.2f}s "
         f"eval={row['eval_seconds']:.2f}s | lb={row['lower_bound']} "
         f"total={row['total_time']} comm={row['comm_volume']}"
     )
