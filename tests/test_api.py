@@ -120,6 +120,39 @@ class TestConformance:
         assert a.evaluations == b.evaluations
 
 
+def _bound_instances():
+    """Small instances where most mappers reach the bound on some but not
+    all of them, plus two 40-task ones on 16 processors that make
+    ``multilevel`` coarsen."""
+    out = []
+    for seed in range(8):
+        tasks = 40 if seed >= 6 else 12 + seed
+        graph = layered_random_dag(num_tasks=tasks, comm_range=(1, 3), rng=seed)
+        small = (hypercube(2), ring(4), ring(3))[seed % 3]
+        system = hypercube(4) if seed >= 6 else small
+        clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=seed)
+        out.append((ClusteredGraph(graph, clustering), system))
+    return out
+
+
+class TestOptimalityFlag:
+    """Theorem 3's certificate means the same for every mapper: an outcome
+    reached the bound exactly when its total time equals it."""
+
+    @pytest.mark.parametrize("name", ALL_MAPPERS)
+    def test_flag_is_total_time_at_bound(self, name):
+        params = {"arms": ["critical", "tabu"]} if name == "portfolio" else {}
+        mapper = get_mapper(name, **params)
+        at_bound = 0
+        for seed, (clustered, system) in enumerate(_bound_instances()):
+            outcome = mapper.map(clustered, system, rng=seed)
+            assert outcome.reached_lower_bound == (
+                outcome.total_time == outcome.lower_bound
+            )
+            at_bound += outcome.reached_lower_bound
+        assert 0 < at_bound < 8
+
+
 class TestFacade:
     def test_solve_binds_clustering(self, small_instance):
         clustered, system = small_instance
@@ -341,3 +374,66 @@ class TestWorkItemKeying:
     def test_params_change_the_derived_seed(self):
         base = derive_seed(0, 1, "tabu")
         assert base != derive_seed(0, 1, "tabu", params_tag({"iterations": 9}))
+
+
+def _spellings(name, params):
+    """Every spelling of the choice ``(name, params)`` that each consumer
+    accepts: a ``{"name", "params"}`` mapping, a ``(name, params)`` tuple
+    and, without params, the bare name and its shorter forms."""
+    out = [{"name": name, "params": dict(params)}, (name, dict(params))]
+    if not params:
+        out += [name, {"name": name}, (name, None)]
+    return out
+
+
+TABU_CHOICES = [("tabu", {}), ("tabu", {"iterations": 5})]
+
+
+class TestChoiceSpellings:
+    """One component choice, however it is spelled, resolves to the same
+    ``(name, params)`` on every axis that accepts choices."""
+
+    @pytest.mark.parametrize("expected", TABU_CHOICES)
+    def test_scenario_mapper_axis(self, expected):
+        from repro.api import Scenario
+
+        for spelling in _spellings(*expected):
+            for axis in (spelling, [spelling]):
+                [scenario] = Scenario.grid(
+                    workload={"name": "fft", "params": {"points_log2": 2}},
+                    topology="hypercube:2",
+                    mapper=axis,
+                )
+                assert (scenario.mapper, scenario.mapper_params) == expected
+
+    @pytest.mark.parametrize(
+        "expected", [("hop_bytes", {}), ("sim_makespan", {"link_setup": 2})]
+    )
+    def test_metric_specs(self, expected):
+        from repro.metrics import normalize_metric_specs
+
+        for spelling in _spellings(*expected):
+            assert normalize_metric_specs([spelling]) == [expected]
+
+    @pytest.mark.parametrize("expected", TABU_CHOICES)
+    def test_portfolio_arms(self, expected):
+        for spelling in _spellings(*expected):
+            mapper = get_mapper("portfolio", arms=[spelling, "critical"])
+            assert mapper.arms == [expected, ("critical", {})]
+
+    def test_compare_entries(self, small_instance):
+        clustered, system = small_instance
+        outcomes = compare(
+            clustered,
+            system,
+            mappers=["tabu", ("tabu", {}), ("tabu", {"iterations": 5})],
+            seed=3,
+        )
+        reference = compare(
+            clustered,
+            system,
+            mappers=["tabu", "tabu", ("tabu", {"iterations": 5})],
+            seed=3,
+        )
+        assert [o.assignment for o in outcomes] == [o.assignment for o in reference]
+        assert [o.evaluations for o in outcomes] == [o.evaluations for o in reference]
