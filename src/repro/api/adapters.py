@@ -5,7 +5,10 @@ existing mapping entry points (:class:`~repro.core.mapper.CriticalEdgeMapper`,
 :func:`~repro.baselines.annealing.anneal_mapping`, ...) to the uniform
 :class:`~repro.api.outcome.MapOutcome`.  The wrapped functions keep their
 original signatures and result types — the adapters call them, they do
-not replace them.
+not replace them.  Every adapter's ``map`` returns through
+:func:`_timed_outcome`, the one place that times a run and builds its
+outcome, so ``reached_lower_bound`` means ``total_time == lower_bound``
+for every built-in mapper.
 
 Registered names: ``critical``, ``random``, ``bokhari``, ``lee``,
 ``annealing``, ``quenching``, ``genetic``, ``tabu``, ``multilevel``,
@@ -29,7 +32,7 @@ values measure.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from ..baselines.lee_aggarwal import lee_mapping
 from ..baselines.random_map import average_random_mapping
 from ..baselines.tabu import tabu_mapping
 from ..core.anytime import active_reporter
+from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
 from ..core.evaluate import total_time
 from ..core.ideal import lower_bound
@@ -48,7 +52,7 @@ from ..core.multilevel import analytic_metric, multilevel_map
 from ..topology.base import SystemGraph
 from ..utils import MappingError, Stopwatch
 from .outcome import MapOutcome
-from .registry import register_mapper
+from .registry import parse_choice, register_mapper
 
 __all__ = [
     "CriticalEdgeAdapter",
@@ -62,6 +66,39 @@ __all__ = [
     "MultilevelAdapter",
     "PortfolioAdapter",
 ]
+
+
+class _Run(NamedTuple):
+    """What one adapter run found; :func:`_timed_outcome` adds the rest."""
+
+    assignment: Assignment
+    total_time: int
+    lower_bound: int
+    evaluations: int
+    extras: dict[str, float] | None = None
+    portfolio: dict[str, Any] | None = None
+
+
+def _timed_outcome(mapper: str, run: Callable[[], _Run]) -> MapOutcome:
+    """Time ``run`` and build the :class:`MapOutcome` of what it found.
+
+    The run reached the bound exactly when its total time equals it
+    (Theorem 3); the stopwatch covers the whole run, lower bound
+    included.
+    """
+    with Stopwatch() as sw:
+        found = run()
+    return MapOutcome(
+        mapper=mapper,
+        assignment=found.assignment,
+        total_time=found.total_time,
+        lower_bound=found.lower_bound,
+        evaluations=found.evaluations,
+        reached_lower_bound=found.total_time == found.lower_bound,
+        wall_time=sw.elapsed,
+        extras=found.extras or {},
+        portfolio=found.portfolio or {},
+    )
 
 
 @register_mapper("critical")
@@ -88,7 +125,7 @@ class CriticalEdgeAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        with Stopwatch() as sw:
+        def run() -> _Run:
             result = CriticalEdgeMapper(
                 refinement=self.refinement,
                 refinement_trials=self.refinement_trials,
@@ -97,16 +134,15 @@ class CriticalEdgeAdapter:
                 tie_break=self.tie_break,
                 rng=rng,
             ).map(clustered, system)
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=result.total_time,
-            lower_bound=result.lower_bound,
-            evaluations=result.refinement.trials,
-            reached_lower_bound=result.is_provably_optimal,
-            wall_time=sw.elapsed,
-            extras={"initial_total_time": float(result.initial_total_time)},
-        )
+            return _Run(
+                result.assignment,
+                result.total_time,
+                result.lower_bound,
+                result.refinement.trials,
+                {"initial_total_time": float(result.initial_total_time)},
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("random")
@@ -126,24 +162,23 @@ class RandomMappingAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             stats = average_random_mapping(
                 clustered, system, samples=self.samples, rng=rng
             )
-        return MapOutcome(
-            mapper=self.name,
-            assignment=stats.best_assignment,
-            total_time=stats.best_total_time,
-            lower_bound=bound,
-            evaluations=stats.samples,
-            reached_lower_bound=stats.best_total_time <= bound,
-            wall_time=sw.elapsed,
-            extras={
-                "mean_total_time": stats.mean_total_time,
-                "worst_total_time": float(stats.worst_total_time),
-            },
-        )
+            return _Run(
+                stats.best_assignment,
+                stats.best_total_time,
+                bound,
+                stats.samples,
+                {
+                    "mean_total_time": stats.mean_total_time,
+                    "worst_total_time": float(stats.worst_total_time),
+                },
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("bokhari")
@@ -163,8 +198,8 @@ class BokhariAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             result = bokhari_mapping(
                 clustered,
                 system,
@@ -173,17 +208,15 @@ class BokhariAdapter:
                 max_passes=self.max_passes,
                 weighted=self.weighted,
             )
-            time = total_time(clustered, system, result.assignment)
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=time,
-            lower_bound=bound,
-            evaluations=result.evaluations,
-            reached_lower_bound=time <= bound,
-            wall_time=sw.elapsed,
-            extras={"cardinality": float(result.cardinality)},
-        )
+            return _Run(
+                result.assignment,
+                total_time(clustered, system, result.assignment),
+                bound,
+                result.evaluations,
+                {"cardinality": float(result.cardinality)},
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("lee")
@@ -200,8 +233,8 @@ class LeeAggarwalAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             result = lee_mapping(
                 clustered,
                 system,
@@ -209,17 +242,15 @@ class LeeAggarwalAdapter:
                 restarts=self.restarts,
                 max_passes=self.max_passes,
             )
-            time = total_time(clustered, system, result.assignment)
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=time,
-            lower_bound=bound,
-            evaluations=result.evaluations,
-            reached_lower_bound=time <= bound,
-            wall_time=sw.elapsed,
-            extras={"communication_cost": float(result.cost)},
-        )
+            return _Run(
+                result.assignment,
+                total_time(clustered, system, result.assignment),
+                bound,
+                result.evaluations,
+                {"communication_cost": float(result.cost)},
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 class _AnnealBase:
@@ -246,8 +277,8 @@ class _AnnealBase:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             result = anneal_mapping(
                 clustered,
                 system,
@@ -260,15 +291,9 @@ class _AnnealBase:
                 quench=self.quench,
                 reporter=active_reporter(),
             )
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=result.total_time,
-            lower_bound=bound,
-            evaluations=result.evaluations,
-            reached_lower_bound=result.reached_lower_bound,
-            wall_time=sw.elapsed,
-        )
+            return _Run(result.assignment, result.total_time, bound, result.evaluations)
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("annealing")
@@ -309,8 +334,8 @@ class GeneticAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             result = genetic_mapping(
                 clustered,
                 system,
@@ -323,16 +348,15 @@ class GeneticAdapter:
                 lower_bound=bound,
                 reporter=active_reporter(),
             )
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=result.total_time,
-            lower_bound=bound,
-            evaluations=result.evaluations,
-            reached_lower_bound=result.reached_lower_bound,
-            wall_time=sw.elapsed,
-            extras={"generations": float(result.generations)},
-        )
+            return _Run(
+                result.assignment,
+                result.total_time,
+                bound,
+                result.evaluations,
+                {"generations": float(result.generations)},
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("multilevel")
@@ -410,7 +434,6 @@ class MultilevelAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
         sub_outcomes: list[MapOutcome] = []
 
         def initial_mapper(
@@ -422,7 +445,7 @@ class MultilevelAdapter:
             sub_outcomes.append(outcome)
             return outcome.assignment
 
-        with Stopwatch() as sw:
+        def run() -> _Run:
             result = multilevel_map(
                 clustered,
                 system,
@@ -436,34 +459,33 @@ class MultilevelAdapter:
             )
             sub = sub_outcomes[0]
             # Without coarsening the sub-mapper solved the original
-            # instance, so its exact makespan is reused bit-for-bit;
-            # otherwise the final assignment is evaluated once at full
-            # resolution.
-            time = (
-                total_time(clustered, system, result.assignment)
-                if result.coarsened
-                else sub.total_time
+            # instance, so its exact makespan and bound are reused
+            # bit-for-bit; otherwise the final assignment is evaluated
+            # once at full resolution.
+            if result.coarsened:
+                time = total_time(clustered, system, result.assignment)
+                bound = lower_bound(clustered)
+            else:
+                time, bound = sub.total_time, sub.lower_bound
+            extras = {
+                "levels": float(result.num_levels),
+                "coarsest_nodes": float(result.coarsest_nodes),
+                "refine_objective": float(result.comm_volume),
+                "refine_probes": float(result.refine_probes),
+                "refine_swaps": float(result.refine_swaps),
+            }
+            if self.refine_metric == "comm_volume":
+                # Historical key: the objective *is* the communication volume.
+                extras["comm_volume"] = float(result.comm_volume)
+            return _Run(
+                result.assignment,
+                time,
+                bound,
+                sub.evaluations + result.refine_probes,
+                extras,
             )
-        extras = {
-            "levels": float(result.num_levels),
-            "coarsest_nodes": float(result.coarsest_nodes),
-            "refine_objective": float(result.comm_volume),
-            "refine_probes": float(result.refine_probes),
-            "refine_swaps": float(result.refine_swaps),
-        }
-        if self.refine_metric == "comm_volume":
-            # Historical key: the objective *is* the communication volume.
-            extras["comm_volume"] = float(result.comm_volume)
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=time,
-            lower_bound=bound,
-            evaluations=sub.evaluations + result.refine_probes,
-            reached_lower_bound=time <= bound,
-            wall_time=sw.elapsed,
-            extras=extras,
-        )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("tabu")
@@ -482,8 +504,8 @@ class TabuAdapter:
         system: SystemGraph,
         rng: int | np.random.Generator | None = None,
     ) -> MapOutcome:
-        bound = lower_bound(clustered)
-        with Stopwatch() as sw:
+        def run() -> _Run:
+            bound = lower_bound(clustered)
             result = tabu_mapping(
                 clustered,
                 system,
@@ -493,16 +515,15 @@ class TabuAdapter:
                 lower_bound=bound,
                 reporter=active_reporter(),
             )
-        return MapOutcome(
-            mapper=self.name,
-            assignment=result.assignment,
-            total_time=result.total_time,
-            lower_bound=bound,
-            evaluations=result.evaluations,
-            reached_lower_bound=result.reached_lower_bound,
-            wall_time=sw.elapsed,
-            extras={"iterations": float(result.iterations)},
-        )
+            return _Run(
+                result.assignment,
+                result.total_time,
+                bound,
+                result.evaluations,
+                {"iterations": float(result.iterations)},
+            )
+
+        return _timed_outcome(self.name, run)
 
 
 @register_mapper("portfolio")
@@ -575,35 +596,16 @@ class PortfolioAdapter:
             self._arms = self._build(self.arms)
 
     @staticmethod
-    def _normalize(arms: object) -> list[tuple[str, dict[str, object]]]:
-        """Accept the same arm spellings the scenario axes use."""
+    def _normalize(arms: object) -> list[tuple[str, dict[str, Any]]]:
+        """Read the arm choices; a race needs two arms and no nested race."""
         if isinstance(arms, Mapping) or not isinstance(arms, (list, tuple)):
             raise MappingError(
                 f"portfolio arms must be 'auto' or a list of arm specs, "
                 f"got {arms!r}"
             )
-        specs: list[tuple[str, dict[str, object]]] = []
-        for choice in arms:
-            if isinstance(choice, str):
-                name, params = choice, {}
-            elif isinstance(choice, Mapping):
-                extra = sorted(set(choice) - {"name", "params"})
-                if "name" not in choice or extra:
-                    raise MappingError(
-                        f"portfolio arm mappings need a 'name' and optional "
-                        f"'params', got {dict(choice)!r}"
-                    )
-                name, params = choice["name"], dict(choice.get("params") or {})
-            elif isinstance(choice, (list, tuple)) and len(choice) == 2:
-                name, params = choice[0], dict(choice[1] or {})
-            else:
-                raise MappingError(
-                    f"portfolio arm must be a mapper name, a name/params "
-                    f"mapping, or a (name, params) pair, got {choice!r}"
-                )
-            if name == "portfolio":
-                raise MappingError("a portfolio arm cannot itself be 'portfolio'")
-            specs.append((str(name), params))
+        specs = [parse_choice(arm, "portfolio arm") for arm in arms]
+        if any(name == "portfolio" for name, _params in specs):
+            raise MappingError("a portfolio arm cannot itself be 'portfolio'")
         if len(specs) < 2:
             raise MappingError(
                 f"a portfolio needs at least two arms, got {len(specs)}"
@@ -611,7 +613,7 @@ class PortfolioAdapter:
         return specs
 
     @staticmethod
-    def _build(specs: list[tuple[str, dict[str, object]]]) -> list[object]:
+    def _build(specs: list[tuple[str, dict[str, Any]]]) -> list[object]:
         """Eagerly build every arm: bad names/params fail at construction."""
         from ..portfolio.racing import ArmSpec
         from .registry import get_mapper
@@ -656,7 +658,7 @@ class PortfolioAdapter:
     ) -> MapOutcome:
         from ..portfolio.racing import race
 
-        with Stopwatch() as sw:
+        def run() -> _Run:
             arm_specs = (
                 self._arms
                 if self._arms is not None
@@ -670,28 +672,27 @@ class PortfolioAdapter:
                 objective=self.objective,
                 kill_ratio=self.kill_ratio,
             )
-        win = result.outcome
-        killed = sum(1 for arm in result.arms if arm["status"] == "killed")
-        return MapOutcome(
-            mapper=self.name,
-            assignment=win.assignment,
-            total_time=win.total_time,
-            lower_bound=win.lower_bound,
-            evaluations=win.evaluations,
-            reached_lower_bound=win.reached_lower_bound,
-            wall_time=sw.elapsed,
-            extras={
-                "winner_arm": float(result.winner),
-                "arms_total": float(len(arm_specs)),
-                "arms_killed": float(killed),
-            },
-            portfolio={
-                "objective": self.objective,
-                "kill_ratio": self.kill_ratio,
-                "winner": {
-                    "arm": result.winner,
-                    "mapper": arm_specs[result.winner].name,
+            win = result.outcome
+            killed = sum(1 for arm in result.arms if arm["status"] == "killed")
+            return _Run(
+                win.assignment,
+                win.total_time,
+                win.lower_bound,
+                win.evaluations,
+                extras={
+                    "winner_arm": float(result.winner),
+                    "arms_total": float(len(arm_specs)),
+                    "arms_killed": float(killed),
                 },
-                "arms": result.arms,
-            },
-        )
+                portfolio={
+                    "objective": self.objective,
+                    "kill_ratio": self.kill_ratio,
+                    "winner": {
+                        "arm": result.winner,
+                        "mapper": arm_specs[result.winner].name,
+                    },
+                    "arms": result.arms,
+                },
+            )
+
+        return _timed_outcome(self.name, run)

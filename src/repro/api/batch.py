@@ -34,7 +34,7 @@ from ..core.clustered import ClusteredGraph
 from ..topology.base import SystemGraph
 from ..utils import MappingError
 from .outcome import MapOutcome
-from .registry import Mapper, get_mapper
+from .registry import Mapper, get_mapper, parse_choice
 
 __all__ = [
     "ProblemInstance",
@@ -233,7 +233,7 @@ def solve_many(
 def compare(
     clustered: ClusteredGraph,
     system: SystemGraph,
-    mappers: Sequence[str | tuple[str, dict[str, object]]] | None = None,
+    mappers: Sequence[object] | None = None,
     *,
     seed: int | None = 0,
     max_workers: int | None = 1,
@@ -242,8 +242,10 @@ def compare(
     """Score several mapper configurations head-to-head on one instance.
 
     ``mappers`` defaults to every registered mapper (sorted by name).
-    Each entry is either a registry name or a ``(name, params)`` pair, so
-    the *same* mapper can appear several times under different parameters
+    Each entry is a registry name, a ``{"name": ..., "params": {...}}``
+    mapping or a ``(name, params)`` pair (see
+    :func:`~repro.api.registry.parse_choice`), so the *same* mapper can
+    appear several times under different parameters
     — every entry stays a distinct work item (nothing is deduplicated)
     and gets its own seed derived from (slot, name, params) via
     :func:`derive_seed`.  ``mapper_params`` supplies per-name defaults,
@@ -272,11 +274,8 @@ def compare(
     mapper_params = mapper_params or {}
     items = []
     for slot, spec in enumerate(specs):
-        if isinstance(spec, str):
-            name, own = spec, {}
-        else:
-            name, own = spec
-        merged = {**mapper_params.get(name, {}), **dict(own)}
+        name, own = parse_choice(spec, "compare mapper")
+        merged = {**mapper_params.get(name, {}), **own}
         items.append(
             _WorkItem(
                 index=slot,

@@ -7,6 +7,10 @@ common denominator the :mod:`repro.api` facade normalizes them to, so
 experiments, the CLI, and the batch engine can treat all mappers
 uniformly.  Mapper-specific detail (mean random time, cardinality,
 generation count, ...) survives in :attr:`MapOutcome.extras`.
+
+:meth:`MapOutcome.to_dict` is the one plain-dict form of an outcome: the
+service store's record, a job's ``outcome`` and, without ``wall_time``,
+a sweep record's ``outcome``.
 """
 
 from __future__ import annotations
@@ -90,6 +94,49 @@ class MapOutcome:
     def percent_of_lower_bound(self) -> float:
         """The paper's reporting metric: ``100 * total_time / lower_bound``."""
         return 100.0 * self.total_time / self.lower_bound
+
+    def to_dict(self) -> dict[str, Any]:
+        """Lossless plain-dict form, including the assignment and ``wall_time``.
+
+        ``metrics`` and ``portfolio`` appear only when non-empty, so
+        outcomes without them keep their historical records.
+        """
+        data: dict[str, Any] = {
+            "mapper": self.mapper,
+            "assignment": self.assignment.assi.tolist(),
+            "total_time": int(self.total_time),
+            "lower_bound": int(self.lower_bound),
+            "evaluations": int(self.evaluations),
+            "reached_lower_bound": bool(self.reached_lower_bound),
+            "wall_time": float(self.wall_time),
+            "extras": {k: float(v) for k, v in sorted(self.extras.items())},
+        }
+        if self.metrics:
+            data["metrics"] = {k: float(v) for k, v in sorted(self.metrics.items())}
+        if self.portfolio:
+            data["portfolio"] = self.portfolio
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "MapOutcome":
+        """Inverse of :meth:`to_dict`; malformed data raises :class:`MappingError`."""
+        if not isinstance(data, dict):
+            raise MappingError(f"a stored outcome must be a dict, got {data!r}")
+        try:
+            return cls(
+                mapper=data["mapper"],
+                assignment=Assignment(data["assignment"]),
+                total_time=int(data["total_time"]),
+                lower_bound=int(data["lower_bound"]),
+                evaluations=int(data["evaluations"]),
+                reached_lower_bound=bool(data["reached_lower_bound"]),
+                wall_time=float(data["wall_time"]),
+                extras={k: float(v) for k, v in data.get("extras", {}).items()},
+                metrics={k: float(v) for k, v in data.get("metrics", {}).items()},
+                portfolio=dict(data.get("portfolio") or {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MappingError(f"malformed stored outcome: {exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

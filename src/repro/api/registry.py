@@ -17,11 +17,19 @@ Registration happens via the :meth:`Registry.register` decorator (see
 registries are what let the experiment runner, the CLI, the batch engine,
 and the scenario sweep accept component *names* instead of hard-coding
 imports.
+
+Wherever a component is chosen — a scenario axis, a metric spec, a
+portfolio arm, a ``compare`` entry — the choice is spelled one way and
+read by :func:`parse_choice`: a name, a ``{"name": ..., "params": {...}}``
+mapping, or a ``(name, params)`` pair.  :func:`choice_label` renders a
+parsed choice as ``name`` or ``name[k=v,...]``, the form scenario keys,
+sweep tables and fingerprints are built from.
 """
 
 from __future__ import annotations
 
 import difflib
+from collections.abc import Mapping
 from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -41,7 +49,9 @@ __all__ = [
     "UnknownMapperError",
     "MAPPERS",
     "available_mappers",
+    "choice_label",
     "get_mapper",
+    "parse_choice",
     "register_mapper",
 ]
 
@@ -209,3 +219,53 @@ def available_mappers() -> list[str]:
 def get_mapper(name: str, **params: object) -> Mapper:
     """Instantiate the mapper registered under ``name`` with ``params``."""
     return MAPPERS.get(name, **params)
+
+
+def parse_choice(
+    choice: object, what: str, error: type[MappingError] = MappingError
+) -> tuple[str, dict[str, Any]]:
+    """Read one component choice as ``(name, params)``.
+
+    A choice is a name, a ``{"name": ..., "params": {...}}`` mapping (the
+    JSON-spec form), or a ``(name, params)`` tuple or 2-list, with a
+    string name and params that are a mapping or ``None``.  Anything else
+    raises ``error``, its message starting with ``what`` (the field being
+    read, e.g. ``"portfolio arm"``).  Whether the name is registered is
+    the caller's check.
+    """
+    if isinstance(choice, str):
+        return choice, {}
+    if isinstance(choice, Mapping):
+        if "name" not in choice or set(choice) - {"name", "params"}:
+            raise error(
+                f"{what}: a mapping needs a 'name' and optional 'params', "
+                f"got {dict(choice)!r}"
+            )
+        name, params = choice["name"], choice.get("params")
+    elif isinstance(choice, (tuple, list)) and len(choice) == 2:
+        name, params = choice
+    else:
+        raise error(
+            f"{what}: expected a name, a (name, params) pair or a "
+            f"{{'name': ..., 'params': {{...}}}} mapping, got {choice!r}"
+        )
+    if not isinstance(name, str):
+        raise error(f"{what}: the name must be a string, got {name!r}")
+    if params is not None and not isinstance(params, Mapping):
+        raise error(
+            f"{what}: the params of {name!r} must be a mapping or null, "
+            f"got {params!r}"
+        )
+    return name, dict(params or {})
+
+
+def choice_label(name: str, params: Mapping[str, Any] | None = None) -> str:
+    """Canonical display form of a choice: ``name`` or ``name[k=v,...]``.
+
+    Params are sorted by key, so the label — and the scenario keys, group
+    keys and fingerprints built from it — does not depend on their order.
+    """
+    if not params:
+        return name
+    inner = ",".join(f"{k}={params[k]!r}" for k in sorted(params))
+    return f"{name}[{inner}]"

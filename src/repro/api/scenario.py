@@ -30,7 +30,7 @@ from .components import (
     WORKLOADS,
     parse_topology_spec,
 )
-from .registry import MAPPERS, RegistryError
+from .registry import MAPPERS, RegistryError, choice_label, parse_choice
 
 __all__ = ["Scenario", "ScenarioError", "expand_spec", "load_spec"]
 
@@ -221,17 +221,15 @@ class Scenario:
 
     def _key_parts(self, *, with_mapper: bool) -> list[str]:
         parts = [
-            _axis_key("workload", self.workload, self.workload_params),
-            _axis_key("clustering", self.clustering, self.clustering_params),
+            f"workload={choice_label(self.workload, self.workload_params)}",
+            f"clustering={choice_label(self.clustering, self.clustering_params)}",
             f"topology={self.topology}",
         ]
         if with_mapper:
-            parts.append(_axis_key("mapper", self.mapper, self.mapper_params))
+            parts.append(f"mapper={choice_label(self.mapper, self.mapper_params)}")
         if self.metrics:
-            from ..metrics import metric_label
-
             parts.append(
-                "metrics=" + ",".join(metric_label(n, p) for n, p in self.metrics)
+                "metrics=" + ",".join(choice_label(n, p) for n, p in self.metrics)
             )
         parts.append(f"seed={self.seed}")
         return parts
@@ -310,7 +308,9 @@ class Scenario:
 
         Each axis accepts a single choice or a list of choices; a choice
         is a registry name, a ``{"name": ..., "params": {...}}`` mapping
-        (the JSON-spec form), or a ``(name, params)`` pair.  Expansion
+        (the JSON-spec form), or a ``(name, params)`` pair — a tuple, or
+        a 2-list inside a list of choices (see
+        :func:`~repro.api.registry.parse_choice`).  Expansion
         order is workload-major, then clustering, topology, mapper —
         deterministic, so sweep resume files stay aligned.  ``metrics``
         (like ``seed``/``replicas``) applies to every produced scenario.
@@ -438,13 +438,6 @@ def _keyword_names(factory: Any) -> frozenset[str] | None:
     return frozenset(names)
 
 
-def _axis_key(axis: str, name: str, params: Mapping[str, Any]) -> str:
-    if not params:
-        return f"{axis}={name}"
-    inner = ",".join(f"{k}={params[k]!r}" for k in sorted(params))
-    return f"{axis}={name}[{inner}]"
-
-
 def _axis_choices(
     axis: str, choices: object
 ) -> list[tuple[str, dict[str, Any]]]:
@@ -456,27 +449,10 @@ def _axis_choices(
             f"scenario axis {axis!r}: expected a choice or list of choices, "
             f"got {choices!r}"
         )
-    out: list[tuple[str, dict[str, Any]]] = []
-    for choice in choices:
-        if isinstance(choice, str):
-            out.append((choice, {}))
-        elif isinstance(choice, Mapping):
-            extra = sorted(set(choice) - {"name", "params"})
-            if "name" not in choice or extra:
-                raise ScenarioError(
-                    f"scenario axis {axis!r}: a mapping choice needs a 'name' "
-                    f"and optional 'params', got {dict(choice)!r}"
-                )
-            out.append((choice["name"], dict(choice.get("params") or {})))
-        elif isinstance(choice, tuple) and len(choice) == 2:
-            name, params = choice
-            out.append((name, dict(params or {})))
-        else:
-            raise ScenarioError(
-                f"scenario axis {axis!r}: cannot interpret choice {choice!r} "
-                "(use a name, a (name, params) pair, or "
-                "{'name': ..., 'params': {...}})"
-            )
+    out = [
+        parse_choice(choice, f"scenario axis {axis!r}", ScenarioError)
+        for choice in choices
+    ]
     if not out:
         raise ScenarioError(f"scenario axis {axis!r}: needs at least one choice")
     return out

@@ -41,7 +41,7 @@ from ..utils import MappingError
 from .batch import ProblemInstance, iter_item_outcomes
 from .components import build_topology, build_workload, get_clusterer
 from .outcome import MapOutcome
-from .registry import get_mapper
+from .registry import choice_label, get_mapper
 from .scenario import Scenario
 
 __all__ = [
@@ -374,49 +374,26 @@ def _make_record(
 ) -> dict[str, Any]:
     """One JSONL record: pure function of (scenario, replica).
 
-    ``wall_time`` is deliberately omitted — records must be bit-identical
-    across runs and worker counts for resume verification to work.
+    The ``outcome`` block is :meth:`MapOutcome.to_dict` without
+    ``wall_time`` — records must be bit-identical across runs and worker
+    counts for resume verification to work.  Its ``metrics`` and
+    ``portfolio`` keys appear only for scenarios that produce them;
+    racing diagnostics are a pure function of the arm configuration and
+    seeds, so they are deterministic at any worker count.
     """
-    mapper_label = scenario.mapper + (
-        "[" + ",".join(
-            f"{k}={scenario.mapper_params[k]!r}"
-            for k in sorted(scenario.mapper_params)
-        ) + "]"
-        if scenario.mapper_params
-        else ""
-    )
-    record: dict[str, Any] = {
+    data = outcome.to_dict()
+    del data["wall_time"]
+    return {
         "key": run_key(scenario, replica),
         "group": scenario.group_key(),
         "scenario": scenario.to_dict(),
         "run": {
             "replica": replica,
             "label": scenario.label(),
-            "mapper_label": mapper_label,
+            "mapper_label": choice_label(scenario.mapper, scenario.mapper_params),
         },
-        "outcome": {
-            "mapper": outcome.mapper,
-            "total_time": int(outcome.total_time),
-            "lower_bound": int(outcome.lower_bound),
-            "evaluations": int(outcome.evaluations),
-            "reached_lower_bound": bool(outcome.reached_lower_bound),
-            "assignment": [int(p) for p in outcome.assignment.assi.tolist()],
-            "extras": {k: float(v) for k, v in sorted(outcome.extras.items())},
-        },
+        "outcome": data,
     }
-    if outcome.metrics:
-        # Key present only when metrics were requested, keeping
-        # metric-less sweeps byte-identical to their historical records.
-        record["outcome"]["metrics"] = {
-            k: float(v) for k, v in sorted(outcome.metrics.items())
-        }
-    if outcome.portfolio:
-        # Racing diagnostics (winner, per-arm kill ordinals) are a pure
-        # function of the arm configuration and seeds — deterministic
-        # at any worker count — so they belong in the record; the key
-        # only appears for portfolio scenarios, like metrics above.
-        record["outcome"]["portfolio"] = outcome.portfolio
-    return record
 
 
 def _load_checkpoint(

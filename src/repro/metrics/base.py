@@ -23,12 +23,14 @@ between metrics that request the same configuration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from ..api.registry import (
     DuplicateComponentError,
     Registry,
     UnknownComponentError,
+    choice_label,
+    parse_choice,
 )
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
@@ -105,16 +107,9 @@ def get_metric(name: str, **params: object) -> Metric:
     return METRICS.get(name, **params)
 
 
-def metric_label(name: str, params: Mapping[str, Any] | None = None) -> str:
-    """Canonical display form of a metric spec: ``name`` or ``name[k=v,...]``.
-
-    Params are sorted by key so the label (and everything derived from
-    it — scenario keys, fingerprints) is order-independent.
-    """
-    if not params:
-        return name
-    inner = ",".join(f"{k}={params[k]!r}" for k in sorted(params))
-    return f"{name}[{inner}]"
+#: Canonical display form of a metric spec, ``name`` or ``name[k=v,...]``
+#: (the one choice label; scenario keys and fingerprints embed it).
+metric_label = choice_label
 
 
 def normalize_metric_specs(
@@ -122,42 +117,21 @@ def normalize_metric_specs(
 ) -> list[tuple[str, dict[str, Any]]]:
     """Normalize metric specs to ``(name, params)`` pairs.
 
-    Accepts the same shapes as the scenario axis normalizer: a bare name
-    string, a ``{"name": ..., "params": {...}}`` mapping, or a
-    ``(name, params)`` pair.  Names are validated against the registry
-    (unknown names raise :class:`UnknownMetricError` with near-miss
-    suggestions); duplicate specs raise :class:`MappingError`.
+    Accepts every choice spelling :func:`~repro.api.registry.parse_choice`
+    reads: a bare name string, a ``{"name": ..., "params": {...}}``
+    mapping, or a ``(name, params)`` pair.  Names are validated against
+    the registry (unknown names raise :class:`UnknownMetricError` with
+    near-miss suggestions); duplicate specs raise :class:`MappingError`.
     """
     out: list[tuple[str, dict[str, Any]]] = []
     seen: set[str] = set()
     for spec in specs:
-        if isinstance(spec, str):
-            name, params = spec, {}
-        elif isinstance(spec, Mapping):
-            unknown = set(spec) - {"name", "params"}
-            if unknown:
-                raise MappingError(
-                    f"metric spec keys must be 'name'/'params', "
-                    f"got extra {sorted(unknown)}"
-                )
-            if "name" not in spec:
-                raise MappingError(f"metric spec {spec!r} is missing 'name'")
-            name = spec["name"]
-            params = dict(spec.get("params") or {})
-        elif isinstance(spec, Sequence) and len(spec) == 2:
-            name, params = spec[0], dict(spec[1] or {})
-        else:
-            raise MappingError(
-                f"metric spec must be a name, mapping, or (name, params) "
-                f"pair, got {spec!r}"
-            )
-        if not isinstance(name, str):
-            raise MappingError(f"metric name must be a string, got {name!r}")
+        name, params = parse_choice(spec, "metric spec")
         if name not in METRICS:
             raise UnknownMetricError(
                 f"unknown metric {name!r}; {METRICS.suggest(name)}"
             )
-        label = metric_label(name, params)
+        label = choice_label(name, params)
         if label in seen:
             raise MappingError(f"duplicate metric spec {label!r}")
         seen.add(label)

@@ -43,7 +43,7 @@ from ..topology.base import SystemGraph
 from ..utils import MappingError
 from .cache import OutcomeCache
 from .fingerprint import instance_fingerprint, scenario_fingerprint
-from .store import ResultStore, outcome_to_dict
+from .store import ResultStore
 
 __all__ = [
     "Job",
@@ -189,7 +189,7 @@ class Job:
             "cached": self.cached,
         }
         if status == "done":
-            payload["outcome"] = outcome_to_dict(self._future.result())
+            payload["outcome"] = self._future.result().to_dict()
         elif status == "failed":
             payload["error"] = self.error
         return payload

@@ -14,10 +14,11 @@ so a job acknowledged as done survives a crash of the whole machine;
 ``sync="never"`` trades that for lower write latency (see
 :mod:`repro.service.backends`).
 
-Outcomes round-trip *losslessly*: :func:`outcome_to_dict` /
-:func:`outcome_from_dict` preserve every :class:`MapOutcome` field
-including the assignment vector, ``wall_time``, and ``extras``, which is
-what lets a warm-cache hit return the stored outcome bit-identically.
+Outcomes round-trip *losslessly* through :meth:`MapOutcome.to_dict` /
+:meth:`MapOutcome.from_dict` (bound here as :func:`outcome_to_dict` /
+:func:`outcome_from_dict`), which preserve every field including the
+assignment vector, ``wall_time``, and ``extras``; that is what lets a
+warm-cache hit return the stored outcome bit-identically.
 """
 
 from __future__ import annotations
@@ -26,54 +27,16 @@ import threading
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..api.outcome import MapOutcome
-from ..core.assignment import Assignment
-from ..utils import MappingError
 from .backends import StoreBackend, open_backend
 
 __all__ = ["ResultStore", "outcome_from_dict", "outcome_to_dict"]
 
 
-def outcome_to_dict(outcome: MapOutcome) -> dict[str, Any]:
-    """Lossless plain-dict form of a :class:`MapOutcome`."""
-    data = {
-        "mapper": outcome.mapper,
-        "assignment": [int(p) for p in outcome.assignment.assi.tolist()],
-        "total_time": int(outcome.total_time),
-        "lower_bound": int(outcome.lower_bound),
-        "evaluations": int(outcome.evaluations),
-        "reached_lower_bound": bool(outcome.reached_lower_bound),
-        "wall_time": float(outcome.wall_time),
-        "extras": {k: float(v) for k, v in sorted(outcome.extras.items())},
-    }
-    if outcome.metrics:
-        data["metrics"] = {k: float(v) for k, v in sorted(outcome.metrics.items())}
-    if outcome.portfolio:
-        data["portfolio"] = outcome.portfolio
-    return data
-
-
-def outcome_from_dict(data: dict[str, Any]) -> MapOutcome:
-    """Inverse of :func:`outcome_to_dict`."""
-    if not isinstance(data, dict):
-        raise MappingError(f"a stored outcome must be a dict, got {data!r}")
-    try:
-        return MapOutcome(
-            mapper=data["mapper"],
-            assignment=Assignment(np.asarray(data["assignment"], dtype=np.int64)),
-            total_time=int(data["total_time"]),
-            lower_bound=int(data["lower_bound"]),
-            evaluations=int(data["evaluations"]),
-            reached_lower_bound=bool(data["reached_lower_bound"]),
-            wall_time=float(data["wall_time"]),
-            extras={k: float(v) for k, v in data.get("extras", {}).items()},
-            metrics={k: float(v) for k, v in data.get("metrics", {}).items()},
-            portfolio=dict(data.get("portfolio") or {}),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MappingError(f"malformed stored outcome: {exc}") from None
+#: The store's record form of an outcome (kept as names of this module,
+#: which scripts import them from).
+outcome_to_dict = MapOutcome.to_dict
+outcome_from_dict = MapOutcome.from_dict
 
 
 class ResultStore:
@@ -146,7 +109,7 @@ class ResultStore:
         """The stored outcome under ``fingerprint``, or ``None``."""
         with self._lock:
             data = self._records.get(fingerprint)
-        return outcome_from_dict(data) if data is not None else None
+        return MapOutcome.from_dict(data) if data is not None else None
 
     def put(
         self,
@@ -163,7 +126,7 @@ class ResultStore:
         family/mapper context the recommender mines
         (:mod:`repro.portfolio.recommend`); it never affects lookups.
         """
-        data = outcome_to_dict(outcome)
+        data = outcome.to_dict()
         with self._lock:
             if self._closed or fingerprint in self._records:
                 return False

@@ -398,7 +398,10 @@ class TestChoiceSpellings:
         from repro.api import Scenario
 
         for spelling in _spellings(*expected):
-            for axis in (spelling, [spelling]):
+            axes = [spelling, [spelling]]
+            if isinstance(spelling, tuple):
+                axes.append([list(spelling)])  # a JSON spec's 2-list
+            for axis in axes:
                 [scenario] = Scenario.grid(
                     workload={"name": "fft", "params": {"points_log2": 2}},
                     topology="hypercube:2",
@@ -426,13 +429,18 @@ class TestChoiceSpellings:
         outcomes = compare(
             clustered,
             system,
-            mappers=["tabu", ("tabu", {}), ("tabu", {"iterations": 5})],
+            mappers=[
+                "tabu",
+                ("tabu", {}),
+                {"name": "tabu", "params": {"iterations": 5}},
+                {"name": "tabu"},
+            ],
             seed=3,
         )
         reference = compare(
             clustered,
             system,
-            mappers=["tabu", "tabu", ("tabu", {"iterations": 5})],
+            mappers=["tabu", "tabu", ("tabu", {"iterations": 5}), "tabu"],
             seed=3,
         )
         assert [o.assignment for o in outcomes] == [o.assignment for o in reference]

@@ -275,6 +275,24 @@ class TestSweepAndList:
         assert excinfo.value.code == 2
         assert "'workload'" in capsys.readouterr().err
 
+    def test_sweep_malformed_metric_pair_exits_2(self, capsys, tmp_path):
+        spec = self._write_spec(
+            tmp_path,
+            {
+                "grid": {
+                    "workload": {"name": "fft", "params": {"points_log2": 2}},
+                    "topology": "hypercube:2",
+                },
+                "metrics": [["hop_bytes", "xy"]],
+            },
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(spec)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert "'metrics'" in err and "params of 'hop_bytes'" in err
+
     def test_sweep_unknown_param_exits_2(self, capsys, tmp_path):
         spec = self._write_spec(
             tmp_path,

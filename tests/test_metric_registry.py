@@ -100,6 +100,22 @@ class TestRegistry:
         with pytest.raises(MappingError, match="did you mean"):
             normalize_metric_specs(["comm_volum"])
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"name": "hop_bytes", "params": [1, 2]}, "params of 'hop_bytes'"),
+            (["hop_bytes", "xy"], "params of 'hop_bytes'"),
+            ({"params": {}}, "needs a 'name'"),
+            ({"name": "hop_bytes", "knob": 1}, "optional 'params'"),
+            ((1, {}), "name must be a string"),
+            (("hop_bytes",), "pair"),
+        ],
+    )
+    def test_normalize_specs_rejects_malformed_choices(self, spec, message):
+        with pytest.raises(MappingError, match=message) as excinfo:
+            normalize_metric_specs([spec])
+        assert str(excinfo.value).startswith("metric spec: ")
+
     def test_build_metrics_wraps_bad_params(self):
         with pytest.raises(MappingError):
             build_metrics([("sim_makespan", {"bogus_knob": 1})])

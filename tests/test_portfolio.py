@@ -357,6 +357,8 @@ class TestPortfolioAdapter:
                 "optional 'params'",
             ),
             ({"arms": [("critical",), "tabu"]}, "pair"),
+            ({"arms": [["tabu", "x"], "critical"]}, "params of 'tabu'"),
+            ({"arms": [(3, {}), "critical"]}, "name must be a string"),
         ],
     )
     def test_validation_errors(self, kwargs, message):

@@ -228,6 +228,21 @@ class TestGridExpansion:
         with pytest.raises(ScenarioError, match="'workload_params'.*'points'"):
             expand_spec(explicit)
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"workload": ("fft", "x")}, "'workload': the params of 'fft'"),
+            ({"mapper": [["tabu", 5]]}, "'mapper': the params of 'tabu'"),
+            ({"mapper": [("tabu", {}, 1)]}, "'mapper': expected a name"),
+            ({"mapper": {"params": {}}}, "'mapper': a mapping needs a 'name'"),
+            ({"clustering": [(7, None)]}, "'clustering': the name must be"),
+        ],
+    )
+    def test_malformed_choices_name_the_axis(self, axes, message):
+        base = {"workload": "fft", "topology": "hypercube:2"}
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.grid(**{**base, **axes})
+
     def test_expand_spec_rejects_bad_shapes(self):
         with pytest.raises(ScenarioError, match="unknown sweep-spec key"):
             expand_spec({"grdi": {}})
