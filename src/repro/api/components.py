@@ -9,9 +9,9 @@ mapper axis:
 * **workloads** — ``get_workload("fft")(points_log2=4)`` wraps the task
   graph generators in :mod:`repro.workloads` (build with
   :func:`build_workload` to thread an ``rng`` uniformly);
-* **topologies** — ``build_topology("torus2d:4x4")`` absorbs
-  :func:`repro.topology.generators.by_name` into one ``family:args``
-  spec grammar shared by the CLI, scenarios, and sweeps.
+* **topologies** — ``build_topology("torus2d:4x4")`` parses one
+  ``family:args`` spec grammar shared by the CLI (``--topology F --size
+  K`` is the spec ``F:K``), scenarios, and sweeps.
 
 Registered generators keep their original signatures — the registries
 wrap them, they do not replace them.  Deterministic generators silently
@@ -285,8 +285,10 @@ for _name, _gen in {
 
 for _name, _gen in {
     "hypercube": topo.hypercube,
+    "mesh": topo.squarest_mesh,
     "mesh2d": topo.mesh2d,
     "mesh3d": topo.mesh3d,
+    "torus": topo.squarest_torus,
     "torus2d": topo.torus2d,
     "torus3d": topo.torus3d,
     "ring": topo.ring,
@@ -305,12 +307,3 @@ for _name, _gen in {
     "regular": topo.random_regular,
 }.items():
     TOPOLOGIES.register(_name)(_with_uniform_rng(_gen))
-
-# by_name's size-based families ride along so legacy "--topology mesh
-# --size 12" specs parse through the same registry (squarest factoring).
-TOPOLOGIES.register("mesh")(
-    _with_uniform_rng(lambda size: topo.by_name("mesh", size))
-)
-TOPOLOGIES.register("torus")(
-    _with_uniform_rng(lambda size: topo.by_name("torus", size))
-)

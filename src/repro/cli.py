@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--topology",
             default="hypercube",
-            help="topology family (hypercube, mesh, torus, ring, chain, star, "
-            "complete, random)",
+            help="topology family taking a node count (hypercube, mesh, torus, "
+            "ring, chain, star, complete, random, ...)",
         )
         p.add_argument("--size", type=int, default=8, help="system graph size ns")
         p.add_argument("--seed", type=int, default=0)
@@ -478,13 +478,14 @@ def _cli_error(command: str, message: str) -> "SystemExit":
 def _build_instance(args: argparse.Namespace):
     """One (clustered graph, system) instance from the CLI knobs or a file.
 
-    Bad input — an unreadable/invalid ``--input`` file or out-of-range
-    ``--tasks``/``--size`` — exits with code 2 and a one-line message
-    instead of a traceback.
+    ``--topology F --size K`` builds the topology spec ``F:K``, except
+    that a hypercube's ``K`` is its node count (a power of two) rather
+    than its dimension.  Bad input — an unreadable/invalid ``--input``
+    file or out-of-range ``--tasks``/``--size`` — exits with code 2 and
+    a one-line message instead of a traceback.
     """
-    from .api import get_clusterer
+    from .api import build_topology, get_clusterer
     from .core import ClusteredGraph
-    from .topology import by_name
     from .workloads import layered_random_dag
 
     command: str = args.command
@@ -497,7 +498,14 @@ def _build_instance(args: argparse.Namespace):
             raise _cli_error(
                 command, f"--size (processor count) must be >= 1, got {args.size}"
             )
-        system = by_name(args.topology, args.size, rng=args.seed)
+        spec = f"{args.topology}:{args.size}"
+        if args.topology == "hypercube":
+            if args.size & (args.size - 1):
+                raise _cli_error(
+                    command, f"hypercube size must be a power of two, got {args.size}"
+                )
+            spec = f"hypercube:{args.size.bit_length() - 1}"
+        system = build_topology(spec, rng=args.seed)
         graph = layered_random_dag(num_tasks=args.tasks, rng=args.seed)
         clustering = None
     if clustering is None:

@@ -11,8 +11,9 @@ descriptive ``name``.  The generators are also registered in the
 :data:`repro.api.TOPOLOGIES` registry, where
 :func:`repro.api.build_topology` parses ``family:args`` specs like
 ``"hypercube:3"`` or ``"torus2d:4x4"`` — the declarative form scenario
-sweeps and the CLI use.  :func:`by_name` remains the legacy size-based
-dispatcher (``("mesh", 12)`` -> squarest 12-node mesh).
+sweeps and the CLI use.  :func:`squarest_mesh` and :func:`squarest_torus`
+give the size-only families ``"mesh:12"`` and ``"torus:12"`` (the
+squarest 12-node grid).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "hypercube",
     "mesh2d",
     "mesh3d",
+    "squarest_mesh",
+    "squarest_torus",
     "torus2d",
     "torus3d",
     "ring",
@@ -44,7 +47,6 @@ __all__ = [
     "petersen",
     "random_connected",
     "random_regular",
-    "by_name",
 ]
 
 
@@ -353,43 +355,13 @@ def random_connected(
     return SystemGraph.from_edges(n, sorted(edges), name=f"random-{n}")
 
 
-_FAMILIES = {
-    "hypercube": lambda size, rng: hypercube(int(size).bit_length() - 1),
-    "mesh": lambda size, rng: _squarest_mesh(size),
-    "torus": lambda size, rng: _squarest_torus(size),
-    "ring": lambda size, rng: ring(size),
-    "chain": lambda size, rng: chain(size),
-    "star": lambda size, rng: star(size),
-    "complete": lambda size, rng: complete(size),
-    "random": lambda size, rng: random_connected(size, rng=rng),
-}
+def squarest_mesh(size: int) -> SystemGraph:
+    """The ``rows x cols`` 2-D mesh of ``size`` nodes with the smallest aspect ratio."""
+    return mesh2d(*_squarest_factors(size))
 
 
-def by_name(
-    family: str, size: int, rng: int | np.random.Generator | None = None
-) -> SystemGraph:
-    """Dispatch by family name; ``size`` is the node count.
-
-    For ``hypercube`` the size must be a power of two; for ``mesh``/``torus``
-    the squarest ``rows x cols`` factorization of ``size`` is used.
-    """
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise GraphError(
-            f"unknown topology family {family!r}; choose from {sorted(_FAMILIES)}"
-        ) from None
-    if family == "hypercube" and (size & (size - 1) or size < 1):
-        raise GraphError(f"hypercube size must be a power of two, got {size}")
-    return builder(size, rng)
-
-
-def _squarest_mesh(size: int) -> SystemGraph:
-    rows, cols = _squarest_factors(size)
-    return mesh2d(rows, cols)
-
-
-def _squarest_torus(size: int) -> SystemGraph:
+def squarest_torus(size: int) -> SystemGraph:
+    """The ``rows x cols`` 2-D torus of ``size`` nodes with the smallest aspect ratio."""
     rows, cols = _squarest_factors(size)
     if rows < 2:
         raise GraphError(f"cannot build a torus with {size} nodes")

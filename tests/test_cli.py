@@ -170,6 +170,13 @@ class TestErrorPaths:
             "power of two",
         )
 
+    def test_map_unknown_topology_family(self, capsys):
+        self._expect_exit2(
+            ["map", "--topology", "klein", "--size", "8"],
+            capsys,
+            "unknown topology 'klein'",
+        )
+
     def test_compare_unknown_mapper_exits_2(self, capsys):
         self._expect_exit2(
             ["compare", "--mappers", "magic"], capsys, "unknown mapper"

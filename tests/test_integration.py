@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.io import load_instance, save_instance
 from repro.sim import SimConfig, simulate
-from repro.topology import by_name, hypercube, mesh2d, ring, torus2d
+from repro.topology import hypercube, mesh2d, ring, torus2d
 from repro.workloads import (
     cholesky_dag,
     fft_dag,
@@ -99,7 +99,7 @@ class TestHeuristicQuality:
         confirmed = 0
         for seed in range(20):
             graph = layered_random_dag(num_tasks=24, comm_range=(1, 3), rng=seed)
-            system = by_name("mesh", 6)
+            system = mesh2d(2, 3)
             clustering = RandomClusterer(6).cluster(graph, rng=seed)
             clustered = ClusteredGraph(graph, clustering)
             result = CriticalEdgeMapper(rng=seed).map(clustered, system)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import UnknownComponentError, build_topology
 from repro.topology import (
     binary_tree,
     butterfly,
-    by_name,
     chain,
     complete,
     cube_connected_cycles,
@@ -154,23 +154,26 @@ class TestRandomConnected:
 
 
 class TestByName:
+    """Families built by name from a node count: the ``family:K`` specs
+    that ``mimdmap --topology F --size K`` builds (a hypercube's spec
+    takes its dimension; the CLI checks that ``K`` is a power of two)."""
+
     @pytest.mark.parametrize(
         "family,size",
         [("hypercube", 8), ("mesh", 12), ("torus", 12), ("ring", 5),
          ("chain", 5), ("star", 5), ("complete", 5), ("random", 9)],
     )
     def test_dispatch(self, family, size):
-        g = by_name(family, size, rng=0)
+        arg = size.bit_length() - 1 if family == "hypercube" else size
+        g = build_topology(f"{family}:{arg}", rng=0)
         assert g.num_nodes == size
 
     def test_mesh_squarest_factorization(self):
-        g = by_name("mesh", 12)
-        assert g.name == "mesh-3x4"
-
-    def test_hypercube_requires_power_of_two(self):
-        with pytest.raises(GraphError, match="power of two"):
-            by_name("hypercube", 12)
+        assert build_topology("mesh:12").name == "mesh-3x4"
+        assert build_topology("torus:12").name == "torus-3x4"
+        with pytest.raises(GraphError, match="cannot build a torus"):
+            build_topology("torus:7")
 
     def test_unknown_family(self):
-        with pytest.raises(GraphError, match="unknown topology"):
-            by_name("klein-bottle", 8)
+        with pytest.raises(UnknownComponentError, match="unknown topology"):
+            build_topology("klein-bottle:8")
