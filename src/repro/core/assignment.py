@@ -12,7 +12,7 @@ because most algorithms index by cluster.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -91,18 +91,6 @@ class Assignment:
             raise MappingError("cannot swap a cluster with itself")
         p = self._placement.copy()
         p[cluster_a], p[cluster_b] = p[cluster_b], p[cluster_a]
-        return Assignment.from_placement(p)
-
-    def with_placement_updates(self, updates: Mapping[int, int]) -> "Assignment":
-        """New assignment with ``cluster -> system`` entries replaced.
-
-        The updated vector must still be a permutation, i.e. the caller is
-        responsible for moving *sets* of clusters onto *sets* of processors
-        (that is exactly what the refinement's random re-placement does).
-        """
-        p = self._placement.copy()
-        for cluster, system_node in updates.items():
-            p[cluster] = system_node
         return Assignment.from_placement(p)
 
     def __eq__(self, other: object) -> bool:

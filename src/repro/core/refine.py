@@ -121,13 +121,14 @@ def refine_random(
     # movable clusters over that fixed pool (paper step 4-a).
     pool = initial.placement[movable]
 
+    # Pinned clusters never move, so every trial is the initial placement
+    # with the movable entries rewritten in place.
+    placement = initial.placement.copy()
     trials = 0
     if movable.size >= 2:
         for trials in range(1, trials_allowed + 1):
-            perm = gen.permutation(movable.size)
-            candidate = best.with_placement_updates(
-                {int(c): int(p) for c, p in zip(movable, pool[perm])}
-            )
+            placement[movable] = pool[gen.permutation(movable.size)]
+            candidate = Assignment.from_placement(placement)
             t = evaluator.evaluate(candidate)
             if t == bound:  # step 4-c: provably optimal, stop
                 return RefinementResult(candidate, t, bound, True, trials, True)

@@ -66,16 +66,9 @@ class TestAssignment:
         with pytest.raises(MappingError):
             Assignment.identity(3).swapped(1, 1)
 
-    def test_with_placement_updates(self):
-        a = Assignment.identity(4)
-        b = a.with_placement_updates({0: 2, 2: 0})
-        assert b.system_of(0) == 2
-        assert b.system_of(2) == 0
-        assert b.system_of(1) == 1
-
-    def test_with_placement_updates_must_stay_permutation(self):
+    def test_from_placement_must_stay_permutation(self):
         with pytest.raises(MappingError):
-            Assignment.identity(3).with_placement_updates({0: 1})
+            Assignment.from_placement([1, 1, 2])
 
     def test_hashable(self):
         a, b = Assignment([0, 1, 2]), Assignment([0, 1, 2])
