@@ -409,6 +409,21 @@ class TestChoiceSpellings:
                 )
                 assert (scenario.mapper, scenario.mapper_params) == expected
 
+    def test_scenario_key_ignores_param_order(self):
+        from repro.api import Scenario
+
+        keys = {
+            Scenario(
+                workload="fft", topology="hypercube:2", mapper="tabu",
+                mapper_params=params,
+            ).key()
+            for params in ({"iterations": 5, "tenure": 3}, {"tenure": 3, "iterations": 5})
+        }
+        assert keys == {
+            "workload=fft/clustering=random/topology=hypercube:2/"
+            "mapper=tabu[iterations=5,tenure=3]/seed=0"
+        }
+
     @pytest.mark.parametrize(
         "expected", [("hop_bytes", {}), ("sim_makespan", {"link_setup": 2})]
     )
