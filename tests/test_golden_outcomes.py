@@ -33,9 +33,12 @@ The multilevel refinement is pinned on larger instances too: placement
 digest, ``refine_probes``, ``refine_swaps`` and ``comm_volume`` on
 ``mesh2d:5x7``, a seeded ``random:64``, ``torus2d:8x8``, a weighted
 ``hypercube:6`` and two block-clustered wavefronts, whose level graphs
-are sparse.  The hierarchy under those maps is pinned level by level on
-the same six instances, on 1,024 processors and at 20k tasks: the level
-graphs, the projection maps, the absorbed weight and the level machines.
+are sparse; the maps that refine on ``hop_bytes``, ``avg_dilation`` and
+``max_congestion`` are pinned on a weighted ``hypercube:5`` (placement
+digest, ``refine_probes`` and ``refine_swaps``).  The hierarchy under
+those maps is pinned level by level on the same six instances, on 1,024
+processors and at 20k tasks: the level graphs, the projection maps, the
+absorbed weight and the level machines.
 
 So is the stack-ordered ``topological_order``, with the ``linear``
 clustering that follows its visit order and the ``dsc`` clustering that
@@ -641,6 +644,49 @@ def test_multilevel_refinement_is_pinned(key):
         int(extras["comm_volume"]),
     )
     assert got == MULTILEVEL_PINS[key]
+
+
+#: (machine key, tasks, refinement objective) -> (placement SHA-256,
+#: refine_probes, refine_swaps) of a seed-0 ``multilevel`` map of a
+#: ``layered_random`` graph.  The machines are weighted, so ``route_hops``
+#: differs by direction on some pairs and ``hop_bytes`` and
+#: ``avg_dilation`` part from ``comm_volume``; ``max_congestion`` routes
+#: every message over weighted links.
+OBJECTIVE_PINS = {
+    ("hypercube:5+w3", 1500, "hop_bytes"): (
+        "e258b26e52d211f6973d6bf64e1ce815eaea0f05e94bf59345135ba6ef63e351",
+        15354, 46,
+    ),
+    ("hypercube:5+w3", 1500, "avg_dilation"): (
+        "e258b26e52d211f6973d6bf64e1ce815eaea0f05e94bf59345135ba6ef63e351",
+        15354, 46,
+    ),
+    ("hypercube:5+w3", 1500, "max_congestion"): (
+        "c82e2cda512a00eb13b6d4406daa6a40ba74095b015ace52d7797055a0f54a78",
+        16719, 36,
+    ),
+    ("hypercube:6+w2", 3000, "hop_bytes"): (
+        "41ae60371f3f442562a7fef163a8c92629ce61f27df12f0c929e971284e9ea24",
+        93720, 146,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(OBJECTIVE_PINS), ids=lambda key: "/".join(map(str, key))
+)
+def test_refinement_objective_is_pinned(key):
+    spec, num_tasks, objective = key
+    clustered, system = _multilevel_instance(spec, "layered", num_tasks)
+    mapper = get_mapper("multilevel", refine_metric=objective)
+    outcome = mapper.map(clustered, system, rng=0)
+    extras = outcome.extras
+    got = (
+        _digest(outcome.assignment.placement),
+        int(extras["refine_probes"]),
+        int(extras["refine_swaps"]),
+    )
+    assert got == OBJECTIVE_PINS[key]
 
 
 #: (machine key, workload, tasks) -> one SHA-256 per level of
