@@ -18,11 +18,12 @@ of view).  Cardinality here counts *abstract* edges on system edges,
 weighted optionally — with ``weighted=False`` (default) it is exactly his
 count.
 
-Cardinality is the pairwise objective ``sum w[x, y] * A[p(x), p(y)]``
-with ``A`` the 0/1 adjacency ``system.sys_edge``, so the search runs on
-:class:`~repro.core.incremental.CommVolumeDelta` with that matrix as its
-metric; :func:`cardinality` is the closed-form recount it is checked
-against, a one-row call of the batch form :func:`cardinalities` (E4).
+Cardinality is the pairwise objective ``sum over x < y of w[x, y] *
+A[p(x), p(y)]`` with ``A`` the 0/1 adjacency ``system.sys_edge``, so the
+search runs on :class:`~repro.core.incremental.CommVolumeDelta` with
+``np.triu(w, 1)`` as its traffic and that matrix as its metric;
+:func:`cardinality` is the closed-form recount it is checked against, a
+one-row call of the batch form :func:`cardinalities` (E4).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def bokhari_mapping(
         # gain table (cardinality deltas, no full recount); the first
         # improving partner is committed and the scan resumes after it.
         evaluator = CommVolumeDelta(
-            pair_weights,
+            np.triu(pair_weights, 1),
             system,
             Assignment.random(n, rng=gen),
             metric=system.sys_edge,

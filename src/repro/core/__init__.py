@@ -12,7 +12,7 @@ from .clustered import ClusteredGraph, Clustering
 from .critical import CriticalityAnalysis, analyze_criticality
 from .evaluate import Schedule, communication_costs, evaluate_assignment, total_time
 from .ideal import IdealSchedule, ideal_schedule, lower_bound
-from .incremental import CommVolumeDelta, DeltaEvaluator
+from .incremental import CommVolumeDelta, DeltaEvaluator, LinkLoadDelta
 from .listsched import ListSchedule, bottom_levels, list_schedule
 from .initial import initial_assignment
 from .mapper import CriticalEdgeMapper, MappingResult, map_graph
@@ -46,6 +46,7 @@ __all__ = [
     "DeltaEvaluator",
     "Edge",
     "IdealSchedule",
+    "LinkLoadDelta",
     "ListSchedule",
     "MappingResult",
     "MultilevelHierarchy",

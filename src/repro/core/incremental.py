@@ -22,14 +22,20 @@ swap.  :class:`DeltaEvaluator` is the evaluator their inner loops run on:
   batched sweeps, state left unchanged.
 
 :class:`CommVolumeDelta` is the one incremental evaluator of a pairwise
-swap objective ``sum w[x, y] * metric[p(x), p(y)]``: hop-weighted
-communication volume by default (the multilevel refinement), Bokhari's
-cardinality with the 0/1 adjacency as the metric, or any registered
-metric's ``pair_matrix``.  The oracles they are checked against share no
-code with them: :func:`~repro.core.validate.verify_times` for the end
-times (:meth:`DeltaEvaluator.verify`), and closed-form recounts such as
+swap objective ``sum t[x, y] * metric[p(x), p(y)]`` over directed
+traffic ``t`` and any integer metric: hop-weighted communication volume
+by default, Bokhari's cardinality with the 0/1 adjacency as the metric,
+hop-bytes with the route hop counts, which may differ by direction.
+:class:`LinkLoadDelta` keeps every link's routed load instead, and its
+largest, the ``max_congestion`` objective.  Both answer the multilevel
+refinement's one sweep (:func:`repro.core.multilevel.refine_metric`):
+each analytic metric names the one it runs on.  The oracles they are
+checked against share no code with them:
+:func:`~repro.core.validate.verify_times` for the end times
+(:meth:`DeltaEvaluator.verify`), closed-form recounts such as
 :meth:`~repro.core.evaluate.Schedule.communication_volume` and
-:func:`~repro.baselines.bokhari.cardinality` for the pairwise objectives
+:func:`~repro.baselines.bokhari.cardinality` for the pairwise objectives,
+and :func:`~repro.metrics.analytic.link_traffic` for the link loads
 (``tests/test_delta.py``, ``tests/test_csr.py``,
 ``benchmarks/bench_delta.py --smoke``).
 """
@@ -46,7 +52,7 @@ from .assignment import Assignment
 from .clustered import ClusteredGraph
 from .taskgraph import sweep_finish_times
 
-__all__ = ["CommVolumeDelta", "DeltaEvaluator"]
+__all__ = ["CommVolumeDelta", "DeltaEvaluator", "LinkLoadDelta"]
 
 #: Byte budget of one chunk's ``(rows, edges)`` int64 edge-cost array in
 #: the batch probes.  Measured on two tabu iterations on ``hypercube:6``
@@ -330,41 +336,22 @@ class DeltaEvaluator:
         return self._makespan == int(self._end.max())
 
 
-class CommVolumeDelta:
-    """Incremental hop-weighted communication volume under cluster swaps.
+class _SwapEvaluator:
+    """What the multilevel sweep reads of a swap evaluator: the live
+    cluster <-> processor bijection and the objective's current value."""
 
-    Maintains ``sum over cluster pairs {x, y} of w[x, y] *
-    dist(host(x), host(y))`` for a symmetric pairwise weight matrix —
-    the number :meth:`~repro.core.evaluate.Schedule.communication_volume`
-    gives, without any schedule state — and answers swap deltas from a
-    gain table (:meth:`delta_swaps`).  This is the evaluator for search loops
-    that optimize a pairwise objective alone (the multilevel refinement,
-    Bokhari's cardinality search), where sweeping the schedule on every
-    commit would be pure overhead.
+    _volume: int
 
-    ``metric`` generalizes the pairwise matrix: by default it is the
-    topology's hop-distance matrix (the paper's objective), but any
-    symmetric integer ``ns x ns`` matrix works — the 0/1 adjacency
-    ``system.sys_edge`` turns the volume into Bokhari's cardinality, and
-    registered analytic metrics with a ``pair_matrix`` drive the same
-    refinement loop.  It must be integer because the gain table
-    behind :meth:`delta_swaps` regroups sums, which is exact only in
-    integer arithmetic.
-    """
-
-    def __init__(
-        self,
-        weights: np.ndarray,
-        system: SystemGraph,
-        assignment: Assignment,
-        metric: np.ndarray | None = None,
-    ) -> None:
-        weights = np.asarray(weights, dtype=np.int64)
-        na = weights.shape[0]
-        if weights.ndim != 2 or weights.shape[1] != na:
-            raise MappingError(
-                f"pairwise weights must be square, got shape {weights.shape}"
-            )
+    def _start(
+        self, traffic: np.ndarray, system: SystemGraph, assignment: Assignment
+    ) -> np.ndarray:
+        """Take ``assignment``'s placement and return ``traffic`` as a
+        square int64 copy with a zero diagonal (a cluster's messages to
+        itself cost nothing), checked against the instance."""
+        t = np.array(traffic, dtype=np.int64)
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise MappingError(f"pairwise weights must be square, got shape {t.shape}")
+        na = t.shape[0]
         if na != system.num_nodes:
             raise MappingError(
                 f"{na} clusters cannot map onto {system.num_nodes} system nodes"
@@ -373,42 +360,10 @@ class CommVolumeDelta:
             raise MappingError(
                 f"assignment covers {assignment.size} nodes, system has {na}"
             )
-        if metric is None:
-            self._dist = np.ascontiguousarray(system.shortest)
-        else:
-            mat = np.asarray(metric)
-            if mat.ndim != 2 or mat.shape != (na, na):
-                raise MappingError(
-                    f"pair metric must be {na}x{na}, got shape {mat.shape}"
-                )
-            if not np.array_equal(mat, mat.T):
-                raise MappingError("pair metric matrix must be symmetric")
-            if not np.issubdtype(mat.dtype, np.integer):
-                raise MappingError(
-                    f"pair metric matrix must be integer, got dtype {mat.dtype}"
-                )
-            self._dist = np.ascontiguousarray(mat, dtype=np.int64)
-        self._weights = weights
+        np.fill_diagonal(t, 0)
         self._placement = assignment.placement.copy()
         self._assi = assignment.assi.copy()
-        iu = np.triu_indices(na, 1)
-        p = self._placement
-        self._volume = int((weights[iu] * self._dist[p[iu[0]], p[iu[1]]]).sum())
-        # The gain table of delta_swaps and its companions: the
-        # zero-diagonal weights; own[q] = G[occupant of q, q], kept current
-        # at every commit; the swap's metric term metric[r, q] +
-        # metric[q, r] - metric[q, q] - metric[r, r]; and the factors U^T
-        # and V of the commits not yet folded in (their first ``_pending``
-        # rows).
-        self._gain_w = weights.copy()
-        np.fill_diagonal(self._gain_w, 0)
-        self._gain = _exact_matmul(self._gain_w, self._dist[p])
-        self._own = self._gain[self._assi, np.arange(na)]
-        diag = np.diagonal(self._dist)
-        self._swap_metric = self._dist + self._dist.T - diag - diag[:, None]
-        self._fold_u = np.empty((_fold_period(na), na), dtype=np.int64)
-        self._fold_v = np.empty_like(self._fold_u)
-        self._pending = 0
+        return t
 
     @property
     def volume(self) -> int:
@@ -428,24 +383,96 @@ class CommVolumeDelta:
         """Live processor -> cluster array (mutated in place by swaps)."""
         return self._assi
 
+
+class CommVolumeDelta(_SwapEvaluator):
+    """Incremental pairwise communication volume under cluster swaps.
+
+    Maintains ``sum over clusters x != y of t[x, y] * metric[host(x),
+    host(y)]`` for integer traffic ``t``, where ``t[x, y]`` is what ``x``
+    sends ``y``, and answers swap deltas from a gain table
+    (:meth:`delta_swaps`).  Over the hop distances it is the number
+    :meth:`~repro.core.evaluate.Schedule.communication_volume` gives,
+    without any schedule state.  This is the evaluator for search loops
+    that optimize a pairwise objective alone (the multilevel refinement,
+    Bokhari's cardinality search), where sweeping the schedule on every
+    commit would be pure overhead.  A caller holding a symmetric pair
+    weight ``w`` passes ``np.triu(w, 1)``, which counts each pair once.
+
+    ``metric`` generalizes the pairwise matrix: by default it is the
+    topology's hop-distance matrix (the paper's objective), but any
+    integer ``ns x ns`` matrix works, symmetric or not — the 0/1
+    adjacency ``system.sys_edge`` turns the volume into Bokhari's
+    cardinality, and ``system.route_hops``, which can differ by direction
+    on weighted machines, into hop-bytes.  It must be integer because
+    the gain table behind :meth:`delta_swaps` regroups sums, which is
+    exact only in integer arithmetic.
+    """
+
+    def __init__(
+        self,
+        traffic: np.ndarray,
+        system: SystemGraph,
+        assignment: Assignment,
+        metric: np.ndarray | None = None,
+    ) -> None:
+        t = self._start(traffic, system, assignment)
+        na = t.shape[0]
+        if metric is None:
+            self._dist = np.ascontiguousarray(system.shortest)
+        else:
+            mat = np.asarray(metric)
+            if mat.ndim != 2 or mat.shape != (na, na):
+                raise MappingError(
+                    f"pair metric must be {na}x{na}, got shape {mat.shape}"
+                )
+            if not np.issubdtype(mat.dtype, np.integer):
+                raise MappingError(
+                    f"pair metric matrix must be integer, got dtype {mat.dtype}"
+                )
+            self._dist = np.ascontiguousarray(mat, dtype=np.int64)
+        m, p = self._dist, self._placement
+        self._traffic = t
+        self._volume = int((t * m[np.ix_(p, p)]).sum())
+        # The gain table of delta_swaps and its companions: its terms
+        # (weights, matrix), G = sum of weights @ matrix[p] — the traffic
+        # both ways w = t + t^T over the metric, and for a metric that
+        # differs by direction t over its skew metric^T - metric;
+        # own[q] = G[occupant of q, q], kept current at every commit; the
+        # swap's metric term metric[r, q] + metric[q, r] - metric[q, q] -
+        # metric[r, r]; and the factors U^T and V of the commits not yet
+        # folded in (their first ``_pending`` rows, one per term and commit).
+        self._pair_w = t + t.T
+        skew = m.T - m
+        self._terms = [(self._pair_w, m)] + ([(t, skew)] if skew.any() else [])
+        self._gain = sum(_exact_matmul(w, mat[p]) for w, mat in self._terms)
+        self._own = self._gain[self._assi, np.arange(na)]
+        diag = np.diagonal(m)
+        self._swap_metric = m + m.T - diag - diag[:, None]
+        rows = len(self._terms) * _fold_period(na)
+        self._fold_u = np.empty((rows, na), dtype=np.int64)
+        self._fold_v = np.empty_like(self._fold_u)
+        self._pending = 0
+
     def delta_swap(self, cluster_a: int, cluster_b: int) -> int:
         """Volume change if the two clusters swapped processors, summed
-        over the two clusters' rows of the weights without the gain
-        table: the reference the tests and the delta smoke check
-        :meth:`delta_swaps` and :meth:`swap` against.
+        over the two clusters' rows and columns of the traffic without
+        the gain table: the reference the tests and the delta smoke
+        check :meth:`delta_swaps` and :meth:`swap` against.
 
-        The metric is symmetric, so only the moved clusters' neighbor
-        terms change and the (a, b) term cancels.
+        Each moved cluster's terms with the other clusters change, and
+        the pair's own terms change only by the metric's asymmetry.
         """
         if cluster_a == cluster_b:
             return 0
-        placement, metric = self._placement, self._dist
+        placement, metric, t = self._placement, self._dist, self._traffic
         pa, pb = int(placement[cluster_a]), int(placement[cluster_b])
         delta = 0
         for c, p_new, p_old in ((cluster_a, pb, pa), (cluster_b, pa, pb)):
-            terms = self._weights[c] * (metric[p_new, placement] - metric[p_old, placement])
+            terms = t[c] * (metric[p_new, placement] - metric[p_old, placement])
+            terms += t[:, c] * (metric[placement, p_new] - metric[placement, p_old])
             delta += int(terms.sum() - terms[cluster_a] - terms[cluster_b])
-        return delta
+        skew = int(metric[pb, pa] - metric[pa, pb])
+        return delta + int(t[cluster_a, cluster_b] - t[cluster_b, cluster_a]) * skew
 
     def delta_swaps(self, cluster: int, procs: np.ndarray) -> np.ndarray:
         """Vector of :meth:`delta_swap` values for swapping ``cluster``
@@ -457,22 +484,25 @@ class CommVolumeDelta:
         folded into the table.  ``cluster``'s own processor scores 0, so
         ``procs`` may list every processor.
 
-        The gain table is ``G[x, r] = sum_y w[x, y] * metric[p[y], r]``
-        (diagonal of ``w`` zeroed): the total metric cost of ``x``'s
-        edges if ``x`` sat on processor ``r``.  For a swap of ``c`` (on
-        ``pc``) with occupant ``o`` of ``q`` the standard QAP identity
-        gives ``delta = G[c, q] - G[c, pc] + G[o, pc] - G[o, q] +
-        w[c, o] * (metric[pc, q] + metric[q, pc] - metric[q, q] -
-        metric[pc, pc])`` — the correction term undoes G's inclusion of
-        the (c, o) edge, whose cost is unchanged by the swap.
+        The gain table is ``G[x, r] = sum_y t[x, y] * metric[r, p[y]] +
+        t[y, x] * metric[p[y], r]``: the total metric cost of ``x``'s
+        traffic, both ways, if ``x`` sat on processor ``r``.  With ``w =
+        t + t.T`` and the skew ``s = metric.T - metric`` that is ``w @
+        metric[p] + t @ s[p]``, and a symmetric metric has no skew term.
+        For a swap of ``c`` (on ``pc``) with occupant ``o`` of ``q`` the
+        standard QAP identity gives ``delta = G[c, q] - G[c, pc] + G[o,
+        pc] - G[o, q] + w[c, o] * (metric[pc, q] + metric[q, pc] -
+        metric[q, q] - metric[pc, pc])`` — the correction term undoes
+        G's inclusion of the (c, o) traffic, whose cost the swap does
+        not change.
 
-        Each commit changes ``G`` by a rank-1 term (see :meth:`swap`).
-        The terms wait as factors ``U`` (``na x k``) and ``V`` (``k x
-        ns``) until :func:`_fold_period` of them fold in with one
-        product, so the current table is ``G + U @ V``: a call adds the
-        pending terms to row ``c`` and column ``pc`` only, and the
-        entries ``G[o, q]`` of each processor's own occupant are kept
-        current at every commit.
+        Each commit changes ``G`` by a rank-1 term per term of the table
+        (see :meth:`swap`).  They wait as factors ``U`` (``na x k``) and
+        ``V`` (``k x ns``) until :func:`_fold_period` commits fold in
+        with one product, so the current table is ``G + U @ V``: a call
+        adds the pending terms to row ``c`` and column ``pc`` only, and
+        the entries ``G[o, q]`` of each processor's own occupant are
+        kept current at every commit.
         """
         gain, own = self._gain, self._own
         pc = int(self._placement[cluster])
@@ -484,7 +514,7 @@ class CommVolumeDelta:
             row = row + u[:, cluster] @ v
             col = col + v[:, pc] @ u
         delta = row.take(procs) - own[pc] + col.take(occ) - own.take(procs)
-        delta += self._gain_w[cluster].take(occ) * self._swap_metric[pc].take(procs)
+        delta += self._pair_w[cluster].take(occ) * self._swap_metric[pc].take(procs)
         return delta
 
     def swap(self, cluster_a: int, cluster_b: int) -> int:
@@ -500,22 +530,110 @@ class CommVolumeDelta:
         b_on_pa = int(self._gain[cluster_b, pa] + u[:, cluster_b] @ v[:, pa])
         self._volume += (
             a_on_pb - int(own[pa]) + b_on_pa - int(own[pb])
-            + int(self._gain_w[cluster_a, cluster_b] * self._swap_metric[pa, pb])
+            + int(self._pair_w[cluster_a, cluster_b] * self._swap_metric[pa, pb])
         )
-        # Rows a and b of metric[p] trade places, so G changes by the
-        # rank-1 term outer(du, dv); ``own`` takes it now, G at the next fold.
-        du = self._gain_w[:, cluster_a] - self._gain_w[:, cluster_b]
-        dv = self._dist[pb] - self._dist[pa]
-        own += du.take(assi) * dv
-        own[pa] = b_on_pa + du[cluster_b] * dv[pa]
-        own[pb] = a_on_pb + du[cluster_a] * dv[pb]
-        self._fold_u[k], self._fold_v[k] = du, dv
-        self._pending = k + 1
-        if self._pending == self._fold_u.shape[0]:
+        # Rows a and b of each term's matrix[p] trade places, so G changes
+        # by the rank-1 term outer(du, dv) per term; ``own`` takes them
+        # now, G at the next fold.
+        for weights, mat in self._terms:
+            du = weights[:, cluster_a] - weights[:, cluster_b]
+            dv = mat[pb] - mat[pa]
+            own += du.take(assi) * dv
+            a_on_pb += int(du[cluster_a] * dv[pb])
+            b_on_pa += int(du[cluster_b] * dv[pa])
+            self._fold_u[k], self._fold_v[k] = du, dv
+            k += 1
+        own[pa], own[pb] = b_on_pa, a_on_pb
+        self._pending = k
+        if k == self._fold_u.shape[0]:
             self._gain += _exact_matmul(self._fold_u.T, self._fold_v)
             self._pending = 0
         p[cluster_a], p[cluster_b] = pb, pa
         assi[pa], assi[pb] = cluster_b, cluster_a
+        return self._volume
+
+
+class LinkLoadDelta(_SwapEvaluator):
+    """Incremental load of the most-loaded directed link under swaps.
+
+    Keeps the processor traffic matrix ``T`` (``T[host(x), host(y)] =
+    t[x, y]``, what cluster ``x`` sends ``y``) and every directed link's
+    load, the traffic of the routes crossing it times its link weight —
+    the loads :func:`~repro.metrics.analytic.link_traffic` counts.  Its
+    :attr:`volume` is the largest load, the ``max_congestion`` objective,
+    and it has :class:`CommVolumeDelta`'s interface for the multilevel
+    refinement's sweep.
+
+    Exchanging the contents of processors ``pc`` and ``q`` exchanges
+    ``T``'s rows and columns ``pc`` and ``q``, and loads are linear in
+    ``T``, so a candidate's load change is the routed change of those
+    two rows and columns (:meth:`delta_swaps`).  A commit re-routes the
+    exchanged traffic matrix whole.
+    """
+
+    def __init__(
+        self, traffic: np.ndarray, system: SystemGraph, assignment: Assignment
+    ) -> None:
+        t = self._start(traffic, system, assignment)
+        n = t.shape[0]
+        self._system = system
+        self._traffic = t[np.ix_(self._assi, self._assi)]
+        tails, heads = np.nonzero(system.sys_edge)
+        self._link_ids = np.full((n, n), -1, dtype=np.int64)
+        self._link_ids[tails, heads] = np.arange(tails.size)
+        self._link_w = system.link_weights[tails, heads]
+        self._src, self._dst = np.nonzero(~np.eye(n, dtype=bool))
+        self._reroute()
+
+    def _reroute(self) -> None:
+        """Every link's load, and the largest, from one walk of ``T``."""
+        loads = self._system.route_loads(self._traffic)
+        self._loads = loads[self._link_ids >= 0] * self._link_w
+        self._volume = int(self._loads.max(initial=0))
+
+    def delta_swaps(self, cluster: int, procs: np.ndarray) -> np.ndarray:
+        """Change of the largest load if ``cluster`` swapped with the
+        occupant of each processor in ``procs`` (its own processor
+        scores 0).
+
+        Every processor ``q`` is scored in one walk of every route
+        (:meth:`~repro.topology.base.SystemGraph.walk_routes`) into a
+        links x processors table of load changes.  With ``c`` on ``pc``,
+        the swap with ``q``'s occupant moves, on each route ``a -> b``,
+        ``T[pc, b] - T[a, b]`` for ``q = a`` and ``T[a, pc] - T[a, b]``
+        for ``q = b``; on each route ``pc -> b``, ``T[q, b] - T[pc, b]``
+        and on each route ``a -> pc``, ``T[a, q] - T[a, pc]``, for every
+        ``q``.  The routes between ``pc`` and ``q`` each carry ``T[pc, q]
+        + T[q, pc]`` more, the correction for the pair itself.
+        """
+        t, src, dst = self._traffic, self._src, self._dst
+        n, pc = t.shape[0], int(self._placement[cluster])
+        pair, mutual = t[src, dst], t[pc] + t[:, pc]
+        at_src = t[pc, dst] - pair + np.where(dst == pc, mutual[src], 0)
+        at_dst = t[src, pc] - pair + np.where(src == pc, mutual[dst], 0)
+        change = np.zeros((self._link_w.size, n), dtype=np.int64)
+        flat = change.reshape(-1)
+        for live, tail, head in self._system.walk_routes(src, dst):
+            links, a, b = self._link_ids[tail, head], src[live], dst[live]
+            np.add.at(flat, links * n + a, at_src[live])
+            np.add.at(flat, links * n + b, at_dst[live])
+            out, into = b[a == pc], a[b == pc]
+            np.add.at(change, links[a == pc], (t[:, out] - t[pc, out]).T)
+            np.add.at(change, links[b == pc], t[into] - t[into, pc][:, None])
+        loads = self._loads[:, None] + self._link_w[:, None] * change
+        return loads.max(axis=0, initial=0).take(procs) - self._volume
+
+    def swap(self, cluster_a: int, cluster_b: int) -> int:
+        """Commit a swap; returns the new largest load."""
+        if cluster_a == cluster_b:
+            return self._volume
+        p, assi, t = self._placement, self._assi, self._traffic
+        pa, pb = int(p[cluster_a]), int(p[cluster_b])
+        t[[pa, pb]] = t[[pb, pa]]
+        t[:, [pa, pb]] = t[:, [pb, pa]]
+        p[cluster_a], p[cluster_b] = pb, pa
+        assi[pa], assi[pb] = cluster_b, cluster_a
+        self._reroute()
         return self._volume
 
 

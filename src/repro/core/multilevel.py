@@ -32,12 +32,12 @@ repo's existing primitives end to end:
 * **Uncoarsening** — :func:`project_assignment` expands each coarse
   node's children onto its coarse processor's children (spill-over
   children go to the free processor nearest their sibling), then
-  :func:`refine_metric` runs KL/FM-style boundary refinement on top of
-  the O(deg) probe/commit machinery from :mod:`repro.core.incremental`
-  (:class:`~repro.core.incremental.CommVolumeDelta`, which keeps the
-  pairwise volume sum and no schedule state), committing only swaps
-  that strictly reduce the hop-weighted communication volume (the
-  default objective).
+  :func:`refine_metric` runs KL/FM-style boundary refinement on the
+  swap evaluators of :mod:`repro.core.incremental`, which keep no
+  schedule state (:class:`~repro.core.incremental.CommVolumeDelta` for
+  the pairwise sums, :class:`~repro.core.incremental.LinkLoadDelta` for
+  ``max_congestion``), committing only swaps that strictly reduce the
+  objective: the hop-weighted communication volume by default.
 
 Communication volume is *exactly* representable at every level of the
 hierarchy (it is a sum over cluster pairs), which is why the refinement
@@ -66,7 +66,6 @@ from ..utils import GraphError, MappingError
 from .abstract import AbstractGraph
 from .assignment import Assignment
 from .clustered import ClusteredGraph, Clustering
-from .incremental import CommVolumeDelta
 from .taskgraph import _DENSE_LIMIT, TaskGraph
 
 __all__ = [
@@ -434,11 +433,14 @@ def _neighbor_lists(sym: np.ndarray) -> list[np.ndarray]:
 def _pairwise_sweep(
     sym: np.ndarray,
     system: SystemGraph,
-    evaluator: CommVolumeDelta,
+    evaluator,
     passes: int,
     reporter=None,
+    score=None,
 ) -> tuple[Assignment, int, int]:
-    """KL/FM-style boundary refinement on a :class:`CommVolumeDelta`.
+    """KL/FM-style boundary refinement on a swap evaluator: a
+    :class:`~repro.core.incremental.CommVolumeDelta` or a
+    :class:`~repro.core.incremental.LinkLoadDelta`.
 
     Each node ``c`` proposes, in order, a swap with the occupant of
     every processor adjacent to each graph neighbor's host (neighbors
@@ -446,8 +448,8 @@ def _pairwise_sweep(
     own processor skipped), and the *first* strictly improving proposal
     commits.  The placement is fixed while ``c``'s proposals are
     scored, and a proposal's delta depends only on its processor, so
-    one :meth:`CommVolumeDelta.delta_swaps` call scores every processor
-    once, however many proposals name it.  Only when some processor
+    one ``evaluator.delta_swaps`` call scores every processor once,
+    however many proposals name it.  Only when some processor
     improves is the proposal list built, as one gather of the hosts'
     rows of a padded processor-neighbor table: its first improving entry
     is the committed swap, and its position, padding and ``c``'s own
@@ -457,12 +459,9 @@ def _pairwise_sweep(
 
     ``reporter`` (an optional
     :class:`~repro.core.anytime.AnytimeReporter`) gets one checkpoint
-    per completed pass and may stop the sweep between passes.  Returns
-    ``(assignment, probes, swaps)``."""
+    per completed pass, valued ``score(assignment)``, and may stop the
+    sweep between passes.  Returns ``(assignment, probes, swaps)``."""
     n = sym.shape[0]
-    if passes <= 0 or n < 2:
-        return evaluator.assignment, 0, 0
-
     nbr_arrs = _neighbor_lists(sym)
     # Row p: p's processor neighbors in order, padded with n.  counted[r,
     # h]: the proposals in h's row for a node on r (r itself is skipped).
@@ -501,7 +500,8 @@ def _pairwise_sweep(
                     continue
             probes += listed
         if reporter is not None:
-            reporter.report(probes, evaluator.volume, evaluator.assignment)
+            best = evaluator.assignment
+            reporter.report(probes, score(best), best)
             if reporter.should_stop():
                 break
         if not improved:
@@ -511,7 +511,8 @@ def _pairwise_sweep(
 
 def analytic_metric(name: str):
     """The registered metric ``name``, which a refinement objective
-    must be: simulator-backed metrics raise :class:`MappingError`."""
+    must be: simulator-backed metrics, and analytic ones that name no
+    ``evaluator``, raise :class:`MappingError`."""
     from ..metrics import METRICS  # deferred: repro.metrics imports repro.api
 
     metric = METRICS.get(name)
@@ -519,6 +520,12 @@ def analytic_metric(name: str):
         raise MappingError(
             f"refinement objective must be an analytic metric; "
             f"{name!r} is simulator-backed"
+        )
+    if not callable(getattr(metric, "evaluator", None)):
+        raise MappingError(
+            f"refinement objective {name!r} names no evaluator: a refined "
+            f"metric needs an 'evaluator' that builds its swap evaluator "
+            f"from (traffic, system, assignment), such as CommVolumeDelta"
         )
     return metric
 
@@ -535,17 +542,20 @@ def refine_metric(
     registered analytic metric (simulator-backed ones are rejected: a
     sweep probing thousands of swaps cannot afford a simulation each).
 
-    Metrics with a symmetric integer ``pair_matrix`` — the default
-    ``comm_volume`` (hop distances), ``hop_bytes`` on unit-weight
-    machines — run :func:`_pairwise_sweep` on the gain table of
-    :class:`~repro.core.incremental.CommVolumeDelta`, one score per
-    processor for each node visited; anything else runs the same
-    neighborhood sweep, one proposal at a time, on full metric
-    evaluations of the identity-clustered level graph.
+    Every objective runs :func:`_pairwise_sweep` on the evaluator the
+    metric names, built over the level graph's directed traffic
+    ``prob_edge``: the gain table of
+    :class:`~repro.core.incremental.CommVolumeDelta` for the pairwise
+    sums (``comm_volume``, ``hop_bytes``, ``avg_dilation``), the link
+    loads of :class:`~repro.core.incremental.LinkLoadDelta` for
+    ``max_congestion``; either scores every processor once for each
+    node visited.  No evaluator is built when there is nothing to
+    refine (no passes, or a single node).
 
     Returns ``(assignment, objective_value, probes, swaps)`` where the
     objective value is the metric's headline key on the final
-    assignment.
+    assignment, as the metric computes it; each checkpoint ``reporter``
+    receives carries that value for its own assignment.
     """
     m = analytic_metric(metric)
     n = graph.num_tasks
@@ -554,52 +564,18 @@ def refine_metric(
             f"level graph has {n} nodes, system has {system.num_nodes}"
         )
     level = ClusteredGraph(graph, identity_clustering(n))
-    sym = graph.prob_edge + graph.prob_edge.T
 
-    pair_fn = getattr(m, "pair_matrix", None)
-    pair = pair_fn(system) if pair_fn is not None else None
-    if pair is not None:
-        evaluator = CommVolumeDelta(sym, system, assignment, metric=pair)
-        refined, probes, swaps = _pairwise_sweep(
-            sym, system, evaluator, passes, reporter
-        )
-        value = float(m.compute(level, system, refined)[metric])
-        return refined, value, probes, swaps
+    def score(candidate: Assignment) -> float:
+        return float(m.compute(level, system, candidate)[metric])
 
-    # Full-evaluation fallback: exact but O(metric) per probe.
-    current = assignment
-    value = float(m.compute(level, system, current)[metric])
-    if passes <= 0 or n < 2:
-        return current, value, 0, 0
-    neighbor_lists = _neighbor_lists(sym)
     probes = swaps = 0
-    for _ in range(passes):
-        improved = False
-        for c in range(n):
-            for d in neighbor_lists[c]:
-                target_procs = system.neighbors(int(current.placement[d]))
-                committed = False
-                for q in target_procs.tolist():
-                    occupant = int(current.assi[q])
-                    if occupant == c:
-                        continue
-                    probes += 1
-                    candidate = current.swapped(c, occupant)
-                    cand_value = float(m.compute(level, system, candidate)[metric])
-                    if cand_value < value:
-                        current, value = candidate, cand_value
-                        swaps += 1
-                        improved = committed = True
-                        break
-                if committed:
-                    break
-        if reporter is not None:
-            reporter.report(probes, value, current)
-            if reporter.should_stop():
-                break
-        if not improved:
-            break
-    return current, value, probes, swaps
+    if passes > 0 and n > 1:
+        traffic = graph.prob_edge
+        evaluator = m.evaluator(traffic, system, assignment)
+        assignment, probes, swaps = _pairwise_sweep(
+            traffic + traffic.T, system, evaluator, passes, reporter, score
+        )
+    return assignment, score(assignment), probes, swaps
 
 
 # multilevel_map's ``refine_metric=`` keyword shadows the function above

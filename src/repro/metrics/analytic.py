@@ -22,11 +22,16 @@ never materializing the dense ``clus_edge`` and running no simulation:
 * ``avg_dilation`` — mean route hop count weighted by message size;
   how far the average byte travels.
 
-Every metric here sets ``analytic = True`` and is therefore accepted as
-a refinement objective (:func:`repro.core.multilevel.refine_metric`).
-Metrics whose objective is a pairwise sum ``sum w[i,j] *
-M[host_i, host_j]`` with symmetric ``M`` additionally expose
-``pair_matrix`` so refinement can use O(degree) swap deltas.
+Every metric here sets ``analytic = True`` and names the incremental
+swap evaluator that a refinement on it runs
+(:func:`repro.core.multilevel.refine_metric`): its ``evaluator``, called
+as ``evaluator(traffic, system, assignment)``, builds it over a level's
+directed traffic.  The pairwise sums ``sum t[x, y] * M[host_x,
+host_y]`` run on :class:`~repro.core.incremental.CommVolumeDelta`'s
+gain table, with ``M`` the distances for ``comm_volume`` and the route
+hop counts, which may differ by direction on weighted machines, for
+``hop_bytes`` and ``avg_dilation``; ``max_congestion`` runs on
+:class:`~repro.core.incremental.LinkLoadDelta`'s link loads.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 
 from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
+from ..core.incremental import CommVolumeDelta, LinkLoadDelta
 from ..topology.base import SystemGraph
 from ..utils import MappingError
 from .base import register_metric
@@ -105,11 +111,20 @@ def _route_hops(
     return traffic[pairs], system.route_hops[pairs]
 
 
+def _hop_volume(
+    traffic: np.ndarray, system: SystemGraph, assignment: Assignment
+) -> CommVolumeDelta:
+    """The hop-weighted sum's swap evaluator: the route hop counts,
+    which may differ by direction on weighted machines, as its metric."""
+    return CommVolumeDelta(traffic, system, assignment, metric=system.route_hops)
+
+
 @register_metric("comm_volume")
 class CommVolumeMetric:
     """The paper's hop-weighted communication volume."""
 
     analytic = True
+    evaluator = CommVolumeDelta
 
     def compute(
         self,
@@ -124,15 +139,13 @@ class CommVolumeMetric:
         ).sum()
         return {"comm_volume": float(volume)}
 
-    def pair_matrix(self, system: SystemGraph) -> np.ndarray | None:
-        return np.asarray(system.shortest)
-
 
 @register_metric("hop_bytes")
 class HopBytesMetric:
     """Message weight x route hop count (= comm_volume on unit links)."""
 
     analytic = True
+    evaluator = staticmethod(_hop_volume)
 
     def compute(
         self,
@@ -143,20 +156,13 @@ class HopBytesMetric:
         weights, hops = _route_hops(clustered, system, assignment)
         return {"hop_bytes": float((weights * hops).sum())}
 
-    def pair_matrix(self, system: SystemGraph) -> np.ndarray | None:
-        # On unit-weight machines hop count == shortest distance, which
-        # is symmetric; weighted-optimal routes may have direction-
-        # dependent hop counts, so no O(deg) delta there.
-        if system.is_weighted:
-            return None
-        return np.asarray(system.shortest)
-
 
 @register_metric("max_congestion")
 class MaxCongestionMetric:
     """Traffic on the most-loaded directed link (static bottleneck)."""
 
     analytic = True
+    evaluator = LinkLoadDelta
 
     def compute(
         self,
@@ -173,6 +179,9 @@ class AvgDilationMetric:
     """Mean route hop count per unit of message weight."""
 
     analytic = True
+    # Total weight is swap-invariant, so minimizing the hop-weighted sum
+    # minimizes the ratio.
+    evaluator = staticmethod(_hop_volume)
 
     def compute(
         self,
@@ -185,10 +194,3 @@ class AvgDilationMetric:
         if total == 0:
             return {"avg_dilation": 0.0}
         return {"avg_dilation": float((weights * hops).sum()) / total}
-
-    def pair_matrix(self, system: SystemGraph) -> np.ndarray | None:
-        # Total weight is swap-invariant, so minimizing the hop-weighted
-        # sum minimizes the ratio; valid only where hops are symmetric.
-        if system.is_weighted:
-            return None
-        return np.asarray(system.shortest)

@@ -5,9 +5,12 @@ SystemGraph, Assignment)`` triple — and returns one or more named
 floats.  Metrics come in two families:
 
 * **analytic** (``metric.analytic is True``) — closed-form numpy
-  formulas over the task-level communication matrix and the routing
-  tables (:mod:`repro.metrics.analytic`).  Cheap, differentiable in the
-  swap-delta sense, and therefore usable as refinement objectives;
+  formulas over the task edges and the routing tables
+  (:mod:`repro.metrics.analytic`).  Cheap, and usable as refinement
+  objectives when they also name the incremental swap evaluator a
+  refinement runs on: ``evaluator(traffic, system, assignment)``, as
+  every built-in one does (an analytic metric without it is refused as
+  an objective);
 * **simulator-backed** (``analytic is False``) — obtained by running the
   discrete-event engine (:mod:`repro.metrics.simulated`).  Expensive but
   sensitive to contention, serialization, and backpressure effects the
@@ -65,10 +68,12 @@ class Metric(Protocol):
     """What the sweep engine and CLI require of a metric.
 
     ``name`` identifies the metric in reports and record keys;
-    ``analytic`` distinguishes closed-form metrics (usable as refinement
-    objectives) from simulator-backed ones; ``compute`` scores one
-    mapped instance and returns named float values (usually
-    ``{name: value}``, but a metric may emit several related keys).
+    ``analytic`` distinguishes closed-form metrics from simulator-backed
+    ones (a refinement objective must be analytic and also name its
+    ``evaluator``, see :func:`repro.core.multilevel.analytic_metric`);
+    ``compute`` scores one mapped instance and returns named float
+    values (usually ``{name: value}``, but a metric may emit several
+    related keys).
     Metrics must be deterministic and side-effect free.
     """
 

@@ -29,8 +29,10 @@ constructor builds ``shortest`` and the route-predecessor table
 sources at once, on weighted ones from the Dijkstra distances by a
 lowest-id backtrack vectorized over the links.  The metrics and reports
 read one walk of that table over all their pairs at once
-(:attr:`SystemGraph.route_hops`, :meth:`SystemGraph.route_loads`); the
-simulator reads single routes (:meth:`SystemGraph.shortest_path`).
+(:attr:`SystemGraph.route_hops`, :meth:`SystemGraph.route_loads`), and
+so does the ``max_congestion`` refinement's link-load evaluator
+(:meth:`SystemGraph.walk_routes`); the simulator reads single routes
+(:meth:`SystemGraph.shortest_path`).
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class SystemGraph:
         if self._hops is None:
             n = self.num_nodes
             hops = np.zeros(n * n, dtype=np.int64)
-            for live, _, _ in self._walk_routes(*np.divmod(np.arange(n * n), n)):
+            for live, _, _ in self.walk_routes(*np.divmod(np.arange(n * n), n)):
                 hops[live] += 1
             self._hops = hops.reshape(n, n)
         return _read_only(self._hops)
@@ -181,15 +183,15 @@ class SystemGraph:
             raise GraphError(f"traffic shape {traffic.shape} != ({n}, {n})")
         src, dst = np.nonzero(traffic)
         loads = np.zeros((n, n), dtype=traffic.dtype)
-        for live, tail, head in self._walk_routes(src, dst):
+        for live, tail, head in self.walk_routes(src, dst):
             np.add.at(loads, (tail, head), traffic[src[live], dst[live]])
         return loads
 
-    def _walk_routes(self, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple]:
+    def walk_routes(self, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple]:
         """Walk the routes ``src[i] -> dst[i]`` back through ``route_prev``,
         all pairs one hop per step (at most the diameter in hops): each
-        step yields the pairs still under way and the links ``tail -> head``
-        they cross."""
+        step yields the indices ``i`` of the pairs still under way and the
+        links ``tail -> head`` they cross."""
         live = np.flatnonzero(src != dst)
         head = dst[live]
         while live.size:

@@ -505,7 +505,10 @@ def oracle_bokhari_mapping(
     events: Counter = Counter()
     for _ in range(max(1, restarts)):
         evaluator = CommVolumeDelta(
-            pair_weights, system, Assignment.random(n, rng=gen), metric=system.sys_edge
+            np.triu(pair_weights, 1),
+            system,
+            Assignment.random(n, rng=gen),
+            metric=system.sys_edge,
         )
         current_card = evaluator.volume
         evaluations += 1

@@ -262,7 +262,7 @@ class TestCommVolumeDeltaBulk:
             a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
             ev.swap(a, b)
 
-    @pytest.mark.parametrize("case", ["hops", "weighted", "cardinality"])
+    @pytest.mark.parametrize("case", ["hops", "weighted", "cardinality", "asymmetric"])
     def test_scores_and_volume_across_fold_periods(self, case):
         """Commits fold into the gain table in periods; between folds the
         pending ones must reach every score.  Batches of every processor
@@ -270,7 +270,9 @@ class TestCommVolumeDeltaBulk:
         entry against the scalar ``delta_swap`` (the own processor's
         entry is 0), and the volume against a recount after every
         commit, over more than three fold periods on 64 processors: the
-        hop metric, weighted distances and Bokhari's 0/1 adjacency."""
+        hop metric, weighted distances, Bokhari's 0/1 adjacency, and a
+        random asymmetric integer metric under directed traffic (some
+        pairs one way, some both ways with different weights)."""
         from repro.core import AbstractGraph
         from repro.core.incremental import _fold_period
 
@@ -283,18 +285,26 @@ class TestCommVolumeDeltaBulk:
         clustered = _instance(system, seed=4)
         abstract = AbstractGraph(clustered)
         weights = abstract.abs_edge if case == "cardinality" else abstract.weights
-        metric = system.sys_edge if case == "cardinality" else system.shortest
+        traffic, metric = np.triu(weights, 1), system.shortest
+        if case == "cardinality":
+            metric = system.sys_edge
+        elif case == "asymmetric":
+            gen = np.random.default_rng(6)
+            metric = gen.integers(0, 9, size=(n, n))
+            traffic = weights * (gen.random((n, n)) < 0.7)
+            traffic += np.triu(traffic, 1).T  # some pairs carry both ways
+            assert (metric != metric.T).any() and (traffic != traffic.T).any()
         ev = CommVolumeDelta(
-            weights,
+            traffic,
             system,
             Assignment.random(n, rng=4),
-            metric=system.sys_edge if case == "cardinality" else None,
+            metric=None if case in ("hops", "weighted") else metric,
         )
-        upper = np.triu(weights, 1)
+        assert not np.diagonal(traffic).any()
 
         def recount() -> int:
             p = ev.placement_view
-            return int((upper * metric[np.ix_(p, p)]).sum())
+            return int((traffic * metric[np.ix_(p, p)]).sum())
 
         gen = np.random.default_rng(11)
         commits, period = 0, _fold_period(n)

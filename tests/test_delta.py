@@ -14,7 +14,9 @@ machine.  The batch forms — a ``(k, E)`` batch through
 by row against the one-row calls and the scalar recurrence, and a
 commit that reuses its probe's sweep against the validator.
 :class:`~repro.core.CommVolumeDelta` with the 0/1 adjacency as its
-metric is checked against Bokhari's closed-form cardinality.
+metric is checked against Bokhari's closed-form cardinality, and
+:class:`~repro.core.LinkLoadDelta` against ``link_traffic`` of the
+swapped assignment on every topology family.
 """
 
 import numpy as np
@@ -29,10 +31,12 @@ from repro.core import (
     ClusteredGraph,
     CommVolumeDelta,
     DeltaEvaluator,
+    LinkLoadDelta,
     incremental,
     total_time,
 )
 from repro.core.taskgraph import SchedulePlan, TaskGraph, sweep_finish_times
+from repro.metrics import link_traffic
 from repro.topology import (
     SystemGraph,
     binary_tree,
@@ -227,7 +231,7 @@ class TestCardinalityDelta:
         abstract = AbstractGraph(clustered)
         pair_weights = abstract.weights if weighted else abstract.abs_edge
         a = Assignment.random(system.num_nodes, rng=2)
-        ev = CommVolumeDelta(pair_weights, system, a, metric=system.sys_edge)
+        ev = CommVolumeDelta(np.triu(pair_weights, 1), system, a, metric=system.sys_edge)
         assert ev.volume == cardinality(abstract, system, a, weighted)
         gen = np.random.default_rng(2)
         for _ in range(25):
@@ -551,3 +555,45 @@ class TestProbeReuse:
                 ev.swap(a, b)
             assert ev.total_time == total_time(clustered, system, shadow[-1]), step
             assert ev.assignment == shadow[-1] and ev.verify(), step
+
+
+class TestLinkLoadDelta:
+    """The ``max_congestion`` evaluator's scores and commits against the
+    most-loaded link of ``link_traffic`` (one route walk per assignment,
+    shared with nothing in the evaluator but the routes), on every
+    topology family, unit-weight and with seeded link costs 1-5."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_SPECS))
+    def test_scores_and_commits_match_link_traffic(self, family, weighted):
+        system = build_topology(TOPOLOGY_SPECS[family], rng=0)
+        n = system.num_nodes
+        if weighted:
+            costs = np.random.default_rng(n).integers(1, 6, size=(n, n))
+            system = SystemGraph(system.sys_edge, link_weights=costs)
+        clustered, _ = random_instance(7, num_tasks=4 * n, system=system)
+        labels = clustered.clustering.labels
+        srcs, dsts, _ = clustered.graph.edge_arrays()
+        traffic = np.zeros((n, n), dtype=np.int64)
+        np.add.at(traffic, (labels[srcs], labels[dsts]), clustered.cross_out_weights)
+
+        def congestion(assignment: Assignment) -> int:
+            return max(link_traffic(clustered, system, assignment).values(), default=0)
+
+        ev = LinkLoadDelta(traffic, system, Assignment.random(n, rng=7))
+        gen = np.random.default_rng(7)
+        for _ in range(6):
+            current = ev.assignment
+            assert ev.volume == congestion(current)
+            cluster = int(gen.integers(n))
+            partners = [int(c) for c in ev.occupant_view]
+            want = [
+                congestion(current.swapped(cluster, o)) - ev.volume if o != cluster else 0
+                for o in partners
+            ]
+            assert ev.delta_swaps(cluster, np.arange(n)).tolist() == want
+            subset = gen.choice(n, size=int(gen.integers(1, n)), replace=False)
+            assert ev.delta_swaps(cluster, subset).tolist() == [want[q] for q in subset]
+            a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+            assert ev.swap(a, b) == congestion(current.swapped(a, b))
+            assert ev.assignment == current.swapped(a, b)

@@ -414,8 +414,7 @@ class TestProjection:
         level0 = abstract_taskgraph(clustered)
         n = level0.num_tasks
         shadow = Assignment.random(n, rng=23)
-        sym = level0.prob_edge + level0.prob_edge.T
-        light = CommVolumeDelta(sym, system, shadow)
+        light = CommVolumeDelta(level0.prob_edge, system, shadow)
 
         def volume(assignment):
             schedule = evaluate_assignment(clustered, system, assignment)

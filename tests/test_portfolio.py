@@ -66,10 +66,12 @@ class _ListReporter:
 
     def __init__(self, stop_after=None):
         self.checkpoints = []
+        self.assignments = []
         self.stop_after = stop_after
 
     def report(self, iteration, best_metric, best_assignment):
         self.checkpoints.append((int(iteration), float(best_metric)))
+        self.assignments.append(best_assignment)
 
     def should_stop(self):
         return (
@@ -139,6 +141,40 @@ class TestAnytime:
         # The returned best is a real assignment whose time evaluates.
         schedule = evaluate_assignment(clustered, system, stopped.assignment)
         assert schedule.total_time == stopped.total_time
+
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize(
+        "objective", ["comm_volume", "hop_bytes", "avg_dilation", "max_congestion"]
+    )
+    def test_multilevel_checkpoints_carry_the_objective(self, objective, weighted):
+        """A multilevel map labels its checkpoints with its refinement
+        objective, so each value must be that metric of the checkpoint's
+        assignment on the finest level (as the refinement scores it),
+        and the last one the outcome's ``refine_objective``:
+        ``avg_dilation``'s average, not the hop-bytes sum its evaluator
+        keeps."""
+        from repro.core.multilevel import abstract_taskgraph, identity_clustering
+        from repro.metrics import get_metric
+        from repro.topology import SystemGraph
+
+        graph = layered_random_dag(num_tasks=400, rng=3)
+        system = hypercube(4)
+        if weighted:
+            costs = np.random.default_rng(3).integers(1, 6, size=(16, 16))
+            system = SystemGraph(system.sys_edge, link_weights=costs)
+        clustering = RandomClusterer(num_clusters=16).cluster(graph, rng=3)
+        clustered = ClusteredGraph(graph, clustering)
+        level = ClusteredGraph(abstract_taskgraph(clustered), identity_clustering(16))
+        metric = get_metric(objective)
+        reporter = _ListReporter()
+        mapper = get_mapper("multilevel", refine_metric=objective)
+        with use_reporter(reporter):
+            outcome = mapper.map(clustered, system, rng=3)
+        assert mapper.anytime_label == objective and reporter.checkpoints
+        for (_, value), assignment in zip(reporter.checkpoints, reporter.assignments):
+            assert value == metric.compute(level, system, assignment)[objective]
+        assert reporter.checkpoints[-1][1] == outcome.extras["refine_objective"]
 
 
 class TestObjectiveScorer:
