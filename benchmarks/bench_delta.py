@@ -29,11 +29,15 @@ Two modes:
   :func:`repro.core.validate.verify_times` (:meth:`DeltaEvaluator.verify`)
   after every step.  The smoke also walks
   :class:`repro.core.CommVolumeDelta` on 64 processors (hop distances,
-  weighted distances and Bokhari's 0/1 adjacency): batches of
-  ``delta_swaps`` over every processor or a random subset, between
-  which ``swap`` commits run across several fold periods of the gain
-  table; every scored entry is checked against the scalar
-  ``delta_swap`` and the volume against a recount after every commit.
+  weighted distances and Bokhari's 0/1 adjacency over upper-triangular
+  pair weights, and a random asymmetric metric over directed cluster
+  traffic): batches of ``delta_swaps`` over every processor or a random
+  subset, between which ``swap`` commits run across several fold
+  periods of the gain table; every scored entry is checked against the
+  scalar ``delta_swap`` and the volume against a recount after every
+  commit.  It walks :class:`repro.core.LinkLoadDelta` on ``hypercube:6``
+  and a weighted 8 x 8 torus the same way, every score and commit
+  checked against the most-loaded link of ``link_traffic``.
   Exits 1 on any mismatch.  ``--json-out FILE`` writes the report that
   ``benchmarks/check_budgets.py`` compares against
   ``benchmarks/budgets.json``.
@@ -63,8 +67,10 @@ from repro.core import (
     ClusteredGraph,
     CommVolumeDelta,
     DeltaEvaluator,
+    LinkLoadDelta,
     total_time,
 )
+from repro.metrics import link_traffic
 from repro.topology import SystemGraph, hypercube, mesh2d, ring, torus2d
 from repro.workloads import layered_random_dag
 
@@ -177,12 +183,11 @@ def walk(ev: DeltaEvaluator, clustered, system, gen, steps: int) -> str | None:
     return None
 
 
-def volume_walk(ev: CommVolumeDelta, weights, metric, gen, commits: int) -> str | None:
+def volume_walk(ev: CommVolumeDelta, traffic, metric, gen, commits: int) -> str | None:
     """Batches of ``delta_swaps`` (every processor, or a random subset)
     with 0-5 ``swap`` commits after each, until ``commits`` are made;
     the first mismatch with ``delta_swap`` or a recount, or None."""
     n = metric.shape[0]
-    upper = np.triu(weights, 1)
     made = 0
     while made < commits:
         cluster = int(gen.integers(n))
@@ -201,7 +206,7 @@ def volume_walk(ev: CommVolumeDelta, weights, metric, gen, commits: int) -> str 
             a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
             volume = ev.swap(a, b)
             p = ev.placement_view
-            want = int((upper * metric[np.ix_(p, p)]).sum())
+            want = int((traffic * metric[np.ix_(p, p)]).sum())
             if volume != want:
                 return (
                     f"commit {made}: swap({a}, {b}) gave volume {volume}, "
@@ -211,22 +216,90 @@ def volume_walk(ev: CommVolumeDelta, weights, metric, gen, commits: int) -> str 
     return None
 
 
+def load_walk(ev: LinkLoadDelta, clustered, system, gen, commits: int) -> str | None:
+    """``delta_swaps`` over every processor with 0-3 ``swap`` commits
+    after each batch, until ``commits`` are made; every score and commit
+    against the most-loaded link of ``link_traffic`` for the swapped
+    assignment.  The first mismatch, or None."""
+    n = system.num_nodes
+
+    def congestion(assignment: Assignment) -> int:
+        return max(link_traffic(clustered, system, assignment).values(), default=0)
+
+    made = 0
+    while made < commits:
+        cluster = int(gen.integers(n))
+        current = ev.assignment
+        got = ev.delta_swaps(cluster, np.arange(n)).tolist()
+        for q, delta in enumerate(got):
+            other = int(ev.occupant_view[q])
+            want = 0 if other == cluster else (
+                congestion(current.swapped(cluster, other)) - ev.volume
+            )
+            if delta != want:
+                return (
+                    f"commit {made}: delta_swaps({cluster}) at {q} gave {delta}, "
+                    f"a recount says {want}"
+                )
+        for _ in range(int(gen.integers(4))):
+            a, b = (int(x) for x in gen.choice(n, size=2, replace=False))
+            current = current.swapped(a, b)
+            load, want = ev.swap(a, b), congestion(current)
+            if load != want:
+                return (
+                    f"commit {made}: swap({a}, {b}) gave load {load}, "
+                    f"a recount says {want}"
+                )
+            made += 1
+    return None
+
+
+def cluster_traffic(clustered) -> np.ndarray:
+    """What each cluster sends each other cluster, ``na x na``."""
+    labels = clustered.clustering.labels
+    srcs, dsts, _ = clustered.graph.edge_arrays()
+    na = clustered.num_clusters
+    traffic = np.zeros((na, na), dtype=np.int64)
+    np.add.at(traffic, (labels[srcs], labels[dsts]), clustered.cross_out_weights)
+    np.fill_diagonal(traffic, 0)
+    return traffic
+
+
 def volume_cases(seed: int):
-    """``(name, weights, system, metric)`` for the CommVolumeDelta walks."""
+    """``(name, traffic, system, metric)`` for the CommVolumeDelta walks:
+    symmetric pair weights as upper-triangular traffic, and a random
+    asymmetric metric under the graph's directed cluster traffic."""
     weighted = SystemGraph(
         torus2d(8, 8).sys_edge,
         name="torus-8x8-w",
         link_weights=np.random.default_rng(seed).integers(1, 6, size=(64, 64)),
     )
     cube = hypercube(6)
-    abstract = AbstractGraph(build_instance(4 * 64, cube, seed)[0])
+    clustered = build_instance(4 * 64, cube, seed)[0]
+    abstract = AbstractGraph(clustered)
     for name, system, metric in (
         ("volume hypercube-64", cube, None),
         ("volume torus-8x8 weighted", weighted, None),
         ("cardinality hypercube-64", cube, cube.sys_edge),
     ):
         weights = abstract.abs_edge if metric is not None else abstract.weights
-        yield name, weights, system, metric
+        yield name, np.triu(weights, 1), system, metric
+    skew = np.random.default_rng(seed).integers(0, 9, size=(64, 64))
+    yield "asymmetric metric hypercube-64", cluster_traffic(clustered), cube, skew
+
+
+def load_cases(seed: int):
+    """``(name, clustered, system)`` for the LinkLoadDelta walks."""
+    weighted = SystemGraph(
+        torus2d(8, 8).sys_edge,
+        name="torus-8x8-w",
+        link_weights=np.random.default_rng(seed).integers(1, 6, size=(64, 64)),
+    )
+    for name, system in (
+        ("link loads hypercube-64", hypercube(6)),
+        ("link loads torus-8x8 weighted", weighted),
+    ):
+        yield name, build_instance(4 * 64, system, seed)[0], system
 
 
 def smoke(seed: int, json_out: str | None = None) -> int:
@@ -250,11 +323,22 @@ def smoke(seed: int, json_out: str | None = None) -> int:
             print(f"FAIL {name}: {error}")
             failures += 1
     commits = 40
-    for name, weights, system, metric in volume_cases(seed):
+    for name, traffic, system, metric in volume_cases(seed):
         start = Assignment.random(system.num_nodes, rng=seed)
-        ev = CommVolumeDelta(weights, system, start, metric=metric)
+        ev = CommVolumeDelta(traffic, system, start, metric=metric)
         pairs = system.shortest if metric is None else metric
-        error = volume_walk(ev, weights, pairs, np.random.default_rng(seed), commits)
+        error = volume_walk(ev, traffic, pairs, np.random.default_rng(seed), commits)
+        cases.append((name, system))
+        if error is None:
+            print(f"ok   {name}: every score over {commits} commits matches the oracle")
+        else:
+            print(f"FAIL {name}: {error}")
+            failures += 1
+    commits = 12
+    for name, clustered, system in load_cases(seed):
+        start = Assignment.random(system.num_nodes, rng=seed)
+        ev = LinkLoadDelta(cluster_traffic(clustered), system, start)
+        error = load_walk(ev, clustered, system, np.random.default_rng(seed), commits)
         cases.append((name, system))
         if error is None:
             print(f"ok   {name}: every score over {commits} commits matches the oracle")
@@ -268,7 +352,7 @@ def smoke(seed: int, json_out: str | None = None) -> int:
             "seed": seed,
             "elapsed_seconds": time.perf_counter() - started,
             "cases": [name for name, _ in cases],
-            "operations": [*OPS, "delta_swaps", "volume_swap"],
+            "operations": [*OPS, "delta_swaps", "volume_swap", "load_swap"],
             "failures": failures,
         }
         Path(json_out).write_text(json.dumps(report, indent=2) + "\n")
