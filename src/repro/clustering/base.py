@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.clustered import Clustering
 from ..core.taskgraph import TaskGraph
-from ..utils import GraphError, as_rng
+from ..utils import GraphError
 
 __all__ = ["Clusterer", "validate_request", "rebalance_empty_clusters"]
 

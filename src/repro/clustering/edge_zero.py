@@ -21,7 +21,6 @@ import numpy as np
 from ..core.clustered import ClusteredGraph, Clustering
 from ..core.ideal import lower_bound
 from ..core.taskgraph import TaskGraph
-from ..utils import as_rng
 from .base import Clusterer, validate_request
 
 __all__ = ["EdgeZeroClusterer"]

@@ -6,7 +6,6 @@ from repro.analysis import (
     render_table,
 )
 from repro.core import Assignment, evaluate_assignment, ideal_schedule
-from repro.topology import chain
 from repro.workloads import (
     running_example_assignment_vector,
     running_example_clustered,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ClusteredGraph, Clustering, TaskGraph
+from repro.core import ClusteredGraph, Clustering
 from repro.utils import GraphError
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.clustering import (
     BandClusterer,
     BlockClusterer,
-    Clusterer,
     EdgeZeroClusterer,
     LinearClusterer,
     LoadBalanceClusterer,

@@ -1,10 +1,9 @@
 """Unit tests for the DSC clusterer."""
 
-import numpy as np
 import pytest
 
 from repro.clustering import DscClusterer, RandomClusterer
-from repro.core import ClusteredGraph, Clustering, TaskGraph, lower_bound
+from repro.core import ClusteredGraph, TaskGraph, lower_bound
 from repro.utils import GraphError
 from repro.workloads import gaussian_elimination_dag, layered_random_dag
 

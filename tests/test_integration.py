@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import average_random_mapping, exhaustive_optimum
 from repro.clustering import (
     BandClusterer,
-    EdgeZeroClusterer,
     LinearClusterer,
     RandomClusterer,
 )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Assignment, ClusteredGraph, Clustering, collect_matrices
+from repro.core import Assignment, Clustering, collect_matrices
 from repro.io import (
     assignment_from_dict,
     assignment_to_dict,

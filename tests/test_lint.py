@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    RULES,
     BaselineError,
     Finding,
     apply_baseline,

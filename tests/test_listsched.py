@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.listsched import bottom_levels, list_schedule
 from repro.sim import SimConfig, simulate
-from repro.topology import SystemGraph, chain, complete
+from repro.topology import SystemGraph, chain
 from tests.conftest import oracle_bottom_levels, random_instance
 
 #: every registered workload at a small size

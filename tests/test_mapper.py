@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    ClusteredGraph,
     CriticalEdgeMapper,
     evaluate_assignment,
     map_graph,

@@ -3,7 +3,6 @@
 from itertools import permutations
 
 import numpy as np
-import pytest
 
 from repro.core import (
     AbstractGraph,

@@ -1,7 +1,6 @@
 """Unit tests for repro.core.refine (refinement + termination condition)."""
 
 import numpy as np
-import pytest
 
 from repro.core import (
     AbstractGraph,

@@ -19,7 +19,7 @@ from repro.sim import (
     simulate,
     write_trace_jsonl,
 )
-from repro.topology import chain, complete, hypercube, ring
+from repro.topology import chain, ring
 from tests.conftest import random_instance
 
 

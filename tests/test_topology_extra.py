@@ -1,6 +1,5 @@
 """Tests for the extended topology families."""
 
-import numpy as np
 import pytest
 
 from repro.topology import (

@@ -1,6 +1,5 @@
 """Unit tests for repro.topology.generators (the topology zoo)."""
 
-import numpy as np
 import pytest
 
 from repro.api import UnknownComponentError, build_topology

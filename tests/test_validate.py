@@ -14,7 +14,7 @@ from repro.core import (
     verify_times,
 )
 from repro.sim import SimConfig, simulate
-from repro.topology import chain, ring
+from repro.topology import chain
 from tests.conftest import random_instance
 
 
