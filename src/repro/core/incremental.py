@@ -617,9 +617,10 @@ class LinkLoadDelta(_SwapEvaluator):
             links, a, b = self._link_ids[tail, head], src[live], dst[live]
             np.add.at(flat, links * n + a, at_src[live])
             np.add.at(flat, links * n + b, at_dst[live])
-            out, into = b[a == pc], a[b == pc]
-            np.add.at(change, links[a == pc], (t[:, out] - t[pc, out]).T)
-            np.add.at(change, links[b == pc], t[into] - t[into, pc][:, None])
+            leave, enter = a == pc, b == pc
+            out, into = b[leave], a[enter]
+            np.add.at(change, links[leave], (t[:, out] - t[pc, out]).T)
+            np.add.at(change, links[enter], t[into] - t[into, pc][:, None])
         loads = self._loads[:, None] + self._link_w[:, None] * change
         return loads.max(axis=0, initial=0).take(procs) - self._volume
 
