@@ -96,7 +96,6 @@ class TestSimGantt:
 
     def test_matches_analytic_gantt_in_paper_mode(self):
         from repro.analysis import render_sim_gantt
-        from repro.core import ClusteredGraph
         from repro.sim import simulate
         from repro.workloads import (
             running_example_assignment_vector,

@@ -504,7 +504,6 @@ class TestServiceMetrics:
 
 class TestRefineMetric:
     def _level(self, seed=13, ns=8):
-        from repro.clustering import RandomClusterer
         from repro.workloads import layered_random_dag
 
         system = hypercube(3)

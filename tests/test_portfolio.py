@@ -142,7 +142,6 @@ class TestAnytime:
         schedule = evaluate_assignment(clustered, system, stopped.assignment)
         assert schedule.total_time == stopped.total_time
 
-
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     @pytest.mark.parametrize(
         "objective", ["comm_volume", "hop_bytes", "avg_dilation", "max_congestion"]
