@@ -41,10 +41,15 @@ processors and at 20k tasks: the level graphs, the projection maps, the
 absorbed weight and the level machines.
 
 So is the stack-ordered ``topological_order``, with the ``linear``
-clustering that follows its visit order and the ``dsc`` clustering that
-follows the bottom levels, on graphs whose ids are in topological order
-and graphs whose ids are not (``gnp``, ``series_parallel``,
-``divide_conquer`` and a renumbered ``layered_random``).
+clustering that follows its visit order, the ``dsc`` clustering that
+follows the bottom levels and the ``edge_zero`` clustering, on graphs
+whose ids are in topological order and graphs whose ids are not
+(``gnp``, ``series_parallel``, ``divide_conquer`` and a renumbered
+``layered_random``), and on a 300-task ``layered_random`` graph whose
+``dsc`` and ``edge_zero`` runs take hundreds of merge rounds.  Both
+merging clusterers are also pinned where no cut pair is left to merge,
+on an edgeless graph and on a graph whose one edge runs from a higher
+id to a lower one.
 
 The simulator is pinned on a 300-task ``layered_random`` instance per
 machine (``hypercube:3``, ``mesh2d:3x3``, a seeded ``random:8`` and the
@@ -64,6 +69,7 @@ from repro.api import build_topology, build_workload, get_mapper
 from repro.clustering import (
     BlockClusterer,
     DscClusterer,
+    EdgeZeroClusterer,
     LinearClusterer,
     RandomClusterer,
 )
@@ -72,6 +78,7 @@ from repro.core import (
     Assignment,
     ClusteredGraph,
     ScheduleViolation,
+    TaskGraph,
     analyze_criticality,
     build_hierarchy,
     collect_matrices,
@@ -861,32 +868,44 @@ def test_lines_and_cubes_are_pinned(name):
 
 
 #: graph -> (SHA-256 of ``topological_order``, of the ``linear`` labels
-#: with 6 clusters, of the ``dsc`` labels with 8 clusters)
+#: with 6 clusters, of the ``dsc`` labels with 8 clusters, of the
+#: ``edge_zero`` labels with 8 clusters)
 TRAVERSAL = {
     "layered_random-60": (
         "235ddc9324549791831741b4e06c3fbb59412b8bb7facf7ed488f99263c73fb0",
         "47811c473fc68d9af2bad7a3776eab8b729ac3e957daea17aa9ab51af242d618",
         "df6e113c87c97d0ea0b6a70049d3477e7a8d2ddc68518b396a8f63e58a38969d",
+        "efeb7444757d3be9f3d6dcb123f79c0ba4620661de909ccfe2b2917a473b91ab",
     ),
     "gnp-40": (
         "6187a369996f07a32361093128d1a823891db4d836b3f58c8c54b07792fa44a8",
         "f6b3912110e84c93408fab14c43b22d8841d8a2fe8610609f03fd72149659373",
         "905ea460cc95e6d9ca10cee47ba3c82504979a914f53d170c5a16e40e07def27",
+        "d33d291197a24d1ec8113da838c8c04f2681a957eb6e02ad2038c609a8e99e49",
     ),
     "series_parallel-3x3": (
         "751ee5ca4a64286098249f67de8b6c5ac3b96cf8b0e0f348fa8503b882087332",
         "6e7a5122a68584da4fcfffbc36561a20feb5ea43f0ef7be868b211e0e9c587f0",
         "167264632fc0f9fda346da697ce8035974e225c5ceec74dd6476959edc8bcb1f",
+        "c0f190f86cd2f4f896fb351b095faa8e07889b1f48bc483c2949854eda9ee41c",
     ),
     "divide_conquer-4": (
         "9e13e92a91eeb879457d7471df9837aca99bff0ad4f713f261e5690b8d37612d",
         "661b6586c79210c9c8a80f6df45799879e5bbf24dd8dd4c024ff06535ee20430",
         "e96b1c0c3622a0d5aad9937979f20346c73c483b0c2123685707cddc6385586d",
+        "3e97f57e12587c2b12675e1978f9818178a032a3cd5573ce998a5053294e7817",
     ),
     "layered_random-50-relabeled": (
         "035d7584409108e4839c308c409c648f99f32f71d25adf4c67b66f64b61ceec8",
         "8bd1f7786fc9884a090fa604b367104a5e947001767529c0d9f6a15a65279e44",
         "3ec9331113911ec046b72ab51d3463962cf13d11954686faa23a8ee19cdf20cd",
+        "cef1d46f1de1962c4df202bce6cb8d3f71b8b6c8c33e716f58acf64d54ebe92f",
+    ),
+    "layered_random-300": (
+        "4262766dfacd73bf8e781bc359229608ea9807bc905d9263fa65f8483c7b530f",
+        "f1425b1940ab9980b86d6d8ba2b2e1a0e1139a44ccab440e353481c3b3dc2c44",
+        "31d9f9cef3e0658658a5c1f61865b521ab00aa0210bc57f55f5c26d68bdbbc7c",
+        "1affc0a2edd9edb56c720643cc0a09d9ec16e286a6e75f48d27fa8af0a828eeb",
     ),
 }
 
@@ -906,6 +925,9 @@ def _traversal_graph(key: str):
         "layered_random-50-relabeled": lambda: build_workload(
             "layered_random", {"num_tasks": 50}, rng=7
         ).relabeled(np.random.default_rng(11).permutation(50)),
+        "layered_random-300": lambda: build_workload(
+            "layered_random", {"num_tasks": 300}, rng=0
+        ),
     }[key]()
 
 
@@ -916,8 +938,35 @@ def test_traversal_is_pinned(key):
         _digest(graph.topological_order),
         _digest(LinearClusterer(6).cluster(graph, rng=0).labels),
         _digest(DscClusterer(8).cluster(graph, rng=0).labels),
+        _digest(EdgeZeroClusterer(8).cluster(graph, rng=0).labels),
     )
     assert got == TRAVERSAL[key]
+
+
+#: (graph, clusters) -> (``dsc`` labels, ``edge_zero`` labels) where the
+#: merges run out of cut pairs and merge the two lowest cluster ids: an
+#: edgeless graph, and one whose only edge runs from a higher id to a
+#: lower one
+MERGE_FALLBACK = {
+    ("edgeless", 2): ([0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]),
+    ("edgeless", 3): ([0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 1, 2]),
+    ("high-to-low", 2): ([0, 0, 0, 1, 0], [0, 1, 1, 1, 0]),
+    ("high-to-low", 3): ([0, 0, 1, 2, 0], [0, 1, 1, 2, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(MERGE_FALLBACK))
+def test_merge_fallback_is_pinned(case):
+    name, clusters = case
+    graph = {
+        "edgeless": lambda: TaskGraph([3, 1, 4, 1, 5, 9]),
+        "high-to-low": lambda: TaskGraph([1] * 5, [(4, 0, 5)]),
+    }[name]()
+    got = (
+        DscClusterer(clusters).cluster(graph).labels.tolist(),
+        EdgeZeroClusterer(clusters).cluster(graph).labels.tolist(),
+    )
+    assert got == MERGE_FALLBACK[case]
 
 
 #: the fidelity configurations the simulator is pinned under
