@@ -15,11 +15,13 @@ with exactly ``num_clusters`` non-empty clusters.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 
 import numpy as np
 
 from ..core.clustered import Clustering
-from ..core.taskgraph import TaskGraph
+from ..core.incremental import _BATCH_BYTES
+from ..core.taskgraph import TaskGraph, sweep_finish_times
 from ..utils import GraphError
 
 __all__ = ["Clusterer", "validate_request", "rebalance_empty_clusters"]
@@ -68,7 +70,7 @@ def rebalance_empty_clusters(
 
     Steals one task from the largest cluster for each empty one (ties:
     lowest id; random with ``rng``).  Used by clusterers whose natural
-    output may leave clusters empty (e.g. edge zeroing collapses hard).
+    output may leave clusters empty: ``random`` and ``linear``.
     """
     labels = labels.copy()
     counts = np.bincount(labels, minlength=num_clusters)
@@ -81,4 +83,72 @@ def rebalance_empty_clusters(
         labels[victim] = empty
         counts[donor] -= 1
         counts[empty] += 1
+    return labels
+
+
+def first_appearance(labels: np.ndarray) -> np.ndarray:
+    """Renumber cluster ids to ``0..k-1`` in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def merged_bounds(
+    graph: TaskGraph, labels: np.ndarray, keep: np.ndarray, absorb: np.ndarray
+) -> np.ndarray:
+    """Lower bound of each clustering that merges ``absorb[i]`` into ``keep[i]``.
+
+    The bound is :func:`~repro.core.ideal.lower_bound`'s ideal-graph
+    makespan: an edge costs its weight while its ends stay in different
+    clusters.  A merge keeps the schedule plan and only zeroes the edges
+    between the pair, so every candidate is one row of a batched
+    :func:`~repro.core.taskgraph.sweep_finish_times`, swept in chunks of
+    rows whose edge costs fit in ``_BATCH_BYTES``.
+    """
+    plan = graph.schedule_plan()
+    src, dst = labels[plan.src][:, None], labels[plan.dst][:, None]
+    cost = np.where(src != dst, graph.in_weights[plan.eperm][:, None], 0)
+    rows = max(1, _BATCH_BYTES // (8 * max(1, cost.size)))
+    out = np.empty(len(keep), dtype=np.int64)
+    for lo in range(0, len(keep), rows):
+        a, b = keep[lo : lo + rows], absorb[lo : lo + rows]
+        inside = ((src == a) & (dst == b)) | ((src == b) & (dst == a))
+        # An (edges, rows) C-ordered batch sweeps without a transposing copy.
+        end = sweep_finish_times(plan, graph.task_sizes, np.where(inside, 0, cost).T)
+        out[lo : lo + rows] = end.max(axis=1)
+    return out
+
+
+def merge_to_target(
+    graph: TaskGraph, labels: np.ndarray, num_clusters: int,
+    candidates: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Least-regression merges down to ``num_clusters``, first-appearance ids.
+
+    Each round lists ``candidates(labels)``, the ``(keep, absorb)``
+    cluster id arrays in the order ties are broken, scores them with one
+    :func:`merged_bounds` call and merges the first pair of least bound;
+    with no candidate left, the two lowest cluster ids merge.  The ids
+    are then renumbered by first appearance, and if fewer than
+    ``num_clusters`` clusters remain, the largest (lowest id on ties)
+    gives the first half of its tasks to a new cluster until the count
+    is met.
+    """
+    labels = labels.copy()
+    k = np.unique(labels).size
+    while k > num_clusters:
+        keep, absorb = candidates(labels)
+        if len(keep):
+            best = int(np.argmin(merged_bounds(graph, labels, keep, absorb)))
+            a, b = int(keep[best]), int(absorb[best])
+        else:
+            a, b = np.unique(labels)[:2].tolist()
+        labels[labels == b] = a
+        k -= 1
+    labels = first_appearance(labels)
+    while k < num_clusters:
+        members = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+        labels[members[: members.size // 2]] = k
+        k += 1
     return labels

@@ -8,20 +8,22 @@ graph — communication on internal edges costs nothing, so heavy edges
 want to be internal unless merging serializes too much work.
 
 Because the mapping stage needs *exactly* ``num_clusters`` clusters, the
-merge loop additionally stops dissolving below the target and, if the
-zero-improvement condition leaves more clusters than requested, keeps
-merging the cheapest pairs (smallest critical-path regression) until the
-target is met.
+zeroing pass stops dissolving at the target and, if the zero-improvement
+condition leaves more clusters than requested, hands the rest to
+:func:`~repro.clustering.base.merge_to_target`, the least-regression
+merge it shares with DSC.  Its candidates are the cut cluster pairs in
+heaviest-edge order, each pair at its first edge, oriented ``(src
+cluster, dst cluster)``; the raw cluster ids are kept until then, so the
+no-candidate fallback merges the two smallest surviving ids.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.clustered import ClusteredGraph, Clustering
-from ..core.ideal import lower_bound
+from ..core.clustered import Clustering
 from ..core.taskgraph import TaskGraph
-from .base import Clusterer, validate_request
+from .base import Clusterer, merge_to_target, merged_bounds, validate_request
 
 __all__ = ["EdgeZeroClusterer"]
 
@@ -40,74 +42,34 @@ class EdgeZeroClusterer(Clusterer):
     ) -> Clustering:
         validate_request(graph, self.num_clusters)
         n, target = graph.num_tasks, self.num_clusters
-
-        labels = np.arange(n, dtype=np.int64)  # singleton clusters
-
-        def canonical(lbl: np.ndarray) -> np.ndarray:
-            """Renumber labels to 0..k-1 in order of first appearance."""
-            _, first = np.unique(lbl, return_index=True)
-            mapping = {int(lbl[i]): rank for rank, i in enumerate(np.sort(first))}
-            return np.asarray([mapping[int(x)] for x in lbl], dtype=np.int64)
-
-        def estimate(lbl: np.ndarray) -> int:
-            c = canonical(lbl)
-            return lower_bound(
-                ClusteredGraph(graph, Clustering(c, num_clusters=int(c.max()) + 1))
-            )
-
-        current_cost = estimate(labels)
-        edges = sorted(graph.edges(), key=lambda e: (-e.weight, e.src, e.dst))
+        srcs, dsts, weights = graph.edge_arrays()
+        # Heaviest first, ties by (src, dst): the edges' own order.
+        heavy = np.argsort(-weights, kind="stable")
+        srcs, dsts = srcs[heavy], dsts[heavy]
 
         # Pass 1: Sarkar's rule — zero heavy edges while the estimate does
         # not regress and the cluster count stays above the target.
-        for e in edges:
-            if len(set(labels.tolist())) <= target:
+        labels = np.arange(n, dtype=np.int64)  # singleton clusters
+        current_cost, k = graph.critical_path_length(), n
+        for s, d in zip(srcs.tolist(), dsts.tolist()):
+            if k <= target:
                 break
-            a, b = labels[e.src], labels[e.dst]
+            a, b = labels[[s, d]]
             if a == b:
                 continue
-            trial = labels.copy()
-            trial[trial == b] = a
-            cost = estimate(trial)
+            cost = int(merged_bounds(graph, labels, a[None], b[None])[0])
             if cost <= current_cost:
-                labels, current_cost = trial, cost
+                labels[labels == b] = a
+                current_cost, k = cost, k - 1
 
         # Pass 2: force the target count with least-regression merges.
-        while len(set(labels.tolist())) > target:
-            uniq = sorted(set(labels.tolist()))
-            best_trial, best_cost = None, None
-            # Prefer merging along remaining cut edges (cheap local moves);
-            # fall back to arbitrary pairs for disconnected graphs.
-            candidates: list[tuple[int, int]] = []
-            for e in edges:
-                a, b = int(labels[e.src]), int(labels[e.dst])
-                if a != b:
-                    candidates.append((a, b))
-            if not candidates:
-                candidates = [(uniq[0], uniq[1])]
-            seen: set[tuple[int, int]] = set()
-            for a, b in candidates:
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                trial = labels.copy()
-                trial[trial == b] = a
-                cost = estimate(trial)
-                if best_cost is None or cost < best_cost:
-                    best_trial, best_cost = trial, cost
-            assert best_trial is not None
-            labels, current_cost = best_trial, int(best_cost)
+        def heavy_cut_pairs(lbl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            a, b = lbl[srcs], lbl[dsts]
+            cut = a != b
+            a, b = a[cut], b[cut]
+            pair = np.minimum(a, b) * n + np.maximum(a, b)
+            first = np.sort(np.unique(pair, return_index=True)[1])
+            return a[first], b[first]
 
-        # Pass 3: if zeroing overshot below the target (cannot happen with
-        # the pass-1 guard, but kept as a safety net for subclasses), split
-        # the largest clusters.
-        final = canonical(labels)
-        k = int(final.max()) + 1
-        while k < target:
-            counts = np.bincount(final, minlength=k)
-            donor = int(np.argmax(counts))
-            members = np.flatnonzero(final == donor)
-            final[members[: members.size // 2]] = k
-            k += 1
-        return Clustering(final, num_clusters=target)
+        labels = merge_to_target(graph, labels, target, heavy_cut_pairs)
+        return Clustering(labels, num_clusters=target)

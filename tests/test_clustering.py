@@ -11,11 +11,13 @@ from repro.clustering import (
     LoadBalanceClusterer,
     RandomClusterer,
     RoundRobinClusterer,
+    base,
     rebalance_empty_clusters,
 )
+from repro.clustering.base import first_appearance, merged_bounds
 from repro.core import ClusteredGraph, Clustering, TaskGraph, lower_bound
 from repro.utils import GraphError
-from repro.workloads import layered_random_dag, wavefront_dag
+from repro.workloads import gnp_dag, layered_random_dag, wavefront_dag
 
 ALL_CLUSTERERS = [
     RandomClusterer,
@@ -195,3 +197,54 @@ class TestRebalance:
         g = layered_random_dag(num_tasks=6, rng=1)
         labels = np.asarray([0, 1, 2, 0, 1, 2], dtype=np.int64)
         assert np.array_equal(rebalance_empty_clusters(labels, 3, g), labels)
+
+
+def _merge_cases():
+    """(graph, labels): random partitions into 12 clusters, one with
+    gapped ids, one on a graph with edges from higher to lower ids."""
+    lr = layered_random_dag(num_tasks=60, rng=3)
+    gnp = gnp_dag(num_tasks=40, edge_prob=0.15, rng=5)
+    relabeled = gnp.relabeled(np.random.default_rng(2).permutation(40))
+    wave = wavefront_dag(6, 6)
+    return {
+        "layered_random": (lr, RandomClusterer(12).cluster(lr, rng=1).labels),
+        "gnp-gapped": (gnp, 3 * RandomClusterer(12).cluster(gnp, rng=2).labels + 5),
+        "gnp-relabeled": (
+            relabeled, RandomClusterer(12).cluster(relabeled, rng=3).labels
+        ),
+        "wavefront": (wave, RandomClusterer(12).cluster(wave, rng=4).labels),
+    }
+
+
+class TestMergedBounds:
+    """Each row of the batched merge bound against the per-candidate path it
+    replaced: ``lower_bound`` of a fresh ``ClusteredGraph`` of the merge."""
+
+    @pytest.mark.parametrize(
+        "case", ["layered_random", "gnp-gapped", "gnp-relabeled", "wavefront"]
+    )
+    @pytest.mark.parametrize("rows", [None, 5, 1])
+    def test_every_pair_matches_lower_bound(self, case, rows, monkeypatch):
+        graph, labels = _merge_cases()[case]
+        if rows is not None:  # several chunks: `rows` rows each
+            monkeypatch.setattr(base, "_BATCH_BYTES", 8 * graph.num_edges * rows)
+        ids = np.unique(labels).tolist()
+        pairs = np.array([(a, b) for a in ids for b in ids if a != b])
+        want = []
+        for a, b in pairs.tolist():
+            merged = np.where(labels == b, a, labels)
+            dense = np.unique(merged, return_inverse=True)[1]
+            want.append(lower_bound(ClusteredGraph(graph, Clustering(dense))))
+        got = merged_bounds(graph, labels, pairs[:, 0], pairs[:, 1])
+        assert got.tolist() == want
+
+    def test_no_candidates(self):
+        graph, labels = _merge_cases()["wavefront"]
+        empty = np.zeros(0, dtype=np.int64)
+        assert merged_bounds(graph, labels, empty, empty).size == 0
+
+
+def test_first_appearance_renumbers_in_order_of_first_use():
+    labels = np.array([7, 3, 7, 9, 3, 0, 9])
+    assert first_appearance(labels).tolist() == [0, 1, 0, 2, 1, 3, 2]
+    assert first_appearance(np.arange(5)).tolist() == [0, 1, 2, 3, 4]
