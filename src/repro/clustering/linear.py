@@ -37,12 +37,15 @@ class LinearClusterer(Clusterer):
         remaining = np.ones(n, dtype=bool)
         topo = graph.topological_order.tolist()
 
+        # The out-CSR and the task sizes, as lists read once per call.
+        arrays = graph.out_indptr, graph.out_indices, graph.out_weights, graph.task_sizes
+        csr = [array.tolist() for array in arrays]
         cluster_id = 0
         while remaining.any():
             if cluster_id == target - 1:
                 labels[remaining] = cluster_id  # dump the tail
                 break
-            path = self._longest_path(graph, remaining, topo)
+            path = self._longest_path(remaining, topo, *csr)
             labels[path] = cluster_id
             remaining[path] = False
             cluster_id += 1
@@ -53,25 +56,27 @@ class LinearClusterer(Clusterer):
 
     @staticmethod
     def _longest_path(
-        graph: TaskGraph, remaining: np.ndarray, topo: list[int]
+        remaining: np.ndarray, topo: list[int], ptr: list[int], succ: list[int],
+        weight: list[int], size: list[int],
     ) -> list[int]:
-        """Longest (node+edge weight) path within the remaining subgraph."""
-        dist = np.full(graph.num_tasks, np.iinfo(np.int64).min, dtype=np.int64)
-        parent = np.full(graph.num_tasks, -1, dtype=np.int64)
+        """Longest (node+edge weight) path within the remaining subgraph,
+        over the out-CSR ``ptr``/``succ``/``weight`` and the task sizes."""
+        live = remaining.tolist()
+        lowest = np.iinfo(np.int64).min
+        dist, parent = [lowest] * len(live), [-1] * len(live)
         for t in topo:
-            if not remaining[t]:
+            if not live[t]:
                 continue
-            if dist[t] == np.iinfo(np.int64).min:
-                dist[t] = int(graph.task_sizes[t])
-            for s in graph.successors(t).tolist():
-                if not remaining[s]:
-                    continue
-                cand = dist[t] + graph.weight(t, s) + int(graph.task_sizes[s])
-                if cand > dist[s]:
+            if dist[t] == lowest:
+                dist[t] = size[t]
+            for i in range(ptr[t], ptr[t + 1]):
+                s = succ[i]
+                cand = dist[t] + weight[i] + size[s]
+                if live[s] and cand > dist[s]:
                     dist[s] = cand
                     parent[s] = t
-        end = int(np.argmax(np.where(remaining, dist, np.iinfo(np.int64).min)))
+        end = int(np.argmax(np.where(remaining, dist, lowest)))
         path = [end]
         while parent[path[-1]] != -1:
-            path.append(int(parent[path[-1]]))
+            path.append(parent[path[-1]])
         return path[::-1]
