@@ -23,7 +23,8 @@ portfolio arm, a ``compare`` entry — the choice is spelled one way and
 read by :func:`parse_choice`: a name, a ``{"name": ..., "params": {...}}``
 mapping, or a ``(name, params)`` pair.  :func:`choice_label` renders a
 parsed choice as ``name`` or ``name[k=v,...]``, the form scenario keys,
-sweep tables and fingerprints are built from.
+sweep tables and fingerprints are built from, and :func:`choice_spec`
+writes one back in its JSON spelling.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "MAPPERS",
     "available_mappers",
     "choice_label",
+    "choice_spec",
     "get_mapper",
     "parse_choice",
     "register_mapper",
@@ -269,3 +271,12 @@ def choice_label(name: str, params: Mapping[str, Any] | None = None) -> str:
         return name
     inner = ",".join(f"{k}={params[k]!r}" for k in sorted(params))
     return f"{name}[{inner}]"
+
+
+def choice_spec(
+    name: str, params: Mapping[str, Any] | None = None
+) -> str | dict[str, Any]:
+    """JSON spelling of a choice, which :func:`parse_choice` reads back:
+    the bare ``name`` without params, else ``{"name": ..., "params": {...}}``.
+    """
+    return name if not params else {"name": name, "params": dict(params)}

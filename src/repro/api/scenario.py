@@ -30,7 +30,7 @@ from .components import (
     WORKLOADS,
     parse_topology_spec,
 )
-from .registry import MAPPERS, RegistryError, choice_label, parse_choice
+from .registry import MAPPERS, RegistryError, choice_label, choice_spec, parse_choice
 
 __all__ = ["Scenario", "ScenarioError", "expand_spec", "load_spec"]
 
@@ -253,10 +253,7 @@ class Scenario:
         if self.name:
             out["name"] = self.name
         if self.metrics:
-            out["metrics"] = [
-                name if not params else {"name": name, "params": dict(params)}
-                for name, params in self.metrics
-            ]
+            out["metrics"] = [choice_spec(name, params) for name, params in self.metrics]
         return out
 
     @classmethod

@@ -433,6 +433,19 @@ class TestChoiceSpellings:
         for spelling in _spellings(*expected):
             assert normalize_metric_specs([spelling]) == [expected]
 
+    @pytest.mark.parametrize(
+        "choice, spec",
+        [
+            (("tabu", {}), "tabu"),
+            (("tabu", {"iterations": 5}), {"name": "tabu", "params": {"iterations": 5}}),
+        ],
+    )
+    def test_written_spelling_reads_back(self, choice, spec):
+        from repro.api.registry import choice_spec, parse_choice
+
+        assert choice_spec(*choice) == spec
+        assert parse_choice(spec, "choice") == choice
+
     @pytest.mark.parametrize("expected", TABU_CHOICES)
     def test_portfolio_arms(self, expected):
         for spelling in _spellings(*expected):
