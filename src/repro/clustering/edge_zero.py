@@ -50,6 +50,7 @@ class EdgeZeroClusterer(Clusterer):
         # Pass 1: Sarkar's rule — zero heavy edges while the estimate does
         # not regress and the cluster count stays above the target.
         labels = np.arange(n, dtype=np.int64)  # singleton clusters
+        # The singletons' bound: every edge is cut, so it is the critical path.
         current_cost, k = graph.critical_path_length(), n
         for s, d in zip(srcs.tolist(), dsts.tolist()):
             if k <= target:

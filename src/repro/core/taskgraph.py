@@ -132,8 +132,9 @@ def sweep_finish_times(
     ``plan.eperm`` to in-CSR-ordered per-edge data first).  This is the
     only implementation of the recurrence: the ideal schedule, the lower
     bound, every assignment's schedule, the delta evaluator (and through
-    it the exhaustive enumeration) and, over the reversed DAG's plan,
-    the bottom levels all run it.  All arithmetic stays in int64 and max
+    it the exhaustive enumeration), the clusterers' merge rounds
+    (:func:`~repro.clustering.base.merged_bounds`) and, over the
+    reversed DAG's plan, the bottom levels all run it.  All arithmetic stays in int64 and max
     over an empty predecessor set is 0.
 
     ``end`` starts as the task sizes, and each of ``plan.steps`` adds to

@@ -238,11 +238,6 @@ class TestMergedBounds:
         got = merged_bounds(graph, labels, pairs[:, 0], pairs[:, 1])
         assert got.tolist() == want
 
-    def test_no_candidates(self):
-        graph, labels = _merge_cases()["wavefront"]
-        empty = np.zeros(0, dtype=np.int64)
-        assert merged_bounds(graph, labels, empty, empty).size == 0
-
 
 def test_first_appearance_renumbers_in_order_of_first_use():
     labels = np.array([7, 3, 7, 9, 3, 0, 9])
