@@ -10,12 +10,12 @@ Two modes:
 
 * default — every clusterer at 300, 1k and 5k tasks (``--sizes``) and
   8 and 64 clusters.  ``dsc`` at 5k tasks is left out: its pass leaves
-  about 2,200 clusters, so it needs over 2,100 merge rounds and has not
-  finished within 15 minutes.  ``--before FILE`` adds the columns of an
-  earlier run (its ``--json-out``; e.g. the same script run with
-  ``PYTHONPATH`` pointing at another checkout), the before/after ratio
-  and whether the labels are the same.  The table is recorded under
-  ``benchmarks/results/bench_clustering.txt``.
+  2,191 clusters, so reaching 8 takes 2,183 merge rounds, and a run
+  stopped at 15 minutes had finished 700.  ``--before FILE`` adds the
+  columns of an earlier run (its ``--json-out``; e.g. the same script
+  run with ``PYTHONPATH`` pointing at another checkout), the
+  before/after ratio and whether the labels are the same.  The table is
+  recorded under ``benchmarks/results/bench_clustering.txt``.
 * ``--smoke`` — ``dsc`` at 300 tasks and ``edge_zero`` at 1k, each at
   8 and 64 clusters.  ``--json-out FILE`` writes the report that
   ``benchmarks/check_budgets.py`` compares against
