@@ -89,9 +89,7 @@ def rebalance_empty_clusters(
 def first_appearance(labels: np.ndarray) -> np.ndarray:
     """Renumber cluster ids to ``0..k-1`` in order of first appearance."""
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def merged_bounds(
