@@ -53,10 +53,13 @@ id to a lower one.
 
 The simulator is pinned on a 300-task ``layered_random`` instance per
 machine (``hypercube:3``, ``mesh2d:3x3``, a seeded ``random:8`` and the
-weighted 4-ring) under seven fidelity configurations: the makespan, the
-peak link utilization, the FIFO stall time, the peak queue depth, the
-SHA-256 of ``start`` and ``end`` and of the ``write_trace_jsonl`` bytes,
-which carry every trace record in order.
+weighted 4-ring), and on a 120-task ``gnp`` and a 161-task
+``series_parallel`` graph, whose ids are not in topological order, on
+``hypercube:3`` and the weighted 4-ring, under seven fidelity
+configurations: the makespan, the peak link utilization, the FIFO stall
+time, the peak queue depth, the SHA-256 of ``start`` and ``end`` and of
+the ``write_trace_jsonl`` bytes, which carry every trace record in
+order.
 """
 
 import hashlib
@@ -980,9 +983,9 @@ SIM_CONFIGS = {
     "setup=3": SimConfig(True, True, link_setup=3),
 }
 
-#: (machine, config) -> (makespan, max_link_utilization, fifo_stall_time,
+#: (instance, config) -> (makespan, max_link_utilization, fifo_stall_time,
 #: max_queue_depth, SHA-256 of ``start`` and ``end``, SHA-256 of the
-#: ``write_trace_jsonl`` bytes)
+#: ``write_trace_jsonl`` bytes); see ``sim_instances`` for the instances
 SIMULATION = {
     ("hypercube:3", "paper"): (
         159, 4.10062893081761, 0, 98,
@@ -1124,21 +1127,180 @@ SIMULATION = {
         "9086a69a0dd79158b6ba914fafa8a3b13e8660b638c7a952e9dc77e0d3266771",
         "aba2405001915f29a9fe9af89d966aac9948bb30c530d9cdf0b37f75e768c7f4",
     ),
+    ("gnp-120@hypercube:3", "paper"): (
+        147, 2.197278911564626, 0, 44,
+        "67cc4703b97e9ca9fb2ea33549557a9387fc5f3a91193bed0b03c8c58364bf07",
+        "e27a855044547b8b3d35a35587959fbb31ff26031f3a8a7e99e764f74d43b960",
+    ),
+    ("gnp-120@hypercube:3", "serialized"): (
+        183, 1.7650273224043715, 0, 41,
+        "c4f8a86e76646f1d73e7deb9c87cad964bea938be89445958059e259fe9e341a",
+        "f67b2c575f229554363190ce7179c53d8e3b6ed371d0f4b074abb9faad82673b",
+    ),
+    ("gnp-120@hypercube:3", "contention"): (
+        386, 0.8367875647668394, 0, 15,
+        "5de82e61f75b48dd6861833d2ebca4c67df137bc7312e3f0b13a78e07b40ecd8",
+        "b75ac9e08e5a2456161e06d443c05f922c90a902ef412d98439b12081fa46597",
+    ),
+    ("gnp-120@hypercube:3", "serialized+contention"): (
+        398, 0.8115577889447236, 0, 20,
+        "9173dd5d30594a44ec4c93c9c54ef614f021dc8b00ffd80d80b2524853aa41e9",
+        "734d4c8d821628777d3a8db2d666c19af6b3d698a1eef2f083b8ee6e63102cc2",
+    ),
+    ("gnp-120@hypercube:3", "fifo=1"): (
+        398, 0.8115577889447236, 8750, 1,
+        "9173dd5d30594a44ec4c93c9c54ef614f021dc8b00ffd80d80b2524853aa41e9",
+        "044955aa2988a8b696b0c92738f6a96daaf3d55bf80832be7915a6a5cb79cb9a",
+    ),
+    ("gnp-120@hypercube:3", "fifo=2"): (
+        386, 0.8367875647668394, 6682, 2,
+        "5de82e61f75b48dd6861833d2ebca4c67df137bc7312e3f0b13a78e07b40ecd8",
+        "a9239a6ca444bb19713e337cda19c8d48f38051f7d2939a36f2253f59b00aa65",
+    ),
+    ("gnp-120@hypercube:3", "setup=3"): (
+        594, 0.8468013468013468, 0, 21,
+        "fbae66553a0913025b2c8c392b7be9a0118546f2c1a3a17277efed108f1f2db7",
+        "4dd983e00e954bd54c92eb7f0d2c5de96a0f384e79d57de74863b3c28046fdb2",
+    ),
+    ("gnp-120@ring-4-w01", "paper"): (
+        154, 3.6233766233766236, 0, 61,
+        "2afc86f8ad4573287d558193cf86f2bd47e7f2ac7d541526e13c85b8226962d9",
+        "37d16399462c131fd41a1ec95da4f203be2603ea5689977a52c8add7be6e3745",
+    ),
+    ("gnp-120@ring-4-w01", "serialized"): (
+        234, 2.3846153846153846, 0, 49,
+        "715d2adb92829ef97f72c64a57479602eddbfe46b87e3b552b18c9d543935f26",
+        "30aec6e8e916a16a9bb8c20484475f7dd40b2d23a563cdcc72a2a5ca497def4d",
+    ),
+    ("gnp-120@ring-4-w01", "contention"): (
+        569, 0.9806678383128296, 0, 22,
+        "ee590193031ccc80660e77c20b0348640f167d7d5759d5d22229ebae459d316c",
+        "a43589d2e9a4f3b719095e8e271581593f2deb7e82658d19e3204d1ae196dd63",
+    ),
+    ("gnp-120@ring-4-w01", "serialized+contention"): (
+        568, 0.9823943661971831, 0, 21,
+        "4842804d6f98de3aa42a2071fd326f5aa92519383cb58309688618531b2ab3d7",
+        "026b0ff339c51aa8a1c4b32adb42f0affb2dae0b380072107028b04522269b20",
+    ),
+    ("gnp-120@ring-4-w01", "fifo=1"): (
+        568, 0.9823943661971831, 14815, 1,
+        "4842804d6f98de3aa42a2071fd326f5aa92519383cb58309688618531b2ab3d7",
+        "0ab240c36fac36f68b1aebb1dc94780358ee5e6cc919b9a94cb2b40f569ef399",
+    ),
+    ("gnp-120@ring-4-w01", "fifo=2"): (
+        569, 0.9806678383128296, 11904, 2,
+        "ee590193031ccc80660e77c20b0348640f167d7d5759d5d22229ebae459d316c",
+        "26c464ca9ce0254736f1b567c48447981f2fba43819bab6f342416e6ea5140d6",
+    ),
+    ("gnp-120@ring-4-w01", "setup=3"): (
+        760, 0.9644736842105263, 0, 23,
+        "abacceb042afc49649e1c36a09b0411da214f10c362af29854595b611271ba9e",
+        "6659ee0dae8dc21c1e46871bb1c4f522cc2574f654618c1de5eb2a9b9192bf94",
+    ),
+    ("series_parallel-4x3@hypercube:3", "paper"): (
+        151, 1.2980132450331126, 0, 21,
+        "f10798ccf6311f168ad42395bb4d6cd660642f440dbca3828d8a9bff4a007fe1",
+        "e9fc911c5c46f3e17cce2d3268bc7c241ca4888a79fcdf6c82928826ac320f0d",
+    ),
+    ("series_parallel-4x3@hypercube:3", "serialized"): (
+        230, 0.8521739130434782, 0, 15,
+        "2b97c69e3e18def7763e44a09b6fba5786789c438966bee5e986c994b05acc5d",
+        "993d2e4563ecebabf05e36bac238610f3fd67e166005cf550c8dd4d7d92223d7",
+    ),
+    ("series_parallel-4x3@hypercube:3", "contention"): (
+        273, 0.717948717948718, 0, 11,
+        "23a9f5cbc0539a9f87277440eeaf5cdac28794cf3187fb80c44d1cb826a20eac",
+        "00e3637788e16ca7bb9e85ce283bcdf0721f102cdf3218857476b19e1eb34e04",
+    ),
+    ("series_parallel-4x3@hypercube:3", "serialized+contention"): (
+        301, 0.6511627906976745, 0, 9,
+        "8e6bf33f53d0ea6285e9fa887ff09e0ad5258ad69d2a035c0b774031f72b92a6",
+        "d51b7150493ec418da4f82c5bc2eda54a80d2e9299a823d7274de524ea8e3857",
+    ),
+    ("series_parallel-4x3@hypercube:3", "fifo=1"): (
+        301, 0.6511627906976745, 2538, 1,
+        "8e6bf33f53d0ea6285e9fa887ff09e0ad5258ad69d2a035c0b774031f72b92a6",
+        "21da9b4498590e990fa74bfca1c4a1474d880a091d9e4b847f8a5b9008ea9c1a",
+    ),
+    ("series_parallel-4x3@hypercube:3", "fifo=2"): (
+        273, 0.717948717948718, 2146, 2,
+        "23a9f5cbc0539a9f87277440eeaf5cdac28794cf3187fb80c44d1cb826a20eac",
+        "0b10829c6ece2edb31b88e78e5547112196109a0f3dc4b868cce6de5f0cebc2b",
+    ),
+    ("series_parallel-4x3@hypercube:3", "setup=3"): (
+        406, 0.7635467980295566, 0, 12,
+        "09573c7a5033441041bf8d522f6bc673b198407e69399a94d8aa5fe18d4a85aa",
+        "1f0f6ffe9ac9b9cb859f70b9a53cdaf431031886bea3680012c2b7f8022afd6a",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "paper"): (
+        163, 1.8895705521472392, 0, 36,
+        "829f6433e22b6cf83467f37219d195b23db25faff5ef86839a179b5b7fa73ccf",
+        "d37fd2da207eb148003bdf36fc35f60330e4ef18beef9ee80fa6dc1673377118",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "serialized"): (
+        340, 0.9058823529411765, 0, 19,
+        "31f93207f45b4997442ad1108b00b6db6c6b052d46f242a8aa80666dd23ec5e1",
+        "0f77147e196ab0a9b39f1e03ea3108f3939ee5043fc0d757fd9661a021492e6c",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "contention"): (
+        365, 0.8438356164383561, 0, 19,
+        "3c78a24190284bc9e823e30965f23f51afb10cb4b5dcb6f2901186d25b511b7b",
+        "b56e95833966cd755a1b296f2407b05b83afc8ce8efb27275ba55b84dc787acf",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "serialized+contention"): (
+        378, 0.8148148148148148, 0, 16,
+        "ae63a91bb0b717e0c960a8f6fb2be49d0881843c7cad218e884265aca6e07d96",
+        "c1c6ecc05c7ef3b79b23224498cbbaa2b702ff0e79a228cf64d87f8972ac9d33",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "fifo=1"): (
+        378, 0.8148148148148148, 3887, 1,
+        "ae63a91bb0b717e0c960a8f6fb2be49d0881843c7cad218e884265aca6e07d96",
+        "e0538451e66122eb92a876470ebf3cbf944edcff9cae493b99b59c8ac50e5942",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "fifo=2"): (
+        365, 0.8438356164383561, 4539, 2,
+        "3c78a24190284bc9e823e30965f23f51afb10cb4b5dcb6f2901186d25b511b7b",
+        "6a32273d431424e1bbc5cb86160c352eedb74dbb13be06f63b629e0f3f436746",
+    ),
+    ("series_parallel-4x3@ring-4-w01", "setup=3"): (
+        543, 0.8434622467771639, 0, 18,
+        "8748727a2cd713c08d9935978426ab464ba58a9c4386fddb396c3f004dfeb356",
+        "91e2ed6705a98dd9d80380f009a55faf95063d4e6c7b4054c1f0460517541e1f",
+    ),
+}
+
+
+#: graphs whose ids are not in topological order, where same-time
+#: ties are most common; pinned as ``graph@machine`` instances
+SIM_GRAPHS = {
+    "gnp-120": lambda: build_workload(
+        "gnp", {"num_tasks": 120, "edge_prob": 0.05}, rng=0
+    ),
+    "series_parallel-4x3": lambda: build_workload(
+        "series_parallel", {"depth": 4, "branching": 3}, rng=0
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def sim_instances():
-    """machine -> (clustered, system, assignment) for a 300-task instance."""
+    """instance -> (clustered, system, assignment): a 300-task
+    ``layered_random`` graph on each machine, and each ``SIM_GRAPHS``
+    graph on ``hypercube:3`` and the weighted 4-ring."""
     systems = {
         "hypercube:3": build_topology("hypercube:3"),
         "mesh2d:3x3": build_topology("mesh2d:3x3"),
         "random:8": build_topology("random:8", rng=SEED),
         "ring-4-w01": weighted_ring4(),
     }
-    graph = build_workload("layered_random", {"num_tasks": 300}, rng=SEED)
+    layered = build_workload("layered_random", {"num_tasks": 300}, rng=SEED)
+    cases = {key: (layered, system) for key, system in systems.items()}
+    for name, make in SIM_GRAPHS.items():
+        graph = make()
+        for key in ("hypercube:3", "ring-4-w01"):
+            cases[f"{name}@{key}"] = (graph, systems[key])
     out = {}
-    for key, system in systems.items():
+    for key, (graph, system) in cases.items():
         clustering = RandomClusterer(system.num_nodes).cluster(graph, rng=SEED)
         assignment = Assignment.random(system.num_nodes, rng=SEED)
         out[key] = (ClusteredGraph(graph, clustering), system, assignment)
@@ -1147,8 +1309,8 @@ def sim_instances():
 
 @pytest.mark.parametrize("key", list(SIMULATION))
 def test_simulation_is_pinned(sim_instances, key, tmp_path):
-    machine, config = key
-    clustered, system, assignment = sim_instances[machine]
+    instance, config = key
+    clustered, system, assignment = sim_instances[instance]
     result = simulate(clustered, system, assignment, SIM_CONFIGS[config])
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(result, path)
