@@ -1,7 +1,6 @@
 """Discrete-event MIMD simulator: the paper's model plus fidelity knobs."""
 
 from .engine import SimConfig, SimResult, simulate
-from .events import Event, EventKind, EventQueue
 from .machine import LinkGrant, MimdMachine
 from .trace import (
     LoadedSimTrace,
@@ -15,9 +14,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Event",
-    "EventKind",
-    "EventQueue",
     "LinkGrant",
     "LoadedSimTrace",
     "MimdMachine",

@@ -42,13 +42,14 @@ from ..core.assignment import Assignment
 from ..core.clustered import ClusteredGraph
 from ..topology.base import SystemGraph
 from ..utils import MappingError
-from .events import EventKind, EventQueue
 from .machine import MimdMachine
 from .trace import SimTrace
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
-_READY, _FINISH, _HOP = EventKind.TASK_READY, EventKind.TASK_FINISH, EventKind.HOP_ARRIVE
+# Event kinds: all inputs of a task have arrived, a task finished, a
+# message finished crossing one link.
+_READY, _FINISH, _HOP = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,17 @@ def simulate(
 ) -> SimResult:
     """Run the mapped program to completion and return the schedule.
 
-    One loop over the event queue.  A finished task sends one message per
-    out-edge, ``(src_task, dst_task, route, weight, hop)``: it crosses
-    link ``route[hop] -> route[hop + 1]`` next and is delivered once
-    ``hop`` reaches the route's end, at once for a successor on the same
-    processor (a one-node route).  Each serialized processor queues its
-    ready tasks in a heap of ``(ready time, task)``.
+    One loop over a heap of ``(time, seq, kind, payload)`` events; the
+    unique ``seq`` fires simultaneous events in the order they were
+    pushed.  A finished task walks its out-edges once: a successor on
+    the same processor gets its input at once, and any other message
+    ``(src_task, dst_task, route, weight, hop)`` is granted its first
+    link there.  A ``_HOP`` event carries one message that has just
+    crossed link ``route[hop - 1] -> route[hop]``; it is delivered once
+    ``hop`` reaches the route's end.  Routes come from
+    ``system.shortest_path``, looked up once per processor pair and run.
+    Each serialized processor queues its ready tasks in a heap of
+    ``(ready time, task)``.
     """
     graph = clustered.graph
     if clustered.num_clusters != system.num_nodes:
@@ -153,14 +159,15 @@ def simulate(
     cross_w = clustered.cross_out_weights.tolist()  # aligned with out_dst
     pending = np.diff(graph.in_indptr).tolist()
     link_w = system.link_weights.ravel().tolist()  # link a -> b at a * ns + b
+    routes: list[tuple[int, ...] | None] = [None] * (ns * ns)  # p -> q at p * ns + q
     route_of = system.shortest_path
     serialize, contention = config.serialize_processors, config.link_contention
     setup = config.link_setup
     machine = MimdMachine(system, fifo_depth=config.fifo_depth)
     grant = machine.grant
 
-    queue = EventQueue()
-    push, pop = queue.push, queue.pop
+    events: list[tuple[int, int, int, object]] = []
+    seq = 0
     start = [-1] * n
     end = [-1] * n
     busy = [False] * ns
@@ -171,12 +178,33 @@ def simulate(
 
     for task in range(n):
         if not pending[task]:
-            push(0, _READY, task)
-    while queue:
-        time, _, kind, payload = pop()
-        if kind is _HOP:
-            messages = [payload]
-        elif kind is _FINISH:
+            heappush(events, (0, seq, _READY, task))
+            seq += 1
+    while events:
+        time, _, kind, payload = heappop(events)
+        if kind == _HOP:
+            src, dst, route, weight, hop = payload
+            if hop == len(route) - 1:
+                pending[dst] -= 1
+                if not pending[dst]:
+                    heappush(events, (time, seq, _READY, dst))
+                    seq += 1
+                continue
+            a, b = link = route[hop], route[hop + 1]
+            k = a * ns + b
+            duration = setup + weight * link_w[k]
+            enqueue, begin = grant(k, time, duration)
+            if not contention:
+                begin = time  # the grant only keeps the link statistics
+            elif enqueue > time:
+                stall_rows.append((src, dst, link, time, enqueue))
+            transfer_rows.append((src, dst, link, begin, begin + duration))
+            heappush(
+                events,
+                (begin + duration, seq, _HOP, (src, dst, route, weight, hop + 1)),
+            )
+            seq += 1
+        elif kind == _FINISH:
             task = payload
             end[task] = time
             p = host[task]
@@ -185,14 +213,36 @@ def simulate(
                 if ready[p]:
                     nxt = heappop(ready[p])[1]
                     start[nxt] = time
-                    push(time + sizes[nxt], _FINISH, nxt)
+                    heappush(events, (time + sizes[nxt], seq, _FINISH, nxt))
+                    seq += 1
                 else:
                     busy[p] = False
             lo, hi = out_ptr[task], out_ptr[task + 1]
-            messages = [
-                (task, succ, route_of(p, host[succ]), weight, 0)
-                for succ, weight in zip(out_dst[lo:hi], cross_w[lo:hi])
-            ]
+            for succ, weight in zip(out_dst[lo:hi], cross_w[lo:hi]):
+                q = host[succ]
+                if q == p:
+                    pending[succ] -= 1
+                    if not pending[succ]:
+                        heappush(events, (time, seq, _READY, succ))
+                        seq += 1
+                    continue
+                route = routes[p * ns + q]
+                if route is None:
+                    route = routes[p * ns + q] = route_of(p, q)
+                b = route[1]
+                link = (p, b)
+                k = p * ns + b
+                duration = setup + weight * link_w[k]
+                enqueue, begin = grant(k, time, duration)
+                if not contention:
+                    begin = time
+                elif enqueue > time:
+                    stall_rows.append((task, succ, link, time, enqueue))
+                transfer_rows.append((task, succ, link, begin, begin + duration))
+                heappush(
+                    events, (begin + duration, seq, _HOP, (task, succ, route, weight, 1))
+                )
+                seq += 1
         else:  # _READY
             task = payload
             if serialize:
@@ -202,23 +252,8 @@ def simulate(
                     continue
                 busy[p] = True
             start[task] = time
-            push(time + sizes[task], _FINISH, task)
-            continue
-        for src, dst, route, weight, hop in messages:
-            if hop == len(route) - 1:
-                pending[dst] -= 1
-                if not pending[dst]:
-                    push(time, _READY, dst)
-                continue
-            a, b = link = route[hop], route[hop + 1]
-            duration = setup + weight * link_w[a * ns + b]
-            enqueue, begin = grant(a * ns + b, time, duration)
-            if not contention:
-                begin = time  # the grant only keeps the link statistics
-            elif enqueue > time:
-                stall_rows.append((src, dst, link, time, enqueue))
-            transfer_rows.append((src, dst, link, begin, begin + duration))
-            push(begin + duration, _HOP, (src, dst, route, weight, hop + 1))
+            heappush(events, (time + sizes[task], seq, _FINISH, task))
+            seq += 1
 
     start_arr = np.array(start, dtype=np.int64)
     end_arr = np.array(end, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.sim package (events, machine, engine, trace)."""
+"""Unit tests for the repro.sim package (event order, machine, engine, trace)."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from repro.core import (
     evaluate_assignment,
 )
 from repro.sim import (
-    EventKind,
-    EventQueue,
     MimdMachine,
     SimConfig,
     read_trace_jsonl,
@@ -23,29 +21,43 @@ from repro.topology import chain, ring
 from tests.conftest import random_instance
 
 
-class TestEventQueue:
-    def test_time_ordering(self):
-        q = EventQueue()
-        q.push(5, EventKind.TASK_READY, "b")
-        q.push(2, EventKind.TASK_READY, "a")
-        q.push(9, EventKind.TASK_READY, "c")
-        assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
+class TestEventOrder:
+    """Events fire in time order, simultaneous ones in the order they
+    were pushed, on a hand-checked instance on ``chain(2)``."""
 
-    def test_fifo_within_same_time(self):
-        q = EventQueue()
-        for tag in ("x", "y", "z"):
-            q.push(1, EventKind.TASK_READY, tag)
-        assert [q.pop().payload for _ in range(3)] == ["x", "y", "z"]
+    def _run(self):
+        # Task 1 on P0 sends two messages over link 0 -> 1 at t=1; task 0
+        # on P1 finishes at t=3 and readies task 3 there at the same
+        # instant as the message 1 -> 2 readies task 2.
+        g = TaskGraph(
+            [3, 1, 2, 2, 1],
+            [(0, 3, 5), (1, 2, 2), (1, 4, 1)],
+        )
+        cg = ClusteredGraph(g, Clustering([1, 0, 1, 1, 1]))
+        return simulate(cg, chain(2), Assignment.identity(2), SimConfig(True, True))
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1, EventKind.TASK_READY)
+    def test_task_rows(self):
+        sim = self._run()
+        # FINISH(0)@3 was pushed before the hop 1 -> 2 arriving at 3, so
+        # READY(3) is pushed before READY(2) and task 3 takes P1 first;
+        # task 2 (ready at 3) then runs before task 4 (ready at 4).
+        assert [
+            (r.task, r.processor, r.start, r.end) for r in sim.trace.tasks
+        ] == [(1, 0, 0, 1), (0, 1, 0, 3), (3, 1, 3, 5), (2, 1, 5, 7), (4, 1, 7, 8)]
+        assert sim.start.tolist() == [0, 0, 5, 3, 7]
+        assert sim.end.tolist() == [3, 1, 7, 5, 8]
+        assert sim.makespan == 8
 
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(0, EventKind.TASK_READY)
-        assert q and len(q) == 1
+    def test_transfer_rows(self):
+        sim = self._run()
+        # Both messages request link (0, 1) at t=1; the first out-edge
+        # gets it, and the second waits until it is free at t=3.
+        assert [
+            (r.src_task, r.dst_task, r.link, r.start, r.end)
+            for r in sim.trace.transfers
+        ] == [(1, 2, (0, 1), 1, 3), (1, 4, (0, 1), 3, 4)]
+        assert not sim.trace.stalls
+        assert sim.max_queue_depth == 2
 
 
 class TestMachine:
