@@ -79,20 +79,30 @@ class MimdMachine:
 
     def grant(self, link: int, request_time: int, duration: int) -> tuple[int, int]:
         """:meth:`acquire` on directed link ``link = a * ns + b``; returns
-        ``(enqueue, start)`` — the engine's per-hop call."""
+        ``(enqueue, start)`` — the engine's per-hop call.  ``duration``
+        is at least 1, as every engine hop is."""
         finish = self._finish[link]
         if finish is None:
             finish = self._finish[link] = []
         head = bisect_right(finish, request_time, self._head[link])
         self._head[link] = head
-        enqueue = request_time
+        # The slot-holders from ``head`` on finish after the request, in
+        # ascending order, since every duration is at least 1.
+        holding = len(finish) - head
         depth = self.fifo_depth
-        if depth is not None and len(finish) - head >= depth:
+        if depth is not None and holding >= depth:
             enqueue = finish[-depth]
             self._stall_total += enqueue - request_time
-        start = max(enqueue, finish[-1]) if finish else enqueue
-        finish.append(start + duration)
-        occupancy = len(finish) - bisect_right(finish, enqueue, head)
+            start = finish[-1]  # not before enqueue = finish[-depth]
+            finish.append(start + duration)
+            # The message enters the queue after its request, once some
+            # slot-holders have finished: count only those still holding.
+            occupancy = len(finish) - bisect_right(finish, enqueue, head)
+        else:
+            enqueue = request_time
+            start = finish[-1] if holding else request_time
+            finish.append(start + duration)
+            occupancy = holding + 1
         if occupancy > self._peak_queue:
             self._peak_queue = occupancy
         self._busy[link] += duration
@@ -104,7 +114,7 @@ class MimdMachine:
         """Reserve directed link ``a -> b``; returns the full grant.
 
         The transfer occupies the link during ``[start, start +
-        duration)``.  With a finite FIFO the message first waits for a
+        duration)``, ``duration >= 1``.  With a finite FIFO the message first waits for a
         slot: it enters the queue when the occupancy drops below
         ``fifo_depth`` (finish times are monotone, so the wait is the
         ``depth``-th most recent slot-holder's finish) and the stall is
