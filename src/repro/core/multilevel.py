@@ -150,12 +150,14 @@ def _undirected_pairs(
     Straight from the CSR edge arrays — equivalent to the nonzero pattern
     of ``triu(prob_edge + prob_edge.T, 1)`` without building either dense
     matrix (weights of coincident orientations are summed; a DAG cannot
-    contain a 2-cycle, so in practice each pair appears once).
+    contain a 2-cycle, so in practice each pair appears once).  When
+    every edge already runs low → high, as on every level graph, the
+    edge arrays are returned as they are: they are sorted by
+    ``(src, dst)`` with no duplicates.
     """
     srcs, dsts, w = graph.edge_arrays()
-    if not srcs.size:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+    if (srcs < dsts).all():
+        return srcs, dsts, w
     lo, hi = np.minimum(srcs, dsts), np.maximum(srcs, dsts)
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], w[order]

@@ -40,6 +40,7 @@ from repro.core import (
     verify_schedule,
 )
 from repro.core.multilevel import (
+    _undirected_pairs,
     abstract_taskgraph,
     contract_graph,
     heavy_edge_matching,
@@ -58,6 +59,7 @@ from tests.conftest import (
     oracle_contracted_link_weights,
     oracle_heavy_edge_matching,
     oracle_match_processors,
+    oracle_undirected_pairs,
 )
 
 
@@ -287,6 +289,18 @@ class TestAgainstTheOracles:
             assert heavy_edge_matching(graph, max_merges) == oracle_heavy_edge_matching(
                 graph, max_merges
             ), max_merges
+
+    @pytest.mark.parametrize("case", TIED_GRAPHS, ids=TIED_IDS)
+    def test_undirected_pairs(self, case):
+        """A graph with edges high -> low (every case but ``8-5``) has
+        its pairs sorted and summed; the same pairs stored low -> high
+        come back as the graph's own edge arrays."""
+        graph = tied_graph(*case)
+        up = TaskGraph.from_edge_arrays(graph.task_sizes, *oracle_undirected_pairs(graph))
+        for g in (graph, up):
+            for got, expected in zip(_undirected_pairs(g), oracle_undirected_pairs(g)):
+                assert np.array_equal(got, expected)
+        assert all(a is b for a, b in zip(_undirected_pairs(up), up.edge_arrays()))
 
     @pytest.mark.parametrize("case", TIED_GRAPHS, ids=TIED_IDS)
     def test_contract_graph_for_every_budget(self, case):
