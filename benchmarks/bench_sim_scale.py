@@ -17,9 +17,11 @@ Two modes:
   ``benchmarks/check_budgets.py``: ``elapsed_seconds``,
   ``makespan_ratio`` (paper-config simulated makespan / analytic total
   time — contractually 1.0), and a ``failures`` count of fidelity
-  cross-checks (relaxed configs must never beat the analytic bound,
-  repeated runs must be bit-identical, and the analytic per-link
-  traffic must equal the simulator's busy time).
+  cross-checks (the paper config's ``start`` and ``end`` must equal the
+  analytic schedule's, relaxed configs must never beat the analytic
+  bound, two runs of every config must agree in every ``SimResult``
+  field and trace record, and the analytic per-link traffic must equal
+  the simulator's busy time).
 
 Run from the repo root::
 
@@ -35,6 +37,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.api import build_topology
 from repro.clustering import RandomClusterer
@@ -111,22 +115,37 @@ def full(sizes: list[int], topology: str, seed: int, record: bool) -> int:
     return 0
 
 
-def fidelity_failures(clustered, system, assignment, analytic: int) -> int:
+def same_result(a, b) -> bool:
+    """Every field of two ``SimResult``s, the trace records in order too."""
+    return (
+        np.array_equal(a.start, b.start)
+        and np.array_equal(a.end, b.end)
+        and (a.makespan, a.max_link_utilization, a.fifo_stall_time, a.max_queue_depth)
+        == (b.makespan, b.max_link_utilization, b.fifo_stall_time, b.max_queue_depth)
+        and a.trace == b.trace
+    )
+
+
+def fidelity_failures(clustered, system, assignment, schedule) -> int:
     """Cross-checks that must hold for the metric values to mean anything."""
     from repro.metrics import link_traffic
 
     failures = 0
-    for _label, config in CONFIGS[1:]:
-        if simulate(clustered, system, assignment, config).makespan < analytic:
+    runs = {}
+    for label, config in CONFIGS:
+        runs[label] = simulate(clustered, system, assignment, config)
+        if not same_result(runs[label], simulate(clustered, system, assignment, config)):
+            failures += 1  # the engine must be deterministic
+        if runs[label].makespan < schedule.total_time:
             failures += 1  # a relaxation can never beat the paper model
-    cfg = SimConfig(True, True, fifo_depth=1)
-    first = simulate(clustered, system, assignment, cfg)
-    second = simulate(clustered, system, assignment, cfg)
-    if first.makespan != second.makespan or first.trace != second.trace:
-        failures += 1  # the engine must be deterministic
-    contended = simulate(clustered, system, assignment, SimConfig(True, True))
+    paper = runs["paper"]
+    if not (
+        np.array_equal(paper.start, schedule.start)
+        and np.array_equal(paper.end, schedule.end)
+    ):
+        failures += 1  # the paper model reproduces the analytic schedule
     if link_traffic(clustered, system, assignment) != (
-        contended.trace.link_busy_time()
+        runs["serialized+contention"].trace.link_busy_time()
     ):
         failures += 1  # analytic congestion == simulated busy time
     return failures
@@ -135,13 +154,14 @@ def fidelity_failures(clustered, system, assignment, analytic: int) -> int:
 def smoke(tasks: int, topology: str, seed: int, json_out: str | None) -> int:
     started = time.perf_counter()
     clustered, system, assignment = build_instance(tasks, topology, seed)
-    analytic = evaluate_assignment(clustered, system, assignment).total_time
+    schedule = evaluate_assignment(clustered, system, assignment)
+    analytic = schedule.total_time
     rows = [
         run_config(label, config, clustered, system, assignment)
         for label, config in CONFIGS
     ]
     makespan_ratio = rows[0]["makespan"] / max(analytic, 1)
-    failures = fidelity_failures(clustered, system, assignment, analytic)
+    failures = fidelity_failures(clustered, system, assignment, schedule)
     elapsed = time.perf_counter() - started
     print("\n".join(format_rows(tasks, topology, rows)))
     print(
