@@ -198,11 +198,9 @@ def simulate(
                 begin = time  # the grant only keeps the link statistics
             elif enqueue > time:
                 stall_rows.append((src, dst, link, time, enqueue))
-            transfer_rows.append((src, dst, link, begin, begin + duration))
-            heappush(
-                events,
-                (begin + duration, seq, _HOP, (src, dst, route, weight, hop + 1)),
-            )
+            done = begin + duration
+            transfer_rows.append((src, dst, link, begin, done))
+            heappush(events, (done, seq, _HOP, (src, dst, route, weight, hop + 1)))
             seq += 1
         elif kind == _FINISH:
             task = payload
@@ -229,19 +227,17 @@ def simulate(
                 route = routes[p * ns + q]
                 if route is None:
                     route = routes[p * ns + q] = route_of(p, q)
-                b = route[1]
-                link = (p, b)
-                k = p * ns + b
+                link = (p, route[1])
+                k = p * ns + route[1]
                 duration = setup + weight * link_w[k]
                 enqueue, begin = grant(k, time, duration)
                 if not contention:
                     begin = time
                 elif enqueue > time:
                     stall_rows.append((task, succ, link, time, enqueue))
-                transfer_rows.append((task, succ, link, begin, begin + duration))
-                heappush(
-                    events, (begin + duration, seq, _HOP, (task, succ, route, weight, 1))
-                )
+                done = begin + duration
+                transfer_rows.append((task, succ, link, begin, done))
+                heappush(events, (done, seq, _HOP, (task, succ, route, weight, 1)))
                 seq += 1
         else:  # _READY
             task = payload

@@ -89,20 +89,18 @@ class MimdMachine:
         # The slot-holders from ``head`` on finish after the request, in
         # ascending order, since every duration is at least 1.
         holding = len(finish) - head
+        enqueue = request_time
         depth = self.fifo_depth
         if depth is not None and holding >= depth:
             enqueue = finish[-depth]
             self._stall_total += enqueue - request_time
-            start = finish[-1]  # not before enqueue = finish[-depth]
-            finish.append(start + duration)
-            # The message enters the queue after its request, once some
-            # slot-holders have finished: count only those still holding.
+        start = finish[-1] if holding else request_time
+        finish.append(start + duration)
+        occupancy = holding + 1
+        if enqueue > request_time:
+            # A stalled message enters the queue once some slot-holders
+            # have finished: count only those still holding a slot.
             occupancy = len(finish) - bisect_right(finish, enqueue, head)
-        else:
-            enqueue = request_time
-            start = finish[-1] if holding else request_time
-            finish.append(start + duration)
-            occupancy = holding + 1
         if occupancy > self._peak_queue:
             self._peak_queue = occupancy
         self._busy[link] += duration
