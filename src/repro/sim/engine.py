@@ -227,8 +227,9 @@ def simulate(
                 route = routes[p * ns + q]
                 if route is None:
                     route = routes[p * ns + q] = route_of(p, q)
-                link = (p, route[1])
-                k = p * ns + route[1]
+                b = route[1]
+                link = (p, b)
+                k = p * ns + b
                 duration = setup + weight * link_w[k]
                 enqueue, begin = grant(k, time, duration)
                 if not contention:

@@ -86,8 +86,9 @@ class MimdMachine:
             finish = self._finish[link] = []
         head = bisect_right(finish, request_time, self._head[link])
         self._head[link] = head
-        # The slot-holders from ``head`` on finish after the request, in
-        # ascending order, since every duration is at least 1.
+        # Every duration is at least 1, so ``finish`` ascends, and the
+        # holders from ``head`` on, like this message, finish after the
+        # request.
         holding = len(finish) - head
         enqueue = request_time
         depth = self.fifo_depth
@@ -112,12 +113,13 @@ class MimdMachine:
         """Reserve directed link ``a -> b``; returns the full grant.
 
         The transfer occupies the link during ``[start, start +
-        duration)``, ``duration >= 1``.  With a finite FIFO the message first waits for a
-        slot: it enters the queue when the occupancy drops below
-        ``fifo_depth`` (finish times are monotone, so the wait is the
-        ``depth``-th most recent slot-holder's finish) and the stall is
-        charged to the sender.  Stalls only ever *delay* the start, so
-        every relaxation remains monotone versus the analytic model.
+        duration)``, ``duration >= 1``.  With a finite FIFO the message
+        first waits for a slot: it enters the queue when the occupancy
+        drops below ``fifo_depth`` (finish times are monotone, so the
+        wait is the ``depth``-th most recent slot-holder's finish) and
+        the stall is charged to the sender.  Stalls only ever *delay*
+        the start, so every relaxation remains monotone versus the
+        analytic model.
         """
         link = a * self.system.num_nodes + b
         enqueue, start = self.grant(link, request_time, duration)
