@@ -29,10 +29,7 @@ class TestEventOrder:
         # Task 1 on P0 sends two messages over link 0 -> 1 at t=1; task 0
         # on P1 finishes at t=3 and readies task 3 there at the same
         # instant as the message 1 -> 2 readies task 2.
-        g = TaskGraph(
-            [3, 1, 2, 2, 1],
-            [(0, 3, 5), (1, 2, 2), (1, 4, 1)],
-        )
+        g = TaskGraph([3, 1, 2, 2, 1], [(0, 3, 5), (1, 2, 2), (1, 4, 1)])
         cg = ClusteredGraph(g, Clustering([1, 0, 1, 1, 1]))
         return simulate(cg, chain(2), Assignment.identity(2), SimConfig(True, True))
 
