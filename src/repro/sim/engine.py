@@ -138,15 +138,12 @@ def simulate(
 
     One loop over a heap of ``(time, seq, kind, payload)`` events; the
     unique ``seq`` fires simultaneous events in the order they were
-    pushed.  A finished task walks its out-edges once: a successor on
-    the same processor gets its input at once, and any other message
-    ``(src_task, dst_task, route, weight, hop)`` is granted its first
-    link there.  A ``_HOP`` event carries one message that has just
-    crossed link ``route[hop - 1] -> route[hop]``; it is delivered once
-    ``hop`` reaches the route's end.  Routes come from
-    ``system.shortest_path``, looked up once per processor pair and run.
-    Each serialized processor queues its ready tasks in a heap of
-    ``(ready time, task)``.
+    pushed.  A finished task sends one message per out-edge, ``(src_task,
+    dst_task, route, weight, hop)``, and a ``_HOP`` event carries one
+    message: it crosses link ``route[hop] -> route[hop + 1]`` next and
+    is delivered once ``hop`` reaches the route's end, at once for a
+    successor on the same processor (a one-node route).  Each serialized
+    processor queues its ready tasks in a heap of ``(ready time, task)``.
     """
     graph = clustered.graph
     if clustered.num_clusters != system.num_nodes:
@@ -159,7 +156,6 @@ def simulate(
     cross_w = clustered.cross_out_weights.tolist()  # aligned with out_dst
     pending = np.diff(graph.in_indptr).tolist()
     link_w = system.link_weights.ravel().tolist()  # link a -> b at a * ns + b
-    routes: list[tuple[int, ...] | None] = [None] * (ns * ns)  # p -> q at p * ns + q
     route_of = system.shortest_path
     serialize, contention = config.serialize_processors, config.link_contention
     setup = config.link_setup
@@ -183,7 +179,38 @@ def simulate(
     while events:
         time, _, kind, payload = heappop(events)
         if kind == _HOP:
-            src, dst, route, weight, hop = payload
+            messages = (payload,)
+        elif kind == _FINISH:
+            task = payload
+            end[task] = time
+            p = host[task]
+            task_rows.append((task, p, start[task], time))
+            if serialize:
+                if ready[p]:
+                    nxt = heappop(ready[p])[1]
+                    start[nxt] = time
+                    heappush(events, (time + sizes[nxt], seq, _FINISH, nxt))
+                    seq += 1
+                else:
+                    busy[p] = False
+            lo, hi = out_ptr[task], out_ptr[task + 1]
+            messages = [
+                (task, succ, route_of(p, host[succ]), weight, 0)
+                for succ, weight in zip(out_dst[lo:hi], cross_w[lo:hi])
+            ]
+        else:  # _READY
+            task = payload
+            if serialize:
+                p = host[task]
+                if busy[p]:
+                    heappush(ready[p], (time, task))
+                    continue
+                busy[p] = True
+            start[task] = time
+            heappush(events, (time + sizes[task], seq, _FINISH, task))
+            seq += 1
+            continue
+        for src, dst, route, weight, hop in messages:
             if hop == len(route) - 1:
                 pending[dst] -= 1
                 if not pending[dst]:
@@ -201,55 +228,6 @@ def simulate(
             done = begin + duration
             transfer_rows.append((src, dst, link, begin, done))
             heappush(events, (done, seq, _HOP, (src, dst, route, weight, hop + 1)))
-            seq += 1
-        elif kind == _FINISH:
-            task = payload
-            end[task] = time
-            p = host[task]
-            task_rows.append((task, p, start[task], time))
-            if serialize:
-                if ready[p]:
-                    nxt = heappop(ready[p])[1]
-                    start[nxt] = time
-                    heappush(events, (time + sizes[nxt], seq, _FINISH, nxt))
-                    seq += 1
-                else:
-                    busy[p] = False
-            lo, hi = out_ptr[task], out_ptr[task + 1]
-            for succ, weight in zip(out_dst[lo:hi], cross_w[lo:hi]):
-                q = host[succ]
-                if q == p:
-                    pending[succ] -= 1
-                    if not pending[succ]:
-                        heappush(events, (time, seq, _READY, succ))
-                        seq += 1
-                    continue
-                route = routes[p * ns + q]
-                if route is None:
-                    route = routes[p * ns + q] = route_of(p, q)
-                b = route[1]
-                link = (p, b)
-                k = p * ns + b
-                duration = setup + weight * link_w[k]
-                enqueue, begin = grant(k, time, duration)
-                if not contention:
-                    begin = time
-                elif enqueue > time:
-                    stall_rows.append((task, succ, link, time, enqueue))
-                done = begin + duration
-                transfer_rows.append((task, succ, link, begin, done))
-                heappush(events, (done, seq, _HOP, (task, succ, route, weight, 1)))
-                seq += 1
-        else:  # _READY
-            task = payload
-            if serialize:
-                p = host[task]
-                if busy[p]:
-                    heappush(ready[p], (time, task))
-                    continue
-                busy[p] = True
-            start[task] = time
-            heappush(events, (time + sizes[task], seq, _FINISH, task))
             seq += 1
 
     start_arr = np.array(start, dtype=np.int64)
