@@ -80,7 +80,8 @@ class MimdMachine:
     def grant(self, link: int, request_time: int, duration: int) -> tuple[int, int]:
         """:meth:`acquire` on directed link ``link = a * ns + b``; returns
         ``(enqueue, start)`` — the engine's per-hop call.  ``duration``
-        is at least 1, as every engine hop is."""
+        must be at least 1, as every engine hop is; :meth:`acquire`
+        checks it, this call does not."""
         finish = self._finish[link]
         if finish is None:
             finish = self._finish[link] = []
@@ -121,6 +122,8 @@ class MimdMachine:
         the start, so every relaxation remains monotone versus the
         analytic model.
         """
+        if duration < 1:
+            raise ValueError(f"duration must be >= 1, got {duration}")
         link = a * self.system.num_nodes + b
         enqueue, start = self.grant(link, request_time, duration)
         return LinkGrant(enqueue, start, start + duration, enqueue - request_time)

@@ -84,6 +84,14 @@ class TestMachine:
         m.reset_links()
         assert m.max_link_utilization(10) == 0.0
 
+    def test_zero_duration_rejected(self):
+        m = MimdMachine(chain(2))
+        with pytest.raises(ValueError, match="duration"):
+            m.acquire(0, 1, 0, 0)
+        with pytest.raises(ValueError, match="duration"):
+            m.acquire_link(0, 1, 0, -1)
+        assert m.max_queue_depth() == 0  # a refused request books nothing
+
 
 class TestEngineCorrectness:
     def test_paper_mode_equals_analytic(self):
